@@ -35,10 +35,7 @@ from .identify import (
     ClosedLoopCorrector,
     IdentifierState,
     Status,
-    awaiting,
-    check_no_detection,
     corrector_update,
-    first_detection,
     observe,
     run_trace,
     start,

@@ -2,11 +2,12 @@
 
 Exit codes are stable and scripted against:
 
-    0  success (condition warnings included)
+    0  success (condition warnings included); calibration status
+       identified or identified_by_exhaustion
     1  usage or config/trace parse error
     2  mandatory placement condition failed, or infeasible optimisation
-    3  calibration ended with no matching sequence
-    4  calibration ended still ambiguous
+    3  calibration status no_match: no matching sequence
+    4  calibration status ambiguous
 
 Config paths are tried as given first; if not found and CABLECAL_CONFIG_DIR
 is set, the file is looked up there as well.
@@ -22,7 +23,7 @@ from pathlib import Path
 from .config import ConfigError, LoadedConfig, dump_design, load_config
 from .designer import InfeasibleRecipe
 from .events import enumerate_events, format_event_csv, rectify
-from .identify import run_trace
+from .identify import Status, run_trace
 from .model import validate_design
 from .optimize import format_trail_csv, search
 from .simulate import EncoderModel, format_trace_csv, parse_trace_csv, simulate
@@ -32,6 +33,13 @@ EXIT_USAGE = 1
 EXIT_CONDITION = 2
 EXIT_NO_MATCH = 3
 EXIT_AMBIGUOUS = 4
+
+EXIT_FOR_STATUS = {
+    Status.IDENTIFIED: EXIT_OK,
+    Status.IDENTIFIED_BY_EXHAUSTION: EXIT_OK,
+    Status.NO_MATCH: EXIT_NO_MATCH,
+    Status.AMBIGUOUS: EXIT_AMBIGUOUS,
+}
 
 CONFIG_DIR_ENV = "CABLECAL_CONFIG_DIR"
 
@@ -116,11 +124,7 @@ def _cmd_calibrate(args) -> int:
     result = run_trace(loaded.design, trace, tolerance)
     for line in result.lines():
         print(line)
-    if result.status in ("identified", "identified_by_exhaustion"):
-        return EXIT_OK
-    if result.status == "no_match":
-        return EXIT_NO_MATCH
-    return EXIT_AMBIGUOUS
+    return EXIT_FOR_STATUS[result.status]
 
 
 def _cmd_optimize(args) -> int:

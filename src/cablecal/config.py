@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .designer import DesignRecipe, build_design
+from .identify import DEFAULT_GAP_TOLERANCE
 from .model import GEOM_TOL, CalibrationDesign, MarkLayout, RobotGeometry, SensorLayout
-
-DEFAULT_GAP_TOL = 0.05
 
 
 class ConfigError(ValueError):
@@ -104,7 +103,7 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
         raise ConfigError(f"{where}: [geometry] {exc}") from None
 
     geom_tol = GEOM_TOL
-    gap_tol = DEFAULT_GAP_TOL
+    gap_tol = DEFAULT_GAP_TOLERANCE
     if parser.has_section("tolerances"):
         if parser.has_option("tolerances", "geom"):
             geom_tol = _float(parser, "tolerances", "geom", where)
@@ -165,7 +164,7 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
 def dump_design(
     design: CalibrationDesign,
     geom_tol: float = GEOM_TOL,
-    gap_tol: float = DEFAULT_GAP_TOL,
+    gap_tol: float = DEFAULT_GAP_TOLERANCE,
 ) -> str:
     """Render a design as an explicit-layout config document."""
     g = design.geometry

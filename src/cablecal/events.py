@@ -234,10 +234,6 @@ def format_event_csv(table: EventTable, precision: str = "table") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_event_csv(table: EventTable, stream, precision: str = "table") -> None:
-    stream.write(format_event_csv(table, precision))
-
-
 def parse_event_csv(text: str, rectified: bool = False) -> EventTable:
     """Parse CSV produced by :func:`format_event_csv`.
 

@@ -19,10 +19,12 @@ from .simulate import ObservationTrace
 DEFAULT_GAP_TOLERANCE = 0.05
 
 
-class Status(enum.Enum):
-    AWAITING_FIRST = "awaiting_first"
+class Status(str, enum.Enum):
+    """Identification outcome; the value is what ``calibrate`` prints."""
+
     AMBIGUOUS = "ambiguous"
     IDENTIFIED = "identified"
+    IDENTIFIED_BY_EXHAUSTION = "identified_by_exhaustion"
     NO_MATCH = "no_match"
 
 
@@ -42,7 +44,6 @@ class IdentifierState:
     status: Status
     identified_index: int | None = None
     identified_rho: float | None = None
-    by_exhaustion: bool = False
 
     @property
     def candidate_count(self) -> int:
@@ -57,7 +58,7 @@ class IdentifierState:
 class CalibrationResult:
     """Outcome of replaying one observation trace against a design."""
 
-    status: str  # identified | identified_by_exhaustion | ambiguous | no_match
+    status: Status
     rho: float | None
     detections_used: int
     stroke: float | None
@@ -68,7 +69,7 @@ class CalibrationResult:
     def lines(self) -> list[str]:
         history = " -> ".join(str(c) for c in self.candidate_history) or "-"
         out = [
-            f"status: {self.status}",
+            f"status: {self.status.value}",
             f"rho: {self.rho:.2f}" if self.rho is not None else "rho: -",
             f"detections_used: {self.detections_used}",
             f"stroke: {self.stroke:.2f}" if self.stroke is not None else "stroke: -",
@@ -80,8 +81,8 @@ class CalibrationResult:
         return out
 
 
-def awaiting(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> IdentifierState:
-    """State before any detection: armed but without position information."""
+def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> IdentifierState:
+    """State right after the first detection: every table position is possible."""
     if not table.rectified:
         raise ValueError("identifier needs a rectified event table")
     if table.count < 2:
@@ -93,20 +94,8 @@ def awaiting(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> Ide
         tolerance=tolerance,
         observed=(),
         candidates=frozenset(range(1, table.count + 1)),
-        status=Status.AWAITING_FIRST,
+        status=Status.AMBIGUOUS,
     )
-
-
-def first_detection(state: IdentifierState) -> IdentifierState:
-    """The first detection fires: every table position is now a candidate."""
-    if state.status is not Status.AWAITING_FIRST:
-        raise ValueError(f"cannot take a first detection on a {state.status.value} state")
-    return replace(state, status=Status.AMBIGUOUS)
-
-
-def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> IdentifierState:
-    """State right after the first detection: every table position is possible."""
-    return first_detection(awaiting(table, tolerance))
 
 
 def observe(state: IdentifierState, gap: float) -> IdentifierState:
@@ -143,31 +132,18 @@ def observe(state: IdentifierState, gap: float) -> IdentifierState:
     return replace(state, observed=observed, candidates=survivors)
 
 
-def check_no_detection(
-    state: IdentifierState, design: CalibrationDesign, wound_since_last: float
-) -> tuple[IdentifierState, float | None]:
-    """Fallback when the cable winds past the largest possible mark spacing.
+def _exhaustion_estimate(design: CalibrationDesign, wound: float) -> float | None:
+    """Length estimate after winding ``wound`` metres without a detection.
 
     Winding strictly more than d_n - d_0 without a detection means the
     remaining cable is the mark-free distal segment; the length estimate is
-    then the last-event length plus that spacing.  The returned state is
-    flagged as identified by exhaustion, distinct from sequence
-    identification.  Below the threshold nothing changes.
+    then the last-event length plus that spacing.  Below the threshold there
+    is no estimate.
     """
-    if state.terminal:
-        raise ValueError("state is already terminal")
     spacing = design.marks.distal_reserve - design.proximal_reserve
-    if wound_since_last <= spacing:
-        return state, None
-    estimate = design.rho_at(design.marks.count, 1) + spacing
-    new_state = replace(
-        state,
-        status=Status.IDENTIFIED,
-        identified_index=None,
-        identified_rho=estimate,
-        by_exhaustion=True,
-    )
-    return new_state, estimate
+    if wound <= spacing:
+        return None
+    return design.rho_at(design.marks.count, 1) + spacing
 
 
 @dataclass(frozen=True)
@@ -236,51 +212,34 @@ def run_trace(
     a table event, all of them feed the encoder corrector, and the stroke
     is the table length wound from the first to the identifying detection.
     A trace that ends ambiguous falls back to the exhaustion estimate when
-    the drive continued far enough past the last detection.
+    the drive continued far enough past the last detection, or past the
+    drive start when there was none.
     """
     table = rectify(enumerate_events(design))
     records = trace.records
-
-    if not records:
-        # A whole drive without one detection: only the distal segment fits.
-        if trace.start_rho is not None and trace.stop_rho is not None:
-            wound = trace.start_rho - trace.stop_rho
-            spacing = design.marks.distal_reserve - design.proximal_reserve
-            if wound > spacing:
-                estimate = design.rho_at(design.marks.count, 1) + spacing
-                return CalibrationResult(
-                    "identified_by_exhaustion", estimate, 0, None, ()
-                )
-        return CalibrationResult("ambiguous", None, 0, None, ())
-
-    state = start(table, tolerance)
-    history = [state.candidate_count]
-    consumed = 1
-    for prev, rec in zip(records, records[1:]):
-        state = observe(state, rec.reading - prev.reading)
-        consumed += 1
+    history: list[int] = []
+    status = Status.AMBIGUOUS
+    last_rho = trace.start_rho  # length at the last detection, or at the drive start
+    if records:
+        state = start(table, tolerance)
         history.append(state.candidate_count)
-        if state.terminal:
-            break
+        for prev, rec in zip(records, records[1:]):
+            state = observe(state, rec.reading - prev.reading)
+            history.append(state.candidate_count)
+            if state.terminal:
+                break
+        status = state.status
+        last_rho = records[len(history) - 1].truth_rho
+    consumed = len(history)
 
-    if state.status is Status.AMBIGUOUS and trace.stop_rho is not None:
-        last_truth = records[consumed - 1].truth_rho
-        if last_truth is not None:
-            tail_wound = last_truth - trace.stop_rho
-            state, _ = check_no_detection(state, design, tail_wound)
-
-    if state.status is Status.NO_MATCH:
-        return CalibrationResult("no_match", None, consumed, None, tuple(history))
-    if state.by_exhaustion:
-        return CalibrationResult(
-            "identified_by_exhaustion",
-            state.identified_rho,
-            consumed,
-            None,
-            tuple(history),
-        )
-    if state.status is not Status.IDENTIFIED:
-        return CalibrationResult("ambiguous", None, consumed, None, tuple(history))
+    if status is Status.AMBIGUOUS and last_rho is not None and trace.stop_rho is not None:
+        estimate = _exhaustion_estimate(design, last_rho - trace.stop_rho)
+        if estimate is not None:
+            return CalibrationResult(
+                Status.IDENTIFIED_BY_EXHAUSTION, estimate, consumed, None, tuple(history)
+            )
+    if status is not Status.IDENTIFIED:
+        return CalibrationResult(status, None, consumed, None, tuple(history))
 
     here = state.identified_index
     assert here is not None
@@ -300,7 +259,7 @@ def run_trace(
         scale, offset = corrector.scale, corrector.offset
 
     return CalibrationResult(
-        "identified",
+        Status.IDENTIFIED,
         state.identified_rho,
         consumed,
         stroke,

@@ -63,7 +63,6 @@ class ObservationTrace:
     records: tuple[TraceRecord, ...]
     start_rho: float | None
     stop_rho: float | None
-    direction: str = "wind"
 
     def __post_init__(self) -> None:
         for a, b in zip(self.records, self.records[1:]):
@@ -147,7 +146,6 @@ def format_trace_csv(trace: ObservationTrace) -> str:
         meta.append(f"start_rho={trace.start_rho!r}")
     if trace.stop_rho is not None:
         meta.append(f"stop_rho={trace.stop_rho!r}")
-    meta.append(f"direction={trace.direction}")
     lines.append("# " + " ".join(meta))
     lines.append(TRACE_CSV_HEADER)
     for r in trace.records:
@@ -158,10 +156,6 @@ def format_trace_csv(trace: ObservationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_csv(trace: ObservationTrace, stream) -> None:
-    stream.write(format_trace_csv(trace))
-
-
 def parse_trace_csv(text: str) -> ObservationTrace:
     """Parse CSV produced by :func:`format_trace_csv`.
 
@@ -170,7 +164,6 @@ def parse_trace_csv(text: str) -> ObservationTrace:
     """
     start_rho: float | None = None
     stop_rho: float | None = None
-    direction = "wind"
     lines = [ln for ln in io.StringIO(text).read().splitlines() if ln.strip()]
     if lines and lines[0].startswith("#"):
         for token in lines[0][1:].split():
@@ -179,8 +172,6 @@ def parse_trace_csv(text: str) -> ObservationTrace:
                 start_rho = float(value)
             elif key == "stop_rho":
                 stop_rho = float(value)
-            elif key == "direction":
-                direction = value
         lines = lines[1:]
     if not lines or lines[0].strip() != TRACE_CSV_HEADER:
         raise ValueError(f"expected header {TRACE_CSV_HEADER!r}")
@@ -201,4 +192,4 @@ def parse_trace_csv(text: str) -> ObservationTrace:
             )
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return ObservationTrace(tuple(records), start_rho, stop_rho, direction)
+    return ObservationTrace(tuple(records), start_rho, stop_rho)

@@ -229,6 +229,15 @@ class TestCliCalibrate:
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(bad)])
         assert code == 3
 
+    def test_empty_drive_is_identified_by_exhaustion(self, config_dir, tmp_path, capsys):
+        trace = tmp_path / "empty.csv"
+        trace.write_text("# start_rho=3.8 stop_rho=1.0\nt,encoder_reading,truth_rho,truth_i,truth_j\n")
+        code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "status: identified_by_exhaustion" in out
+        assert "rho: 3.75" in out
+
     def test_missing_trace_file(self, config_dir):
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", "/nope.csv"])
         assert code == 1

@@ -9,11 +9,8 @@ from cablecal import (
     EncoderModel,
     ObservationTrace,
     Status,
-    awaiting,
-    check_no_detection,
     corrector_update,
     enumerate_events,
-    first_detection,
     observe,
     rectify,
     run_trace,
@@ -34,16 +31,6 @@ class TestStart:
         assert state.status is Status.AMBIGUOUS
         assert state.candidate_count == 26
         assert state.observed == ()
-
-    def test_awaiting_then_first_detection(self, workshop_table):
-        armed = awaiting(workshop_table)
-        assert armed.status is Status.AWAITING_FIRST
-        state = first_detection(armed)
-        assert state == start(workshop_table)
-        with pytest.raises(ValueError):
-            observe(armed, 0.5)  # no detection seen yet
-        with pytest.raises(ValueError):
-            first_detection(state)
 
     def test_two_event_table(self, workshop_table):
         from cablecal import Event, EventTable
@@ -113,29 +100,6 @@ class TestObserve:
             observe(state, 0.5)
 
 
-class TestCheckNoDetection:
-    def test_estimate_past_largest_spacing(self, workshop, workshop_table):
-        state = start(workshop_table)
-        new_state, estimate = check_no_detection(state, workshop, 2.80)
-        assert estimate == pytest.approx(3.75)  # 1.00 + (3.00 - 0.25)
-        assert new_state.status is Status.IDENTIFIED and new_state.by_exhaustion
-
-    def test_below_threshold(self, workshop, workshop_table):
-        state = start(workshop_table)
-        same, estimate = check_no_detection(state, workshop, 0.10)
-        assert estimate is None and same is state
-
-    def test_exact_threshold_is_not_enough(self, workshop, workshop_table):
-        state = start(workshop_table)
-        same, estimate = check_no_detection(state, workshop, 2.75)
-        assert estimate is None and same.status is Status.AMBIGUOUS
-
-    def test_terminal_state_rejected(self, workshop, workshop_table):
-        state = observe(start(workshop_table), 99.0)
-        with pytest.raises(ValueError):
-            check_no_detection(state, workshop, 5.0)
-
-
 class TestCorrector:
     def test_two_point_fit(self):
         corr = ClosedLoopCorrector(start_rho=9.0)
@@ -181,7 +145,7 @@ class TestRunTrace:
     def test_walkthrough_scenario(self, workshop):
         trace = simulate(workshop, EncoderModel(), 9.1, 7.4)
         result = run_trace(workshop, trace)
-        assert result.status == "identified"
+        assert result.status is Status.IDENTIFIED
         assert result.rho == pytest.approx(7.50)
         assert result.detections_used == 4
         assert result.stroke == pytest.approx(1.5)
@@ -192,7 +156,7 @@ class TestRunTrace:
     def test_constant_gap_design_identifies_only_at_exhaustion(self, medium):
         trace = simulate(medium, EncoderModel(), 11.0, 1.0)
         result = run_trace(medium, trace)
-        assert result.status == "identified"
+        assert result.status is Status.IDENTIFIED
         assert result.detections_used == 9  # the whole table
         assert result.rho == pytest.approx(1.0)
         assert result.candidate_history == (9, 8, 7, 6, 5, 4, 3, 2, 1)
@@ -200,7 +164,7 @@ class TestRunTrace:
     def test_truncated_trace_stays_ambiguous(self, workshop):
         trace = simulate(workshop, EncoderModel(), 9.1, 8.4)  # two detections only
         result = run_trace(workshop, trace)
-        assert result.status == "ambiguous"
+        assert result.status is Status.AMBIGUOUS
         assert result.candidate_history == (26, 11)
 
     def test_jitter_below_half_tolerance_is_harmless(self, workshop):
@@ -214,21 +178,54 @@ class TestRunTrace:
     def test_corrector_recovers_scale_error(self, workshop):
         trace = simulate(workshop, EncoderModel(scale=1.02, offset=5.0), 9.1, 7.4)
         result = run_trace(workshop, trace)
-        assert result.status == "identified"
+        assert result.status is Status.IDENTIFIED
         assert result.corrector_scale == pytest.approx(1.02)
         assert result.corrector_offset == pytest.approx(5.0)
 
     def test_empty_trace_beyond_spacing_estimates_by_exhaustion(self, workshop):
         trace = ObservationTrace((), start_rho=4.0, stop_rho=1.0)
         result = run_trace(workshop, trace)
-        assert result.status == "identified_by_exhaustion"
+        assert result.status is Status.IDENTIFIED_BY_EXHAUSTION
         assert result.rho == pytest.approx(3.75)
         assert result.detections_used == 0
 
     def test_empty_trace_short_drive_is_ambiguous(self, workshop):
         trace = ObservationTrace((), start_rho=2.4, stop_rho=1.6)
         result = run_trace(workshop, trace)
-        assert result.status == "ambiguous"
+        assert result.status is Status.AMBIGUOUS
+
+    # Exhaustion: winding strictly more than d_n - d_0 = 3.00 - 0.25 m without
+    # a detection leaves only the distal segment, 1.00 + 2.75 m.
+    def test_empty_drive_past_largest_spacing_is_exhausted(self, workshop):
+        result = run_trace(workshop, ObservationTrace((), start_rho=3.80, stop_rho=1.0))
+        assert result.status is Status.IDENTIFIED_BY_EXHAUSTION
+        assert result.rho == pytest.approx(3.75)
+        assert result.candidate_history == ()
+
+    def test_empty_drive_below_largest_spacing_is_ambiguous(self, workshop):
+        result = run_trace(workshop, ObservationTrace((), start_rho=1.10, stop_rho=1.0))
+        assert result.status is Status.AMBIGUOUS and result.rho is None
+        assert result.detections_used == 0
+
+    def test_empty_drive_of_exactly_largest_spacing_is_ambiguous(self, workshop):
+        result = run_trace(workshop, ObservationTrace((), start_rho=3.75, stop_rho=1.0))
+        assert result.status is Status.AMBIGUOUS and result.rho is None
+
+    def test_drive_past_largest_spacing_after_last_detection_is_exhausted(self, workshop):
+        full = simulate(workshop, EncoderModel(), 9.1, 1.0)
+        trace = ObservationTrace(full.records[:2], full.start_rho, full.stop_rho)
+        result = run_trace(workshop, trace)
+        assert result.status is Status.IDENTIFIED_BY_EXHAUSTION
+        assert result.rho == pytest.approx(3.75)
+        assert result.detections_used == 2
+        assert result.stroke is None
+        assert result.candidate_history == (26, 11)
+
+    def test_status_is_the_printed_string(self, workshop):
+        result = run_trace(workshop, simulate(workshop, EncoderModel(), 9.1, 8.4))
+        assert result.status is Status.AMBIGUOUS
+        assert result.status == "ambiguous" and result.status in ("ambiguous", "no_match")
+        assert result.lines()[0] == "status: ambiguous"
 
     def test_identified_stroke_matches_profile(self, workshop):
         table = rectify(enumerate_events(workshop))
@@ -239,8 +236,8 @@ class TestRunTrace:
             trace = simulate(workshop, EncoderModel(), start_rho, workshop.geometry.b)
             result = run_trace(workshop, trace, tolerance=0.05)
             if entry.identifiable:
-                assert result.status == "identified"
+                assert result.status is Status.IDENTIFIED
                 assert result.detections_used == entry.k + 1
                 assert result.stroke == pytest.approx(entry.stroke)
             else:
-                assert result.status == "ambiguous"
+                assert result.status is Status.AMBIGUOUS

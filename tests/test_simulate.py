@@ -120,6 +120,15 @@ class TestTraceCsv:
         assert trace.start_rho is None and trace.stop_rho is None
         assert trace.records[0] == TraceRecord(0.5, 0.5, None, None, None)
 
+    def test_old_direction_token_still_parses(self):
+        text = (
+            "# start_rho=9.1 stop_rho=7.4 direction=wind\n"
+            "t,encoder_reading,truth_rho,truth_i,truth_j\n0.1,0.1,9.0,5,1\n"
+        )
+        trace = parse_trace_csv(text)
+        assert (trace.start_rho, trace.stop_rho) == (9.1, 7.4)
+        assert trace.records == (TraceRecord(0.1, 0.1, 9.0, 5, 1),)
+
     def test_header_required(self):
         with pytest.raises(ValueError):
             parse_trace_csv("a,b\n1,2\n")
