@@ -7,7 +7,6 @@ minimise the calibration stroke.
 """
 
 from .designer import (
-    BuildResult,
     DesignRecipe,
     InfeasibleRecipe,
     build_design,
@@ -19,11 +18,8 @@ from .designer import (
     sensor_count,
 )
 from .events import (
-    DeltaStats,
     Event,
     EventTable,
-    StartStroke,
-    StrokeProfile,
     delta_stats,
     detection_time,
     enumerate_events,
@@ -31,9 +27,7 @@ from .events import (
     stroke_profile,
 )
 from .identify import (
-    CalibrationResult,
     ClosedLoopCorrector,
-    IdentifierState,
     Status,
     corrector_update,
     observe,
@@ -41,7 +35,6 @@ from .identify import (
     start,
 )
 from .model import (
-    GEOM_TOL,
     CalibrationDesign,
     Condition,
     ConditionReport,
@@ -50,7 +43,7 @@ from .model import (
     SensorLayout,
     validate_design,
 )
-from .optimize import ObjectiveScore, SearchResult, compare, score, search
+from .optimize import ObjectiveScore, compare, score, search
 from .simulate import (
     EncoderModel,
     ObservationTrace,

@@ -80,14 +80,15 @@ def _write_output(text: str, out: str | None) -> None:
 def _cmd_validate(args) -> int:
     loaded = _load(args.config)
     report = validate_design(loaded.design, loaded.geom_tol)
+    soft = report.soft_failures
     for cond in report:
-        verdict = "PASS" if cond.passed else ("WARN" if cond.name in ("C6", "C7") else "FAIL")
+        verdict = "PASS" if cond.passed else ("WARN" if cond.name in soft else "FAIL")
         print(f"{cond.name}  {verdict:4}  {cond.detail}")
     if not report.hard_pass:
         print("result: FAIL (mandatory condition violated)")
         return EXIT_CONDITION
-    if report.soft_failures:
-        print(f"result: PASS with warnings ({', '.join(report.soft_failures)})")
+    if soft:
+        print(f"result: PASS with warnings ({', '.join(soft)})")
     else:
         print("result: PASS")
     return EXIT_OK
@@ -134,7 +135,9 @@ def _cmd_optimize(args) -> int:
     if loaded.recipe is None:
         raise ConfigError(f"{args.config}: optimize needs a [recipe] config")
     try:
-        result = search(loaded.recipe, budget=args.budget, seed=args.seed)
+        result = search(
+            loaded.recipe, budget=args.budget, seed=args.seed, tolerance=loaded.gap_tol
+        )
     except InfeasibleRecipe as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_CONDITION

@@ -19,18 +19,28 @@ Two variants, exactly one of which must be present:
     gap = 0.05              gap = 0.05
 
 Lists accept spaces and/or commas as separators.  The [tolerances] section
-is optional.
+is optional; both values must be finite and positive.  ``gap`` is the gap
+match tolerance: ``calibrate`` matches measured gaps with it and
+``optimize`` ranks layouts by the strokes that matching needs.  ``geom`` is
+the geometric equality tolerance of ``validate`` and affects nothing else.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .designer import DesignRecipe, build_design
-from .identify import DEFAULT_GAP_TOLERANCE
-from .model import GEOM_TOL, CalibrationDesign, MarkLayout, RobotGeometry, SensorLayout
+from .model import (
+    DEFAULT_GAP_TOLERANCE,
+    GEOM_TOL,
+    CalibrationDesign,
+    MarkLayout,
+    RobotGeometry,
+    SensorLayout,
+)
 
 
 class ConfigError(ValueError):
@@ -109,8 +119,8 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
             geom_tol = _float(parser, "tolerances", "geom", where)
         if parser.has_option("tolerances", "gap"):
             gap_tol = _float(parser, "tolerances", "gap", where)
-    if geom_tol <= 0 or gap_tol <= 0:
-        raise ConfigError(f"{where}: [tolerances] values must be positive")
+    if not all(math.isfinite(tol) and tol > 0 for tol in (geom_tol, gap_tol)):
+        raise ConfigError(f"{where}: [tolerances] values must be finite and positive")
 
     has_layout = parser.has_section("layout")
     has_recipe = parser.has_section("recipe")

@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .model import GEOM_TOL, CalibrationDesign
+from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign
 
 EVENT_CSV_HEADER = "t,i,j,rho,delta_rho"
 
@@ -173,7 +173,9 @@ def delta_stats(table: EventTable) -> DeltaStats:
     return DeltaStats(mean=mean, std=math.sqrt(var), count=n)
 
 
-def stroke_profile(table: EventTable, tolerance: float = 0.01) -> StrokeProfile:
+def stroke_profile(
+    table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE
+) -> StrokeProfile:
     """How much cable each starting position must wind before it is unique.
 
     For every start p the profile finds the smallest k such that the gap

@@ -10,13 +10,12 @@ signals a sensor fault or a design/trace mismatch.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from .events import EventTable, enumerate_events, rectify
-from .model import CalibrationDesign
+from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign
 from .simulate import ObservationTrace
-
-DEFAULT_GAP_TOLERANCE = 0.05
 
 
 class Status(str, enum.Enum):
@@ -81,14 +80,18 @@ class CalibrationResult:
         return out
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"gap tolerance must be finite and positive, got {tolerance}")
+
+
 def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> IdentifierState:
     """State right after the first detection: every table position is possible."""
     if not table.rectified:
         raise ValueError("identifier needs a rectified event table")
     if table.count < 2:
         raise ValueError("identification needs a table with at least 2 events")
-    if tolerance <= 0:
-        raise ValueError("gap tolerance must be positive")
+    _check_tolerance(tolerance)
     return IdentifierState(
         table=table,
         tolerance=tolerance,
@@ -213,8 +216,10 @@ def run_trace(
     is the table length wound from the first to the identifying detection.
     A trace that ends ambiguous falls back to the exhaustion estimate when
     the drive continued far enough past the last detection, or past the
-    drive start when there was none.
+    drive start when there was none.  The tolerance is checked even when
+    the trace has no detection to match.
     """
+    _check_tolerance(tolerance)
     table = rectify(enumerate_events(design))
     records = trace.records
     history: list[int] = []

@@ -20,6 +20,11 @@ from dataclasses import dataclass
 # floating-point noise.
 GEOM_TOL = 1e-9
 
+# How far apart two length gaps may be and still match.  Calibration matches
+# measured gaps against the design with it, and the optimiser ranks layouts
+# by the strokes that matching needs, so both must use the same value.
+DEFAULT_GAP_TOLERANCE = 0.05
+
 _CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 
 

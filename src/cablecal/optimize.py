@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .designer import DesignRecipe, InfeasibleRecipe, build_design
 from .events import delta_stats, enumerate_events, rectify, stroke_profile
-from .model import CalibrationDesign
+from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,17 @@ def compare(a: ObjectiveScore, b: ObjectiveScore) -> int:
     return -1 if ka < kb else (1 if ka > kb else 0)
 
 
-def score(design: CalibrationDesign, gap_tolerance: float = 0.01) -> ObjectiveScore:
-    """Gap statistics plus identification strokes for one design."""
+def score(
+    design: CalibrationDesign, tolerance: float = DEFAULT_GAP_TOLERANCE
+) -> ObjectiveScore:
+    """Gap statistics plus identification strokes for one design.
+
+    ``tolerance`` is the gap match tolerance calibration will use, so the
+    strokes are the ones the identifier actually needs.
+    """
     table = rectify(enumerate_events(design))
     stats = delta_stats(table)
-    profile = stroke_profile(table, gap_tolerance)
+    profile = stroke_profile(table, tolerance)
     worst = profile.worst_stroke if profile.worst_stroke is not None else float("inf")
     mean = profile.mean_stroke if profile.mean_stroke is not None else float("inf")
     return ObjectiveScore(
@@ -74,7 +80,12 @@ class SearchResult(NamedTuple):
     trail: tuple[tuple[int, ObjectiveScore], ...]
 
 
-def search(recipe: DesignRecipe, budget: int, seed: int = 0) -> SearchResult:
+def search(
+    recipe: DesignRecipe,
+    budget: int,
+    seed: int = 0,
+    tolerance: float = DEFAULT_GAP_TOLERANCE,
+) -> SearchResult:
     """Best pool ordering under the merit order, within an evaluation budget.
 
     Distinct orderings of the two pools form the space.  When the whole
@@ -82,14 +93,14 @@ def search(recipe: DesignRecipe, budget: int, seed: int = 0) -> SearchResult:
     otherwise seeded hill-climbing over adjacent swaps with random restarts
     explores it.  The given ordering is always evaluated first, so the
     result is never worse than the starting recipe.  The trail records
-    (evaluation index, score) for every improvement.  Deterministic per
-    seed.
+    (evaluation index, score) for every improvement.  Designs are scored
+    at the gap match ``tolerance``.  Deterministic per seed.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if budget == 0:
         design, _ = build_design(recipe)
-        return SearchResult(design, score(design), recipe, ())
+        return SearchResult(design, score(design, tolerance), recipe, ())
 
     def evaluate(d_order: tuple[float, ...], z_order: tuple[float, ...]):
         candidate = replace(recipe, d_pool=d_order, z_pool=z_order)
@@ -99,7 +110,7 @@ def search(recipe: DesignRecipe, budget: int, seed: int = 0) -> SearchResult:
             return None
         if not report.hard_pass:
             return None
-        return candidate, design, score(design)
+        return candidate, design, score(design, tolerance)
 
     d_perms = sorted(set(itertools.permutations(recipe.d_pool)))
     z_perms = sorted(set(itertools.permutations(recipe.z_pool)))

@@ -20,6 +20,25 @@ d_pool = 0.5 0.75 1.0 1.25 1.5
 z_pool = 3.0
 """
 
+# Mark gaps 5 cm apart: at gap = 0.05 they match, at 0.01 they do not.
+FIVE_CENTIMETRE_RECIPE = """\
+[geometry]
+h = 6.0
+rho_max = 11.0
+
+[recipe]
+d_pool = 0.25 0.3 0.5 0.75
+z_pool = 3.0
+
+[tolerances]
+gap = {gap}
+"""
+
+MEDIUM_LAYOUT = (
+    "[geometry]\nh = 6\nrho_max = 11\n"
+    "[layout]\nsensor_heights = 2 5\nmark_positions = 10 9 8 7 6 5\n"
+)
+
 
 class TestConfig:
     def test_shipped_configs_match_presets(self, config_dir):
@@ -75,6 +94,10 @@ class TestConfig:
                 "mark_positions = 10 9\n",
                 "geometry",
             ),
+            (MEDIUM_LAYOUT + "[tolerances]\ngap = nan\n", "finite and positive"),
+            (MEDIUM_LAYOUT + "[tolerances]\ngap = inf\n", "finite and positive"),
+            (MEDIUM_LAYOUT + "[tolerances]\ngeom = nan\n", "finite and positive"),
+            (MEDIUM_LAYOUT + "[tolerances]\ngeom = inf\n", "finite and positive"),
         ],
     )
     def test_parse_errors(self, tmp_path, body, fragment):
@@ -238,6 +261,38 @@ class TestCliCalibrate:
         assert "status: identified_by_exhaustion" in out
         assert "rho: 3.75" in out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, config_dir, tmp_path, capsys, tolerance):
+        drive = self._trace(config_dir, tmp_path, 9.1, 7.4)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# start_rho=3.8 stop_rho=1.0\nt,encoder_reading,truth_rho,truth_i,truth_j\n")
+        for trace in (drive, empty):
+            code = main(
+                ["calibrate", str(config_dir / "workshop.ini"), "--trace", str(trace),
+                 "--tolerance", tolerance]
+            )
+            assert code == 1
+            assert "finite and positive" in capsys.readouterr().err
+
+    def test_readme_walkthrough(self, config_dir, tmp_path, capsys, monkeypatch):
+        # The commands and the output block of the README's walkthrough.
+        monkeypatch.chdir(tmp_path)
+        workshop = str(config_dir / "workshop.ini")
+        assert main(
+            ["simulate", workshop, "--start", "9.1", "--stop", "7.4",
+             "--scale", "1.01", "--noise", "0.005", "--seed", "7", "--out", "trace.csv"]
+        ) == 0
+        assert main(["calibrate", workshop, "--trace", "trace.csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "status: identified",
+            "rho: 7.50",
+            "detections_used: 4",
+            "stroke: 1.50",
+            "candidate_history: 26 -> 11 -> 2 -> 1",
+            "corrector_scale: 1.009060",
+            "corrector_offset: 0.000501",
+        ]
+
     def test_missing_trace_file(self, config_dir):
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", "/nope.csv"])
         assert code == 1
@@ -283,6 +338,24 @@ class TestCliOptimize:
         assert main(["optimize", str(cfg), "--budget", "10", "--out", str(out)]) == 0
         report = validate_design(load_config(out).design)
         assert report.hard_pass and not report["C6"].passed
+
+    @pytest.mark.parametrize(
+        "gap,budget,fragment",
+        [
+            ("0.05", "0", "unidentifiable=3"),
+            ("0.05", "200", "worst_stroke=3.200"),
+            ("0.01", "0", "unidentifiable=2"),
+        ],
+    )
+    def test_scores_at_config_gap_tolerance(self, tmp_path, capsys, gap, budget, fragment):
+        cfg = tmp_path / "recipe.ini"
+        cfg.write_text(FIVE_CENTIMETRE_RECIPE.format(gap=gap))
+        code = main(
+            ["optimize", str(cfg), "--budget", budget,
+             "--out", str(tmp_path / "best.ini"), "--report", str(tmp_path / "trail.csv")]
+        )
+        assert code == 0
+        assert fragment in capsys.readouterr().err
 
     def test_layout_config_is_rejected(self, config_dir):
         assert main(["optimize", str(config_dir / "workshop.ini"), "--budget", "5"]) == 1

@@ -6,11 +6,13 @@ import pytest
 
 from cablecal import (
     CalibrationDesign,
+    DesignRecipe,
     Event,
     EventTable,
     MarkLayout,
     RobotGeometry,
     SensorLayout,
+    build_design,
     delta_stats,
     detection_time,
     enumerate_events,
@@ -53,6 +55,13 @@ WORKSHOP_RECT_RHO = [
     6.25, 5.75, 5.5, 5.0, 4.5, 4.25, 4.0, 3.75, 3.25, 3.0, 2.75, 2.5, 1.5, 1.0,
 ]
 
+# Recipe pools on a 5 cm grid for h = 6, rho_max = 11.
+FIVE_CENTIMETRE_POOLS = [
+    ((0.25, 0.3, 0.5, 0.75), (3.0,)),
+    ((0.3, 0.35, 0.55, 0.9), (2.0, 1.5)),
+    ((0.5, 0.55, 0.6, 1.0), (3.0,)),
+]
+
 
 def rows(table: EventTable) -> list[tuple[float, int, int, float]]:
     return [(e.t, e.i, e.j, e.rho) for e in table.events]
@@ -67,7 +76,7 @@ def brute_stats(rho_values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def brute_unique_k(gaps: list[float], p0: int, tol: float = 0.01):
+def brute_unique_k(gaps: list[float], p0: int, tol: float):
     """Independent uniqueness oracle: slice comparison over all windows."""
     for k in range(1, len(gaps) - p0 + 1):
         win = gaps[p0 : p0 + k]
@@ -260,18 +269,33 @@ class TestStrokeProfile:
         assert profile.entry(1).stroke == pytest.approx(1.0)
         assert not profile.entry(2).identifiable  # final event has no gaps
 
+    @staticmethod
+    def assert_matches_brute_oracle(table: EventTable, tolerance: float) -> None:
+        gaps = list(table.gaps)
+        profile = stroke_profile(table, tolerance)
+        for start in range(1, table.count + 1):
+            expected = brute_unique_k(gaps, start - 1, tolerance)
+            entry = profile.entry(start)
+            if expected is None:
+                assert not entry.identifiable
+            else:
+                assert (entry.k, entry.stroke) == pytest.approx(expected)
+
     def test_matches_brute_oracle(self, all_designs):
         for design in all_designs.values():
             table = rectify(enumerate_events(design))
-            gaps = list(table.gaps)
-            profile = stroke_profile(table)
-            for start in range(1, table.count + 1):
-                expected = brute_unique_k(gaps, start - 1)
-                entry = profile.entry(start)
-                if expected is None:
-                    assert not entry.identifiable
-                else:
-                    assert (entry.k, entry.stroke) == pytest.approx(expected)
+            for tolerance in (0.01, 0.05):
+                self.assert_matches_brute_oracle(table, tolerance)
+
+    def test_matches_brute_oracle_on_five_centimetre_steps(self):
+        # Gaps 5 cm apart match at 0.05 but not at 0.01, so here the
+        # tolerance decides the profile and both sides must share it.
+        for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
+            design, _ = build_design(DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool))
+            table = rectify(enumerate_events(design))
+            assert stroke_profile(table, 0.01) != stroke_profile(table, 0.05)
+            for tolerance in (0.01, 0.05):
+                self.assert_matches_brute_oracle(table, tolerance)
 
     def test_frozen_summaries(self, all_designs):
         expected = {

@@ -49,6 +49,11 @@ class TestStart:
         with pytest.raises(ValueError):
             start(table)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
+    def test_rejects_unusable_tolerance(self, workshop_table, tolerance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            start(workshop_table, tolerance)
+
 
 class TestObserve:
     def test_walkthrough_elimination(self, workshop_table):
