@@ -117,9 +117,7 @@ def _cmd_calibrate(args) -> int:
     loaded = _load(args.config)
     try:
         trace = parse_trace_csv(Path(args.trace).read_text())
-    except OSError as exc:
-        raise ConfigError(f"{args.trace}: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"{args.trace}: {exc}") from None
     tolerance = args.tolerance if args.tolerance is not None else loaded.gap_tol
     result = run_trace(loaded.design, trace, tolerance)
@@ -213,13 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -46,6 +46,11 @@ class DesignRecipe:
     def __post_init__(self) -> None:
         if not self.d_pool or not self.z_pool:
             raise ValueError("gap pools must be non-empty")
+        if not all(x is None or math.isfinite(x) for x in (*self.d_pool, *self.z_pool, self.os1)):
+            raise ValueError(
+                f"gap pools and os1 must be finite, got d_pool={self.d_pool} "
+                f"z_pool={self.z_pool} os1={self.os1}"
+            )
         if any(x <= 0 for x in self.d_pool) or any(x <= 0 for x in self.z_pool):
             raise ValueError("gap pool values must be positive")
 
@@ -139,11 +144,8 @@ def place_sensors(
             break
         heights.append(nxt)
         idx += 1
-    if abs(heights[-1] - ceiling) > GEOM_TOL:
-        if len(heights) == 1:
-            heights.append(ceiling)
-        else:
-            heights[-1] = ceiling
+    if abs(heights[-1] - ceiling) > GEOM_TOL and len(heights) == 1:
+        heights.append(ceiling)
     else:
         heights[-1] = ceiling
     return SensorLayout(tuple(heights))

@@ -173,40 +173,47 @@ def delta_stats(table: EventTable) -> DeltaStats:
     return DeltaStats(mean=mean, std=math.sqrt(var), count=n)
 
 
+def surviving_starts(
+    gaps: tuple[float, ...], candidates: frozenset[int], m: int, gap: float, tolerance: float
+) -> frozenset[int]:
+    """The 1-based candidate starts whose m-th table gap exists and matches
+    ``gap`` within ``tolerance``.
+
+    This is the one elimination rule: ``identify.observe`` folds measured
+    gaps through it and :func:`stroke_profile` folds the table's own gaps.
+    """
+    last = len(gaps) - m + 1  # the last start that still has an m-th gap
+    return frozenset(
+        p for p in candidates if p <= last and abs(gaps[p + m - 2] - gap) <= tolerance
+    )
+
+
 def stroke_profile(
     table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE
 ) -> StrokeProfile:
     """How much cable each starting position must wind before it is unique.
 
-    For every start p the profile finds the smallest k such that the gap
-    run (g_p .. g_{p+k-1}) matches exactly one position in the whole gap
-    list, comparing gaps within ``tolerance``.  Starts whose observable gap
-    run never becomes unique (including the final event, which has none)
-    are flagged rather than scored.
+    The profile is the identifier's elimination replayed on the table's own
+    gaps: from the full candidate set, start p folds g_p, g_{p+1}, ...
+    through :func:`surviving_starts`, and k counts the gaps until p alone
+    survives, as on a clean ``calibrate`` drive.  Starts whose gaps run out
+    first (including the final event, which has none) are flagged rather
+    than scored.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     gaps = table.gaps
-    n_gaps = len(gaps)
+    everyone = frozenset(range(1, table.count + 1))
     entries: list[StartStroke] = []
     for start in range(1, table.count + 1):
-        first = start - 1  # 0-based index of this start's first gap
-        result: tuple[int, float] | None = None
-        for k in range(1, n_gaps - first + 1):
-            window = gaps[first : first + k]
-            matches = 0
-            for q in range(n_gaps - k + 1):
-                if all(abs(gaps[q + off] - window[off]) <= tolerance for off in range(k)):
-                    matches += 1
-                    if matches > 1:
-                        break
-            if matches == 1:
-                result = (k, sum(window))
+        entry = StartStroke(start, None, None)
+        candidates = everyone
+        for k, gap in enumerate(gaps[start - 1 :], start=1):
+            candidates = surviving_starts(gaps, candidates, k, gap, tolerance)
+            if len(candidates) == 1:
+                entry = StartStroke(start, k, sum(gaps[start - 1 : start - 1 + k]))
                 break
-        if result is None:
-            entries.append(StartStroke(start, None, None))
-        else:
-            entries.append(StartStroke(start, result[0], result[1]))
+        entries.append(entry)
 
     strokes = [e.stroke for e in entries if e.stroke is not None]
     worst = max(strokes) if strokes else None

@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .events import EventTable, enumerate_events, rectify
+from .events import EventTable, enumerate_events, rectify, surviving_starts
 from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign
 from .simulate import ObservationTrace
 
@@ -102,22 +102,11 @@ def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> Identi
 
 
 def observe(state: IdentifierState, gap: float) -> IdentifierState:
-    """Fold one measured gap into the survivor set.
-
-    A candidate start p survives when the table still has an m-th gap after
-    it and that gap matches the observation within tolerance.  Survivors
-    only ever shrink.
-    """
+    """Fold one measured gap into the survivor set; survivors only shrink."""
     if state.status is not Status.AMBIGUOUS:
         raise ValueError(f"cannot observe on a {state.status.value} state")
-    gaps = state.table.gaps
     m = len(state.observed) + 1
-    n = state.table.count
-    survivors = frozenset(
-        p
-        for p in state.candidates
-        if p + m <= n and abs(gaps[p + m - 2] - gap) <= state.tolerance
-    )
+    survivors = surviving_starts(state.table.gaps, state.candidates, m, gap, state.tolerance)
     observed = state.observed + (gap,)
     if not survivors:
         return replace(state, observed=observed, candidates=survivors, status=Status.NO_MATCH)

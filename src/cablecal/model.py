@@ -13,6 +13,7 @@ sensor 1 the lowest on the support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Equality tolerance for geometric checks.  Desk-scale layouts are specified
@@ -45,6 +46,11 @@ class RobotGeometry:
     b: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.h, self.rho_max, self.v, self.b))):
+            raise ValueError(
+                f"lengths and speed must be finite, got h={self.h} rho_max={self.rho_max} "
+                f"v={self.v} b={self.b}"
+            )
         if self.h <= 0:
             raise ValueError(f"support height must be positive, got {self.h}")
         if self.rho_max <= 0:
@@ -69,6 +75,8 @@ class SensorLayout:
     def __post_init__(self) -> None:
         if not self.heights:
             raise ValueError("a layout needs at least one sensor")
+        if not all(map(math.isfinite, self.heights)):
+            raise ValueError(f"sensor heights must be finite: {self.heights}")
         if any(x <= 0 for x in self.heights):
             raise ValueError(f"sensor heights must be positive: {self.heights}")
         for lo, hi in zip(self.heights, self.heights[1:]):
@@ -106,6 +114,8 @@ class MarkLayout:
     def __post_init__(self) -> None:
         if not self.positions:
             raise ValueError("a layout needs at least one mark")
+        if not all(map(math.isfinite, self.positions)):
+            raise ValueError(f"mark positions must be finite: {self.positions}")
         if any(x <= 0 for x in self.positions):
             raise ValueError(f"mark positions must be positive: {self.positions}")
         for hi, lo in zip(self.positions, self.positions[1:]):

@@ -11,6 +11,7 @@ so traces are reproducible bit-for-bit across platforms.
 from __future__ import annotations
 
 import io
+import math
 import random
 from dataclasses import dataclass
 
@@ -18,6 +19,11 @@ from .events import enumerate_events, rectify
 from .model import GEOM_TOL, CalibrationDesign
 
 TRACE_CSV_HEADER = "t,encoder_reading,truth_rho,truth_i,truth_j"
+
+
+def _finite(x: float | None) -> bool:
+    """True when x is unknown (None) or a finite number."""
+    return x is None or math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,11 @@ class EncoderModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.scale, self.offset, self.noise_sd))):
+            raise ValueError(
+                f"encoder values must be finite, got scale={self.scale} "
+                f"offset={self.offset} noise_sd={self.noise_sd}"
+            )
         if self.scale <= 0:
             raise ValueError(f"encoder scale must be positive, got {self.scale}")
         if self.noise_sd < 0:
@@ -65,6 +76,17 @@ class ObservationTrace:
     stop_rho: float | None
 
     def __post_init__(self) -> None:
+        if not (_finite(self.start_rho) and _finite(self.stop_rho)):
+            raise ValueError(
+                f"trace start_rho and stop_rho must be finite, got "
+                f"{self.start_rho} and {self.stop_rho}"
+            )
+        for n, r in enumerate(self.records, start=1):
+            if not (math.isfinite(r.t) and math.isfinite(r.reading) and _finite(r.truth_rho)):
+                raise ValueError(
+                    f"trace record {n} must be finite, got t={r.t} "
+                    f"reading={r.reading} truth_rho={r.truth_rho}"
+                )
         for a, b in zip(self.records, self.records[1:]):
             if b.t <= a.t:
                 raise ValueError("trace times must strictly increase")

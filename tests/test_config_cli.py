@@ -98,6 +98,13 @@ class TestConfig:
             (MEDIUM_LAYOUT + "[tolerances]\ngap = inf\n", "finite and positive"),
             (MEDIUM_LAYOUT + "[tolerances]\ngeom = nan\n", "finite and positive"),
             (MEDIUM_LAYOUT + "[tolerances]\ngeom = inf\n", "finite and positive"),
+            (MEDIUM_LAYOUT.replace("h = 6", "h = nan"), "must be finite"),
+            (MEDIUM_LAYOUT.replace("rho_max = 11", "rho_max = inf"), "must be finite"),
+            (MEDIUM_LAYOUT.replace("2 5", "2 inf"), "must be finite"),
+            (MEDIUM_LAYOUT.replace("10 9", "nan 9"), "must be finite"),
+            (RECIPE_CONFIG.replace("1.0 1.25", "nan 1.25"), "must be finite"),
+            (RECIPE_CONFIG.replace("z_pool = 3.0", "z_pool = inf"), "must be finite"),
+            (RECIPE_CONFIG + "os1 = nan\n", "must be finite"),
         ],
     )
     def test_parse_errors(self, tmp_path, body, fragment):
@@ -143,6 +150,16 @@ class TestCliValidate:
         out = capsys.readouterr().out
         assert code == 2
         assert "C3  FAIL" in out
+
+    def test_non_finite_mark_is_usage_error(self, config_dir, tmp_path, capsys):
+        path = tmp_path / "nan-mark.ini"
+        text = (config_dir / "workshop.ini").read_text()
+        path.write_text(text.replace("mark_positions = 12.75", "mark_positions = nan"))
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "mark positions must be finite" in captured.err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -209,6 +226,21 @@ class TestCliSimulate:
         assert code == 0
         trace = parse_trace_csv(out.read_text())
         assert trace.records == ()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--scale", "nan"), ("--scale", "inf"), ("--offset", "nan"), ("--noise", "nan"),
+         ("--noise", "inf")],
+    )
+    def test_non_finite_encoder_is_usage_error(self, config_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "trace.csv"
+        code = main(
+            ["simulate", str(config_dir / "workshop.ini"), "--start", "9.1", "--stop", "7.4",
+             flag, value, "--out", str(out)]
+        )
+        assert code == 1
+        assert "encoder values must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_range_is_usage_error(self, config_dir):
         code = main(
@@ -292,6 +324,38 @@ class TestCliCalibrate:
             "corrector_scale: 1.009060",
             "corrector_offset: 0.000501",
         ]
+
+    @pytest.mark.parametrize(
+        "meta",
+        ["start_rho=nan stop_rho=1.0", "start_rho=3.8 stop_rho=nan", "start_rho=inf stop_rho=1.0"],
+    )
+    def test_non_finite_drive_window_is_usage_error(self, config_dir, tmp_path, capsys, meta):
+        # NaN fails every comparison, so without the check an empty drive
+        # with a NaN window would pass the exhaustion threshold and print a
+        # length.
+        trace = tmp_path / "empty.csv"
+        trace.write_text(f"# {meta}\nt,encoder_reading,truth_rho,truth_i,truth_j\n")
+        code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("column,value", [(0, "nan"), (1, "nan"), (1, "inf"), (2, "nan")])
+    def test_non_finite_record_is_usage_error(self, config_dir, tmp_path, capsys, column, value):
+        # A NaN reading must not end in no_match, which blames the sensors.
+        trace = self._trace(config_dir, tmp_path, 9.1, 7.4)
+        text = trace.read_text().splitlines()
+        cols = text[3].split(",")
+        cols[column] = value
+        text[3] = ",".join(cols)
+        bad = trace.with_name("bad.csv")
+        bad.write_text("\n".join(text) + "\n")
+        code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "trace record 2 must be finite" in captured.err
 
     def test_missing_trace_file(self, config_dir):
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", "/nope.csv"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from cablecal import (
@@ -189,3 +191,16 @@ class TestBuildDesign:
             DesignRecipe(G_MEDIUM, d_pool=(), z_pool=(1.0,))
         with pytest.raises(ValueError):
             DesignRecipe(G_MEDIUM, d_pool=(1.0, -0.5), z_pool=(1.0,))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(d_pool=(1.0, math.nan), z_pool=(1.0,)),
+            dict(d_pool=(1.0,), z_pool=(math.inf,)),
+            dict(d_pool=(1.0,), z_pool=(1.0,), os1=math.nan),
+        ],
+    )
+    def test_recipe_rejects_non_finite_values(self, kwargs):
+        # A NaN gap or first-sensor height never ends the placement walk.
+        with pytest.raises(ValueError, match="must be finite"):
+            DesignRecipe(G_MEDIUM, **kwargs)

@@ -20,6 +20,7 @@ from cablecal import (
     stroke_profile,
 )
 from cablecal.events import format_event_csv, parse_event_csv
+from conftest import FIVE_CENTIMETRE_POOLS
 
 # Reference tables for the medium fixture, transcribed row by row.
 MEDIUM_RAW_ROWS = [
@@ -54,14 +55,6 @@ WORKSHOP_RECT_RHO = [
     12.5, 12.0, 11.25, 10.75, 10.25, 10.0, 9.5, 9.0, 8.5, 7.75, 7.5, 7.25,
     6.25, 5.75, 5.5, 5.0, 4.5, 4.25, 4.0, 3.75, 3.25, 3.0, 2.75, 2.5, 1.5, 1.0,
 ]
-
-# Recipe pools on a 5 cm grid for h = 6, rho_max = 11.
-FIVE_CENTIMETRE_POOLS = [
-    ((0.25, 0.3, 0.5, 0.75), (3.0,)),
-    ((0.3, 0.35, 0.55, 0.9), (2.0, 1.5)),
-    ((0.5, 0.55, 0.6, 1.0), (3.0,)),
-]
-
 
 def rows(table: EventTable) -> list[tuple[float, int, int, float]]:
     return [(e.t, e.i, e.j, e.rho) for e in table.events]

@@ -6,9 +6,12 @@ import pytest
 
 from cablecal import (
     ClosedLoopCorrector,
+    DesignRecipe,
     EncoderModel,
     ObservationTrace,
+    RobotGeometry,
     Status,
+    build_design,
     corrector_update,
     enumerate_events,
     observe,
@@ -18,6 +21,15 @@ from cablecal import (
     start,
     stroke_profile,
 )
+from cablecal import presets
+from conftest import FIVE_CENTIMETRE_POOLS
+
+# Every design whose profile the identifier is checked against: the presets
+# and the 5 cm recipes, on which 0.01 and 0.05 give different profiles.
+PROFILE_DESIGNS = {name: build() for name, build in presets.ALL.items()}
+for n, (d_pool, z_pool) in enumerate(FIVE_CENTIMETRE_POOLS, start=1):
+    recipe = DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool)
+    PROFILE_DESIGNS[f"5cm-{n}"] = build_design(recipe).design
 
 
 @pytest.fixture
@@ -232,14 +244,17 @@ class TestRunTrace:
         assert result.status == "ambiguous" and result.status in ("ambiguous", "no_match")
         assert result.lines()[0] == "status: ambiguous"
 
-    def test_identified_stroke_matches_profile(self, workshop):
-        table = rectify(enumerate_events(workshop))
-        profile = stroke_profile(table, tolerance=0.05)
+    @pytest.mark.parametrize("tolerance", [0.01, 0.05])
+    @pytest.mark.parametrize("name", PROFILE_DESIGNS)
+    def test_identified_stroke_matches_profile(self, name, tolerance):
+        design = PROFILE_DESIGNS[name]
+        table = rectify(enumerate_events(design))
+        profile = stroke_profile(table, tolerance)
         for p in range(1, table.count + 1):
             entry = profile.entry(p)
-            start_rho = min(table.events[p - 1].rho + 0.01, workshop.geometry.rho_max)
-            trace = simulate(workshop, EncoderModel(), start_rho, workshop.geometry.b)
-            result = run_trace(workshop, trace, tolerance=0.05)
+            start_rho = min(table.events[p - 1].rho + 0.01, design.geometry.rho_max)
+            trace = simulate(design, EncoderModel(), start_rho, design.geometry.b)
+            result = run_trace(design, trace, tolerance)
             if entry.identifiable:
                 assert result.status is Status.IDENTIFIED
                 assert result.detections_used == entry.k + 1

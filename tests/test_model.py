@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from cablecal import (
@@ -33,6 +35,13 @@ class TestRobotGeometry:
             dict(h=6, rho_max=0),
             dict(h=6, rho_max=11, v=0),
             dict(h=6, rho_max=11, b=-0.1),
+            dict(h=math.nan, rho_max=11),
+            dict(h=math.inf, rho_max=11),
+            dict(h=6, rho_max=math.nan),
+            dict(h=6, rho_max=math.inf),
+            dict(h=6, rho_max=11, v=math.inf),
+            dict(h=6, rho_max=11, b=math.nan),
+            dict(h=6, rho_max=11, b=math.inf),
         ],
     )
     def test_invalid_geometry(self, kwargs):
@@ -57,12 +66,20 @@ class TestLayouts:
         assert layout.distal_reserve == 5.0
         assert layout.position(1) == 10.0
 
-    @pytest.mark.parametrize("heights", [(), (0.0, 2.0), (2.0, 2.0), (5.0, 2.0), (-1.0,)])
+    @pytest.mark.parametrize(
+        "heights",
+        [(), (0.0, 2.0), (2.0, 2.0), (5.0, 2.0), (-1.0,), (math.nan, 2.0), (2.0, math.nan),
+         (2.0, math.inf)],
+    )
     def test_invalid_sensors(self, heights):
         with pytest.raises(ValueError):
             SensorLayout(heights)
 
-    @pytest.mark.parametrize("positions", [(), (5.0, 5.0), (5.0, 6.0), (5.0, 0.0)])
+    @pytest.mark.parametrize(
+        "positions",
+        [(), (5.0, 5.0), (5.0, 6.0), (5.0, 0.0), (math.nan, 5.0), (math.inf, 5.0),
+         (10.0, math.nan)],
+    )
     def test_invalid_marks(self, positions):
         with pytest.raises(ValueError):
             MarkLayout(positions)

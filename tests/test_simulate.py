@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from cablecal import (
@@ -20,7 +22,20 @@ class TestEncoderModel:
     def test_defaults(self):
         assert IDEAL.scale == 1.0 and IDEAL.offset == 0.0 and IDEAL.noise_sd == 0.0
 
-    @pytest.mark.parametrize("kwargs", [dict(scale=0.0), dict(scale=-1.0), dict(noise_sd=-0.1)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(scale=0.0),
+            dict(scale=-1.0),
+            dict(noise_sd=-0.1),
+            dict(scale=math.nan),
+            dict(scale=math.inf),
+            dict(offset=math.nan),
+            dict(offset=-math.inf),
+            dict(noise_sd=math.nan),
+            dict(noise_sd=math.inf),
+        ],
+    )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             EncoderModel(**kwargs)
@@ -154,3 +169,19 @@ class TestTraceValidation:
                 None,
                 None,
             )
+
+    @pytest.mark.parametrize(
+        "records,start_rho,stop_rho",
+        [
+            ((), math.nan, 1.0),
+            ((), 3.8, math.nan),
+            ((), math.inf, 1.0),
+            ((TraceRecord(math.nan, 0.0),), None, None),
+            ((TraceRecord(0.0, math.nan),), None, None),
+            ((TraceRecord(0.0, math.inf),), None, None),
+            ((TraceRecord(0.0, 0.0, math.nan),), None, None),
+        ],
+    )
+    def test_values_must_be_finite(self, records, start_rho, stop_rho):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationTrace(records, start_rho, stop_rho)
