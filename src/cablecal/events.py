@@ -10,11 +10,12 @@ unique event.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
 
-from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign
+from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
 
 EVENT_CSV_HEADER = "t,i,j,rho,delta_rho"
 
@@ -51,9 +52,13 @@ class EventTable:
     def count(self) -> int:
         return len(self.events)
 
-    @property
+    @functools.cached_property
     def gaps(self) -> tuple[float, ...]:
-        """Length wound between consecutive detections (count - 1 values)."""
+        """Length wound between consecutive detections (count - 1 values).
+
+        Computed once per table; the cache is not a field, so it stays out
+        of equality, hashing and repr.
+        """
         return tuple(a.rho - b.rho for a, b in zip(self.events, self.events[1:]))
 
     @property
@@ -202,6 +207,7 @@ def stroke_profile(
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
+    check_gap_tolerance(tolerance)
     gaps = table.gaps
     everyone = frozenset(range(1, table.count + 1))
     entries: list[StartStroke] = []

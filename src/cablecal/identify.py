@@ -10,11 +10,10 @@ signals a sensor fault or a design/trace mismatch.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 from .events import EventTable, enumerate_events, rectify, surviving_starts
-from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign
+from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
 from .simulate import ObservationTrace
 
 
@@ -80,18 +79,13 @@ class CalibrationResult:
         return out
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"gap tolerance must be finite and positive, got {tolerance}")
-
-
 def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> IdentifierState:
     """State right after the first detection: every table position is possible."""
     if not table.rectified:
         raise ValueError("identifier needs a rectified event table")
     if table.count < 2:
         raise ValueError("identification needs a table with at least 2 events")
-    _check_tolerance(tolerance)
+    check_gap_tolerance(tolerance)
     return IdentifierState(
         table=table,
         tolerance=tolerance,
@@ -208,7 +202,7 @@ def run_trace(
     drive start when there was none.  The tolerance is checked even when
     the trace has no detection to match.
     """
-    _check_tolerance(tolerance)
+    check_gap_tolerance(tolerance)
     table = rectify(enumerate_events(design))
     records = trace.records
     history: list[int] = []

@@ -26,6 +26,13 @@ GEOM_TOL = 1e-9
 # by the strokes that matching needs, so both must use the same value.
 DEFAULT_GAP_TOLERANCE = 0.05
 
+
+def check_gap_tolerance(tolerance: float) -> None:
+    """Reject a gap tolerance no gap can be matched with: zero, negative or
+    non-finite."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"gap tolerance must be finite and positive, got {tolerance}")
+
 _CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .designer import DesignRecipe, InfeasibleRecipe, build_design
 from .events import delta_stats, enumerate_events, rectify, stroke_profile
-from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign
+from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
 
 
 @dataclass(frozen=True)
@@ -92,107 +92,94 @@ def search(
     space fits the budget it is enumerated and the global optimum returned;
     otherwise seeded hill-climbing over adjacent swaps with random restarts
     explores it.  The given ordering is always evaluated first, so the
-    result is never worse than the starting recipe.  The trail records
-    (evaluation index, score) for every improvement.  Designs are scored
-    at the gap match ``tolerance``.  Deterministic per seed.
+    result is never worse than the starting recipe; a zero budget evaluates
+    only that ordering.  Only designs that meet C1..C5 are returned.  The
+    trail records (evaluation index, score) for every improvement within
+    the budget.  Designs are scored at the gap match ``tolerance``.
+    Deterministic per seed.
     """
+    check_gap_tolerance(tolerance)
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if budget == 0:
-        design, _ = build_design(recipe)
-        return SearchResult(design, score(design, tolerance), recipe, ())
-
-    def evaluate(d_order: tuple[float, ...], z_order: tuple[float, ...]):
-        candidate = replace(recipe, d_pool=d_order, z_pool=z_order)
-        try:
-            design, report = build_design(candidate)
-        except (InfeasibleRecipe, ValueError):
-            return None
-        if not report.hard_pass:
-            return None
-        return candidate, design, score(design, tolerance)
 
     d_perms = sorted(set(itertools.permutations(recipe.d_pool)))
     z_perms = sorted(set(itertools.permutations(recipe.z_pool)))
-    total = len(d_perms) * len(z_perms)
+    exhaustive = len(d_perms) * len(z_perms) <= budget
 
     best = None
     trail: list[tuple[int, ObjectiveScore]] = []
     evals = 0
 
-    def consider(result) -> bool:
-        nonlocal best
-        if result is None:
-            return False
-        _, _, sc = result
-        if best is None or compare(sc, best[2]) < 0:
+    def evaluate(d_order: tuple[float, ...], z_order: tuple[float, ...]):
+        """Build, check and score one ordering; None when it does not conform."""
+        nonlocal best, evals
+        evals += 1
+        candidate = replace(recipe, d_pool=d_order, z_pool=z_order)
+        try:
+            design, report = build_design(candidate)
+        except InfeasibleRecipe:
+            return None
+        if not report.hard_pass:
+            return None
+        result = candidate, design, score(design, tolerance)
+        if best is None or compare(result[2], best[2]) < 0:
             best = result
-            trail.append((evals, sc))
-            return True
-        return False
+            trail.append((evals, result[2]))
+        return result
 
-    if total <= budget:
+    if exhaustive:
         for d_order in d_perms:
             for z_order in z_perms:
-                evals += 1
-                consider(evaluate(d_order, z_order))
-        if best is None:
-            raise InfeasibleRecipe("no pool ordering produces a conforming design")
-        candidate, design, best_score = best
-        return SearchResult(design, best_score, candidate, tuple(trail))
+                evaluate(d_order, z_order)
+    else:
+        rng = random.Random(seed)
+        current_d = tuple(recipe.d_pool)
+        current_z = tuple(recipe.z_pool)
+        current = evaluate(current_d, current_z)
+        stall = 0
+        stall_limit = 2 * (len(current_d) + len(current_z))
 
-    rng = random.Random(seed)
-    current_d = tuple(recipe.d_pool)
-    current_z = tuple(recipe.z_pool)
-    evals += 1
-    current = evaluate(current_d, current_z)
-    consider(current)
-    stall = 0
-    stall_limit = 2 * (len(current_d) + len(current_z))
+        while evals < budget:
+            if current is None or stall >= stall_limit:
+                # Random restart from a fresh shuffle of both pools.
+                d_list, z_list = list(current_d), list(current_z)
+                rng.shuffle(d_list)
+                rng.shuffle(z_list)
+                current_d, current_z = tuple(d_list), tuple(z_list)
+                current = evaluate(current_d, current_z)
+                stall = 0
+                continue
 
-    while evals < budget:
-        if current is None or stall >= stall_limit:
-            # Random restart from a fresh shuffle of both pools.
-            d_list, z_list = list(current_d), list(current_z)
-            rng.shuffle(d_list)
-            rng.shuffle(z_list)
-            current_d, current_z = tuple(d_list), tuple(z_list)
-            evals += 1
-            current = evaluate(current_d, current_z)
-            consider(current)
-            stall = 0
-            continue
+            swap_d = len(current_d) > 1 and (len(current_z) <= 1 or rng.random() < 0.5)
+            if swap_d:
+                k = rng.randrange(len(current_d) - 1)
+                cand_d = list(current_d)
+                cand_d[k], cand_d[k + 1] = cand_d[k + 1], cand_d[k]
+                cand_d, cand_z = tuple(cand_d), current_z
+            else:
+                k = rng.randrange(len(current_z) - 1)
+                cand_z = list(current_z)
+                cand_z[k], cand_z[k + 1] = cand_z[k + 1], cand_z[k]
+                cand_d, cand_z = current_d, tuple(cand_z)
 
-        swap_d = len(current_d) > 1 and (len(current_z) <= 1 or rng.random() < 0.5)
-        if swap_d:
-            k = rng.randrange(len(current_d) - 1)
-            cand_d = list(current_d)
-            cand_d[k], cand_d[k + 1] = cand_d[k + 1], cand_d[k]
-            cand_d, cand_z = tuple(cand_d), current_z
-        else:
-            k = rng.randrange(len(current_z) - 1)
-            cand_z = list(current_z)
-            cand_z[k], cand_z[k + 1] = cand_z[k + 1], cand_z[k]
-            cand_d, cand_z = current_d, tuple(cand_z)
-
-        evals += 1
-        candidate = evaluate(cand_d, cand_z)
-        if candidate is not None and (
-            current is None or compare(candidate[2], current[2]) < 0
-        ):
-            current = candidate
-            current_d, current_z = cand_d, cand_z
-            consider(candidate)
-            stall = 0
-        else:
-            stall += 1
+            candidate = evaluate(cand_d, cand_z)
+            if candidate is not None and compare(candidate[2], current[2]) < 0:
+                current = candidate
+                current_d, current_z = cand_d, cand_z
+                stall = 0
+            else:
+                stall += 1
 
     if best is None:
         raise InfeasibleRecipe(
-            "no conforming design found within the search budget"
+            "no pool ordering produces a conforming design"
+            if exhaustive
+            else "no conforming design found within the search budget"
         )
     candidate, design, best_score = best
-    return SearchResult(design, best_score, candidate, tuple(trail))
+    # The budget-0 evaluation only checks the given ordering; it is no step
+    # of the search, so it leaves no trail.
+    return SearchResult(design, best_score, candidate, tuple(trail) if budget else ())
 
 
 def format_trail_csv(trail: tuple[tuple[int, ObjectiveScore], ...]) -> str:

@@ -424,6 +424,31 @@ class TestCliOptimize:
     def test_layout_config_is_rejected(self, config_dir):
         assert main(["optimize", str(config_dir / "workshop.ini"), "--budget", "5"]) == 1
 
+    @pytest.mark.parametrize("budget", ["0", "1", "10"])
+    @pytest.mark.parametrize(
+        "recipe,code,message",
+        [
+            # Every ordering fails C1 with these sensors.
+            ("d_pool = 0.5 0.75 1.0 1.25 1.5\nsensor_heights = 2.0 4.5\n", 2, "infeasible: "),
+            # No ordering closes the span.
+            ("d_pool = 0.8\n", 2, "infeasible: "),
+            # Recipe errors no ordering can fix are usage errors.
+            ("d_pool = 0.5 0.75 1.0\nos1 = 7.0\n", 1,
+             "first sensor height 7.0 must lie inside (0, 6.0)"),
+            ("d_pool = 0.5 0.75 1.0\nos1 = 5.8\n", 1, "overshoots the top reserve"),
+        ],
+        ids=["c1-fails", "no-closing-gaps", "os1-above-support", "os1-above-ceiling"],
+    )
+    def test_outcome_does_not_depend_on_budget(
+        self, tmp_path, capsys, budget, recipe, code, message
+    ):
+        cfg = tmp_path / "recipe.ini"
+        cfg.write_text("[geometry]\nh = 6\nrho_max = 11\n[recipe]\nz_pool = 3.0\n" + recipe)
+        out = tmp_path / "best.ini"
+        assert main(["optimize", str(cfg), "--budget", budget, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_recipe_exit_code(self, tmp_path):
         cfg = tmp_path / "recipe.ini"
         cfg.write_text(

@@ -290,6 +290,14 @@ class TestStrokeProfile:
             for tolerance in (0.01, 0.05):
                 self.assert_matches_brute_oracle(table, tolerance)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
+    def test_rejects_unusable_tolerance(self, workshop, tolerance):
+        # calibrate rejects these too; here they would mark (nearly) every
+        # start unidentifiable instead.
+        table = rectify(enumerate_events(workshop))
+        with pytest.raises(ValueError, match="finite and positive"):
+            stroke_profile(table, tolerance)
+
     def test_frozen_summaries(self, all_designs):
         expected = {
             "medium-cube": (8, 8.0, 8.0),
@@ -354,3 +362,11 @@ class TestEventTableValidation:
     def test_rejects_time_disorder(self):
         with pytest.raises(ValueError):
             EventTable((Event(2.0, 1, 1, 2.0), Event(1.0, 2, 2, 3.0)))
+
+    def test_cached_gaps_leave_equality_and_hash_alone(self, workshop):
+        read = rectify(enumerate_events(workshop))
+        fresh = rectify(enumerate_events(workshop))
+        assert read.gaps is read.gaps  # computed once per table
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert "gaps" not in repr(read)

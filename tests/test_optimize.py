@@ -14,7 +14,7 @@ from cablecal import (
     score,
     search,
 )
-from cablecal.optimize import sort_key
+from cablecal.optimize import format_trail_csv, sort_key
 
 G_SMALL = RobotGeometry(h=6.0, rho_max=11.0, v=1.0, b=1.0)
 FIVE_POOL = (0.5, 0.75, 1.0, 1.25, 1.5)
@@ -57,6 +57,12 @@ class TestScore:
 
     def test_pure(self, workshop):
         assert score(workshop) == score(workshop)
+
+
+    @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
+    def test_rejects_unusable_tolerance(self, workshop, tolerance):
+        with pytest.raises(ValueError, match="finite and positive"):
+            score(workshop, tolerance)
 
 
 class TestCompare:
@@ -103,6 +109,17 @@ class TestSearch:
         assert result.design == design
         assert result.trail == ()
 
+    def test_budget_zero_rejects_non_conforming_order(self):
+        # The sensors override leaves C1 failing for every ordering, so even
+        # the echoed ordering must not come back.
+        recipe = DesignRecipe(
+            G_SMALL, d_pool=FIVE_POOL, z_pool=(3.0,), sensor_heights=(2.0, 4.5)
+        )
+        _, report = build_design(recipe)
+        assert not report.hard_pass
+        with pytest.raises(InfeasibleRecipe):
+            search(recipe, budget=0)
+
     def test_single_element_pools(self):
         recipe = DesignRecipe(G_SMALL, d_pool=(1.0,), z_pool=(3.0,))
         result = search(recipe, budget=10, seed=0)
@@ -114,6 +131,18 @@ class TestSearch:
         a = search(recipe, budget=60, seed=42)
         b = search(recipe, budget=60, seed=42)
         assert a.design == b.design and a.score == b.score and a.trail == b.trail
+
+    def test_hill_climb_trail_is_pinned(self):
+        # Recorded before the search had one evaluation path; any change to
+        # the visiting order or the scoring shows up here.
+        recipe = DesignRecipe(G_SMALL, d_pool=FIVE_POOL, z_pool=(1.0, 2.0))
+        assert format_trail_csv(search(recipe, budget=60, seed=42).trail) == (
+            "iteration,mean_gap,std_gap,worst_stroke\n"
+            "1,0.6428571428571429,0.30562492275106334,2.25\n"
+            "2,0.5625,0.26614532371118854,2.25\n"
+            "7,0.6,0.2958039891549808,2.0\n"
+            "26,0.6,0.3986584646393093,2.0\n"
+        )
 
     def test_hill_climb_not_worse_than_exhaustive_baseline(self):
         recipe = DesignRecipe(G_SMALL, d_pool=FIVE_POOL, z_pool=(1.0, 2.0))
@@ -135,3 +164,12 @@ class TestSearch:
         iterations = [it for it, _ in result.trail]
         assert iterations == sorted(iterations)
         assert result.trail[-1][1] == result.score
+
+    @pytest.mark.parametrize("budget", [0, 10, 200])
+    @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
+    def test_rejects_unusable_tolerance(self, budget, tolerance):
+        # A usage error, not an infeasible recipe: no ordering could help.
+        recipe = DesignRecipe(G_SMALL, d_pool=FIVE_POOL, z_pool=(3.0,))
+        with pytest.raises(ValueError, match="finite and positive") as raised:
+            search(recipe, budget=budget, tolerance=tolerance)
+        assert not isinstance(raised.value, InfeasibleRecipe)
