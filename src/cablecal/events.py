@@ -34,23 +34,25 @@ class Event:
 class EventTable:
     """Time-ordered detection events with derived length gaps.
 
-    A raw table may hold simultaneous events; a rectified one has strictly
-    increasing times and strictly positive gaps.
+    A raw table may hold simultaneous events.  ``rectified`` is read from
+    the events: no two events share an instant, i.e. every time exceeds the
+    one before by more than ``GEOM_TOL``.
     """
 
     events: tuple[Event, ...]
-    rectified: bool = False
 
     def __post_init__(self) -> None:
         for a, b in zip(self.events, self.events[1:]):
             if b.t < a.t - GEOM_TOL:
                 raise ValueError("events must be time-ordered")
-            if self.rectified and b.t <= a.t + GEOM_TOL:
-                raise ValueError("rectified tables need strictly increasing times")
 
     @property
     def count(self) -> int:
         return len(self.events)
+
+    @functools.cached_property
+    def rectified(self) -> bool:
+        return all(b.t > a.t + GEOM_TOL for a, b in zip(self.events, self.events[1:]))
 
     @functools.cached_property
     def gaps(self) -> tuple[float, ...]:
@@ -99,8 +101,15 @@ class StrokeProfile:
     """Per-start identification strokes plus worst-case and mean summaries."""
 
     entries: tuple[StartStroke, ...]
-    worst_stroke: float | None
-    mean_stroke: float | None
+
+    @property
+    def worst_stroke(self) -> float | None:
+        return max((e.stroke for e in self.entries if e.stroke is not None), default=None)
+
+    @property
+    def mean_stroke(self) -> float | None:
+        strokes = [e.stroke for e in self.entries if e.stroke is not None]
+        return sum(strokes) / len(strokes) if strokes else None
 
     @property
     def unidentifiable_starts(self) -> int:
@@ -136,7 +145,7 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
             if t >= -GEOM_TOL and rho > GEOM_TOL:
                 found.append(Event(t, i, j, rho))
     found.sort(key=lambda e: (e.t, e.i, -e.j))
-    return EventTable(tuple(found), rectified=False)
+    return EventTable(tuple(found))
 
 
 def rectify(table: EventTable) -> EventTable:
@@ -156,7 +165,7 @@ def rectify(table: EventTable) -> EventTable:
         group.append(event)
     if group:
         survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
-    return EventTable(tuple(survivors), rectified=True)
+    return EventTable(tuple(survivors))
 
 
 def delta_stats(table: EventTable) -> DeltaStats:
@@ -220,11 +229,7 @@ def stroke_profile(
                 entry = StartStroke(start, k, sum(gaps[start - 1 : start - 1 + k]))
                 break
         entries.append(entry)
-
-    strokes = [e.stroke for e in entries if e.stroke is not None]
-    worst = max(strokes) if strokes else None
-    mean = sum(strokes) / len(strokes) if strokes else None
-    return StrokeProfile(tuple(entries), worst, mean)
+    return StrokeProfile(tuple(entries))
 
 
 def format_event_csv(table: EventTable, precision: str = "table") -> str:
@@ -249,7 +254,7 @@ def format_event_csv(table: EventTable, precision: str = "table") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_event_csv(text: str, rectified: bool = False) -> EventTable:
+def parse_event_csv(text: str) -> EventTable:
     """Parse CSV produced by :func:`format_event_csv`.
 
     The gap column is derived data and is ignored on input.
@@ -268,4 +273,4 @@ def parse_event_csv(text: str, rectified: bool = False) -> EventTable:
             )
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return EventTable(tuple(parsed), rectified=rectified)
+    return EventTable(tuple(parsed))

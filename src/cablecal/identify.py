@@ -10,6 +10,7 @@ signals a sensor fault or a design/trace mismatch.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 from .events import EventTable, enumerate_events, rectify, surviving_starts
@@ -30,22 +31,38 @@ class Status(str, enum.Enum):
 class IdentifierState:
     """Survivor set after some number of observed gaps.
 
-    Candidates are 1-based starting indices into the rectified table; the
-    state is identified exactly when one survives after at least one gap,
-    and dead (no_match) when none do.
+    A state holds only the table, the tolerance, the observed gaps and the
+    survivors: 1-based starting indices into the rectified table.  Its
+    status is read from the survivors: none is no_match, one start p is
+    identified at event p + len(observed), more are ambiguous.
     """
 
     table: EventTable
     tolerance: float
     observed: tuple[float, ...]
     candidates: frozenset[int]
-    status: Status
-    identified_index: int | None = None
-    identified_rho: float | None = None
 
     @property
     def candidate_count(self) -> int:
         return len(self.candidates)
+
+    @property
+    def status(self) -> Status:
+        if not self.candidates:
+            return Status.NO_MATCH
+        return Status.IDENTIFIED if len(self.candidates) == 1 else Status.AMBIGUOUS
+
+    @property
+    def identified_index(self) -> int | None:
+        if self.status is not Status.IDENTIFIED:
+            return None
+        (p,) = self.candidates
+        return p + len(self.observed)
+
+    @property
+    def identified_rho(self) -> float | None:
+        here = self.identified_index
+        return None if here is None else self.table.events[here - 1].rho
 
     @property
     def terminal(self) -> bool:
@@ -58,11 +75,14 @@ class CalibrationResult:
 
     status: Status
     rho: float | None
-    detections_used: int
     stroke: float | None
     candidate_history: tuple[int, ...]
     corrector_scale: float | None = None
     corrector_offset: float | None = None
+
+    @property
+    def detections_used(self) -> int:
+        return len(self.candidate_history)
 
     def lines(self) -> list[str]:
         history = " -> ".join(str(c) for c in self.candidate_history) or "-"
@@ -91,7 +111,6 @@ def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> Identi
         tolerance=tolerance,
         observed=(),
         candidates=frozenset(range(1, table.count + 1)),
-        status=Status.AMBIGUOUS,
     )
 
 
@@ -101,21 +120,7 @@ def observe(state: IdentifierState, gap: float) -> IdentifierState:
         raise ValueError(f"cannot observe on a {state.status.value} state")
     m = len(state.observed) + 1
     survivors = surviving_starts(state.table.gaps, state.candidates, m, gap, state.tolerance)
-    observed = state.observed + (gap,)
-    if not survivors:
-        return replace(state, observed=observed, candidates=survivors, status=Status.NO_MATCH)
-    if len(survivors) == 1:
-        (p,) = survivors
-        here = p + m
-        return replace(
-            state,
-            observed=observed,
-            candidates=survivors,
-            status=Status.IDENTIFIED,
-            identified_index=here,
-            identified_rho=state.table.events[here - 1].rho,
-        )
-    return replace(state, observed=observed, candidates=survivors)
+    return replace(state, observed=state.observed + (gap,), candidates=survivors)
 
 
 def _exhaustion_estimate(design: CalibrationDesign, wound: float) -> float | None:
@@ -146,6 +151,7 @@ class ClosedLoopCorrector:
     start_rho: float
     samples: tuple[tuple[float, float], ...] = ()
 
+    @functools.cached_property
     def _fit(self) -> tuple[float, float] | None:
         distinct = {rho for rho, _ in self.samples}
         if len(distinct) < 2:
@@ -163,16 +169,16 @@ class ClosedLoopCorrector:
 
     @property
     def scale(self) -> float | None:
-        fit = self._fit()
+        fit = self._fit
         return fit[0] if fit else None
 
     @property
     def offset(self) -> float | None:
-        fit = self._fit()
+        fit = self._fit
         return fit[1] if fit else None
 
     def corrected_length(self, reading: float) -> float:
-        fit = self._fit()
+        fit = self._fit
         if fit is None:
             raise ValueError("corrector needs two samples at distinct lengths")
         scale, offset = fit
@@ -218,40 +224,23 @@ def run_trace(
                 break
         status = state.status
         last_rho = records[len(history) - 1].truth_rho
-    consumed = len(history)
 
     if status is Status.AMBIGUOUS and last_rho is not None and trace.stop_rho is not None:
         estimate = _exhaustion_estimate(design, last_rho - trace.stop_rho)
         if estimate is not None:
             return CalibrationResult(
-                Status.IDENTIFIED_BY_EXHAUSTION, estimate, consumed, None, tuple(history)
+                Status.IDENTIFIED_BY_EXHAUSTION, estimate, None, tuple(history)
             )
     if status is not Status.IDENTIFIED:
-        return CalibrationResult(status, None, consumed, None, tuple(history))
+        return CalibrationResult(status, None, None, tuple(history))
 
-    here = state.identified_index
-    assert here is not None
-    first_index = here - len(state.observed)
-    stroke = table.events[first_index - 1].rho - table.events[here - 1].rho
+    (first,) = state.candidates
+    stroke = table.events[first - 1].rho - state.identified_rho
 
     scale = offset = None
     if trace.start_rho is not None:
-        corrector = ClosedLoopCorrector(start_rho=trace.start_rho)
-        for offset_in_trace, record in enumerate(records):
-            event_index = first_index + offset_in_trace
-            if event_index > table.count:
-                break
-            corrector = corrector_update(
-                corrector, table.events[event_index - 1].rho, record.reading
-            )
+        samples = tuple((e.rho, r.reading) for e, r in zip(table.events[first - 1 :], records))
+        corrector = ClosedLoopCorrector(trace.start_rho, samples)
         scale, offset = corrector.scale, corrector.offset
 
-    return CalibrationResult(
-        Status.IDENTIFIED,
-        state.identified_rho,
-        consumed,
-        stroke,
-        tuple(history),
-        scale,
-        offset,
-    )
+    return CalibrationResult(status, state.identified_rho, stroke, tuple(history), scale, offset)

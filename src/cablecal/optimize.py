@@ -10,7 +10,9 @@ space fits the budget and by seeded hill-climbing otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -73,6 +75,11 @@ def score(
     )
 
 
+def _orderings(pool: tuple[float, ...]) -> int:
+    """Distinct orderings of ``pool``: n! over each value's multiplicity factorial."""
+    return math.factorial(len(pool)) // math.prod(map(math.factorial, Counter(pool).values()))
+
+
 class SearchResult(NamedTuple):
     design: CalibrationDesign
     score: ObjectiveScore
@@ -102,9 +109,7 @@ def search(
     if budget < 0:
         raise ValueError("budget must be non-negative")
 
-    d_perms = sorted(set(itertools.permutations(recipe.d_pool)))
-    z_perms = sorted(set(itertools.permutations(recipe.z_pool)))
-    exhaustive = len(d_perms) * len(z_perms) <= budget
+    exhaustive = _orderings(recipe.d_pool) * _orderings(recipe.z_pool) <= budget
 
     best = None
     trail: list[tuple[int, ObjectiveScore]] = []
@@ -128,7 +133,8 @@ def search(
         return result
 
     if exhaustive:
-        for d_order in d_perms:
+        z_perms = sorted(set(itertools.permutations(recipe.z_pool)))
+        for d_order in sorted(set(itertools.permutations(recipe.d_pool))):
             for z_order in z_perms:
                 evaluate(d_order, z_order)
     else:

@@ -194,7 +194,7 @@ class TestCliEvents:
             ["events", str(config_dir / "workshop.ini"), "--rectified", "--out", str(out_file)]
         )
         assert code == 0
-        parsed = parse_event_csv(out_file.read_text(), rectified=True)
+        parsed = parse_event_csv(out_file.read_text())
         assert parsed == rectify(enumerate_events(workshop))
 
     def test_full_precision_flag(self, config_dir, capsys):

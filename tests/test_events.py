@@ -17,6 +17,7 @@ from cablecal import (
     detection_time,
     enumerate_events,
     rectify,
+    start,
     stroke_profile,
 )
 from cablecal.events import format_event_csv, parse_event_csv
@@ -206,10 +207,7 @@ class TestDeltaStats:
         assert stats.count == 9
 
     def test_constant_two_gap_table(self):
-        table = EventTable(
-            (Event(0.0, 1, 1, 3.0), Event(1.0, 2, 1, 2.0), Event(2.0, 3, 1, 1.0)),
-            rectified=True,
-        )
+        table = EventTable((Event(0.0, 1, 1, 3.0), Event(1.0, 2, 1, 2.0), Event(2.0, 3, 1, 1.0)))
         stats = delta_stats(table)
         assert stats.mean == 1.0
         assert stats.std == 0.0
@@ -234,7 +232,7 @@ class TestDeltaStats:
             delta_stats(enumerate_events(medium))
 
     def test_requires_three_events(self):
-        table = EventTable((Event(0.0, 1, 1, 2.0), Event(1.0, 2, 1, 1.0)), rectified=True)
+        table = EventTable((Event(0.0, 1, 1, 2.0), Event(1.0, 2, 1, 1.0)))
         with pytest.raises(ValueError):
             delta_stats(table)
 
@@ -256,7 +254,7 @@ class TestStrokeProfile:
         assert profile.worst_stroke == pytest.approx(8.0)
 
     def test_two_event_table(self):
-        table = EventTable((Event(0.0, 1, 1, 2.0), Event(1.0, 2, 1, 1.0)), rectified=True)
+        table = EventTable((Event(0.0, 1, 1, 2.0), Event(1.0, 2, 1, 1.0)))
         profile = stroke_profile(table)
         assert profile.entry(1).k == 1
         assert profile.entry(1).stroke == pytest.approx(1.0)
@@ -330,12 +328,12 @@ class TestEventCsv:
 
     def test_round_trip_table_precision(self, workshop):
         table = rectify(enumerate_events(workshop))
-        parsed = parse_event_csv(format_event_csv(table), rectified=True)
+        parsed = parse_event_csv(format_event_csv(table))
         assert parsed == table  # quarter-metre fixtures are exact at 2 decimals
 
     def test_round_trip_full_precision(self, xl):
         table = rectify(enumerate_events(xl))
-        parsed = parse_event_csv(format_event_csv(table, precision="full"), rectified=True)
+        parsed = parse_event_csv(format_event_csv(table, precision="full"))
         assert parsed == table
 
     def test_parse_rejects_bad_input(self):
@@ -355,9 +353,24 @@ class TestEventTableValidation:
     def test_raw_allows_ties(self):
         EventTable((Event(1.0, 1, 1, 2.0), Event(1.0, 2, 2, 2.0)))
 
-    def test_rectified_rejects_ties(self):
-        with pytest.raises(ValueError):
-            EventTable((Event(1.0, 1, 1, 2.0), Event(1.0, 2, 2, 2.0)), rectified=True)
+    def test_tied_times_are_not_rectified(self):
+        # Enough events for every count check, so only the tie can refuse them.
+        table = EventTable((Event(0.0, 1, 1, 3.0), Event(1.0, 2, 1, 2.0), Event(1.0, 3, 2, 2.0)))
+        assert table.rectified is False
+        for needs_rectified in (start, delta_stats, stroke_profile):
+            with pytest.raises(ValueError, match="rectified"):
+                needs_rectified(table)
+
+    def test_one_sensor_raw_table_is_rectified(self):
+        # One sensor meets each mark at its own instant, so no tie exists.
+        design = CalibrationDesign(
+            RobotGeometry(h=6.0, rho_max=11.0, v=1.0, b=1.0),
+            SensorLayout((2.0,)),
+            MarkLayout((10.0, 9.0, 8.0, 7.0, 6.0, 5.0)),
+        )
+        raw = enumerate_events(design)
+        assert raw.rectified is True
+        assert raw == rectify(raw)
 
     def test_rejects_time_disorder(self):
         with pytest.raises(ValueError):

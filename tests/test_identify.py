@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +49,7 @@ class TestStart:
     def test_two_event_table(self, workshop_table):
         from cablecal import Event, EventTable
 
-        table = EventTable((Event(0.0, 1, 1, 2.0), Event(1.0, 2, 1, 1.0)), rectified=True)
+        table = EventTable((Event(0.0, 1, 1, 2.0), Event(1.0, 2, 1, 1.0)))
         assert start(table).candidate_count == 2
 
     def test_rejects_raw_table(self, workshop):
@@ -57,7 +59,7 @@ class TestStart:
     def test_rejects_tiny_table(self):
         from cablecal import Event, EventTable
 
-        table = EventTable((Event(0.0, 1, 1, 2.0),), rectified=True)
+        table = EventTable((Event(0.0, 1, 1, 2.0),))
         with pytest.raises(ValueError):
             start(table)
 
@@ -99,15 +101,18 @@ class TestObserve:
                 if state.terminal:
                     break
 
-    def test_soundness_with_ideal_gaps(self, workshop_table):
+    @pytest.mark.parametrize("name", sorted(presets.ALL))
+    def test_soundness_with_ideal_gaps(self, name):
         # The true start survives every exact observation; identification is exact.
-        gaps = list(workshop_table.gaps)
+        table = rectify(enumerate_events(presets.ALL[name]()))
+        gaps = list(table.gaps)
         for p in range(1, len(gaps) + 1):
-            state = start(workshop_table)
+            state = start(table)
             for m, gap in enumerate(gaps[p - 1 :], start=1):
                 state = observe(state, gap)
                 if state.status is Status.IDENTIFIED:
-                    assert state.identified_rho == workshop_table.events[p + m - 1].rho
+                    assert state.identified_index == p + m
+                    assert state.identified_rho == table.events[p + m - 1].rho
                     break
                 assert p in state.candidates
 
@@ -261,3 +266,13 @@ class TestRunTrace:
                 assert result.stroke == pytest.approx(entry.stroke)
             else:
                 assert result.status is Status.AMBIGUOUS
+
+
+class TestReadme:
+    def test_library_block_runs(self):
+        # The README's "Library" example, verbatim, so the documented API
+        # cannot drift from the code.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        (block,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+        exec(compile(block, "README.md", "exec"), {})

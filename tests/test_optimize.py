@@ -14,7 +14,7 @@ from cablecal import (
     score,
     search,
 )
-from cablecal.optimize import format_trail_csv, sort_key
+from cablecal.optimize import _orderings, format_trail_csv, sort_key
 
 G_SMALL = RobotGeometry(h=6.0, rho_max=11.0, v=1.0, b=1.0)
 FIVE_POOL = (0.5, 0.75, 1.0, 1.25, 1.5)
@@ -164,6 +164,24 @@ class TestSearch:
         iterations = [it for it, _ in result.trail]
         assert iterations == sorted(iterations)
         assert result.trail[-1][1] == result.score
+
+    def test_climb_does_not_enumerate_the_orderings(self, monkeypatch):
+        # Listing all 9! mark-pool orderings costs far more time and memory
+        # than the one evaluation asked for, and each further value multiplies it.
+        def refuse(*args):
+            raise AssertionError("a hill-climb must not list the orderings")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        d_pool = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5)
+        recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), d_pool, (2.0,))
+        assert search(recipe, budget=1).recipe == recipe  # the given ordering
+
+    @pytest.mark.parametrize(
+        "pool", [(3.0,), FIVE_POOL, (1.0, 1.0, 2.0), (0.5, 0.5, 0.75, 0.75, 0.75, 1.0)]
+    )
+    def test_ordering_count_matches_distinct_permutations(self, pool):
+        # The count decides between enumeration and hill-climbing.
+        assert _orderings(pool) == len(set(itertools.permutations(pool)))
 
     @pytest.mark.parametrize("budget", [0, 10, 200])
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
