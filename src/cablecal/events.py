@@ -151,15 +151,18 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
 def rectify(table: EventTable) -> EventTable:
     """Resolve simultaneous detections so each instant maps to one event.
 
-    Within a group of equal-time events the survivor is the pair minimising
-    the index ratio i/j; on a ratio tie the smaller mark index wins.  This
-    keeps the detection closest to the support, i.e. the shortest stroke.
-    Idempotent: rectifying a rectified table is a no-op.
+    An event no more than ``GEOM_TOL`` after the one before it shares that
+    event's instant, so a chain of such events forms one group.  Within a
+    group the survivor is the pair minimising the index ratio i/j; on a
+    ratio tie the smaller mark index wins.  This keeps the detection closest
+    to the support, i.e. the shortest stroke.  Successive groups lie more
+    than ``GEOM_TOL`` apart, so the result is always rectified, and
+    rectifying a rectified table is a no-op.
     """
     survivors: list[Event] = []
     group: list[Event] = []
     for event in table.events:
-        if group and event.t - group[0].t > GEOM_TOL:
+        if group and event.t > group[-1].t + GEOM_TOL:
             survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
             group = []
         group.append(event)
@@ -213,22 +216,34 @@ def stroke_profile(
     survives, as on a clean ``calibrate`` drive.  Starts whose gaps run out
     first (including the final event, which has none) are flagged rather
     than scored.
+
+    The elimination is a function of the gaps folded so far, so starts that
+    share a gap prefix hold the same candidates and share one
+    :func:`surviving_starts` call per step: groups of starts are replayed
+    together and split where their next gaps differ.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
     gaps = table.gaps
-    everyone = frozenset(range(1, table.count + 1))
-    entries: list[StartStroke] = []
-    for start in range(1, table.count + 1):
-        entry = StartStroke(start, None, None)
-        candidates = everyone
-        for k, gap in enumerate(gaps[start - 1 :], start=1):
-            candidates = surviving_starts(gaps, candidates, k, gap, tolerance)
-            if len(candidates) == 1:
-                entry = StartStroke(start, k, sum(gaps[start - 1 : start - 1 + k]))
-                break
-        entries.append(entry)
+    everyone = range(1, table.count + 1)
+    entries = [StartStroke(p, None, None) for p in everyone]
+    # (starts sharing their first k - 1 gaps, the candidates those gaps leave, k)
+    pending = [(everyone, frozenset(everyone), 1)]
+    while pending:
+        starts, candidates, k = pending.pop()
+        by_gap: dict[float, list[int]] = {}
+        for p in starts:
+            if p + k - 1 <= len(gaps):
+                by_gap.setdefault(gaps[p + k - 2], []).append(p)
+        for gap, group in by_gap.items():
+            survivors = surviving_starts(gaps, candidates, k, gap, tolerance)
+            if len(survivors) == 1:
+                # Every start survives its own gaps, so the group is that start.
+                (p,) = group
+                entries[p - 1] = StartStroke(p, k, sum(gaps[p - 1 : p - 1 + k]))
+            else:
+                pending.append((group, survivors, k + 1))
     return StrokeProfile(tuple(entries))
 
 

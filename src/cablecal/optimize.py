@@ -9,7 +9,6 @@ space fits the budget and by seeded hill-climbing otherwise.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -80,11 +79,45 @@ def _orderings(pool: tuple[float, ...]) -> int:
     return math.factorial(len(pool)) // math.prod(map(math.factorial, Counter(pool).values()))
 
 
+def _distinct_orderings(pool: tuple[float, ...]):
+    """Distinct orderings of ``pool`` in lexicographic order.
+
+    Steps from the sorted pool by next permutation, so repeated values
+    cost nothing: it yields ``sorted(set(itertools.permutations(pool)))``
+    without walking all n! permutations.
+    """
+    order = sorted(pool)
+    while True:
+        yield tuple(order)
+        i = len(order) - 2  # the last position before a non-increasing tail
+        while i >= 0 and order[i] >= order[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(order) - 1  # the last tail value above order[i]
+        while order[j] <= order[i]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1 :] = reversed(order[i + 1 :])
+
+
 class SearchResult(NamedTuple):
     design: CalibrationDesign
     score: ObjectiveScore
     recipe: DesignRecipe
     trail: tuple[tuple[int, ObjectiveScore], ...]
+    revisits: int  # evaluations served from the memo, not rebuilt
+
+
+def _assess(candidate: DesignRecipe, tolerance: float):
+    """(candidate, design, score) for a recipe whose design meets C1..C5, else None."""
+    try:
+        design, report = build_design(candidate)
+    except InfeasibleRecipe:
+        return None
+    if not report.hard_pass:
+        return None
+    return candidate, design, score(design, tolerance)
 
 
 def search(
@@ -104,6 +137,9 @@ def search(
     trail records (evaluation index, score) for every improvement within
     the budget.  Designs are scored at the gap match ``tolerance``.
     Deterministic per seed.
+
+    A revisited ordering counts against the budget but is not rebuilt or
+    rescored: its first result is reused, and ``revisits`` counts how often.
     """
     check_gap_tolerance(tolerance)
     if budget < 0:
@@ -113,29 +149,31 @@ def search(
 
     best = None
     trail: list[tuple[int, ObjectiveScore]] = []
-    evals = 0
+    evals = revisits = 0
+    seen: dict[tuple[tuple[float, ...], tuple[float, ...]], tuple | None] = {}
 
     def evaluate(d_order: tuple[float, ...], z_order: tuple[float, ...]):
-        """Build, check and score one ordering; None when it does not conform."""
-        nonlocal best, evals
+        """Build, check and score one ordering; None when it does not conform.
+
+        A revisit returns the stored result.  It was no better than ``best``
+        when first scored, so it cannot improve on it now.
+        """
+        nonlocal best, evals, revisits
         evals += 1
-        candidate = replace(recipe, d_pool=d_order, z_pool=z_order)
-        try:
-            design, report = build_design(candidate)
-        except InfeasibleRecipe:
-            return None
-        if not report.hard_pass:
-            return None
-        result = candidate, design, score(design, tolerance)
-        if best is None or compare(result[2], best[2]) < 0:
+        key = d_order, z_order
+        if key in seen:
+            revisits += 1
+            return seen[key]
+        result = seen[key] = _assess(replace(recipe, d_pool=d_order, z_pool=z_order), tolerance)
+        if result is not None and (best is None or compare(result[2], best[2]) < 0):
             best = result
             trail.append((evals, result[2]))
         return result
 
     if exhaustive:
-        z_perms = sorted(set(itertools.permutations(recipe.z_pool)))
-        for d_order in sorted(set(itertools.permutations(recipe.d_pool))):
-            for z_order in z_perms:
+        z_orders = list(_distinct_orderings(recipe.z_pool))
+        for d_order in _distinct_orderings(recipe.d_pool):
+            for z_order in z_orders:
                 evaluate(d_order, z_order)
     else:
         rng = random.Random(seed)
@@ -185,7 +223,9 @@ def search(
     candidate, design, best_score = best
     # The budget-0 evaluation only checks the given ordering; it is no step
     # of the search, so it leaves no trail.
-    return SearchResult(design, best_score, candidate, tuple(trail) if budget else ())
+    return SearchResult(
+        design, best_score, candidate, tuple(trail) if budget else (), revisits
+    )
 
 
 def format_trail_csv(trail: tuple[tuple[int, ObjectiveScore], ...]) -> str:

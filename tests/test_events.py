@@ -20,6 +20,7 @@ from cablecal import (
     start,
     stroke_profile,
 )
+from cablecal import events
 from cablecal.events import format_event_csv, parse_event_csv
 from conftest import FIVE_CENTIMETRE_POOLS
 
@@ -68,6 +69,12 @@ def brute_stats(rho_values: list[float]) -> tuple[float, float]:
     mean = sum(gaps) / (n - 1)
     var = sum((g - mean) ** 2 for g in gaps) / (n - 2)
     return mean, math.sqrt(var)
+
+
+def long_recipe_table() -> EventTable:
+    """The rectified table of a long periodic recipe design (145 events)."""
+    recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), (0.5, 0.75, 1.25), (2.0, 3.0))
+    return rectify(enumerate_events(build_design(recipe).design))
 
 
 def brute_unique_k(gaps: list[float], p0: int, tol: float):
@@ -182,6 +189,20 @@ class TestRectify:
             once = rectify(enumerate_events(design))
             assert rectify(once) == once
 
+    def test_chain_of_near_ties_rectifies(self):
+        # Each event is within GEOM_TOL of the one before, so the chain is one
+        # instant even though its ends lie further apart than GEOM_TOL.
+        table = EventTable((
+            Event(0.0, 2, 1, 5.0),
+            Event(0.8e-9, 1, 1, 4.0),
+            Event(1.6e-9, 3, 1, 3.0),
+            Event(5.0, 4, 1, 2.0),
+        ))
+        rectified = rectify(table)
+        assert rectified.rectified
+        assert rows(rectified) == [(0.8e-9, 1, 1, 4.0), (5.0, 4, 1, 2.0)]
+        assert rectify(rectified) == rectified
+
     def test_strictly_decreasing_rho(self, all_designs):
         for design in all_designs.values():
             rho = rectify(enumerate_events(design)).rho_values
@@ -287,6 +308,29 @@ class TestStrokeProfile:
             assert stroke_profile(table, 0.01) != stroke_profile(table, 0.05)
             for tolerance in (0.01, 0.05):
                 self.assert_matches_brute_oracle(table, tolerance)
+
+    def test_matches_brute_oracle_on_periodic_table(self):
+        # Periodic stretches share long exact gap prefixes, which the other
+        # oracle tables (at most about 70 events) are too short to show.
+        table = long_recipe_table()
+        assert table.count == 145
+        self.assert_matches_brute_oracle(table, 0.05)
+
+    def test_starts_with_a_shared_gap_prefix_share_each_step(self, monkeypatch):
+        # A deterministic work bound: replaying every start on its own makes
+        # 6,784 elimination steps on this table.
+        table = long_recipe_table()
+        calls = 0
+        match = events.surviving_starts
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return match(*args)
+
+        monkeypatch.setattr(events, "surviving_starts", counting)
+        stroke_profile(table, 0.05)
+        assert 0 < calls <= 1000
 
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
     def test_rejects_unusable_tolerance(self, workshop, tolerance):

@@ -14,10 +14,16 @@ from cablecal import (
     score,
     search,
 )
-from cablecal.optimize import _orderings, format_trail_csv, sort_key
+from cablecal import optimize
+from cablecal.optimize import _distinct_orderings, _orderings, format_trail_csv, sort_key
 
 G_SMALL = RobotGeometry(h=6.0, rho_max=11.0, v=1.0, b=1.0)
 FIVE_POOL = (0.5, 0.75, 1.0, 1.25, 1.5)
+ORDERING_POOLS = [(3.0,), FIVE_POOL, (1.0, 1.0, 2.0), (0.5, 0.5, 0.75, 0.75, 0.75, 1.0)]
+# 4320 orderings with long revisiting climbs: the bench's optimize-climb pools.
+CLIMB_RECIPE = DesignRecipe(
+    RobotGeometry(h=18.0, rho_max=32.0), (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
+)
 
 
 def enumerate_best(recipe: DesignRecipe) -> ObjectiveScore:
@@ -176,12 +182,42 @@ class TestSearch:
         recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), d_pool, (2.0,))
         assert search(recipe, budget=1).recipe == recipe  # the given ordering
 
-    @pytest.mark.parametrize(
-        "pool", [(3.0,), FIVE_POOL, (1.0, 1.0, 2.0), (0.5, 0.5, 0.75, 0.75, 0.75, 1.0)]
-    )
+    @pytest.mark.parametrize("pool", ORDERING_POOLS)
     def test_ordering_count_matches_distinct_permutations(self, pool):
         # The count decides between enumeration and hill-climbing.
         assert _orderings(pool) == len(set(itertools.permutations(pool)))
+
+    @pytest.mark.parametrize("pool", ORDERING_POOLS)
+    def test_distinct_orderings_in_lexicographic_order(self, pool):
+        assert list(_distinct_orderings(pool)) == sorted(set(itertools.permutations(pool)))
+
+    def test_exhaustive_search_streams_repeated_pools(self, monkeypatch):
+        # 90 distinct orderings of 5! * 3! = 720 permutations.
+        recipe = DesignRecipe(G_SMALL, d_pool=(0.5, 0.5, 0.75, 0.75, 1.0), z_pool=(1.0, 1.0, 2.0))
+        expected = search(recipe, budget=90)
+        oracle = enumerate_best(recipe)
+
+        def refuse(*args):
+            raise AssertionError("distinct orderings must not walk every permutation")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        assert search(recipe, budget=90) == expected
+        assert expected.score == oracle and expected.revisits == 0
+
+    def test_revisits_are_not_rebuilt(self, monkeypatch):
+        expected = search(CLIMB_RECIPE, budget=500, seed=0)
+        built = []
+        build = optimize.build_design
+
+        def counting(recipe):
+            built.append((recipe.d_pool, recipe.z_pool))
+            return build(recipe)
+
+        monkeypatch.setattr(optimize, "build_design", counting)
+        result = search(CLIMB_RECIPE, budget=500, seed=0)
+        assert len(built) == len(set(built))  # each distinct ordering once
+        assert result.revisits == 500 - len(built) > 0
+        assert result == expected
 
     @pytest.mark.parametrize("budget", [0, 10, 200])
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
