@@ -37,6 +37,12 @@ class EventTable:
     A raw table may hold simultaneous events.  ``rectified`` is read from
     the events: no two events share an instant, i.e. every time exceeds the
     one before by more than ``GEOM_TOL``.
+
+    Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
+    ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
+    collects the gaps that match a given one.  Like ``gaps``, both are
+    computed on first use and are not fields, so they stay out of equality,
+    hashing and repr.
     """
 
     events: tuple[Event, ...]
@@ -56,12 +62,39 @@ class EventTable:
 
     @functools.cached_property
     def gaps(self) -> tuple[float, ...]:
-        """Length wound between consecutive detections (count - 1 values).
-
-        Computed once per table; the cache is not a field, so it stays out
-        of equality, hashing and repr.
-        """
+        """Length wound between consecutive detections (count - 1 values)."""
         return tuple(a.rho - b.rho for a, b in zip(self.events, self.events[1:]))
+
+    @functools.cached_property
+    def gap_positions(self) -> dict[float, int]:
+        """Each distinct gap value -> the bitmask of the q with ``gaps[q]`` equal to it."""
+        positions: dict[float, int] = {}
+        for q, gap in enumerate(self.gaps):
+            positions[gap] = positions.get(gap, 0) | 1 << q
+        return positions
+
+    @functools.cached_property
+    def _match_masks(self) -> dict[tuple[float, float], int]:
+        return {}
+
+    def match_mask(self, gap: float, tolerance: float) -> int:
+        """Bitmask of the q with ``abs(gaps[q] - gap) <= tolerance``.
+
+        Masks for the table's own gap values are cached per tolerance; a
+        measured gap is rarely one of them, so caching only these keeps the
+        cache as small as the set of distinct gaps.  Every entry is a pure
+        function of its key, so concurrent fills write equal values.
+        """
+        key = (gap, tolerance)
+        mask = self._match_masks.get(key)
+        if mask is None:
+            mask = 0
+            for value, bits in self.gap_positions.items():
+                if abs(value - gap) <= tolerance:
+                    mask |= bits
+            if gap in self.gap_positions:
+                self._match_masks[key] = mask
+        return mask
 
     @property
     def rho_values(self) -> tuple[float, ...]:
@@ -116,6 +149,9 @@ class StrokeProfile:
         return sum(1 for e in self.entries if not e.identifiable)
 
     def entry(self, start: int) -> StartStroke:
+        """The entry of 1-based start ``start``."""
+        if not 1 <= start <= len(self.entries):
+            raise IndexError(f"start {start} out of range 1..{len(self.entries)}")
         return self.entries[start - 1]
 
 
@@ -137,15 +173,20 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     pass the support).  Simultaneous events are kept; ties are ordered by
     ascending mark index then descending sensor index for stable output.
     """
-    found: list[Event] = []
-    for i in range(1, design.marks.count + 1):
-        for j in range(1, design.sensors.count + 1):
-            t = detection_time(design, i, j)
-            rho = design.rho_at(i, j)
+    g = design.geometry
+    l_max, h, v = g.l_max, g.h, g.v
+    heights = tuple(enumerate(design.sensors.heights, start=1))
+    # (t, i, -j, rho): the tuple order is the table order, and (i, j) is unique.
+    found: list[tuple[float, int, int, float]] = []
+    for i, position in enumerate(design.marks.positions, start=1):
+        for j, height in heights:
+            # The expressions of detection_time and CalibrationDesign.rho_at.
+            t = (l_max - position - height) / v
+            rho = position - (h - height)
             if t >= -GEOM_TOL and rho > GEOM_TOL:
-                found.append(Event(t, i, j, rho))
-    found.sort(key=lambda e: (e.t, e.i, -e.j))
-    return EventTable(tuple(found))
+                found.append((t, i, -j, rho))
+    found.sort()
+    return EventTable(tuple(Event(t, i, -j, rho) for t, i, j, rho in found))
 
 
 def rectify(table: EventTable) -> EventTable:
@@ -191,18 +232,19 @@ def delta_stats(table: EventTable) -> DeltaStats:
 
 
 def surviving_starts(
-    gaps: tuple[float, ...], candidates: frozenset[int], m: int, gap: float, tolerance: float
-) -> frozenset[int]:
-    """The 1-based candidate starts whose m-th table gap exists and matches
-    ``gap`` within ``tolerance``.
+    table: EventTable, candidates: int, m: int, gap: float, tolerance: float
+) -> int:
+    """The candidate starts whose m-th table gap exists and matches ``gap``
+    within ``tolerance``.
 
-    This is the one elimination rule: ``identify.observe`` folds measured
-    gaps through it and :func:`stroke_profile` folds the table's own gaps.
+    Start sets are bitmasks: bit p - 1 stands for the 1-based start p.  The
+    m-th gap of start p is ``gaps[p + m - 2]``, so shifting the match mask
+    down by m - 1 lines it up with bit p - 1; starts with fewer than m gaps
+    meet no bit.  This is the one elimination rule: ``identify.observe``
+    folds measured gaps through it and :func:`stroke_profile` folds the
+    table's own gaps.
     """
-    last = len(gaps) - m + 1  # the last start that still has an m-th gap
-    return frozenset(
-        p for p in candidates if p <= last and abs(gaps[p + m - 2] - gap) <= tolerance
-    )
+    return candidates & (table.match_mask(gap, tolerance) >> (m - 1))
 
 
 def stroke_profile(
@@ -219,32 +261,35 @@ def stroke_profile(
 
     The elimination is a function of the gaps folded so far, so starts that
     share a gap prefix hold the same candidates and share one
-    :func:`surviving_starts` call per step: groups of starts are replayed
-    together and split where their next gaps differ.
+    :func:`surviving_starts` call per step: groups of starts, as bitmasks,
+    are replayed together and split by the exact value of their next gap.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
     gaps = table.gaps
-    everyone = range(1, table.count + 1)
-    entries = [StartStroke(p, None, None) for p in everyone]
+    positions = table.gap_positions
+    everyone = (1 << table.count) - 1
+    identified: dict[int, StartStroke] = {}
     # (starts sharing their first k - 1 gaps, the candidates those gaps leave, k)
-    pending = [(everyone, frozenset(everyone), 1)]
+    pending = [(everyone, everyone, 1)]
     while pending:
-        starts, candidates, k = pending.pop()
-        by_gap: dict[float, list[int]] = {}
-        for p in starts:
-            if p + k - 1 <= len(gaps):
-                by_gap.setdefault(gaps[p + k - 2], []).append(p)
-        for gap, group in by_gap.items():
-            survivors = surviving_starts(gaps, candidates, k, gap, tolerance)
-            if len(survivors) == 1:
-                # Every start survives its own gaps, so the group is that start.
-                (p,) = group
-                entries[p - 1] = StartStroke(p, k, sum(gaps[p - 1 : p - 1 + k]))
+        group, candidates, k = pending.pop()
+        rest = group & ((1 << (len(gaps) - k + 1)) - 1)  # the starts with a k-th gap
+        while rest:
+            gap = gaps[(rest & -rest).bit_length() + k - 2]  # the lowest start's k-th gap
+            subgroup = rest & (positions[gap] >> (k - 1))
+            rest ^= subgroup
+            survivors = surviving_starts(table, candidates, k, gap, tolerance)
+            if survivors & (survivors - 1) == 0:
+                # Every start survives its own gaps, so the subgroup is that start.
+                p = survivors.bit_length()
+                identified[p] = StartStroke(p, k, sum(gaps[p - 1 : p - 1 + k]))
             else:
-                pending.append((group, survivors, k + 1))
-    return StrokeProfile(tuple(entries))
+                pending.append((subgroup, survivors, k + 1))
+    return StrokeProfile(
+        tuple(identified.get(p) or StartStroke(p, None, None) for p in range(1, table.count + 1))
+    )
 
 
 def format_event_csv(table: EventTable, precision: str = "table") -> str:

@@ -32,32 +32,39 @@ class IdentifierState:
     """Survivor set after some number of observed gaps.
 
     A state holds only the table, the tolerance, the observed gaps and the
-    survivors: 1-based starting indices into the rectified table.  Its
-    status is read from the survivors: none is no_match, one start p is
-    identified at event p + len(observed), more are ambiguous.
+    survivors: a bitmask in which bit p - 1 stands for the 1-based starting
+    index p into the rectified table.  ``candidates`` lists them as a
+    frozenset.  The status is read from the survivors: none is no_match,
+    one start p is identified at event p + len(observed), more are
+    ambiguous.
     """
 
     table: EventTable
     tolerance: float
     observed: tuple[float, ...]
-    candidates: frozenset[int]
+    survivors: int
+
+    @property
+    def candidates(self) -> frozenset[int]:
+        return frozenset(
+            p for p in range(1, self.survivors.bit_length() + 1) if self.survivors >> (p - 1) & 1
+        )
 
     @property
     def candidate_count(self) -> int:
-        return len(self.candidates)
+        return self.survivors.bit_count()
 
     @property
     def status(self) -> Status:
-        if not self.candidates:
+        if not self.survivors:
             return Status.NO_MATCH
-        return Status.IDENTIFIED if len(self.candidates) == 1 else Status.AMBIGUOUS
+        return Status.IDENTIFIED if self.candidate_count == 1 else Status.AMBIGUOUS
 
     @property
     def identified_index(self) -> int | None:
         if self.status is not Status.IDENTIFIED:
             return None
-        (p,) = self.candidates
-        return p + len(self.observed)
+        return self.survivors.bit_length() + len(self.observed)
 
     @property
     def identified_rho(self) -> float | None:
@@ -110,7 +117,7 @@ def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> Identi
         table=table,
         tolerance=tolerance,
         observed=(),
-        candidates=frozenset(range(1, table.count + 1)),
+        survivors=(1 << table.count) - 1,
     )
 
 
@@ -119,8 +126,8 @@ def observe(state: IdentifierState, gap: float) -> IdentifierState:
     if state.status is not Status.AMBIGUOUS:
         raise ValueError(f"cannot observe on a {state.status.value} state")
     m = len(state.observed) + 1
-    survivors = surviving_starts(state.table.gaps, state.candidates, m, gap, state.tolerance)
-    return replace(state, observed=state.observed + (gap,), candidates=survivors)
+    survivors = surviving_starts(state.table, state.survivors, m, gap, state.tolerance)
+    return replace(state, observed=state.observed + (gap,), survivors=survivors)
 
 
 def _exhaustion_estimate(design: CalibrationDesign, wound: float) -> float | None:

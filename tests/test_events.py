@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -91,6 +92,38 @@ def brute_unique_k(gaps: list[float], p0: int, tol: float):
     return None
 
 
+def window_run_unique_k(gaps: list[float], p0: int, tol: float):
+    """The slice-comparison oracle, organised by window: each window records
+    how many leading gaps match start p0's, and k is the first run length
+    only one window reaches.  Linear in the run lengths, so it affords
+    tables of a few hundred events."""
+    runs = []
+    for q in range(len(gaps)):
+        run = 0
+        while p0 + run < len(gaps) and q + run < len(gaps):
+            if abs(gaps[q + run] - gaps[p0 + run]) > tol:
+                break
+            run += 1
+        runs.append(run)
+    for k in range(1, len(gaps) - p0 + 1):
+        if sum(run >= k for run in runs) == 1:
+            return k, sum(gaps[p0 : p0 + k])
+    return None
+
+
+def climb_table(rho_max: float) -> EventTable:
+    """The rectified table of the climb recipe's pool order at ``rho_max``."""
+    d_pool, z_pool = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
+    recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=rho_max), d_pool, z_pool)
+    return rectify(enumerate_events(build_design(recipe).design))
+
+
+def table_winding(gaps: list[float]) -> EventTable:
+    """A rectified table, one event per second, that winds ``gaps`` in turn."""
+    rhos = [1.0 + sum(gaps[q:]) for q in range(len(gaps) + 1)]
+    return EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
+
+
 class TestDetectionTime:
     def test_reference_values(self, medium, xl):
         assert detection_time(medium, 1, 2) == pytest.approx(2.00, abs=1e-12)
@@ -154,6 +187,18 @@ class TestEnumerate:
                     sum_a = design.marks.position(a.i) + design.sensors.height(a.j)
                     sum_b = design.marks.position(b.i) + design.sensors.height(b.j)
                     assert same_t == same_rho == (abs(sum_a - sum_b) <= 1e-9)
+
+    def test_events_match_detection_time_and_rho_at(self, all_designs):
+        # The 5 cm designs' lengths are not binary fractions, so a reordered
+        # expression would round differently there.
+        designs = list(all_designs.values())
+        for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
+            recipe = DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool)
+            designs.append(build_design(recipe).design)
+        for design in designs:
+            for e in enumerate_events(design).events:
+                assert e.t == detection_time(design, e.i, e.j)
+                assert e.rho == design.rho_at(e.i, e.j)
 
 
 class TestRectify:
@@ -258,6 +303,38 @@ class TestDeltaStats:
             delta_stats(table)
 
 
+class TestSurvivingStarts:
+    @pytest.mark.parametrize("tolerance", [0.05, 0.25, 0.3])
+    def test_matches_set_oracle(self, tolerance):
+        # Quarter-metre gaps and a 0.25 tolerance put probes exactly on the
+        # boundary; other values put them within an ulp of it.  Both rules
+        # must evaluate the same float predicate there.
+        rng = random.Random(8)
+        for _ in range(150):
+            pool = [0.25, 0.5, 0.75, rng.uniform(0.1, 2.0)]
+            drawn = [
+                rng.choice(pool) if rng.random() < 0.7 else rng.uniform(0.1, 2.0)
+                for _ in range(rng.randint(1, 12))
+            ]
+            table = table_winding(drawn)
+            gaps = table.gaps
+            candidates = {p for p in range(1, table.count + 1) if rng.random() < 0.7}
+            mask = sum(1 << (p - 1) for p in candidates)
+            probes = {rng.uniform(0.0, 2.5)}
+            probes.update(g + o for g in gaps for o in (-tolerance, 0.0, tolerance))
+            for m in range(1, len(gaps) + 2):
+                for gap in sorted(probes):
+                    expected = {
+                        p
+                        for p in candidates
+                        if p <= len(gaps) - m + 1 and abs(gaps[p + m - 2] - gap) <= tolerance
+                    }
+                    want = sum(1 << (p - 1) for p in expected)
+                    assert events.surviving_starts(table, mask, m, gap, tolerance) == want
+                    # A second call may be served from the table's cache.
+                    assert events.surviving_starts(table, mask, m, gap, tolerance) == want
+
+
 class TestStrokeProfile:
     def test_workshop_walkthrough_start(self, workshop):
         profile = stroke_profile(rectify(enumerate_events(workshop)))
@@ -282,11 +359,13 @@ class TestStrokeProfile:
         assert not profile.entry(2).identifiable  # final event has no gaps
 
     @staticmethod
-    def assert_matches_brute_oracle(table: EventTable, tolerance: float) -> None:
+    def assert_matches_brute_oracle(
+        table: EventTable, tolerance: float, oracle=brute_unique_k
+    ) -> None:
         gaps = list(table.gaps)
         profile = stroke_profile(table, tolerance)
         for start in range(1, table.count + 1):
-            expected = brute_unique_k(gaps, start - 1, tolerance)
+            expected = oracle(gaps, start - 1, tolerance)
             entry = profile.entry(start)
             if expected is None:
                 assert not entry.identifiable
@@ -298,6 +377,36 @@ class TestStrokeProfile:
             table = rectify(enumerate_events(design))
             for tolerance in (0.01, 0.05):
                 self.assert_matches_brute_oracle(table, tolerance)
+
+    def test_matches_brute_oracle_at_wide_tolerance(self, all_designs):
+        # At 0.3 most gaps match several table values, so long shared
+        # prefixes appear even on the presets.
+        for design in all_designs.values():
+            self.assert_matches_brute_oracle(rectify(enumerate_events(design)), 0.3)
+
+    def test_matches_window_run_oracle_on_long_climb_table(self):
+        # 279 events, strokes up to 71.25 m: the periodic stretch leaves
+        # starts sharing prefixes of over two hundred gaps (k reaches 220).
+        table = climb_table(100.0)
+        assert table.count == 279
+        for tolerance in (0.05, 0.3):
+            self.assert_matches_brute_oracle(table, tolerance, window_run_unique_k)
+
+    def test_window_run_oracle_agrees_with_slice_oracle(self, workshop):
+        for table in (rectify(enumerate_events(workshop)), climb_table(32.0)):
+            gaps = list(table.gaps)
+            for tolerance in (0.01, 0.05, 0.3):
+                for p0 in range(table.count):
+                    assert window_run_unique_k(gaps, p0, tolerance) == brute_unique_k(
+                        gaps, p0, tolerance
+                    )
+
+    def test_entry_rejects_out_of_range_starts(self, workshop):
+        profile = stroke_profile(rectify(enumerate_events(workshop)))
+        assert profile.entry(1).start == 1 and profile.entry(26).start == 26
+        for start in (0, -1, 27):
+            with pytest.raises(IndexError, match="out of range 1..26"):
+                profile.entry(start)
 
     def test_matches_brute_oracle_on_five_centimetre_steps(self):
         # Gaps 5 cm apart match at 0.05 but not at 0.01, so here the
@@ -427,3 +536,14 @@ class TestEventTableValidation:
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)
         assert "gaps" not in repr(read)
+
+    def test_gap_index_and_match_cache_leave_equality_hash_and_repr_alone(self, workshop):
+        read = rectify(enumerate_events(workshop))
+        fresh = rectify(enumerate_events(workshop))
+        stroke_profile(read, 0.05)  # fills the gap index and the match cache
+        assert read.gap_positions is read.gap_positions
+        assert {"gap_positions", "_match_masks"} <= vars(read).keys()
+        assert not {"gap_positions", "_match_masks"} & vars(fresh).keys()
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert "gap_positions" not in repr(read) and "_match_masks" not in repr(read)

@@ -83,6 +83,14 @@ class TestObserve:
         assert state.identified_index == 11
         assert state.identified_rho == pytest.approx(7.50)
 
+    def test_candidates_are_a_frozenset_read_from_the_survivors(self, workshop_table):
+        state = start(workshop_table)
+        for gap in (0.5, 0.75, 0.25):  # the walkthrough drive
+            state = observe(state, gap)
+        assert type(state.candidates) is frozenset
+        assert state.candidates == {8}
+        assert state.survivors == 1 << 7  # bit p - 1 stands for start p
+
     def test_impossible_gap_dies(self, workshop_table):
         state = observe(start(workshop_table), 99.0)
         assert state.status is Status.NO_MATCH
