@@ -51,9 +51,10 @@ class ConfigError(ValueError):
 class LoadedConfig:
     """A parsed config resolved to a concrete design.
 
-    ``design`` is None only when loading with ``require_design=False`` and
-    the recipe's given pool ordering is infeasible; the optimiser still
-    searches other orderings in that case.
+    ``design`` is None when a recipe is loaded with ``require_design=False``:
+    the recipe is then not built, because the optimiser builds and checks
+    every ordering it evaluates, the given one first, and other orderings
+    may conform where the given one does not.
     """
 
     design: CalibrationDesign | None
@@ -83,7 +84,8 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     """Parse a design config file and build its design.
 
     Raises :class:`ConfigError` with a field-level message on any problem,
-    including structurally invalid layouts and infeasible recipes.
+    including structurally invalid layouts and infeasible recipes.  With
+    ``require_design=False`` a recipe is checked but not built.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -162,12 +164,12 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
         raise
     except ValueError as exc:
         raise ConfigError(f"{where}: [recipe] {exc}") from None
-    design: CalibrationDesign | None = None
+    if not require_design:
+        return LoadedConfig(None, recipe, geom_tol, gap_tol)
     try:
         design, _ = build_design(recipe)
     except ValueError as exc:
-        if require_design:
-            raise ConfigError(f"{where}: [recipe] {exc}") from None
+        raise ConfigError(f"{where}: [recipe] {exc}") from None
     return LoadedConfig(design, recipe, geom_tol, gap_tol)
 
 

@@ -13,16 +13,22 @@ from __future__ import annotations
 import functools
 import io
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
 
 EVENT_CSV_HEADER = "t,i,j,rho,delta_rho"
 
 
-@dataclass(frozen=True)
-class Event:
-    """Detection of mark i by sensor j at time t, free length rho."""
+class Event(NamedTuple):
+    """Detection of mark i by sensor j at time t, free length rho.
+
+    A row record: an immutable tuple of its fields, cheap to build by the
+    thousand, that compares equal to the plain tuple ``(t, i, j, rho)``.
+    """
 
     t: float
     i: int
@@ -40,7 +46,8 @@ class EventTable:
 
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
-    collects the gaps that match a given one.  Like ``gaps``, both are
+    collects the gaps that match a given one, caching one mask per
+    tolerance and own gap value.  Like ``rho_values`` and ``gaps``, both are
     computed on first use and are not fields, so they stay out of equality,
     hashing and repr.
     """
@@ -49,7 +56,7 @@ class EventTable:
 
     def __post_init__(self) -> None:
         for a, b in zip(self.events, self.events[1:]):
-            if b.t < a.t - GEOM_TOL:
+            if not b.t >= a.t - GEOM_TOL:  # a nan time fails too
                 raise ValueError("events must be time-ordered")
 
     @property
@@ -61,9 +68,14 @@ class EventTable:
         return all(b.t > a.t + GEOM_TOL for a, b in zip(self.events, self.events[1:]))
 
     @functools.cached_property
+    def rho_values(self) -> tuple[float, ...]:
+        return tuple(map(operator.attrgetter("rho"), self.events))
+
+    @functools.cached_property
     def gaps(self) -> tuple[float, ...]:
         """Length wound between consecutive detections (count - 1 values)."""
-        return tuple(a.rho - b.rho for a, b in zip(self.events, self.events[1:]))
+        rhos = self.rho_values
+        return tuple(map(operator.sub, rhos, rhos[1:]))
 
     @functools.cached_property
     def gap_positions(self) -> dict[float, int]:
@@ -74,7 +86,7 @@ class EventTable:
         return positions
 
     @functools.cached_property
-    def _match_masks(self) -> dict[tuple[float, float], int]:
+    def _match_masks(self) -> dict[float, dict[float, int]]:
         return {}
 
     def match_mask(self, gap: float, tolerance: float) -> int:
@@ -83,22 +95,21 @@ class EventTable:
         Masks for the table's own gap values are cached per tolerance; a
         measured gap is rarely one of them, so caching only these keeps the
         cache as small as the set of distinct gaps.  Every entry is a pure
-        function of its key, so concurrent fills write equal values.
+        function of its keys, so concurrent fills write equal values.
         """
-        key = (gap, tolerance)
-        mask = self._match_masks.get(key)
+        masks = self._match_masks.get(tolerance)
+        if masks is None:
+            masks = self._match_masks[tolerance] = {}
+        mask = masks.get(gap)
         if mask is None:
+            positions = self.gap_positions
             mask = 0
-            for value, bits in self.gap_positions.items():
+            for value, bits in positions.items():
                 if abs(value - gap) <= tolerance:
                     mask |= bits
-            if gap in self.gap_positions:
-                self._match_masks[key] = mask
+            if gap in positions:
+                masks[gap] = mask
         return mask
-
-    @property
-    def rho_values(self) -> tuple[float, ...]:
-        return tuple(e.rho for e in self.events)
 
 
 @dataclass(frozen=True)
@@ -110,8 +121,7 @@ class DeltaStats:
     count: int
 
 
-@dataclass(frozen=True)
-class StartStroke:
+class StartStroke(NamedTuple):
     """Identification cost when winding starts at one rectified event.
 
     k is the number of detections after the first needed before the observed
@@ -142,7 +152,7 @@ class StrokeProfile:
     @property
     def mean_stroke(self) -> float | None:
         strokes = [e.stroke for e in self.entries if e.stroke is not None]
-        return sum(strokes) / len(strokes) if strokes else None
+        return left_sum(strokes) / len(strokes) if strokes else None
 
     @property
     def unidentifiable_starts(self) -> int:
@@ -186,7 +196,11 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
             if t >= -GEOM_TOL and rho > GEOM_TOL:
                 found.append((t, i, -j, rho))
     found.sort()
-    return EventTable(tuple(Event(t, i, -j, rho) for t, i, j, rho in found))
+    return EventTable(tuple([Event(t, i, -j, rho) for t, i, j, rho in found]))
+
+
+def _rank(event: Event) -> tuple[float, int]:
+    return event.i / event.j, event.i
 
 
 def rectify(table: EventTable) -> EventTable:
@@ -200,16 +214,26 @@ def rectify(table: EventTable) -> EventTable:
     than ``GEOM_TOL`` apart, so the result is always rectified, and
     rectifying a rectified table is a no-op.
     """
+    events = table.events
+    n = len(events)
     survivors: list[Event] = []
-    group: list[Event] = []
-    for event in table.events:
-        if group and event.t > group[-1].t + GEOM_TOL:
-            survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
-            group = []
-        group.append(event)
-    if group:
-        survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
+    first = 0  # index of the current group's first event
+    for k in range(1, n + 1):
+        if k == n or events[k].t > events[k - 1].t + GEOM_TOL:  # the group ends at k
+            survivors.append(events[first] if k - first == 1 else min(events[first:k], key=_rank))
+            first = k
     return EventTable(tuple(survivors))
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum in iteration order with plain float additions.
+
+    This is what ``sum`` computes up to Python 3.11; from 3.12 ``sum``
+    compensates float rounding, which moves results in the last digits.
+    Reported numbers go through this helper so they do not depend on the
+    interpreter.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 def delta_stats(table: EventTable) -> DeltaStats:
@@ -226,8 +250,8 @@ def delta_stats(table: EventTable) -> DeltaStats:
     if n < 3:
         raise ValueError(f"need at least 3 events for gap statistics, got {n}")
     gaps = table.gaps
-    mean = sum(gaps) / (n - 1)
-    var = sum((g - mean) ** 2 for g in gaps) / (n - 2)
+    mean = left_sum(gaps) / (n - 1)
+    var = left_sum((g - mean) ** 2 for g in gaps) / (n - 2)
     return DeltaStats(mean=mean, std=math.sqrt(var), count=n)
 
 
@@ -263,6 +287,9 @@ def stroke_profile(
     share a gap prefix hold the same candidates and share one
     :func:`surviving_starts` call per step: groups of starts, as bitmasks,
     are replayed together and split by the exact value of their next gap.
+    A group's members also share the length their common gaps wind, so each
+    step adds its gap to that once, and a stroke is its start's gaps added
+    left to right.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
@@ -271,22 +298,24 @@ def stroke_profile(
     positions = table.gap_positions
     everyone = (1 << table.count) - 1
     identified: dict[int, StartStroke] = {}
-    # (starts sharing their first k - 1 gaps, the candidates those gaps leave, k)
-    pending = [(everyone, everyone, 1)]
+    # (starts sharing their first k - 1 gaps, the candidates those gaps leave,
+    # k, the length those gaps wind)
+    pending = [(everyone, everyone, 1, 0)]
     while pending:
-        group, candidates, k = pending.pop()
+        group, candidates, k, wound = pending.pop()
         rest = group & ((1 << (len(gaps) - k + 1)) - 1)  # the starts with a k-th gap
         while rest:
             gap = gaps[(rest & -rest).bit_length() + k - 2]  # the lowest start's k-th gap
             subgroup = rest & (positions[gap] >> (k - 1))
             rest ^= subgroup
             survivors = surviving_starts(table, candidates, k, gap, tolerance)
+            stroke = wound + gap
             if survivors & (survivors - 1) == 0:
                 # Every start survives its own gaps, so the subgroup is that start.
                 p = survivors.bit_length()
-                identified[p] = StartStroke(p, k, sum(gaps[p - 1 : p - 1 + k]))
+                identified[p] = StartStroke(p, k, stroke)
             else:
-                pending.append((subgroup, survivors, k + 1))
+                pending.append((subgroup, survivors, k + 1, stroke))
     return StrokeProfile(
         tuple(identified.get(p) or StartStroke(p, None, None) for p in range(1, table.count + 1))
     )
@@ -317,7 +346,8 @@ def format_event_csv(table: EventTable, precision: str = "table") -> str:
 def parse_event_csv(text: str) -> EventTable:
     """Parse CSV produced by :func:`format_event_csv`.
 
-    The gap column is derived data and is ignored on input.
+    The gap column is derived data and is ignored on input.  Times and
+    lengths must be finite and mark and sensor indices at least 1.
     """
     lines = [ln for ln in io.StringIO(text).read().splitlines() if ln.strip()]
     if not lines or lines[0].strip() != EVENT_CSV_HEADER:
@@ -328,9 +358,14 @@ def parse_event_csv(text: str) -> EventTable:
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 5 columns, got {len(parts)}")
         try:
-            parsed.append(
-                Event(float(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
-            )
+            event = Event(float(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not (math.isfinite(event.t) and math.isfinite(event.rho)):
+            raise ValueError(
+                f"line {lineno}: t and rho must be finite, got t={event.t} rho={event.rho}"
+            )
+        if event.i < 1 or event.j < 1:
+            raise ValueError(f"line {lineno}: indices start at 1, got i={event.i} j={event.j}")
+        parsed.append(event)
     return EventTable(tuple(parsed))

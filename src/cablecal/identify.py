@@ -13,7 +13,7 @@ import enum
 import functools
 from dataclasses import dataclass, replace
 
-from .events import EventTable, enumerate_events, rectify, surviving_starts
+from .events import EventTable, enumerate_events, left_sum, rectify, surviving_starts
 from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
 from .simulate import ObservationTrace
 
@@ -166,10 +166,10 @@ class ClosedLoopCorrector:
         xs = [self.start_rho - rho for rho, _ in self.samples]
         ys = [reading for _, reading in self.samples]
         n = len(xs)
-        mx = sum(xs) / n
-        my = sum(ys) / n
-        sxx = sum((x - mx) ** 2 for x in xs)
-        sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        mx = left_sum(xs) / n
+        my = left_sum(ys) / n
+        sxx = left_sum((x - mx) ** 2 for x in xs)
+        sxy = left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
         scale = sxy / sxx
         offset = my - scale * mx
         return scale, offset

@@ -14,6 +14,7 @@ import io
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .events import enumerate_events, rectify
 from .model import GEOM_TOL, CalibrationDesign
@@ -53,8 +54,7 @@ class EncoderModel:
             raise ValueError(f"noise_sd must be non-negative, got {self.noise_sd}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One detection: time, encoder register, and ground truth when known.
 
     Imported hardware logs lack the truth columns, hence the Nones.

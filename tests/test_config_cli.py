@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from cablecal import presets, validate_design
+from cablecal import config, presets, validate_design
 from cablecal.cli import main
 from cablecal.config import ConfigError, dump_design, load_config
 from cablecal.events import parse_event_csv, enumerate_events, rectify
@@ -55,6 +55,19 @@ class TestConfig:
         assert loaded.recipe is not None
         # d0 = 0.5, so the top sensor snaps to the h - d0 = 5.5 ceiling.
         assert loaded.design.sensors.heights == (2.0, 5.5)
+
+    def test_recipe_is_built_only_when_required(self, tmp_path, monkeypatch):
+        # optimize loads without requiring the design: its search builds the
+        # given ordering as its first evaluation, so a build here is waste.
+        path = tmp_path / "recipe.ini"
+        path.write_text(RECIPE_CONFIG)
+        built = []
+        build = config.build_design
+        monkeypatch.setattr(config, "build_design", lambda recipe: built.append(recipe) or build(recipe))
+        loaded = load_config(path, require_design=False)
+        assert loaded.design is None and loaded.recipe is not None and built == []
+        assert load_config(path).design.sensors.heights == (2.0, 5.5)
+        assert built == [loaded.recipe]
 
     def test_comma_separated_lists(self, tmp_path):
         path = tmp_path / "c.ini"

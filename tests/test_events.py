@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from cablecal import (
     MarkLayout,
     RobotGeometry,
     SensorLayout,
+    TraceRecord,
     build_design,
     delta_stats,
     detection_time,
@@ -22,7 +24,9 @@ from cablecal import (
     stroke_profile,
 )
 from cablecal import events
-from cablecal.events import format_event_csv, parse_event_csv
+from cablecal.designer import InfeasibleRecipe
+from cablecal.events import StartStroke, format_event_csv, left_sum, parse_event_csv
+from cablecal.model import GEOM_TOL
 from conftest import FIVE_CENTIMETRE_POOLS
 
 # Reference tables for the medium fixture, transcribed row by row.
@@ -116,6 +120,29 @@ def climb_table(rho_max: float) -> EventTable:
     d_pool, z_pool = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
     recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=rho_max), d_pool, z_pool)
     return rectify(enumerate_events(build_design(recipe).design))
+
+
+def group_list_rectify(table: EventTable) -> EventTable:
+    """Reference rectification: collect each chain of near-ties in a list,
+    then keep the group's minimum by (i/j, i)."""
+    survivors: list[Event] = []
+    group: list[Event] = []
+    for event in table.events:
+        if group and event.t > group[-1].t + GEOM_TOL:
+            survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
+            group = []
+        group.append(event)
+    if group:
+        survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
+    return EventTable(tuple(survivors))
+
+
+def plain_sum(values) -> float:
+    """Left-to-right float additions, written out."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
 
 
 def table_winding(gaps: list[float]) -> EventTable:
@@ -247,6 +274,36 @@ class TestRectify:
         assert rectified.rectified
         assert rows(rectified) == [(0.8e-9, 1, 1, 4.0), (5.0, 4, 1, 2.0)]
         assert rectify(rectified) == rectified
+
+    def test_matches_group_list_oracle(self, all_designs):
+        # Every climb ordering, the presets and two near-tie chains; equality
+        # covers each survivor's t, i, j and rho.
+        raws = [enumerate_events(design) for design in all_designs.values()]
+        raws.append(EventTable((
+            Event(0.0, 2, 1, 5.0),
+            Event(0.8e-9, 1, 1, 4.0),
+            Event(1.6e-9, 3, 1, 3.0),
+            Event(5.0, 4, 1, 2.0),
+        )))
+        raws.append(EventTable((
+            Event(0.0, 3, 2, 6.0),
+            Event(0.6e-9, 2, 1, 5.0),
+            Event(1.2e-9, 4, 2, 4.0),
+            Event(3.0, 5, 1, 3.0),
+            Event(3.0, 5, 2, 2.0),
+        )))
+        d_pool, z_pool = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
+        for d_order, z_order in itertools.product(
+            itertools.permutations(d_pool), itertools.permutations(z_pool)
+        ):
+            recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=32.0), d_order, z_order)
+            try:
+                raws.append(enumerate_events(build_design(recipe).design))
+            except InfeasibleRecipe:
+                pass
+        assert len(raws) > 4000
+        for raw in raws:
+            assert rectify(raw) == group_list_rectify(raw)
 
     def test_strictly_decreasing_rho(self, all_designs):
         for design in all_designs.values():
@@ -497,6 +554,25 @@ class TestEventCsv:
         with pytest.raises(ValueError):
             parse_event_csv("t,i,j,rho,delta_rho\nx,1,1,1.0,\n")
 
+    @pytest.mark.parametrize(
+        "row,fragment",
+        [
+            ("nan,2,1,5.0,", "finite"),
+            ("inf,2,1,5.0,", "finite"),
+            ("1.0,2,1,nan,", "finite"),
+            ("1.0,2,1,-inf,", "finite"),
+            ("1.0,0,1,5.0,", "indices start at 1"),
+            ("1.0,2,0,5.0,", "indices start at 1"),
+            ("1.0,-2,1,5.0,", "indices start at 1"),
+        ],
+    )
+    def test_parse_rejects_non_finite_values_and_bad_indices(self, row, fragment):
+        # Unchecked, a nan time slips past the order check, a nan rho makes
+        # every start unidentifiable, and j = 0 divides by zero in rectify.
+        text = f"t,i,j,rho,delta_rho\n1.0,1,1,6.0,\n{row}\n2.0,3,1,4.0,\n"
+        with pytest.raises(ValueError, match=f"line 3: .*{fragment}"):
+            parse_event_csv(text)
+
     def test_bad_precision(self, medium):
         with pytest.raises(ValueError):
             format_event_csv(enumerate_events(medium), precision="3dp")
@@ -529,6 +605,10 @@ class TestEventTableValidation:
         with pytest.raises(ValueError):
             EventTable((Event(2.0, 1, 1, 2.0), Event(1.0, 2, 2, 3.0)))
 
+    def test_rejects_a_nan_time(self):
+        with pytest.raises(ValueError, match="time-ordered"):
+            EventTable((Event(0.0, 1, 1, 3.0), Event(math.nan, 2, 1, 2.0), Event(-5.0, 3, 1, 1.0)))
+
     def test_cached_gaps_leave_equality_and_hash_alone(self, workshop):
         read = rectify(enumerate_events(workshop))
         fresh = rectify(enumerate_events(workshop))
@@ -547,3 +627,81 @@ class TestEventTableValidation:
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)
         assert "gap_positions" not in repr(read) and "_match_masks" not in repr(read)
+
+
+class TestRowRecords:
+    """Events, start strokes and trace records are immutable tuples of their
+    fields: equal records are interchangeable and hash alike."""
+
+    RECORDS = [
+        (Event(2.0, 1, 2, 9.0), "Event(t=2.0, i=1, j=2, rho=9.0)", ("t", "i", "j", "rho")),
+        (StartStroke(8, 3, 1.5), "StartStroke(start=8, k=3, stroke=1.5)", ("start", "k", "stroke")),
+        (
+            TraceRecord(0.5, 10.25, 8.5, 3, 2),
+            "TraceRecord(t=0.5, reading=10.25, truth_rho=8.5, truth_i=3, truth_j=2)",
+            ("t", "reading", "truth_rho", "truth_i", "truth_j"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("record,text,fields", RECORDS)
+    def test_fields_repr_equality_and_hash(self, record, text, fields):
+        assert record._fields == fields
+        assert repr(record) == text
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record)
+        assert record == tuple(getattr(record, name) for name in fields)
+        assert twin._replace(**{fields[0]: 99}) != record
+
+    @pytest.mark.parametrize("record,text,fields", RECORDS)
+    def test_assignment_raises_attribute_error(self, record, text, fields):
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+    def test_defaults(self):
+        assert TraceRecord(1.0, 2.0) == (1.0, 2.0, None, None, None)
+        assert TraceRecord._field_defaults == {"truth_rho": None, "truth_i": None, "truth_j": None}
+        assert not Event._field_defaults and not StartStroke._field_defaults
+
+
+class TestLeftToRightSums:
+    """Python 3.12 made ``sum`` of floats compensated.  Strokes and gap
+    statistics add left to right instead, so they read the same on every
+    interpreter; each case below sums differently under the two rules."""
+
+    # Start 4 winds 0.24, 0.94 and 0.05 before it is unique.
+    RHOS = (2.77, 2.53, 2.24, 1.29, 1.05, 0.11, 0.06)
+
+    def test_left_sum(self):
+        assert left_sum((0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3 == 0.6000000000000001
+        assert math.fsum((0.1, 0.2, 0.3)) == 0.6
+
+    def test_profile_strokes_and_mean_stroke(self):
+        table = EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(self.RHOS)))
+        gaps = table.gaps
+        profile = stroke_profile(table, 0.05)
+        entry = profile.entry(4)
+        assert entry.k == 3
+        wound = gaps[3:6]
+        assert entry.stroke == plain_sum(wound) != math.fsum(wound)
+        for e in profile.entries:
+            if e.identifiable:
+                assert e.stroke == plain_sum(gaps[e.start - 1 : e.start - 1 + e.k])
+        strokes = [e.stroke for e in profile.entries if e.identifiable]
+        assert profile.mean_stroke == plain_sum(strokes) / len(strokes)
+        assert plain_sum(strokes) != math.fsum(strokes)
+
+    def test_delta_stats(self, workshop):
+        for table in (
+            EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(self.RHOS))),
+            rectify(enumerate_events(workshop)),
+        ):
+            gaps = table.gaps
+            n = table.count
+            stats = delta_stats(table)
+            mean = plain_sum(gaps) / (n - 1)
+            squares = [(g - mean) ** 2 for g in gaps]
+            assert stats.mean == mean
+            assert stats.std == math.sqrt(plain_sum(squares) / (n - 2))
+            assert plain_sum(squares) != math.fsum(squares)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 from pathlib import Path
@@ -159,6 +160,22 @@ class TestCorrector:
         assert corr.offset == pytest.approx(0.0, abs=1e-12)
         for rho in (11.0, 9.5, 7.25):
             assert corr.corrected_length(12.0 - rho) == pytest.approx(rho)
+
+    def test_fit_adds_left_to_right(self):
+        # The readings sum to 0.6000000000000001 added left to right and to
+        # 0.6 compensated, as Python 3.12's sum() adds; the fit must read the
+        # same on every interpreter.
+        samples = ((11.0, 0.1), (10.0, 0.2), (9.0, 0.3))
+        corr = ClosedLoopCorrector(12.0, samples)
+        (x1, y1), (x2, y2), (x3, y3) = ((12.0 - rho, reading) for rho, reading in samples)
+        mx = (x1 + x2 + x3) / 3
+        my = (y1 + y2 + y3) / 3
+        scale = ((x1 - mx) * (y1 - my) + (x2 - mx) * (y2 - my) + (x3 - mx) * (y3 - my)) / (
+            (x1 - mx) ** 2 + (x2 - mx) ** 2 + (x3 - mx) ** 2
+        )
+        assert y1 + y2 + y3 != math.fsum((y1, y2, y3))
+        assert corr.scale == scale
+        assert corr.offset == my - scale * mx
 
     def test_least_squares_over_noisy_samples(self):
         rng = random.Random(1)
