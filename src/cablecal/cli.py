@@ -140,11 +140,7 @@ def _cmd_optimize(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_CONDITION
     _write_output(dump_design(result.design, loaded.geom_tol, loaded.gap_tol), args.out)
-    report_text = format_trail_csv(result.trail)
-    if args.report is not None:
-        Path(args.report).write_text(report_text)
-    else:
-        sys.stdout.write(report_text)
+    _write_output(format_trail_csv(result.trail), args.report)
     sc = result.score
     print(
         f"best: mean_gap={sc.mean_gap:.3f} std_gap={sc.std_gap:.3f} "

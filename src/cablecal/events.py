@@ -11,16 +11,17 @@ unique event.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
 
 EVENT_CSV_HEADER = "t,i,j,rho,delta_rho"
+
+_Row = TypeVar("_Row")
 
 
 class Event(NamedTuple):
@@ -46,10 +47,9 @@ class EventTable:
 
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
-    collects the gaps that match a given one, caching one mask per
-    tolerance and own gap value.  Like ``rho_values`` and ``gaps``, both are
-    computed on first use and are not fields, so they stay out of equality,
-    hashing and repr.
+    collects the gaps that match a given one.  Like ``rho_values`` and
+    ``gaps``, the index is computed on first use and is not a field, so it
+    stays out of equality, hashing and repr.
     """
 
     events: tuple[Event, ...]
@@ -85,30 +85,12 @@ class EventTable:
             positions[gap] = positions.get(gap, 0) | 1 << q
         return positions
 
-    @functools.cached_property
-    def _match_masks(self) -> dict[float, dict[float, int]]:
-        return {}
-
     def match_mask(self, gap: float, tolerance: float) -> int:
-        """Bitmask of the q with ``abs(gaps[q] - gap) <= tolerance``.
-
-        Masks for the table's own gap values are cached per tolerance; a
-        measured gap is rarely one of them, so caching only these keeps the
-        cache as small as the set of distinct gaps.  Every entry is a pure
-        function of its keys, so concurrent fills write equal values.
-        """
-        masks = self._match_masks.get(tolerance)
-        if masks is None:
-            masks = self._match_masks[tolerance] = {}
-        mask = masks.get(gap)
-        if mask is None:
-            positions = self.gap_positions
-            mask = 0
-            for value, bits in positions.items():
-                if abs(value - gap) <= tolerance:
-                    mask |= bits
-            if gap in positions:
-                masks[gap] = mask
+        """Bitmask of the q with ``abs(gaps[q] - gap) <= tolerance``."""
+        mask = 0
+        for value, bits in self.gap_positions.items():
+            if abs(value - gap) <= tolerance:
+                mask |= bits
         return mask
 
 
@@ -255,20 +237,18 @@ def delta_stats(table: EventTable) -> DeltaStats:
     return DeltaStats(mean=mean, std=math.sqrt(var), count=n)
 
 
-def surviving_starts(
-    table: EventTable, candidates: int, m: int, gap: float, tolerance: float
-) -> int:
-    """The candidate starts whose m-th table gap exists and matches ``gap``
-    within ``tolerance``.
+def surviving_starts(candidates: int, m: int, match: int) -> int:
+    """The candidate starts whose m-th table gap is in ``match``.
 
-    Start sets are bitmasks: bit p - 1 stands for the 1-based start p.  The
-    m-th gap of start p is ``gaps[p + m - 2]``, so shifting the match mask
-    down by m - 1 lines it up with bit p - 1; starts with fewer than m gaps
-    meet no bit.  This is the one elimination rule: ``identify.observe``
-    folds measured gaps through it and :func:`stroke_profile` folds the
-    table's own gaps.
+    ``match`` is an :meth:`EventTable.match_mask`: bit q is set when
+    ``gaps[q]`` matches the observed gap.  Start sets are bitmasks too: bit
+    p - 1 stands for the 1-based start p.  The m-th gap of start p is
+    ``gaps[p + m - 2]``, so shifting the match mask down by m - 1 lines it
+    up with bit p - 1; starts with fewer than m gaps meet no bit.  This is
+    the one elimination rule: ``identify.observe`` folds measured gaps
+    through it and :func:`stroke_profile` folds the table's own gaps.
     """
-    return candidates & (table.match_mask(gap, tolerance) >> (m - 1))
+    return candidates & (match >> (m - 1))
 
 
 def stroke_profile(
@@ -289,13 +269,15 @@ def stroke_profile(
     are replayed together and split by the exact value of their next gap.
     A group's members also share the length their common gaps wind, so each
     step adds its gap to that once, and a stroke is its start's gaps added
-    left to right.
+    left to right.  Every gap value is folded at k = 1, so its match mask
+    is taken once, up front.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
     gaps = table.gaps
     positions = table.gap_positions
+    masks = {gap: table.match_mask(gap, tolerance) for gap in positions}
     everyone = (1 << table.count) - 1
     identified: dict[int, StartStroke] = {}
     # (starts sharing their first k - 1 gaps, the candidates those gaps leave,
@@ -308,7 +290,7 @@ def stroke_profile(
             gap = gaps[(rest & -rest).bit_length() + k - 2]  # the lowest start's k-th gap
             subgroup = rest & (positions[gap] >> (k - 1))
             rest ^= subgroup
-            survivors = surviving_starts(table, candidates, k, gap, tolerance)
+            survivors = surviving_starts(candidates, k, masks[gap])
             stroke = wound + gap
             if survivors & (survivors - 1) == 0:
                 # Every start survives its own gaps, so the subgroup is that start.
@@ -343,29 +325,48 @@ def format_event_csv(table: EventTable, precision: str = "table") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a CSV document, each with its 1-based line number."""
+    return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def _read_csv_rows(
+    lines: list[tuple[int, str]], header: str, read_row: Callable[[list[str]], _Row]
+) -> list[_Row]:
+    """Read the rows under ``header`` from numbered lines (see :func:`_csv_lines`).
+
+    The first line must be the header.  Every later line must have as many
+    columns as the header and is read by ``read_row``; a ``ValueError`` it
+    raises names the line's number in the document.
+    """
+    if not lines or lines[0][1].strip() != header:
+        raise ValueError(f"expected header {header!r}")
+    columns = header.count(",") + 1
+    rows: list[_Row] = []
+    for lineno, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != columns:
+            raise ValueError(f"line {lineno}: expected {columns} columns, got {len(parts)}")
+        try:
+            rows.append(read_row(parts))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return rows
+
+
+def _event_row(parts: list[str]) -> Event:
+    event = Event(float(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
+    if not (math.isfinite(event.t) and math.isfinite(event.rho)):
+        raise ValueError(f"t and rho must be finite, got t={event.t} rho={event.rho}")
+    if event.i < 1 or event.j < 1:
+        raise ValueError(f"indices start at 1, got i={event.i} j={event.j}")
+    return event
+
+
 def parse_event_csv(text: str) -> EventTable:
     """Parse CSV produced by :func:`format_event_csv`.
 
     The gap column is derived data and is ignored on input.  Times and
     lengths must be finite and mark and sensor indices at least 1.
     """
-    lines = [ln for ln in io.StringIO(text).read().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != EVENT_CSV_HEADER:
-        raise ValueError(f"expected header {EVENT_CSV_HEADER!r}")
-    parsed: list[Event] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 columns, got {len(parts)}")
-        try:
-            event = Event(float(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not (math.isfinite(event.t) and math.isfinite(event.rho)):
-            raise ValueError(
-                f"line {lineno}: t and rho must be finite, got t={event.t} rho={event.rho}"
-            )
-        if event.i < 1 or event.j < 1:
-            raise ValueError(f"line {lineno}: indices start at 1, got i={event.i} j={event.j}")
-        parsed.append(event)
-    return EventTable(tuple(parsed))
+    return EventTable(tuple(_read_csv_rows(_csv_lines(text), EVENT_CSV_HEADER, _event_row)))

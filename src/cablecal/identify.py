@@ -126,7 +126,8 @@ def observe(state: IdentifierState, gap: float) -> IdentifierState:
     if state.status is not Status.AMBIGUOUS:
         raise ValueError(f"cannot observe on a {state.status.value} state")
     m = len(state.observed) + 1
-    survivors = surviving_starts(state.table, state.survivors, m, gap, state.tolerance)
+    match = state.table.match_mask(gap, state.tolerance)
+    survivors = surviving_starts(state.survivors, m, match)
     return replace(state, observed=state.observed + (gap,), survivors=survivors)
 
 

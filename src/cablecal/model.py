@@ -274,15 +274,7 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
         Condition("C1", not problems, "; ".join(problems) or f"d0={d0:.6g}")
     )
 
-    # C2: successive marks must not superpose.
-    bad = [idx + 1 for idx, gap in enumerate(d_gaps) if gap <= tol]
-    checks.append(
-        Condition(
-            "C2",
-            not bad,
-            f"zero mark gaps after marks {bad}" if bad else f"{len(d_gaps)} mark gaps",
-        )
-    )
+    checks.append(_no_coincidence("C2", "mark", d_gaps, tol))
 
     # C3: h - ||OS_1|| - d_n + b = 0.
     residual = g.h - design.sensors.heights[0] - dn + g.b
@@ -294,15 +286,7 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
         )
     )
 
-    # C4: successive sensors must not superpose.
-    bad = [idx + 1 for idx, gap in enumerate(z_gaps) if gap <= tol]
-    checks.append(
-        Condition(
-            "C4",
-            not bad,
-            f"zero sensor gaps after sensors {bad}" if bad else f"{len(z_gaps)} sensor gaps",
-        )
-    )
+    checks.append(_no_coincidence("C4", "sensor", z_gaps, tol))
 
     # C5: one event per instant once simultaneities are resolved.
     from . import events as _events  # local import: events builds on this module
@@ -320,32 +304,22 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
         )
     )
 
-    # C6: successive mark gaps must differ.
-    bad = [
-        idx + 1
-        for idx, (a, b_) in enumerate(zip(d_gaps, d_gaps[1:]))
-        if abs(b_ - a) <= tol
-    ]
-    checks.append(
-        Condition(
-            "C6",
-            not bad,
-            f"equal successive mark gaps at {bad}" if bad else "mark gaps vary",
-        )
-    )
-
-    # C7: successive sensor gaps must differ.
-    bad = [
-        idx + 1
-        for idx, (a, b_) in enumerate(zip(z_gaps, z_gaps[1:]))
-        if abs(b_ - a) <= tol
-    ]
-    checks.append(
-        Condition(
-            "C7",
-            not bad,
-            f"equal successive sensor gaps at {bad}" if bad else "sensor gaps vary",
-        )
-    )
+    checks.append(_gap_variation("C6", "mark", d_gaps, tol))
+    checks.append(_gap_variation("C7", "sensor", z_gaps, tol))
 
     return ConditionReport(tuple(checks))
+
+
+def _no_coincidence(name: str, element: str, gaps: tuple[float, ...], tol: float) -> Condition:
+    """C2/C4: no two successive elements coincide, i.e. every gap exceeds tol."""
+    bad = [idx + 1 for idx, gap in enumerate(gaps) if gap <= tol]
+    detail = f"zero {element} gaps after {element}s {bad}" if bad else f"{len(gaps)} {element} gaps"
+    return Condition(name, not bad, detail)
+
+
+def _gap_variation(name: str, element: str, gaps: tuple[float, ...], tol: float) -> Condition:
+    """C6/C7: the distance between successive elements varies, i.e. no two
+    successive gaps are equal within tol."""
+    bad = [idx + 1 for idx, (a, b) in enumerate(zip(gaps, gaps[1:])) if abs(b - a) <= tol]
+    detail = f"equal successive {element} gaps at {bad}" if bad else f"{element} gaps vary"
+    return Condition(name, not bad, detail)

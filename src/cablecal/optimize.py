@@ -110,14 +110,27 @@ class SearchResult(NamedTuple):
 
 
 def _assess(candidate: DesignRecipe, tolerance: float):
-    """(candidate, design, score) for a recipe whose design meets C1..C5, else None."""
+    """(candidate, design, score) for a recipe whose design meets C1..C5 and
+    can be scored, else None."""
     try:
         design, report = build_design(candidate)
     except InfeasibleRecipe:
         return None
     if not report.hard_pass:
         return None
-    return candidate, design, score(design, tolerance)
+    try:
+        scored = score(design, tolerance)
+    except ValueError:
+        # The tolerance is checked and the table rectified, so score refuses
+        # only a design of fewer than 3 events, which has no gap statistics.
+        return None
+    return candidate, design, scored
+
+
+def _swap_adjacent(pool: tuple[float, ...], rng: random.Random) -> tuple[float, ...]:
+    """``pool`` with one adjacent pair, drawn from ``rng``, swapped."""
+    k = rng.randrange(len(pool) - 1)
+    return pool[:k] + (pool[k + 1], pool[k]) + pool[k + 2 :]
 
 
 def search(
@@ -133,10 +146,10 @@ def search(
     otherwise seeded hill-climbing over adjacent swaps with random restarts
     explores it.  The given ordering is always evaluated first, so the
     result is never worse than the starting recipe; a zero budget evaluates
-    only that ordering.  Only designs that meet C1..C5 are returned.  The
-    trail records (evaluation index, score) for every improvement within
-    the budget.  Designs are scored at the gap match ``tolerance``.
-    Deterministic per seed.
+    only that ordering.  Only designs that meet C1..C5 and have the 3
+    events :func:`score` needs are returned.  The trail records (evaluation
+    index, score) for every improvement within the budget.  Designs are
+    scored at the gap match ``tolerance``.  Deterministic per seed.
 
     A revisited ordering counts against the budget but is not rebuilt or
     rescored: its first result is reused, and ``revisits`` counts how often.
@@ -194,17 +207,10 @@ def search(
                 stall = 0
                 continue
 
-            swap_d = len(current_d) > 1 and (len(current_z) <= 1 or rng.random() < 0.5)
-            if swap_d:
-                k = rng.randrange(len(current_d) - 1)
-                cand_d = list(current_d)
-                cand_d[k], cand_d[k + 1] = cand_d[k + 1], cand_d[k]
-                cand_d, cand_z = tuple(cand_d), current_z
+            if len(current_d) > 1 and (len(current_z) <= 1 or rng.random() < 0.5):
+                cand_d, cand_z = _swap_adjacent(current_d, rng), current_z
             else:
-                k = rng.randrange(len(current_z) - 1)
-                cand_z = list(current_z)
-                cand_z[k], cand_z[k + 1] = cand_z[k + 1], cand_z[k]
-                cand_d, cand_z = current_d, tuple(cand_z)
+                cand_d, cand_z = current_d, _swap_adjacent(current_z, rng)
 
             candidate = evaluate(cand_d, cand_z)
             if candidate is not None and compare(candidate[2], current[2]) < 0:

@@ -10,13 +10,12 @@ so traces are reproducible bit-for-bit across platforms.
 
 from __future__ import annotations
 
-import io
 import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .events import enumerate_events, rectify
+from .events import _csv_lines, _read_csv_rows, enumerate_events, rectify
 from .model import GEOM_TOL, CalibrationDesign
 
 TRACE_CSV_HEADER = "t,encoder_reading,truth_rho,truth_i,truth_j"
@@ -186,32 +185,24 @@ def parse_trace_csv(text: str) -> ObservationTrace:
     """
     start_rho: float | None = None
     stop_rho: float | None = None
-    lines = [ln for ln in io.StringIO(text).read().splitlines() if ln.strip()]
-    if lines and lines[0].startswith("#"):
-        for token in lines[0][1:].split():
+    lines = _csv_lines(text)
+    if lines and lines[0][1].startswith("#"):
+        for token in lines.pop(0)[1][1:].split():
             key, _, value = token.partition("=")
             if key == "start_rho":
                 start_rho = float(value)
             elif key == "stop_rho":
                 stop_rho = float(value)
-        lines = lines[1:]
-    if not lines or lines[0].strip() != TRACE_CSV_HEADER:
-        raise ValueError(f"expected header {TRACE_CSV_HEADER!r}")
-    records: list[TraceRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 columns, got {len(parts)}")
-        try:
-            records.append(
-                TraceRecord(
-                    t=float(parts[0]),
-                    reading=float(parts[1]),
-                    truth_rho=float(parts[2]) if parts[2] else None,
-                    truth_i=int(parts[3]) if parts[3] else None,
-                    truth_j=int(parts[4]) if parts[4] else None,
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    records = _read_csv_rows(lines, TRACE_CSV_HEADER, _trace_record)
     return ObservationTrace(tuple(records), start_rho, stop_rho)
+
+
+def _trace_record(parts: list[str]) -> TraceRecord:
+    t, reading, truth_rho, truth_i, truth_j = parts
+    return TraceRecord(
+        float(t),
+        float(reading),
+        float(truth_rho) if truth_rho else None,
+        int(truth_i) if truth_i else None,
+        int(truth_j) if truth_j else None,
+    )

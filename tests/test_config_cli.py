@@ -40,6 +40,100 @@ MEDIUM_LAYOUT = (
 )
 
 
+# What `validate` prints for each shipped config at its own geometric
+# tolerance and at 0.6 m, where C2, C4, C6 and C7 fail with index lists.
+VALIDATE_LINES = {
+    ("medium-cube", "1e-9"): (
+        0,
+        "C1  PASS  d0=1",
+        "C2  PASS  5 mark gaps",
+        "C3  PASS  h-OS1-dn+b = 0",
+        "C4  PASS  1 sensor gaps",
+        "C5  PASS  3 simultaneous detections resolved, 9 exploitable events",
+        "C6  WARN  equal successive mark gaps at [1, 2, 3, 4]",
+        "C7  PASS  sensor gaps vary",
+        "result: PASS with warnings (C6)",
+    ),
+    ("medium-cube", "0.6"): (
+        0,
+        "C1  PASS  d0=1",
+        "C2  PASS  5 mark gaps",
+        "C3  PASS  h-OS1-dn+b = 0",
+        "C4  PASS  1 sensor gaps",
+        "C5  PASS  3 simultaneous detections resolved, 9 exploitable events",
+        "C6  WARN  equal successive mark gaps at [1, 2, 3, 4]",
+        "C7  PASS  sensor gaps vary",
+        "result: PASS with warnings (C6)",
+    ),
+    ("large-cube", "1e-9"): (
+        0,
+        "C1  PASS  d0=0.5",
+        "C2  PASS  12 mark gaps",
+        "C3  PASS  h-OS1-dn+b = 0",
+        "C4  PASS  2 sensor gaps",
+        "C5  PASS  6 simultaneous detections resolved, 33 exploitable events",
+        "C6  PASS  mark gaps vary",
+        "C7  WARN  equal successive sensor gaps at [1]",
+        "result: PASS with warnings (C7)",
+    ),
+    ("large-cube", "0.6"): (
+        2,
+        "C1  FAIL  d0=0.5 is not positive",
+        "C2  FAIL  zero mark gaps after marks [5, 11]",
+        "C3  PASS  h-OS1-dn+b = 0",
+        "C4  PASS  2 sensor gaps",
+        "C5  FAIL  6 simultaneous detections resolved, 33 exploitable events; 17 unresolved ties",
+        "C6  WARN  equal successive mark gaps at [1, 2, 3, 5, 6, 7, 8, 10, 11]",
+        "C7  WARN  equal successive sensor gaps at [1]",
+        "result: FAIL (mandatory condition violated)",
+    ),
+    ("xl-cube", "1e-9"): (
+        0,
+        "C1  PASS  d0=0.25",
+        "C2  PASS  13 mark gaps",
+        "C3  PASS  h-OS1-dn+b = 0",
+        "C4  PASS  4 sensor gaps",
+        "C5  PASS  17 simultaneous detections resolved, 53 exploitable events",
+        "C6  PASS  mark gaps vary",
+        "C7  PASS  sensor gaps vary",
+        "result: PASS",
+    ),
+    ("xl-cube", "0.6"): (
+        2,
+        "C1  FAIL  d0=0.25 is not positive",
+        "C2  FAIL  zero mark gaps after marks [1, 10]",
+        "C3  PASS  h-OS1-dn+b = 0",
+        "C4  PASS  4 sensor gaps",
+        "C5  FAIL  17 simultaneous detections resolved, 53 exploitable events; 35 unresolved ties",
+        "C6  WARN  equal successive mark gaps at [1, 2, 3, 4, 5, 6, 7, 8, 11]",
+        "C7  WARN  equal successive sensor gaps at [3]",
+        "result: FAIL (mandatory condition violated)",
+    ),
+    ("workshop", "1e-9"): (
+        0,
+        "C1  PASS  d0=0.25",
+        "C2  PASS  10 mark gaps",
+        "C3  PASS  h-OS1-dn+b = 0",
+        "C4  PASS  2 sensor gaps",
+        "C5  PASS  7 simultaneous detections resolved, 26 exploitable events",
+        "C6  PASS  mark gaps vary",
+        "C7  PASS  sensor gaps vary",
+        "result: PASS",
+    ),
+    ("workshop", "0.6"): (
+        2,
+        "C1  FAIL  d0=0.25 is not positive",
+        "C2  FAIL  zero mark gaps after marks [1, 7, 8]",
+        "C3  PASS  h-OS1-dn+b = 0",
+        "C4  FAIL  zero sensor gaps after sensors [1]",
+        "C5  FAIL  7 simultaneous detections resolved, 26 exploitable events; 21 unresolved ties",
+        "C6  WARN  equal successive mark gaps at [1, 2, 3, 4, 5, 7, 8]",
+        "C7  PASS  sensor gaps vary",
+        "result: FAIL (mandatory condition violated)",
+    ),
+}
+
+
 class TestConfig:
     def test_shipped_configs_match_presets(self, config_dir):
         for name, build in presets.ALL.items():
@@ -173,6 +267,15 @@ class TestCliValidate:
         assert code == 1
         assert captured.out == ""
         assert "mark positions must be finite" in captured.err
+
+    @pytest.mark.parametrize("name,geom", VALIDATE_LINES)
+    def test_output_lines(self, config_dir, tmp_path, capsys, name, geom):
+        path = tmp_path / f"{name}.ini"
+        text = (config_dir / f"{name}.ini").read_text()
+        path.write_text(text.replace("geom = 1e-9", f"geom = {geom}"))
+        code, *lines = VALIDATE_LINES[name, geom]
+        assert main(["validate", str(path)]) == code
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -460,6 +563,19 @@ class TestCliOptimize:
         out = tmp_path / "best.ini"
         assert main(["optimize", str(cfg), "--budget", budget, "--out", str(out)]) == code
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "1", "10"])
+    def test_two_event_design_is_infeasible(self, tmp_path, capsys, budget):
+        # validate passes this design, but its two events give no gap
+        # statistics to rank it by.
+        cfg = tmp_path / "recipe.ini"
+        cfg.write_text("[geometry]\nh = 3\nrho_max = 4\n[recipe]\nd_pool = 1.0\nz_pool = 1.0\n")
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "best.ini"
+        assert main(["optimize", str(cfg), "--budget", budget, "--out", str(out)]) == 2
+        assert "infeasible: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_infeasible_recipe_exit_code(self, tmp_path):

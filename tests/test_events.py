@@ -27,6 +27,7 @@ from cablecal import events
 from cablecal.designer import InfeasibleRecipe
 from cablecal.events import StartStroke, format_event_csv, left_sum, parse_event_csv
 from cablecal.model import GEOM_TOL
+from cablecal.simulate import parse_trace_csv
 from conftest import FIVE_CENTIMETRE_POOLS
 
 # Reference tables for the medium fixture, transcribed row by row.
@@ -62,6 +63,15 @@ WORKSHOP_RECT_RHO = [
     12.5, 12.0, 11.25, 10.75, 10.25, 10.0, 9.5, 9.0, 8.5, 7.75, 7.5, 7.25,
     6.25, 5.75, 5.5, 5.0, 4.5, 4.25, 4.0, 3.75, 3.25, 3.0, 2.75, 2.5, 1.5, 1.0,
 ]
+
+# CSV documents whose bad row, substituted for ``{row}``, follows a blank
+# line: on physical line 4 of the event table and line 5 of the trace.
+EVENT_DOC = "t,i,j,rho,delta_rho\n1.0,1,1,6.0,\n\n{row}\n2.0,3,1,4.0,\n"
+TRACE_DOC = (
+    "# start_rho=9.1 stop_rho=7.4\nt,encoder_reading,truth_rho,truth_i,truth_j\n"
+    "0.1,0.1,9.0,5,1\n\n{row}\n"
+)
+
 
 def rows(table: EventTable) -> list[tuple[float, int, int, float]]:
     return [(e.t, e.i, e.j, e.rho) for e in table.events]
@@ -387,9 +397,8 @@ class TestSurvivingStarts:
                         if p <= len(gaps) - m + 1 and abs(gaps[p + m - 2] - gap) <= tolerance
                     }
                     want = sum(1 << (p - 1) for p in expected)
-                    assert events.surviving_starts(table, mask, m, gap, tolerance) == want
-                    # A second call may be served from the table's cache.
-                    assert events.surviving_starts(table, mask, m, gap, tolerance) == want
+                    match = table.match_mask(gap, tolerance)
+                    assert events.surviving_starts(mask, m, match) == want
 
 
 class TestStrokeProfile:
@@ -498,6 +507,24 @@ class TestStrokeProfile:
         stroke_profile(table, 0.05)
         assert 0 < calls <= 1000
 
+    def test_each_gap_value_is_matched_once(self, monkeypatch):
+        # A work bound for matching: every profile asks for each distinct
+        # gap value's mask at k = 1, and never needs another.
+        table = long_recipe_table()
+        calls = 0
+        match = EventTable.match_mask
+
+        def counting(self, gap, tolerance):
+            nonlocal calls
+            calls += 1
+            return match(self, gap, tolerance)
+
+        monkeypatch.setattr(EventTable, "match_mask", counting)
+        for tolerance in (0.05, 0.3):
+            calls = 0
+            stroke_profile(table, tolerance)
+            assert calls == len(table.gap_positions) == 4
+
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
     def test_rejects_unusable_tolerance(self, workshop, tolerance):
         # calibrate rejects these too; here they would mark (nearly) every
@@ -573,6 +600,27 @@ class TestEventCsv:
         with pytest.raises(ValueError, match=f"line 3: .*{fragment}"):
             parse_event_csv(text)
 
+    @pytest.mark.parametrize(
+        "parse,text,row,error",
+        [
+            (parse_event_csv, EVENT_DOC, "1.0,2,1", "expected 5 columns, got 3"),
+            (parse_event_csv, EVENT_DOC, "x,2,1,5.0,", "could not convert"),
+            (parse_event_csv, EVENT_DOC, "nan,2,1,5.0,", "t and rho must be finite"),
+            (parse_event_csv, EVENT_DOC, "1.0,0,1,5.0,", "indices start at 1"),
+            (parse_trace_csv, TRACE_DOC, "0.2,0.2,8.5", "expected 5 columns, got 3"),
+            (parse_trace_csv, TRACE_DOC, "0.2,x,8.5,4,1", "could not convert"),
+            (parse_trace_csv, TRACE_DOC, "0.2,0.2,8.5,x,1", "invalid literal for int"),
+        ],
+        ids=["event-columns", "event-float", "event-finite", "event-index", "trace-columns",
+             "trace-float", "trace-int"],
+    )
+    def test_errors_name_the_physical_line(self, parse, text, row, error):
+        # The bad row follows a blank line, and in a trace the drive comment
+        # as well; the line a reader's editor shows is the one to name.
+        lineno = text.splitlines().index("{row}") + 1
+        with pytest.raises(ValueError, match=f"^line {lineno}: {error}"):
+            parse(text.format(row=row))
+
     def test_bad_precision(self, medium):
         with pytest.raises(ValueError):
             format_event_csv(enumerate_events(medium), precision="3dp")
@@ -617,16 +665,16 @@ class TestEventTableValidation:
         assert repr(read) == repr(fresh)
         assert "gaps" not in repr(read)
 
-    def test_gap_index_and_match_cache_leave_equality_hash_and_repr_alone(self, workshop):
+    def test_gap_index_leaves_equality_hash_and_repr_alone(self, workshop):
         read = rectify(enumerate_events(workshop))
         fresh = rectify(enumerate_events(workshop))
-        stroke_profile(read, 0.05)  # fills the gap index and the match cache
+        stroke_profile(read, 0.05)  # fills the gap index
         assert read.gap_positions is read.gap_positions
-        assert {"gap_positions", "_match_masks"} <= vars(read).keys()
-        assert not {"gap_positions", "_match_masks"} & vars(fresh).keys()
+        assert "gap_positions" in vars(read)
+        assert "gap_positions" not in vars(fresh)
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)
-        assert "gap_positions" not in repr(read) and "_match_masks" not in repr(read)
+        assert "gap_positions" not in repr(read)
 
 
 class TestRowRecords:
