@@ -55,9 +55,15 @@ class EventTable:
     events: tuple[Event, ...]
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.events, self.events[1:]):
+        events = self.events
+        for a, b in zip(events, events[1:]):
             if not b.t >= a.t - GEOM_TOL:  # a nan time fails too
                 raise ValueError("events must be time-ordered")
+        # Ordered times are finite when the first and last are.
+        if events and not (math.isfinite(events[0].t) and math.isfinite(events[-1].t)):
+            raise ValueError("event times must be finite")
+        if not all(map(math.isfinite, self.rho_values)):
+            raise ValueError("event lengths must be finite")
 
     @property
     def count(self) -> int:
@@ -237,18 +243,18 @@ def delta_stats(table: EventTable) -> DeltaStats:
     return DeltaStats(mean=mean, std=math.sqrt(var), count=n)
 
 
-def surviving_starts(candidates: int, m: int, match: int) -> int:
-    """The candidate starts whose m-th table gap is in ``match``.
+def advance(current: int, match: int) -> int:
+    """The events the drive may be at after one more gap, given ``match``.
 
     ``match`` is an :meth:`EventTable.match_mask`: bit q is set when
-    ``gaps[q]`` matches the observed gap.  Start sets are bitmasks too: bit
-    p - 1 stands for the 1-based start p.  The m-th gap of start p is
-    ``gaps[p + m - 2]``, so shifting the match mask down by m - 1 lines it
-    up with bit p - 1; starts with fewer than m gaps meet no bit.  This is
-    the one elimination rule: ``identify.observe`` folds measured gaps
-    through it and :func:`stroke_profile` folds the table's own gaps.
+    ``gaps[q]`` matches the observed gap.  Event sets are bitmasks too: bit
+    q stands for the 1-based event q + 1 as the drive's current position.
+    A current event survives when its next table gap matches, and the drive
+    moves on to the event after it; the last event has no gap.  This is the
+    one elimination rule: ``identify.observe`` folds measured gaps through
+    it and :func:`stroke_profile` folds the table's own gaps.
     """
-    return candidates & (match >> (m - 1))
+    return (current & match) << 1
 
 
 def stroke_profile(
@@ -258,19 +264,19 @@ def stroke_profile(
 
     The profile is the identifier's elimination replayed on the table's own
     gaps: from the full candidate set, start p folds g_p, g_{p+1}, ...
-    through :func:`surviving_starts`, and k counts the gaps until p alone
-    survives, as on a clean ``calibrate`` drive.  Starts whose gaps run out
-    first (including the final event, which has none) are flagged rather
-    than scored.
+    through :func:`advance`, and k counts the gaps until a single current
+    event survives, as on a clean ``calibrate`` drive.  Starts whose gaps
+    run out first (including the final event, which has none) are flagged
+    rather than scored.
 
     The elimination is a function of the gaps folded so far, so starts that
     share a gap prefix hold the same candidates and share one
-    :func:`surviving_starts` call per step: groups of starts, as bitmasks,
-    are replayed together and split by the exact value of their next gap.
-    A group's members also share the length their common gaps wind, so each
-    step adds its gap to that once, and a stroke is its start's gaps added
-    left to right.  Every gap value is folded at k = 1, so its match mask
-    is taken once, up front.
+    :func:`advance` call per step: groups of starts are replayed together,
+    held as the mask of their current events, and split by the exact value
+    of their next gap.  A group's members also share the length their
+    common gaps wind, so each step adds its gap to that once, and a stroke
+    is its start's gaps added left to right.  Every gap value is folded at
+    k = 1, so its match mask is taken once, up front.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
@@ -280,24 +286,24 @@ def stroke_profile(
     masks = {gap: table.match_mask(gap, tolerance) for gap in positions}
     everyone = (1 << table.count) - 1
     identified: dict[int, StartStroke] = {}
-    # (starts sharing their first k - 1 gaps, the candidates those gaps leave,
-    # k, the length those gaps wind)
+    # (the current events of starts sharing their first k - 1 gaps, the
+    # candidates those gaps leave, k, the length those gaps wind)
     pending = [(everyone, everyone, 1, 0)]
     while pending:
-        group, candidates, k, wound = pending.pop()
-        rest = group & ((1 << (len(gaps) - k + 1)) - 1)  # the starts with a k-th gap
+        group, current, k, wound = pending.pop()
+        rest = group & (everyone >> 1)  # the events with a next gap
         while rest:
-            gap = gaps[(rest & -rest).bit_length() + k - 2]  # the lowest start's k-th gap
-            subgroup = rest & (positions[gap] >> (k - 1))
+            gap = gaps[(rest & -rest).bit_length() - 1]  # the lowest event's next gap
+            subgroup = rest & positions[gap]
             rest ^= subgroup
-            survivors = surviving_starts(candidates, k, masks[gap])
+            after = advance(current, masks[gap])
             stroke = wound + gap
-            if survivors & (survivors - 1) == 0:
+            if after & (after - 1) == 0:
                 # Every start survives its own gaps, so the subgroup is that start.
-                p = survivors.bit_length()
+                p = after.bit_length() - k
                 identified[p] = StartStroke(p, k, stroke)
             else:
-                pending.append((subgroup, survivors, k + 1, stroke))
+                pending.append((subgroup << 1, after, k + 1, stroke))
     return StrokeProfile(
         tuple(identified.get(p) or StartStroke(p, None, None) for p in range(1, table.count + 1))
     )

@@ -13,7 +13,7 @@ import enum
 import functools
 from dataclasses import dataclass, replace
 
-from .events import EventTable, enumerate_events, left_sum, rectify, surviving_starts
+from .events import EventTable, advance, enumerate_events, left_sum, rectify
 from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
 from .simulate import ObservationTrace
 
@@ -29,34 +29,27 @@ class Status(str, enum.Enum):
 
 @dataclass(frozen=True)
 class IdentifierState:
-    """Survivor set after some number of observed gaps.
+    """Candidate set after some number of observed gaps.
 
-    A state holds only the table, the tolerance, the observed gaps and the
-    survivors: a bitmask in which bit p - 1 stands for the 1-based starting
-    index p into the rectified table.  ``candidates`` lists them as a
-    frozenset.  The status is read from the survivors: none is no_match,
-    one start p is identified at event p + len(observed), more are
-    ambiguous.
+    A state holds only the table, the tolerance, the observed gaps and
+    ``current``: a bitmask in which bit q stands for the 1-based event
+    q + 1 of the rectified table as the drive's current position.  The
+    status is read from it: no candidate is no_match, one event is
+    identified, more are ambiguous.
     """
 
     table: EventTable
     tolerance: float
     observed: tuple[float, ...]
-    survivors: int
-
-    @property
-    def candidates(self) -> frozenset[int]:
-        return frozenset(
-            p for p in range(1, self.survivors.bit_length() + 1) if self.survivors >> (p - 1) & 1
-        )
+    current: int
 
     @property
     def candidate_count(self) -> int:
-        return self.survivors.bit_count()
+        return self.current.bit_count()
 
     @property
     def status(self) -> Status:
-        if not self.survivors:
+        if not self.current:
             return Status.NO_MATCH
         return Status.IDENTIFIED if self.candidate_count == 1 else Status.AMBIGUOUS
 
@@ -64,7 +57,7 @@ class IdentifierState:
     def identified_index(self) -> int | None:
         if self.status is not Status.IDENTIFIED:
             return None
-        return self.survivors.bit_length() + len(self.observed)
+        return self.current.bit_length()
 
     @property
     def identified_rho(self) -> float | None:
@@ -117,18 +110,16 @@ def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> Identi
         table=table,
         tolerance=tolerance,
         observed=(),
-        survivors=(1 << table.count) - 1,
+        current=(1 << table.count) - 1,
     )
 
 
 def observe(state: IdentifierState, gap: float) -> IdentifierState:
-    """Fold one measured gap into the survivor set; survivors only shrink."""
+    """Fold one measured gap into the candidates; their count only shrinks."""
     if state.status is not Status.AMBIGUOUS:
         raise ValueError(f"cannot observe on a {state.status.value} state")
-    m = len(state.observed) + 1
-    match = state.table.match_mask(gap, state.tolerance)
-    survivors = surviving_starts(state.survivors, m, match)
-    return replace(state, observed=state.observed + (gap,), survivors=survivors)
+    current = advance(state.current, state.table.match_mask(gap, state.tolerance))
+    return replace(state, observed=state.observed + (gap,), current=current)
 
 
 def _exhaustion_estimate(design: CalibrationDesign, wound: float) -> float | None:
@@ -242,7 +233,7 @@ def run_trace(
     if status is not Status.IDENTIFIED:
         return CalibrationResult(status, None, None, tuple(history))
 
-    (first,) = state.candidates
+    first = state.identified_index - len(state.observed)
     stroke = table.events[first - 1].rho - state.identified_rho
 
     scale = offset = None

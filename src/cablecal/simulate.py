@@ -183,18 +183,19 @@ def parse_trace_csv(text: str) -> ObservationTrace:
     The metadata comment is optional (hardware logs will not have it); the
     drive window is then unknown and exhaustion checks are skipped.
     """
-    start_rho: float | None = None
-    stop_rho: float | None = None
+    window: dict[str, float] = {}
     lines = _csv_lines(text)
     if lines and lines[0][1].startswith("#"):
-        for token in lines.pop(0)[1][1:].split():
+        lineno, comment = lines.pop(0)
+        for token in comment[1:].split():
             key, _, value = token.partition("=")
-            if key == "start_rho":
-                start_rho = float(value)
-            elif key == "stop_rho":
-                stop_rho = float(value)
+            if key in ("start_rho", "stop_rho"):
+                try:
+                    window[key] = float(value)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {key}: {exc}") from None
     records = _read_csv_rows(lines, TRACE_CSV_HEADER, _trace_record)
-    return ObservationTrace(tuple(records), start_rho, stop_rho)
+    return ObservationTrace(tuple(records), window.get("start_rho"), window.get("stop_rho"))
 
 
 def _trace_record(parts: list[str]) -> TraceRecord:

@@ -457,6 +457,22 @@ class TestCliCalibrate:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "meta,key",
+        [("start_rho=abc stop_rho=1.0", "start_rho"), ("start_rho=3.8 stop_rho=", "stop_rho")],
+    )
+    def test_unreadable_drive_window_names_line_and_key(
+        self, config_dir, tmp_path, capsys, meta, key
+    ):
+        # The blank line above the comment makes the comment line 2.
+        trace = tmp_path / "window.csv"
+        trace.write_text(f"\n# {meta}\nt,encoder_reading,truth_rho,truth_i,truth_j\n")
+        code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"error: {trace}: line 2: {key}: could not convert string to float" in captured.err
+
     @pytest.mark.parametrize("column,value", [(0, "nan"), (1, "nan"), (1, "inf"), (2, "nan")])
     def test_non_finite_record_is_usage_error(self, config_dir, tmp_path, capsys, column, value):
         # A NaN reading must not end in no_match, which blames the sensors.

@@ -370,7 +370,7 @@ class TestDeltaStats:
             delta_stats(table)
 
 
-class TestSurvivingStarts:
+class TestAdvance:
     @pytest.mark.parametrize("tolerance", [0.05, 0.25, 0.3])
     def test_matches_set_oracle(self, tolerance):
         # Quarter-metre gaps and a 0.25 tolerance put probes exactly on the
@@ -385,20 +385,20 @@ class TestSurvivingStarts:
             ]
             table = table_winding(drawn)
             gaps = table.gaps
-            candidates = {p for p in range(1, table.count + 1) if rng.random() < 0.7}
-            mask = sum(1 << (p - 1) for p in candidates)
+            current = {e for e in range(1, table.count + 1) if rng.random() < 0.7}
+            mask = sum(1 << (e - 1) for e in current)  # bit q stands for event q + 1
             probes = {rng.uniform(0.0, 2.5)}
             probes.update(g + o for g in gaps for o in (-tolerance, 0.0, tolerance))
-            for m in range(1, len(gaps) + 2):
-                for gap in sorted(probes):
-                    expected = {
-                        p
-                        for p in candidates
-                        if p <= len(gaps) - m + 1 and abs(gaps[p + m - 2] - gap) <= tolerance
-                    }
-                    want = sum(1 << (p - 1) for p in expected)
-                    match = table.match_mask(gap, tolerance)
-                    assert events.surviving_starts(mask, m, match) == want
+            for gap in sorted(probes):
+                # Event q + 1 survives on its next gap, gaps[q], and moves on to q + 2.
+                expected = {
+                    q + 2
+                    for q in range(len(gaps))
+                    if q + 1 in current and abs(gaps[q] - gap) <= tolerance
+                }
+                want = sum(1 << (e - 1) for e in expected)
+                match = table.match_mask(gap, tolerance)
+                assert events.advance(mask, match) == want
 
 
 class TestStrokeProfile:
@@ -496,14 +496,14 @@ class TestStrokeProfile:
         # 6,784 elimination steps on this table.
         table = long_recipe_table()
         calls = 0
-        match = events.surviving_starts
+        advance = events.advance
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return match(*args)
+            return advance(*args)
 
-        monkeypatch.setattr(events, "surviving_starts", counting)
+        monkeypatch.setattr(events, "advance", counting)
         stroke_profile(table, 0.05)
         assert 0 < calls <= 1000
 
@@ -656,6 +656,26 @@ class TestEventTableValidation:
     def test_rejects_a_nan_time(self):
         with pytest.raises(ValueError, match="time-ordered"):
             EventTable((Event(0.0, 1, 1, 3.0), Event(math.nan, 2, 1, 2.0), Event(-5.0, 3, 1, 1.0)))
+
+    def test_rejects_a_nan_length(self):
+        # Unchecked, the gap statistics are nan and the profile leaves two
+        # of the four starts unidentifiable.
+        events = (Event(0.0, 1, 1, math.nan), Event(1.0, 2, 1, 1.0),
+                  Event(2.0, 3, 1, 0.5), Event(3.0, 4, 1, 0.25))
+        with pytest.raises(ValueError, match="lengths must be finite"):
+            EventTable(events)
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            (Event(math.nan, 1, 1, 1.0),),
+            (Event(0.0, 1, 1, 3.0), Event(1.0, 2, 1, 2.0), Event(math.inf, 3, 1, 1.0)),
+        ],
+        ids=["lone-nan", "trailing-inf"],
+    )
+    def test_rejects_a_non_finite_time_the_order_check_passes(self, events):
+        with pytest.raises(ValueError, match="times must be finite"):
+            EventTable(events)
 
     def test_cached_gaps_leave_equality_and_hash_alone(self, workshop):
         read = rectify(enumerate_events(workshop))
