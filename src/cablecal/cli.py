@@ -2,8 +2,7 @@
 
 Exit codes are stable and scripted against:
 
-    0  success (condition warnings included); calibration status
-       identified or identified_by_exhaustion
+    0  success (condition warnings included); calibration status identified
     1  usage or config/trace parse error
     2  mandatory placement condition failed, or infeasible optimisation
     3  calibration status no_match: no matching sequence
@@ -36,7 +35,6 @@ EXIT_AMBIGUOUS = 4
 
 EXIT_FOR_STATUS = {
     Status.IDENTIFIED: EXIT_OK,
-    Status.IDENTIFIED_BY_EXHAUSTION: EXIT_OK,
     Status.NO_MATCH: EXIT_NO_MATCH,
     Status.AMBIGUOUS: EXIT_AMBIGUOUS,
 }

@@ -104,13 +104,13 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     for option in ("h", "rho_max"):
         if not parser.has_option("geometry", option):
             raise ConfigError(f"{where}: [geometry] needs '{option}'")
+    given = {
+        option: _float(parser, "geometry", option, where)
+        for option in ("h", "rho_max", "v", "b")
+        if parser.has_option("geometry", option)
+    }
     try:
-        geometry = RobotGeometry(
-            h=_float(parser, "geometry", "h", where),
-            rho_max=_float(parser, "geometry", "rho_max", where),
-            v=_float(parser, "geometry", "v", where) if parser.has_option("geometry", "v") else 1.0,
-            b=_float(parser, "geometry", "b", where) if parser.has_option("geometry", "b") else 1.0,
-        )
+        geometry = RobotGeometry(**given)
     except ValueError as exc:
         raise ConfigError(f"{where}: [geometry] {exc}") from None
 
@@ -135,12 +135,10 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
         for option in ("sensor_heights", "mark_positions"):
             if not parser.has_option("layout", option):
                 raise ConfigError(f"{where}: [layout] needs '{option}'")
+        sensors = _floats(parser.get("layout", "sensor_heights"), f"{where}: [layout] sensor_heights")
+        marks = _floats(parser.get("layout", "mark_positions"), f"{where}: [layout] mark_positions")
         try:
-            design = CalibrationDesign(
-                geometry,
-                SensorLayout(_floats(parser.get("layout", "sensor_heights"), f"{where}: [layout] sensor_heights")),
-                MarkLayout(_floats(parser.get("layout", "mark_positions"), f"{where}: [layout] mark_positions")),
-            )
+            design = CalibrationDesign(geometry, SensorLayout(sensors), MarkLayout(marks))
         except ValueError as exc:
             raise ConfigError(f"{where}: [layout] {exc}") from None
         return LoadedConfig(design, None, geom_tol, gap_tol)

@@ -4,7 +4,9 @@ The first detection says nothing about where on the cable we are.  Every
 further detection contributes one observed length gap; table positions whose
 gap run disagrees are eliminated.  A single survivor identifies the event
 sequence and therefore the absolute cable length; an empty survivor set
-signals a sensor fault or a design/trace mismatch.
+signals a sensor fault or a design/trace mismatch.  Elimination is the only
+way to a length: a drive that ends with several survivors is ambiguous,
+however far it wound after its last detection.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ class Status(str, enum.Enum):
 
     AMBIGUOUS = "ambiguous"
     IDENTIFIED = "identified"
-    IDENTIFIED_BY_EXHAUSTION = "identified_by_exhaustion"
     NO_MATCH = "no_match"
 
 
@@ -122,20 +123,6 @@ def observe(state: IdentifierState, gap: float) -> IdentifierState:
     return replace(state, observed=state.observed + (gap,), current=current)
 
 
-def _exhaustion_estimate(design: CalibrationDesign, wound: float) -> float | None:
-    """Length estimate after winding ``wound`` metres without a detection.
-
-    Winding strictly more than d_n - d_0 without a detection means the
-    remaining cable is the mark-free distal segment; the length estimate is
-    then the last-event length plus that spacing.  Below the threshold there
-    is no estimate.
-    """
-    spacing = design.marks.distal_reserve - design.proximal_reserve
-    if wound <= spacing:
-        return None
-    return design.rho_at(design.marks.count, 1) + spacing
-
-
 @dataclass(frozen=True)
 class ClosedLoopCorrector:
     """Least-squares encoder correction from identified lengths.
@@ -202,34 +189,25 @@ def run_trace(
     the encoder-measured gap.  On identification every record maps back to
     a table event, all of them feed the encoder corrector, and the stroke
     is the table length wound from the first to the identifying detection.
-    A trace that ends ambiguous falls back to the exhaustion estimate when
-    the drive continued far enough past the last detection, or past the
-    drive start when there was none.  The tolerance is checked even when
-    the trace has no detection to match.
+    A trace that ends with more than one candidate left, or with no
+    detection at all, is ambiguous and carries no length.  The status rests
+    on the encoder readings alone: neither the truth columns nor the drive's
+    stop length are read, and its start length only anchors the corrector.
+    The tolerance is checked even when the trace has no detection to match.
     """
     check_gap_tolerance(tolerance)
     table = rectify(enumerate_events(design))
     records = trace.records
-    history: list[int] = []
-    status = Status.AMBIGUOUS
-    last_rho = trace.start_rho  # length at the last detection, or at the drive start
-    if records:
-        state = start(table, tolerance)
+    if not records:
+        return CalibrationResult(Status.AMBIGUOUS, None, None, ())
+    state = start(table, tolerance)
+    history = [state.candidate_count]
+    for prev, rec in zip(records, records[1:]):
+        state = observe(state, rec.reading - prev.reading)
         history.append(state.candidate_count)
-        for prev, rec in zip(records, records[1:]):
-            state = observe(state, rec.reading - prev.reading)
-            history.append(state.candidate_count)
-            if state.terminal:
-                break
-        status = state.status
-        last_rho = records[len(history) - 1].truth_rho
-
-    if status is Status.AMBIGUOUS and last_rho is not None and trace.stop_rho is not None:
-        estimate = _exhaustion_estimate(design, last_rho - trace.stop_rho)
-        if estimate is not None:
-            return CalibrationResult(
-                Status.IDENTIFIED_BY_EXHAUSTION, estimate, None, tuple(history)
-            )
+        if state.terminal:
+            break
+    status = state.status
     if status is not Status.IDENTIFIED:
         return CalibrationResult(status, None, None, tuple(history))
 

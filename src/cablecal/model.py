@@ -262,8 +262,10 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
 
     # C1: d_0 = min of {d_0} U {d_i}, and ||OS_n|| = h - d_0.
     problems = []
-    if d0 <= tol:
+    if d0 <= 0:
         problems.append(f"d0={d0:.6g} is not positive")
+    elif d0 <= tol:
+        problems.append(f"d0={d0:.6g} is within tolerance {tol:.6g} of zero")
     if d_gaps and min(d_gaps) < d0 - tol:
         problems.append(f"d0={d0:.6g} exceeds smallest mark gap {min(d_gaps):.6g}")
     if abs(top_sensor - (g.h - d0)) > tol:

@@ -181,7 +181,7 @@ def parse_trace_csv(text: str) -> ObservationTrace:
     """Parse CSV produced by :func:`format_trace_csv`.
 
     The metadata comment is optional (hardware logs will not have it); the
-    drive window is then unknown and exhaustion checks are skipped.
+    drive window is then unknown, and calibration fits no encoder corrector.
     """
     window: dict[str, float] = {}
     lines = _csv_lines(text)

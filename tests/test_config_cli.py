@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
-from cablecal import config, presets, validate_design
-from cablecal.cli import main
+from cablecal import Status, config, presets, validate_design
+from cablecal.cli import EXIT_FOR_STATUS, main
 from cablecal.config import ConfigError, dump_design, load_config
 from cablecal.events import parse_event_csv, enumerate_events, rectify
 from cablecal.simulate import parse_trace_csv
+from conftest import ONE_SENSOR
 
 RECIPE_CONFIG = """\
 [geometry]
@@ -78,7 +82,7 @@ VALIDATE_LINES = {
     ),
     ("large-cube", "0.6"): (
         2,
-        "C1  FAIL  d0=0.5 is not positive",
+        "C1  FAIL  d0=0.5 is within tolerance 0.6 of zero",
         "C2  FAIL  zero mark gaps after marks [5, 11]",
         "C3  PASS  h-OS1-dn+b = 0",
         "C4  PASS  2 sensor gaps",
@@ -100,7 +104,7 @@ VALIDATE_LINES = {
     ),
     ("xl-cube", "0.6"): (
         2,
-        "C1  FAIL  d0=0.25 is not positive",
+        "C1  FAIL  d0=0.25 is within tolerance 0.6 of zero",
         "C2  FAIL  zero mark gaps after marks [1, 10]",
         "C3  PASS  h-OS1-dn+b = 0",
         "C4  PASS  4 sensor gaps",
@@ -122,7 +126,7 @@ VALIDATE_LINES = {
     ),
     ("workshop", "0.6"): (
         2,
-        "C1  FAIL  d0=0.25 is not positive",
+        "C1  FAIL  d0=0.25 is within tolerance 0.6 of zero",
         "C2  FAIL  zero mark gaps after marks [1, 7, 8]",
         "C3  PASS  h-OS1-dn+b = 0",
         "C4  FAIL  zero sensor gaps after sensors [1]",
@@ -220,6 +224,23 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "old,new,section",
+        [
+            ("h = 6", "h = banana", "geometry"),
+            ("rho_max = 11", "rho_max = 11\nv = x", "geometry"),
+            ("2 5", "2 x", "layout"),
+            ("10 9", "10 x", "layout"),
+        ],
+    )
+    def test_unreadable_value_names_file_once(self, tmp_path, old, new, section):
+        path = tmp_path / "bad.ini"
+        path.write_text(MEDIUM_LAYOUT.replace(old, new))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: [{section}] ")
+        assert str(err.value).count(str(path)) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -400,14 +421,29 @@ class TestCliCalibrate:
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(bad)])
         assert code == 3
 
-    def test_empty_drive_is_identified_by_exhaustion(self, config_dir, tmp_path, capsys):
+    def test_empty_drive_is_ambiguous(self, config_dir, tmp_path, capsys):
         trace = tmp_path / "empty.csv"
         trace.write_text("# start_rho=3.8 stop_rho=1.0\nt,encoder_reading,truth_rho,truth_i,truth_j\n")
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(trace)])
         out = capsys.readouterr().out
-        assert code == 0
-        assert "status: identified_by_exhaustion" in out
-        assert "rho: 3.75" in out
+        assert code == 4
+        assert "status: ambiguous" in out
+        assert "rho: -" in out
+
+    @pytest.mark.parametrize("start,stop", [("10.95", "9.8"), ("9.9", "7.9")])
+    def test_long_silent_wind_is_ambiguous(self, tmp_path, capsys, start, stop):
+        # A conforming design and a healthy drive that winds more than
+        # d_n - d_0 after its start or last detection: no confident length.
+        design = tmp_path / "one-sensor.ini"
+        design.write_text(dump_design(ONE_SENSOR))
+        trace = tmp_path / "trace.csv"
+        assert main(
+            ["simulate", str(design), "--start", start, "--stop", stop, "--out", str(trace)]
+        ) == 0
+        code = main(["calibrate", str(design), "--trace", str(trace)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 4
+        assert lines[:2] == ["status: ambiguous", "rho: -"]
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_is_usage_error(self, config_dir, tmp_path, capsys, tolerance):
@@ -446,9 +482,8 @@ class TestCliCalibrate:
         ["start_rho=nan stop_rho=1.0", "start_rho=3.8 stop_rho=nan", "start_rho=inf stop_rho=1.0"],
     )
     def test_non_finite_drive_window_is_usage_error(self, config_dir, tmp_path, capsys, meta):
-        # NaN fails every comparison, so without the check an empty drive
-        # with a NaN window would pass the exhaustion threshold and print a
-        # length.
+        # A non-finite drive window is malformed input, whatever the
+        # identifier makes of the records.
         trace = tmp_path / "empty.csv"
         trace.write_text(f"# {meta}\nt,encoder_reading,truth_rho,truth_i,truth_j\n")
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(trace)])
@@ -613,3 +648,25 @@ class TestConfigDirEnv:
         local.write_text("[geometry]\nh = banana\n")
         monkeypatch.chdir(tmp_path)
         assert main(["validate", "workshop.ini"]) == 1  # the local broken file is used
+
+
+class TestReadmeExitCodes:
+    def test_tables_list_every_status_with_its_exit_code(self):
+        # Both exit-code tables of the README, so the documented contract
+        # cannot drift from `Status` and `EXIT_FOR_STATUS`.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n### Exit codes\n", 1)[1].split("\n## ", 1)[0]
+        codes, statuses = (
+            [[cell.strip() for cell in row.strip("|").split("|")] for row in table.splitlines()[2:]]
+            for table in re.findall(r"((?:^\|.*\|\n)+)", section, re.MULTILINE)
+        )
+        assert set(EXIT_FOR_STATUS) == set(Status)
+        assert sorted(
+            (status, int(code))
+            for code, meaning in codes
+            for status in re.findall(r"`(\w+)`", meaning)
+        ) == sorted((status.value, code) for status, code in EXIT_FOR_STATUS.items())
+        assert sorted(map(tuple, statuses)) == sorted(
+            (f"`{status.value}`", f"`{status.name}`", str(code))
+            for status, code in EXIT_FOR_STATUS.items()
+        )

@@ -23,9 +23,10 @@ from cablecal import (
     simulate,
     start,
     stroke_profile,
+    validate_design,
 )
 from cablecal import presets
-from conftest import FIVE_CENTIMETRE_POOLS
+from conftest import FIVE_CENTIMETRE_POOLS, ONE_SENSOR
 
 # Every design whose profile the identifier is checked against: the presets
 # and the 5 cm recipes, on which 0.01 and 0.05 give different profiles.
@@ -33,6 +34,12 @@ PROFILE_DESIGNS = {name: build() for name, build in presets.ALL.items()}
 for n, (d_pool, z_pool) in enumerate(FIVE_CENTIMETRE_POOLS, start=1):
     recipe = DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool)
     PROFILE_DESIGNS[f"5cm-{n}"] = build_design(recipe).design
+
+
+def without_truth(trace: ObservationTrace) -> ObservationTrace:
+    """The same drive as a hardware log records it: no truth columns."""
+    records = tuple(r._replace(truth_rho=None, truth_i=None, truth_j=None) for r in trace.records)
+    return ObservationTrace(records, trace.start_rho, trace.stop_rho)
 
 
 @pytest.fixture
@@ -230,11 +237,10 @@ class TestRunTrace:
         assert result.corrector_scale == pytest.approx(1.02)
         assert result.corrector_offset == pytest.approx(5.0)
 
-    def test_empty_trace_beyond_spacing_estimates_by_exhaustion(self, workshop):
+    def test_empty_trace_beyond_spacing_is_ambiguous(self, workshop):
         trace = ObservationTrace((), start_rho=4.0, stop_rho=1.0)
         result = run_trace(workshop, trace)
-        assert result.status is Status.IDENTIFIED_BY_EXHAUSTION
-        assert result.rho == pytest.approx(3.75)
+        assert result.status is Status.AMBIGUOUS and result.rho is None
         assert result.detections_used == 0
 
     def test_empty_trace_short_drive_is_ambiguous(self, workshop):
@@ -242,12 +248,11 @@ class TestRunTrace:
         result = run_trace(workshop, trace)
         assert result.status is Status.AMBIGUOUS
 
-    # Exhaustion: winding strictly more than d_n - d_0 = 3.00 - 0.25 m without
-    # a detection leaves only the distal segment, 1.00 + 2.75 m.
-    def test_empty_drive_past_largest_spacing_is_exhausted(self, workshop):
+    # Winding more, less or exactly d_n - d_0 = 3.00 - 0.25 m without a
+    # detection gives no length: only elimination identifies.
+    def test_empty_drive_past_largest_spacing_is_ambiguous(self, workshop):
         result = run_trace(workshop, ObservationTrace((), start_rho=3.80, stop_rho=1.0))
-        assert result.status is Status.IDENTIFIED_BY_EXHAUSTION
-        assert result.rho == pytest.approx(3.75)
+        assert result.status is Status.AMBIGUOUS and result.rho is None
         assert result.candidate_history == ()
 
     def test_empty_drive_below_largest_spacing_is_ambiguous(self, workshop):
@@ -259,15 +264,26 @@ class TestRunTrace:
         result = run_trace(workshop, ObservationTrace((), start_rho=3.75, stop_rho=1.0))
         assert result.status is Status.AMBIGUOUS and result.rho is None
 
-    def test_drive_past_largest_spacing_after_last_detection_is_exhausted(self, workshop):
+    def test_drive_past_largest_spacing_after_last_detection_is_ambiguous(self, workshop):
         full = simulate(workshop, EncoderModel(), 9.1, 1.0)
         trace = ObservationTrace(full.records[:2], full.start_rho, full.stop_rho)
         result = run_trace(workshop, trace)
-        assert result.status is Status.IDENTIFIED_BY_EXHAUSTION
-        assert result.rho == pytest.approx(3.75)
+        assert result.status is Status.AMBIGUOUS and result.rho is None
         assert result.detections_used == 2
         assert result.stroke is None
         assert result.candidate_history == (26, 11)
+
+    @pytest.mark.parametrize("start_rho,stop_rho", [(10.95, 9.8), (9.9, 7.9)])
+    def test_long_silent_wind_on_a_conforming_design_gives_no_length(
+        self, start_rho, stop_rho
+    ):
+        # Both healthy drives wind more than 1.0 m after their start or their
+        # last detection; neither leaves a single candidate.
+        assert validate_design(ONE_SENSOR).all_pass
+        trace = simulate(ONE_SENSOR, EncoderModel(), start_rho, stop_rho)
+        result = run_trace(ONE_SENSOR, trace)
+        assert result.status is Status.AMBIGUOUS and result.rho is None
+        assert run_trace(ONE_SENSOR, without_truth(trace)) == result
 
     def test_status_is_the_printed_string(self, workshop):
         result = run_trace(workshop, simulate(workshop, EncoderModel(), 9.1, 8.4))
@@ -332,6 +348,22 @@ class TestHistoryOracle:
                 assert list(result.candidate_history) == replayed_history(
                     table, readings, tolerance
                 )
+
+
+class TestTruthFree:
+    @pytest.mark.parametrize("name", sorted(presets.ALL))
+    def test_truth_columns_do_not_change_the_result(self, name):
+        # From every start: the clean drive, the drive with its second
+        # detection missed, and the drive cut after two detections.
+        design = presets.ALL[name]()
+        table = rectify(enumerate_events(design))
+        for event in table.events:
+            start_rho = min(event.rho + 0.01, design.geometry.rho_max)
+            clean = simulate(design, EncoderModel(), start_rho, design.geometry.b)
+            records = clean.records
+            for kept in (records, records[:1] + records[2:], records[:2]):
+                drive = ObservationTrace(kept, clean.start_rho, clean.stop_rho)
+                assert run_trace(design, without_truth(drive)) == run_trace(design, drive)
 
 
 class TestReadme:

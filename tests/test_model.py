@@ -191,6 +191,21 @@ class TestValidateDesign:
                 design.geometry.b, abs=2e-9
             )
 
+    def test_c1_non_positive_reserve(self, medium):
+        # The first mark at rho_max leaves d0 = 0.
+        design = CalibrationDesign(
+            RobotGeometry(h=6, rho_max=10), medium.sensors, medium.marks
+        )
+        c1 = validate_design(design)["C1"]
+        assert not c1.passed
+        assert "d0=0 is not positive" in c1.detail
+
+    def test_c1_reserve_within_tolerance_of_zero(self, large):
+        # d0 = 0.5 is positive but no larger than a 0.6 m tolerance.
+        c1 = validate_design(large, 0.6)["C1"]
+        assert not c1.passed
+        assert c1.detail == "d0=0.5 is within tolerance 0.6 of zero"
+
     def test_pure(self, workshop):
         assert validate_design(workshop) == validate_design(workshop)
 
