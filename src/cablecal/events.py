@@ -13,8 +13,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import NamedTuple, TypeVar
 
 from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
@@ -37,6 +38,15 @@ class Event(NamedTuple):
     rho: float
 
 
+_time = operator.itemgetter(0)  # an event's t
+
+
+def _new_instants(times: tuple[float, ...]) -> Iterator[bool]:
+    """For each time after the first, whether it lies more than ``GEOM_TOL``
+    after the one before it, i.e. does not share that event's instant."""
+    return map(operator.gt, times[1:], map(operator.add, times, repeat(GEOM_TOL)))
+
+
 @dataclass(frozen=True)
 class EventTable:
     """Time-ordered detection events with derived length gaps.
@@ -47,20 +57,21 @@ class EventTable:
 
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
-    collects the gaps that match a given one.  Like ``rho_values`` and
-    ``gaps``, the index is computed on first use and is not a field, so it
-    stays out of equality, hashing and repr.
+    collects the gaps that match a given one.  Like the ``times`` and
+    ``rho_values`` columns and ``gaps``, the index is computed on first use
+    and is not a field, so it stays out of equality, hashing and repr.  The
+    checks on a table compare whole columns.
     """
 
     events: tuple[Event, ...]
 
     def __post_init__(self) -> None:
-        events = self.events
-        for a, b in zip(events, events[1:]):
-            if not b.t >= a.t - GEOM_TOL:  # a nan time fails too
-                raise ValueError("events must be time-ordered")
+        times = self.times
+        # A time may lie up to GEOM_TOL before the one before it; a nan fails.
+        if not all(map(operator.ge, times[1:], map(operator.sub, times, repeat(GEOM_TOL)))):
+            raise ValueError("events must be time-ordered")
         # Ordered times are finite when the first and last are.
-        if events and not (math.isfinite(events[0].t) and math.isfinite(events[-1].t)):
+        if times and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
             raise ValueError("event times must be finite")
         if not all(map(math.isfinite, self.rho_values)):
             raise ValueError("event lengths must be finite")
@@ -71,7 +82,11 @@ class EventTable:
 
     @functools.cached_property
     def rectified(self) -> bool:
-        return all(b.t > a.t + GEOM_TOL for a, b in zip(self.events, self.events[1:]))
+        return all(_new_instants(self.times))
+
+    @functools.cached_property
+    def times(self) -> tuple[float, ...]:
+        return tuple(map(_time, self.events))
 
     @functools.cached_property
     def rho_values(self) -> tuple[float, ...]:
@@ -173,18 +188,21 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     """
     g = design.geometry
     l_max, h, v = g.l_max, g.h, g.v
-    heights = tuple(enumerate(design.sensors.heights, start=1))
-    # (t, i, -j, rho): the tuple order is the table order, and (i, j) is unique.
-    found: list[tuple[float, int, int, float]] = []
-    for i, position in enumerate(design.marks.positions, start=1):
-        for j, height in heights:
-            # The expressions of detection_time and CalibrationDesign.rho_at.
-            t = (l_max - position - height) / v
-            rho = position - (h - height)
-            if t >= -GEOM_TOL and rho > GEOM_TOL:
-                found.append((t, i, -j, rho))
-    found.sort()
-    return EventTable(tuple([Event(t, i, -j, rho) for t, i, j, rho in found]))
+    top_down = tuple(enumerate(design.sensors.heights, start=1))[::-1]
+    # Marks in index order and each mark's sensors top-down, so a stable
+    # sort on time alone leaves ties by ascending i, then descending j.
+    # Each row is built from its finished tuple, as Event's own __new__
+    # does, without the call through it.
+    found = [
+        tuple.__new__(Event, (t, i, j, rho))
+        for i, position in enumerate(design.marks.positions, start=1)
+        for j, height in top_down
+        # The expressions of detection_time and CalibrationDesign.rho_at.
+        if (t := (l_max - position - height) / v) >= -GEOM_TOL
+        and (rho := position - (h - height)) > GEOM_TOL
+    ]
+    found.sort(key=_time)
+    return EventTable(tuple(found))
 
 
 def _rank(event: Event) -> tuple[float, int]:
@@ -203,14 +221,14 @@ def rectify(table: EventTable) -> EventTable:
     rectifying a rectified table is a no-op.
     """
     events = table.events
-    n = len(events)
-    survivors: list[Event] = []
-    first = 0  # index of the current group's first event
-    for k in range(1, n + 1):
-        if k == n or events[k].t > events[k - 1].t + GEOM_TOL:  # the group ends at k
-            survivors.append(events[first] if k - first == 1 else min(events[first:k], key=_rank))
-            first = k
-    return EventTable(tuple(survivors))
+    if not events:
+        return table
+    # The first event of each group, then the end of the table.
+    bounds = [0, *compress(range(1, len(events)), _new_instants(table.times)), len(events)]
+    return EventTable(tuple([
+        events[first] if last - first == 1 else min(events[first:last], key=_rank)
+        for first, last in zip(bounds, bounds[1:])
+    ]))
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -239,7 +257,7 @@ def delta_stats(table: EventTable) -> DeltaStats:
         raise ValueError(f"need at least 3 events for gap statistics, got {n}")
     gaps = table.gaps
     mean = left_sum(gaps) / (n - 1)
-    var = left_sum((g - mean) ** 2 for g in gaps) / (n - 2)
+    var = left_sum(map(pow, map(operator.sub, gaps, repeat(mean)), repeat(2))) / (n - 2)
     return DeltaStats(mean=mean, std=math.sqrt(var), count=n)
 
 
@@ -282,31 +300,36 @@ def stroke_profile(
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
     gaps = table.gaps
-    positions = table.gap_positions
-    masks = {gap: table.match_mask(gap, tolerance) for gap in positions}
+    # Each gap value -> (the events whose next gap it is, the gaps matching it)
+    splits = {
+        gap: (bits, table.match_mask(gap, tolerance)) for gap, bits in table.gap_positions.items()
+    }
     everyone = (1 << table.count) - 1
-    identified: dict[int, StartStroke] = {}
-    # (the current events of starts sharing their first k - 1 gaps, the
-    # candidates those gaps leave, k, the length those gaps wind)
-    pending = [(everyone, everyone, 1, 0)]
+    has_next = everyone >> 1  # the events with a next gap
+    identified: dict[int, tuple[int, int, float]] = {}  # p -> (p, k, stroke)
+    # (those of the current events of starts sharing their first k - 1 gaps
+    # that have a next gap, the candidates those gaps leave, k, the length
+    # those gaps wind)
+    pending = [(has_next, everyone, 1, 0)]
     while pending:
-        group, current, k, wound = pending.pop()
-        rest = group & (everyone >> 1)  # the events with a next gap
+        rest, current, k, wound = pending.pop()
         while rest:
             gap = gaps[(rest & -rest).bit_length() - 1]  # the lowest event's next gap
-            subgroup = rest & positions[gap]
+            bits, match = splits[gap]
+            subgroup = rest & bits
             rest ^= subgroup
-            after = advance(current, masks[gap])
+            after = advance(current, match)
             stroke = wound + gap
             if after & (after - 1) == 0:
                 # Every start survives its own gaps, so the subgroup is that start.
                 p = after.bit_length() - k
-                identified[p] = StartStroke(p, k, stroke)
+                identified[p] = (p, k, stroke)
             else:
-                pending.append((subgroup << 1, after, k + 1, stroke))
-    return StrokeProfile(
-        tuple(identified.get(p) or StartStroke(p, None, None) for p in range(1, table.count + 1))
-    )
+                pending.append(((subgroup << 1) & has_next, after, k + 1, stroke))
+    return StrokeProfile(tuple([
+        tuple.__new__(StartStroke, identified.get(p) or (p, None, None))
+        for p in range(1, table.count + 1)
+    ]))
 
 
 def format_event_csv(table: EventTable, precision: str = "table") -> str:

@@ -63,13 +63,13 @@ def score(
     table = rectify(enumerate_events(design))
     stats = delta_stats(table)
     profile = stroke_profile(table, tolerance)
-    worst = profile.worst_stroke if profile.worst_stroke is not None else float("inf")
-    mean = profile.mean_stroke if profile.mean_stroke is not None else float("inf")
+    worst = profile.worst_stroke
+    mean = profile.mean_stroke
     return ObjectiveScore(
         mean_gap=stats.mean,
         std_gap=stats.std,
-        worst_stroke=worst,
-        mean_stroke=mean,
+        worst_stroke=worst if worst is not None else math.inf,
+        mean_stroke=mean if mean is not None else math.inf,
         unidentifiable_starts=profile.unidentifiable_starts,
     )
 

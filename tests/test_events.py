@@ -147,6 +147,30 @@ def group_list_rectify(table: EventTable) -> EventTable:
     return EventTable(tuple(survivors))
 
 
+def tuple_sort_enumerate(design: CalibrationDesign) -> EventTable:
+    """Reference enumeration: sort (t, i, -j, rho) tuples, whose order is
+    the table order, then build each event from its sorted tuple."""
+    g = design.geometry
+    found = []
+    for i, position in enumerate(design.marks.positions, start=1):
+        for j, height in enumerate(design.sensors.heights, start=1):
+            t = (g.l_max - position - height) / g.v
+            rho = position - (g.h - height)
+            if t >= -GEOM_TOL and rho > GEOM_TOL:
+                found.append((t, i, -j, rho))
+    found.sort()
+    return EventTable(tuple(Event(t, i, -j, rho) for t, i, j, rho in found))
+
+
+# Two sensors closer than one ulp of the meeting times: each mark meets
+# both at the same float instant, so only the tie order tells them apart.
+SUB_ULP_SENSORS = CalibrationDesign(
+    RobotGeometry(h=6.0, rho_max=11.0),
+    SensorLayout((2.0, math.nextafter(2.0, 3.0))),
+    MarkLayout((10.0, 9.0, 8.0, 7.0)),
+)
+
+
 def plain_sum(values) -> float:
     """Left-to-right float additions, written out."""
     total = 0
@@ -237,6 +261,27 @@ class TestEnumerate:
                 assert e.t == detection_time(design, e.i, e.j)
                 assert e.rho == design.rho_at(e.i, e.j)
 
+    def test_matches_tuple_sort_oracle(self, all_designs):
+        # Equality covers each event's t, i, j and rho and the tie order.
+        designs = [*all_designs.values(), SUB_ULP_SENSORS]
+        for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
+            designs.append(build_design(DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool)).design)
+        d_pool, z_pool = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
+        orderings = sorted(itertools.product(itertools.permutations(d_pool), itertools.permutations(z_pool)))
+        for d_order, z_order in orderings[::20]:
+            recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=32.0), d_order, z_order)
+            designs.append(build_design(recipe).design)
+        assert len(designs) == 4 + 1 + 3 + 216
+        for design in designs:
+            assert enumerate_events(design) == tuple_sort_enumerate(design)
+
+    def test_same_float_instant_lists_sensors_top_down(self):
+        events = enumerate_events(SUB_ULP_SENSORS).events
+        tied = [(a, b) for a, b in zip(events, events[1:]) if a.t == b.t]
+        assert len(tied) == 4  # one tie per mark
+        for a, b in tied:
+            assert a.i == b.i and (a.j, b.j) == (2, 1)
+
 
 class TestRectify:
     def test_medium_golden_table(self, medium):
@@ -284,6 +329,20 @@ class TestRectify:
         assert rectified.rectified
         assert rows(rectified) == [(0.8e-9, 1, 1, 4.0), (5.0, 4, 1, 2.0)]
         assert rectify(rectified) == rectified
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            (),
+            (Event(2.0, 1, 1, 4.0),),
+            (Event(0.0, 1, 2, 5.0), Event(1.0, 2, 1, 4.0), Event(2.5, 3, 1, 3.0)),
+        ],
+        ids=["empty", "one-event", "rectified"],
+    )
+    def test_tables_without_ties_come_back_equal(self, events):
+        table = EventTable(events)
+        assert table.rectified is True
+        assert rectify(table) == table
 
     def test_matches_group_list_oracle(self, all_designs):
         # Every climb ordering, the presets and two near-tie chains; equality
