@@ -15,6 +15,7 @@ is set, the file is looked up there as well.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -149,6 +150,7 @@ def _cmd_optimize(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the five subcommands; ``main`` builds one per process."""
     parser = _Parser(prog="cablecal", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -196,10 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing reads a parser and never changes it, so one parser serves
+    # every call of main in the process.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

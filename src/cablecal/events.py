@@ -57,23 +57,28 @@ class EventTable:
 
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
-    collects the gaps that match a given one.  Like the ``times`` and
-    ``rho_values`` columns and ``gaps``, the index is computed on first use
-    and is not a field, so it stays out of equality, hashing and repr.  The
-    checks on a table compare whole columns.
+    collects the gaps that match a given one.  The ``times`` and
+    ``rho_values`` columns are filled at construction, and ``gaps`` and the
+    index on first use.  None of them is a field, so they stay out of
+    equality, hashing and repr.  The checks on a table compare whole
+    columns.
     """
 
     events: tuple[Event, ...]
 
     def __post_init__(self) -> None:
-        times = self.times
+        # Every table's checks read both columns.
+        times = tuple(map(_time, self.events))
+        rhos = tuple(map(operator.attrgetter("rho"), self.events))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "rho_values", rhos)
         # A time may lie up to GEOM_TOL before the one before it; a nan fails.
         if not all(map(operator.ge, times[1:], map(operator.sub, times, repeat(GEOM_TOL)))):
             raise ValueError("events must be time-ordered")
         # Ordered times are finite when the first and last are.
         if times and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
             raise ValueError("event times must be finite")
-        if not all(map(math.isfinite, self.rho_values)):
+        if not all(map(math.isfinite, rhos)):
             raise ValueError("event lengths must be finite")
 
     @property
@@ -83,14 +88,6 @@ class EventTable:
     @functools.cached_property
     def rectified(self) -> bool:
         return all(_new_instants(self.times))
-
-    @functools.cached_property
-    def times(self) -> tuple[float, ...]:
-        return tuple(map(_time, self.events))
-
-    @functools.cached_property
-    def rho_values(self) -> tuple[float, ...]:
-        return tuple(map(operator.attrgetter("rho"), self.events))
 
     @functools.cached_property
     def gaps(self) -> tuple[float, ...]:

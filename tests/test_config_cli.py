@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cablecal import Status, config, presets, validate_design
+from cablecal import Status, cli, config, presets, validate_design
 from cablecal.cli import EXIT_FOR_STATUS, main
 from cablecal.config import ConfigError, dump_design, load_config
 from cablecal.events import parse_event_csv, enumerate_events, rectify
@@ -648,6 +648,68 @@ class TestConfigDirEnv:
         local.write_text("[geometry]\nh = banana\n")
         monkeypatch.chdir(tmp_path)
         assert main(["validate", "workshop.ini"]) == 1  # the local broken file is used
+
+
+class TestRepeatedMain:
+    """`main` may be called again and again in one process: it builds its
+    parser once, and each command behaves as it does on a fresh parser."""
+
+    @staticmethod
+    def commands(config_dir):
+        workshop = str(config_dir / "workshop.ini")
+        return [
+            ["validate", workshop],
+            ["events", str(config_dir / "medium-cube.ini"), "--raw"],
+            ["events", str(config_dir / "large-cube.ini"), "--out", "events.csv"],
+            ["simulate", workshop, "--start", "9.1", "--stop", "7.4", "--scale", "1.01",
+             "--noise", "0.005", "--seed", "7", "--out", "trace.csv"],
+            ["calibrate", workshop, "--trace", "trace.csv"],
+            ["optimize", workshop, "--budget", "1"],
+            ["optimize", "recipe.ini", "--budget", "1", "--out", "best.ini", "--report", "trail.csv"],
+            ["calibrate"],
+            ["no-such-command", workshop],
+            ["optimize", "--help"],
+            ["validate", workshop],
+        ]
+
+    @staticmethod
+    def run_all(commands, workdir, capsys, fresh):
+        """Exit code (or ``SystemExit`` code), stdout and stderr of each command
+        run in ``workdir``, and the files the commands leave there."""
+        workdir.mkdir()
+        (workdir / "recipe.ini").write_text(RECIPE_CONFIG)
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(workdir)
+            for argv in commands:
+                if fresh:
+                    cli._shared_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("SystemExit", exc.code)
+                outcomes.append((argv, code, *capsys.readouterr()))
+        files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+        return outcomes, files
+
+    def test_shared_parser_behaves_as_a_fresh_one(self, config_dir, tmp_path, capsys, monkeypatch):
+        commands = self.commands(config_dir)
+        expected = self.run_all(commands, tmp_path / "fresh", capsys, fresh=True)
+
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._shared_parser.cache_clear()
+        shared = self.run_all(commands, tmp_path / "shared", capsys, fresh=False)
+
+        assert len(builds) == 1
+        assert shared == expected
+        codes = [code for _, code, _, _ in expected[0]]
+        assert codes == [0, 0, 0, 0, 0, 1, 0, 1, 1, ("SystemExit", 0), 0]
+        assert set(expected[1]) == {"best.ini", "events.csv", "recipe.ini", "trace.csv", "trail.csv"}
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestReadmeExitCodes:
