@@ -1,14 +1,23 @@
-"""Bit-exactness guard for the event-table pipeline.
+"""Bit-exactness guards for the event-table pipeline and for calibration.
 
-One SHA-256 digest over the ``repr`` of every table, gap, report, statistic
-and profile of 232 designs: the four presets, every 20th sorted ordering of
-the climb recipe's pools and all 12 orderings of the long recipe's.  A change
-that moves any of these values in its last bit changes the digest.  The
-pinned value was computed with the row-by-row table checks that the
-column-wise ones replaced, and it is the same on Python 3.10 to 3.13.
+The table digest is one SHA-256 over the ``repr`` of every table, gap,
+report, statistic and profile of 232 designs: the four presets, every 20th
+sorted ordering of the climb recipe's pools and all 12 orderings of the long
+recipe's.  Its pinned value was computed with the row-by-row table checks
+that the column-wise ones replaced.
 
-Run as a script to print the digest of the current code; it exits non-zero
-when the digest differs from the pinned one::
+The calibration digest is one SHA-256 over the ``repr`` of every
+``run_trace`` result field of 3,132 replays.  One drive starts just above
+each rectified event of the four presets and of the long recipe's design and
+winds to b, seeded as the benchmark's calibrate workload seeds them; drives
+with three or more detections are replayed again with one of their first
+three detections dropped.  Each drive runs with and without its
+``start_rho``/``stop_rho`` metadata at three tolerances. 
+
+A change that moves any of these values in its last bit changes a digest.
+Both are the same on Python 3.10 to 3.13.  Run as a script to print the
+digests of the current code; it exits non-zero when either differs from its
+pinned value::
 
     PYTHONPATH=src python tests/test_exactness.py
 """
@@ -17,25 +26,33 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 from cablecal import (
     DesignRecipe,
+    EncoderModel,
+    ObservationTrace,
     RobotGeometry,
     build_design,
     delta_stats,
     enumerate_events,
     presets,
     rectify,
+    run_trace,
+    simulate,
     stroke_profile,
     validate_design,
 )
 
 EXPECTED_DIGEST = "5e8e465194c39d435bb42ddb176da99fdf52e0db95f21974629b4971d11b15b6"
+EXPECTED_CALIBRATION_DIGEST = "4b5594c6b6f4f2d9cd8368d4c0f5a63e07dd0dc923ed649eaf6f4c99fc27d67e"
 
+# (h, rho_max, d_pool, z_pool) of the long recipe, as the benchmark builds it
+LONG_RECIPE = (18.0, 60.0, (0.5, 0.75, 1.25), (2.0, 3.0))
 # (h, rho_max, d_pool, z_pool, every how many sorted orderings to take)
 RECIPES = (
     (18.0, 32.0, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5), 20),
-    (18.0, 60.0, (0.5, 0.75, 1.25), (2.0, 3.0), 1),
+    (*LONG_RECIPE, 1),
 )
 TOLERANCES = (0.01, 0.05, 0.3)
 
@@ -72,11 +89,72 @@ def digest() -> tuple[int, str]:
     return count, sha.hexdigest()
 
 
+def drives(seed: int = 0):
+    """(design, trace) for every rectified start, seeded like the benchmark.
+
+    Per start: a start length drawn inside the gap above the event, an
+    encoder scale from U[0.98, 1.02], an offset from U[-50, 50], jitter sd
+    0.005, and a second trace with one of the first three detections
+    dropped when the drive has three or more.
+    """
+    rng = random.Random(seed)
+    h, rho_max, d_pool, z_pool = LONG_RECIPE
+    long_recipe = build_design(DesignRecipe(RobotGeometry(h, rho_max), d_pool, z_pool)).design
+    for design in [build() for build in presets.ALL.values()] + [long_recipe]:
+        events = rectify(enumerate_events(design)).events
+        geometry = design.geometry
+        for p, event in enumerate(events):
+            above = events[p - 1].rho if p else geometry.rho_max
+            start_rho = event.rho + rng.uniform(0.1, 0.9) * (above - event.rho)
+            encoder = EncoderModel(
+                scale=rng.uniform(0.98, 1.02),
+                offset=rng.uniform(-50.0, 50.0),
+                noise_sd=0.005,
+                seed=rng.randrange(2**31),
+            )
+            trace = simulate(design, encoder, start_rho, geometry.b)
+            yield design, trace
+            if trace.count >= 3:
+                drop = rng.randrange(3)
+                records = trace.records[:drop] + trace.records[drop + 1 :]
+                yield design, ObservationTrace(records, trace.start_rho, trace.stop_rho)
+
+
+def calibration_digest() -> tuple[int, str]:
+    """(number of replays, hex digest of their results)."""
+    sha = hashlib.sha256()
+    count = 0
+    for design, trace in drives():
+        bare = ObservationTrace(trace.records, None, None)
+        for replay in (trace, bare):
+            for tolerance in TOLERANCES:
+                r = run_trace(design, replay, tolerance)
+                value = (
+                    r.status,
+                    r.rho,
+                    r.stroke,
+                    r.candidate_history,
+                    r.corrector_scale,
+                    r.corrector_offset,
+                )
+                sha.update(repr(value).encode())
+                sha.update(b"\n")
+                count += 1
+    return count, sha.hexdigest()
+
+
 def test_pipeline_output_is_bit_exact():
     assert digest() == (232, EXPECTED_DIGEST)
 
 
+def test_calibration_output_is_bit_exact():
+    assert calibration_digest() == (3132, EXPECTED_CALIBRATION_DIGEST)
+
+
 if __name__ == "__main__":
-    found = digest()
-    print(*found)
-    raise SystemExit(0 if found == (232, EXPECTED_DIGEST) else "digest differs from the pinned one")
+    tables = digest()
+    calibrations = calibration_digest()
+    print(*tables)
+    print(*calibrations)
+    pinned = (tables, calibrations) == ((232, EXPECTED_DIGEST), (3132, EXPECTED_CALIBRATION_DIGEST))
+    raise SystemExit(0 if pinned else "a digest differs from its pinned value")
