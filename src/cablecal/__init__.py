@@ -26,14 +26,7 @@ from .events import (
     rectify,
     stroke_profile,
 )
-from .identify import (
-    ClosedLoopCorrector,
-    Status,
-    corrector_update,
-    observe,
-    run_trace,
-    start,
-)
+from .identify import Status, fit_encoder, observe, run_trace, start
 from .model import (
     CalibrationDesign,
     Condition,
@@ -44,12 +37,6 @@ from .model import (
     validate_design,
 )
 from .optimize import ObjectiveScore, compare, score, search
-from .simulate import (
-    EncoderModel,
-    ObservationTrace,
-    TraceRecord,
-    simulate,
-    wound_between,
-)
+from .simulate import EncoderModel, ObservationTrace, TraceRecord, simulate
 
 __version__ = "0.1.0"

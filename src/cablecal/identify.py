@@ -12,7 +12,6 @@ however far it wound after its last detection.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, replace
 
 from .events import EventTable, advance, enumerate_events, left_sum, rectify
@@ -32,16 +31,15 @@ class Status(str, enum.Enum):
 class IdentifierState:
     """Candidate set after some number of observed gaps.
 
-    A state holds only the table, the tolerance, the observed gaps and
-    ``current``: a bitmask in which bit q stands for the 1-based event
-    q + 1 of the rectified table as the drive's current position.  The
-    status is read from it: no candidate is no_match, one event is
-    identified, more are ambiguous.
+    A state holds only the table, the tolerance and ``current``: a
+    bitmask in which bit q stands for the 1-based event q + 1 of the
+    rectified table as the drive's current position.  The status is read
+    from it: no candidate is no_match, one event is identified, more are
+    ambiguous.
     """
 
     table: EventTable
     tolerance: float
-    observed: tuple[float, ...]
     current: int
 
     @property
@@ -107,12 +105,7 @@ def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> Identi
     if table.count < 2:
         raise ValueError("identification needs a table with at least 2 events")
     check_gap_tolerance(tolerance)
-    return IdentifierState(
-        table=table,
-        tolerance=tolerance,
-        observed=(),
-        current=(1 << table.count) - 1,
-    )
+    return IdentifierState(table, tolerance, current=(1 << table.count) - 1)
 
 
 def observe(state: IdentifierState, gap: float) -> IdentifierState:
@@ -120,62 +113,30 @@ def observe(state: IdentifierState, gap: float) -> IdentifierState:
     if state.status is not Status.AMBIGUOUS:
         raise ValueError(f"cannot observe on a {state.status.value} state")
     current = advance(state.current, state.table.match_mask(gap, state.tolerance))
-    return replace(state, observed=state.observed + (gap,), current=current)
+    return replace(state, current=current)
 
 
-@dataclass(frozen=True)
-class ClosedLoopCorrector:
-    """Least-squares encoder correction from identified lengths.
+def fit_encoder(
+    start_rho: float, samples: list[tuple[float, float]]
+) -> tuple[float, float] | None:
+    """Least-squares encoder correction ``(scale, offset)`` from identified lengths.
 
-    Each identified detection pairs a true length (the setpoint) with the
-    raw register (the measurement).  With two or more samples at distinct
-    lengths the register model ``reading = scale * (start_rho - rho) +
-    offset`` is fitted, after which raw readings convert back to corrected
-    lengths.
+    Each sample pairs a true length (the setpoint) with the raw register
+    (the measurement).  The register model ``reading = scale * (start_rho -
+    rho) + offset`` is fitted; it needs samples at two or more distinct
+    lengths, and None is returned otherwise.
     """
-
-    start_rho: float
-    samples: tuple[tuple[float, float], ...] = ()
-
-    @functools.cached_property
-    def _fit(self) -> tuple[float, float] | None:
-        distinct = {rho for rho, _ in self.samples}
-        if len(distinct) < 2:
-            return None
-        xs = [self.start_rho - rho for rho, _ in self.samples]
-        ys = [reading for _, reading in self.samples]
-        n = len(xs)
-        mx = left_sum(xs) / n
-        my = left_sum(ys) / n
-        sxx = left_sum((x - mx) ** 2 for x in xs)
-        sxy = left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        scale = sxy / sxx
-        offset = my - scale * mx
-        return scale, offset
-
-    @property
-    def scale(self) -> float | None:
-        fit = self._fit
-        return fit[0] if fit else None
-
-    @property
-    def offset(self) -> float | None:
-        fit = self._fit
-        return fit[1] if fit else None
-
-    def corrected_length(self, reading: float) -> float:
-        fit = self._fit
-        if fit is None:
-            raise ValueError("corrector needs two samples at distinct lengths")
-        scale, offset = fit
-        return self.start_rho - (reading - offset) / scale
-
-
-def corrector_update(
-    corrector: ClosedLoopCorrector, identified_rho: float, raw_reading: float
-) -> ClosedLoopCorrector:
-    """Append one (setpoint, measurement) sample; the fit refreshes lazily."""
-    return replace(corrector, samples=corrector.samples + ((identified_rho, raw_reading),))
+    if len({rho for rho, _ in samples}) < 2:
+        return None
+    xs = [start_rho - rho for rho, _ in samples]
+    ys = [reading for _, reading in samples]
+    n = len(xs)
+    mx = left_sum(xs) / n
+    my = left_sum(ys) / n
+    sxx = left_sum((x - mx) ** 2 for x in xs)
+    sxy = left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    scale = sxy / sxx
+    return scale, my - scale * mx
 
 
 def run_trace(
@@ -187,12 +148,12 @@ def run_trace(
 
     The first record arms the identifier; each further record contributes
     the encoder-measured gap.  On identification every record maps back to
-    a table event, all of them feed the encoder corrector, and the stroke
+    a table event, all of them feed the encoder fit, and the stroke
     is the table length wound from the first to the identifying detection.
     A trace that ends with more than one candidate left, or with no
     detection at all, is ambiguous and carries no length.  The status rests
     on the encoder readings alone: neither the truth columns nor the drive's
-    stop length are read, and its start length only anchors the corrector.
+    stop length are read, and its start length only anchors the encoder fit.
     The tolerance is checked even when the trace has no detection to match.
     """
     check_gap_tolerance(tolerance)
@@ -211,13 +172,13 @@ def run_trace(
     if status is not Status.IDENTIFIED:
         return CalibrationResult(status, None, None, tuple(history))
 
-    first = state.identified_index - len(state.observed)
+    first = state.identified_index - (len(history) - 1)  # the first record's event
     stroke = table.events[first - 1].rho - state.identified_rho
 
-    scale = offset = None
+    fit = None
     if trace.start_rho is not None:
-        samples = tuple((e.rho, r.reading) for e, r in zip(table.events[first - 1 :], records))
-        corrector = ClosedLoopCorrector(trace.start_rho, samples)
-        scale, offset = corrector.scale, corrector.offset
+        samples = [(e.rho, r.reading) for e, r in zip(table.events[first - 1 :], records)]
+        fit = fit_encoder(trace.start_rho, samples)
+    scale, offset = fit or (None, None)
 
     return CalibrationResult(status, state.identified_rho, stroke, tuple(history), scale, offset)

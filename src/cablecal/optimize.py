@@ -27,7 +27,6 @@ class ObjectiveScore:
     mean_gap: float
     std_gap: float
     worst_stroke: float
-    mean_stroke: float
     unidentifiable_starts: int
 
 
@@ -64,12 +63,10 @@ def score(
     stats = delta_stats(table)
     profile = stroke_profile(table, tolerance)
     worst = profile.worst_stroke
-    mean = profile.mean_stroke
     return ObjectiveScore(
         mean_gap=stats.mean,
         std_gap=stats.std,
         worst_stroke=worst if worst is not None else math.inf,
-        mean_stroke=mean if mean is not None else math.inf,
         unidentifiable_starts=profile.unidentifiable_starts,
     )
 

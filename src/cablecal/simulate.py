@@ -66,6 +66,10 @@ class TraceRecord(NamedTuple):
     truth_j: int | None = None
 
 
+def _not_finite(name: str, t: float, reading: float, truth_rho: float | None) -> ValueError:
+    return ValueError(f"{name} must be finite, got t={t} reading={reading} truth_rho={truth_rho}")
+
+
 @dataclass(frozen=True)
 class ObservationTrace:
     """Detections from one continuous winding drive."""
@@ -82,10 +86,7 @@ class ObservationTrace:
             )
         for n, r in enumerate(self.records, start=1):
             if not (math.isfinite(r.t) and math.isfinite(r.reading) and _finite(r.truth_rho)):
-                raise ValueError(
-                    f"trace record {n} must be finite, got t={r.t} "
-                    f"reading={r.reading} truth_rho={r.truth_rho}"
-                )
+                raise _not_finite(f"trace record {n}", r.t, r.reading, r.truth_rho)
         for a, b in zip(self.records, self.records[1:]):
             if b.t <= a.t:
                 raise ValueError("trace times must strictly increase")
@@ -144,17 +145,6 @@ def simulate(
     return ObservationTrace(tuple(records), start_rho, stop_rho)
 
 
-def wound_between(trace: ObservationTrace, a: int, b: int) -> float:
-    """Encoder-measured cable wound between records a and b (0-based, a < b).
-
-    This is the identifier's observable; it inherits the encoder's scale
-    error and jitter, while any register offset cancels.
-    """
-    if not 0 <= a < b < trace.count:
-        raise IndexError(f"need 0 <= a < b < {trace.count}, got a={a}, b={b}")
-    return trace.records[b].reading - trace.records[a].reading
-
-
 def format_trace_csv(trace: ObservationTrace) -> str:
     """Render a trace as CSV with a metadata comment line.
 
@@ -181,7 +171,7 @@ def parse_trace_csv(text: str) -> ObservationTrace:
     """Parse CSV produced by :func:`format_trace_csv`.
 
     The metadata comment is optional (hardware logs will not have it); the
-    drive window is then unknown, and calibration fits no encoder corrector.
+    drive window is then unknown, and calibration fits no encoder correction.
     """
     window: dict[str, float] = {}
     lines = _csv_lines(text)
@@ -194,16 +184,22 @@ def parse_trace_csv(text: str) -> ObservationTrace:
                     window[key] = float(value)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {key}: {exc}") from None
+                if not math.isfinite(window[key]):
+                    raise ValueError(f"line {lineno}: {key} must be finite, got {value}")
     records = _read_csv_rows(lines, TRACE_CSV_HEADER, _trace_record)
     return ObservationTrace(tuple(records), window.get("start_rho"), window.get("stop_rho"))
 
 
 def _trace_record(parts: list[str]) -> TraceRecord:
     t, reading, truth_rho, truth_i, truth_j = parts
+    t, reading = float(t), float(reading)
+    truth_rho = float(truth_rho) if truth_rho else None
+    if not (math.isfinite(t) and math.isfinite(reading) and _finite(truth_rho)):
+        raise _not_finite("values", t, reading, truth_rho)
     return TraceRecord(
-        float(t),
-        float(reading),
-        float(truth_rho) if truth_rho else None,
+        t,
+        reading,
+        truth_rho,
         int(truth_i) if truth_i else None,
         int(truth_j) if truth_j else None,
     )

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -478,10 +481,14 @@ class TestCliCalibrate:
         ]
 
     @pytest.mark.parametrize(
-        "meta",
-        ["start_rho=nan stop_rho=1.0", "start_rho=3.8 stop_rho=nan", "start_rho=inf stop_rho=1.0"],
+        "meta,key",
+        [
+            ("start_rho=nan stop_rho=1.0", "start_rho"),
+            ("start_rho=3.8 stop_rho=nan", "stop_rho"),
+            ("start_rho=inf stop_rho=1.0", "start_rho"),
+        ],
     )
-    def test_non_finite_drive_window_is_usage_error(self, config_dir, tmp_path, capsys, meta):
+    def test_non_finite_drive_window_is_usage_error(self, config_dir, tmp_path, capsys, meta, key):
         # A non-finite drive window is malformed input, whatever the
         # identifier makes of the records.
         trace = tmp_path / "empty.csv"
@@ -490,7 +497,7 @@ class TestCliCalibrate:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "must be finite" in captured.err
+        assert f"error: {trace}: line 1: {key} must be finite" in captured.err
 
     @pytest.mark.parametrize(
         "meta,key",
@@ -510,7 +517,8 @@ class TestCliCalibrate:
 
     @pytest.mark.parametrize("column,value", [(0, "nan"), (1, "nan"), (1, "inf"), (2, "nan")])
     def test_non_finite_record_is_usage_error(self, config_dir, tmp_path, capsys, column, value):
-        # A NaN reading must not end in no_match, which blames the sensors.
+        # A NaN reading must not end in no_match, which blames the sensors,
+        # and the error names the record's line in the file.
         trace = self._trace(config_dir, tmp_path, 9.1, 7.4)
         text = trace.read_text().splitlines()
         cols = text[3].split(",")
@@ -522,7 +530,7 @@ class TestCliCalibrate:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "trace record 2 must be finite" in captured.err
+        assert f"error: {bad}: line 4: values must be finite" in captured.err
 
     def test_missing_trace_file(self, config_dir):
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", "/nope.csv"])
@@ -710,6 +718,45 @@ class TestRepeatedMain:
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+class TestShell:
+    """`python -m cablecal.cli` in a fresh process: `run` hands the exit code
+    of `main` to `sys.exit`, and the process prints what `main` prints."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def test_each_exit_code_reaches_the_shell(self, config_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        workshop = str(config_dir / "workshop.ini")
+        for name, start, stop in (("full.csv", "9.1", "7.4"), ("short.csv", "9.1", "8.4")):
+            assert main(["simulate", workshop, "--start", start, "--stop", stop, "--out", name]) == 0
+        lines = Path("full.csv").read_text().splitlines()
+        cols = lines[3].split(",")
+        cols[1] = repr(float(cols[1]) + 50.0)  # a gap no table position has
+        Path("corrupt.csv").write_text("\n".join(lines[:3] + [",".join(cols)] + lines[4:]) + "\n")
+        Path("broken.ini").write_text(
+            "[geometry]\nh = 6\nrho_max = 11\nv = 1\nb = 1.5\n"
+            "[layout]\nsensor_heights = 2 5\nmark_positions = 10 9 8 7 6 5\n"
+        )
+        commands = {
+            0: ["calibrate", workshop, "--trace", "full.csv"],
+            1: ["calibrate", workshop],
+            2: ["validate", "broken.ini"],
+            3: ["calibrate", workshop, "--trace", "corrupt.csv"],
+            4: ["calibrate", workshop, "--trace", "short.csv"],
+        }
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        capsys.readouterr()
+        for code, argv in commands.items():
+            shell = subprocess.run(
+                [sys.executable, "-m", "cablecal.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert main(argv) == code
+            out, err = capsys.readouterr()
+            assert (shell.returncode, shell.stdout, shell.stderr) == (code, out, err)
+            assert out or err
 
 
 class TestReadmeExitCodes:

@@ -12,7 +12,9 @@ each rectified event of the four presets and of the long recipe's design and
 winds to b, seeded as the benchmark's calibrate workload seeds them; drives
 with three or more detections are replayed again with one of their first
 three detections dropped.  Each drive runs with and without its
-``start_rho``/``stop_rho`` metadata at three tolerances. 
+``start_rho``/``stop_rho`` metadata at three tolerances.  Its pinned value
+was computed with the ``ClosedLoopCorrector`` class that ``fit_encoder``
+replaced.
 
 A change that moves any of these values in its last bit changes a digest.
 Both are the same on Python 3.10 to 3.13.  Run as a script to print the

@@ -8,15 +8,14 @@ from pathlib import Path
 import pytest
 
 from cablecal import (
-    ClosedLoopCorrector,
     DesignRecipe,
     EncoderModel,
     ObservationTrace,
     RobotGeometry,
     Status,
     build_design,
-    corrector_update,
     enumerate_events,
+    fit_encoder,
     observe,
     rectify,
     run_trace,
@@ -52,7 +51,7 @@ class TestStart:
         state = start(workshop_table)
         assert state.status is Status.AMBIGUOUS
         assert state.candidate_count == 26
-        assert state.observed == ()
+        assert state.current == (1 << 26) - 1  # no gap observed yet
 
     def test_two_event_table(self, workshop_table):
         from cablecal import Event, EventTable
@@ -139,42 +138,39 @@ class TestObserve:
             observe(state, 0.5)
 
 
-class TestCorrector:
+def corrected_length(start_rho: float, fit: tuple[float, float], reading: float) -> float:
+    """Invert the fitted register model: the length a raw reading stands for."""
+    scale, offset = fit
+    return start_rho - (reading - offset) / scale
+
+
+class TestFitEncoder:
     def test_two_point_fit(self):
-        corr = ClosedLoopCorrector(start_rho=9.0)
-        corr = corrector_update(corr, 9.0, 0.0)
-        corr = corrector_update(corr, 7.5, 1.53)
-        assert corr.scale == pytest.approx(1.02)
-        assert corr.offset == pytest.approx(0.0, abs=1e-12)
-        assert corr.corrected_length(1.53) == pytest.approx(7.5)
+        fit = fit_encoder(9.0, [(9.0, 0.0), (7.5, 1.53)])
+        scale, offset = fit
+        assert scale == pytest.approx(1.02)
+        assert offset == pytest.approx(0.0, abs=1e-12)
+        assert corrected_length(9.0, fit, 1.53) == pytest.approx(7.5)
 
     def test_single_sample_has_no_fit(self):
-        corr = corrector_update(ClosedLoopCorrector(start_rho=9.0), 9.0, 0.0)
-        assert corr.scale is None and corr.offset is None
-        with pytest.raises(ValueError):
-            corr.corrected_length(1.0)
+        assert fit_encoder(9.0, [(9.0, 0.0)]) is None
 
     def test_duplicate_lengths_do_not_fit(self):
-        corr = ClosedLoopCorrector(start_rho=9.0)
-        corr = corrector_update(corr, 8.0, 1.0)
-        corr = corrector_update(corr, 8.0, 1.1)
-        assert corr.scale is None
+        assert fit_encoder(9.0, [(8.0, 1.0), (8.0, 1.1)]) is None
 
     def test_ideal_samples_give_identity(self):
-        corr = ClosedLoopCorrector(start_rho=12.0)
+        fit = fit_encoder(12.0, [(rho, 12.0 - rho) for rho in (11.0, 9.5, 7.25)])
+        scale, offset = fit
+        assert scale == pytest.approx(1.0)
+        assert offset == pytest.approx(0.0, abs=1e-12)
         for rho in (11.0, 9.5, 7.25):
-            corr = corrector_update(corr, rho, 12.0 - rho)
-        assert corr.scale == pytest.approx(1.0)
-        assert corr.offset == pytest.approx(0.0, abs=1e-12)
-        for rho in (11.0, 9.5, 7.25):
-            assert corr.corrected_length(12.0 - rho) == pytest.approx(rho)
+            assert corrected_length(12.0, fit, 12.0 - rho) == pytest.approx(rho)
 
     def test_fit_adds_left_to_right(self):
         # The readings sum to 0.6000000000000001 added left to right and to
         # 0.6 compensated, as Python 3.12's sum() adds; the fit must read the
         # same on every interpreter.
-        samples = ((11.0, 0.1), (10.0, 0.2), (9.0, 0.3))
-        corr = ClosedLoopCorrector(12.0, samples)
+        samples = [(11.0, 0.1), (10.0, 0.2), (9.0, 0.3)]
         (x1, y1), (x2, y2), (x3, y3) = ((12.0 - rho, reading) for rho, reading in samples)
         mx = (x1 + x2 + x3) / 3
         my = (y1 + y2 + y3) / 3
@@ -182,18 +178,18 @@ class TestCorrector:
             (x1 - mx) ** 2 + (x2 - mx) ** 2 + (x3 - mx) ** 2
         )
         assert y1 + y2 + y3 != math.fsum((y1, y2, y3))
-        assert corr.scale == scale
-        assert corr.offset == my - scale * mx
+        assert fit_encoder(12.0, samples) == (scale, my - scale * mx)
 
     def test_least_squares_over_noisy_samples(self):
         rng = random.Random(1)
         truth_scale, truth_offset = 1.013, 0.2
-        corr = ClosedLoopCorrector(start_rho=12.0)
+        samples = []
         for rho in [11.0, 10.0, 9.0, 8.0, 7.0, 6.0, 5.0]:
             reading = truth_offset + truth_scale * (12.0 - rho) + rng.gauss(0, 1e-4)
-            corr = corrector_update(corr, rho, reading)
-        assert corr.scale == pytest.approx(truth_scale, abs=1e-3)
-        assert corr.offset == pytest.approx(truth_offset, abs=1e-3)
+            samples.append((rho, reading))
+        scale, offset = fit_encoder(12.0, samples)
+        assert scale == pytest.approx(truth_scale, abs=1e-3)
+        assert offset == pytest.approx(truth_offset, abs=1e-3)
 
 
 class TestRunTrace:

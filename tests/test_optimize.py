@@ -81,14 +81,14 @@ class TestCompare:
         assert compare(score(xl), score(medium)) < 0
 
     def test_mean_gap_breaks_stroke_ties(self):
-        a = ObjectiveScore(0.5, 0.3, 2.0, 1.5, 0)
-        b = ObjectiveScore(0.6, 0.3, 2.0, 1.5, 0)
+        a = ObjectiveScore(0.5, 0.3, 2.0, 0)
+        b = ObjectiveScore(0.6, 0.3, 2.0, 0)
         assert compare(a, b) < 0
         assert compare(b, a) > 0
 
     def test_larger_spread_wins_last(self):
-        a = ObjectiveScore(0.5, 0.4, 2.0, 1.5, 0)
-        b = ObjectiveScore(0.5, 0.3, 2.0, 1.5, 0)
+        a = ObjectiveScore(0.5, 0.4, 2.0, 0)
+        b = ObjectiveScore(0.5, 0.3, 2.0, 0)
         assert compare(a, b) < 0
 
 
