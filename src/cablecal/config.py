@@ -88,7 +88,9 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     ``require_design=False`` a recipe is checked but not built.
     """
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # Values are plain text: a % is kept as it is, and a number that holds
+    # one fails to parse as any other malformed number does.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         text = path.read_text()
     except OSError as exc:

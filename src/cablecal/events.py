@@ -185,7 +185,9 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     """
     g = design.geometry
     l_max, h, v = g.l_max, g.h, g.v
-    top_down = tuple(enumerate(design.sensors.heights, start=1))[::-1]
+    # (j, height, h - height) top-down
+    top_down = [(j, height, h - height) for j, height in enumerate(design.sensors.heights, start=1)]
+    top_down.reverse()
     # Marks in index order and each mark's sensors top-down, so a stable
     # sort on time alone leaves ties by ascending i, then descending j.
     # Each row is built from its finished tuple, as Event's own __new__
@@ -193,10 +195,13 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     found = [
         tuple.__new__(Event, (t, i, j, rho))
         for i, position in enumerate(design.marks.positions, start=1)
-        for j, height in top_down
-        # The expressions of detection_time and CalibrationDesign.rho_at.
-        if (t := (l_max - position - height) / v) >= -GEOM_TOL
-        and (rho := position - (h - height)) > GEOM_TOL
+        for reach in (l_max - position,)
+        for j, height, drop in top_down
+        # The expressions of detection_time, (l_max - position - height) / v,
+        # and CalibrationDesign.rho_at, position - (h - height), with each
+        # mark's and each sensor's term taken once.
+        if (t := (reach - height) / v) >= -GEOM_TOL
+        and (rho := position - drop) > GEOM_TOL
     ]
     found.sort(key=_time)
     return EventTable(tuple(found))

@@ -12,7 +12,9 @@ however far it wound after its last detection.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
+from itertools import repeat
 
 from .events import EventTable, advance, enumerate_events, left_sum, rectify
 from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
@@ -112,8 +114,13 @@ def observe(state: IdentifierState, gap: float) -> IdentifierState:
     """Fold one measured gap into the candidates; their count only shrinks."""
     if state.status is not Status.AMBIGUOUS:
         raise ValueError(f"cannot observe on a {state.status.value} state")
-    current = advance(state.current, state.table.match_mask(gap, state.tolerance))
-    return replace(state, current=current)
+    table, tolerance = state.table, state.tolerance
+    current = advance(state.current, table.match_mask(gap, tolerance))
+    return IdentifierState(table, tolerance, current)
+
+
+_first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
 
 
 def fit_encoder(
@@ -126,15 +133,18 @@ def fit_encoder(
     rho) + offset`` is fitted; it needs samples at two or more distinct
     lengths, and None is returned otherwise.
     """
-    if len({rho for rho, _ in samples}) < 2:
+    rhos = tuple(map(_first, samples))
+    if len(set(rhos)) < 2:
         return None
-    xs = [start_rho - rho for rho, _ in samples]
-    ys = [reading for _, reading in samples]
+    ys = tuple(map(_second, samples))
+    xs = tuple(map(operator.sub, repeat(start_rho), rhos))
     n = len(xs)
     mx = left_sum(xs) / n
     my = left_sum(ys) / n
-    sxx = left_sum((x - mx) ** 2 for x in xs)
-    sxy = left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    dxs = tuple(map(operator.sub, xs, repeat(mx)))
+    # pow(d, 2) is d ** 2 and mul is *, so the sums stay bit-exact.
+    sxx = left_sum(map(pow, dxs, repeat(2)))
+    sxy = left_sum(map(operator.mul, dxs, map(operator.sub, ys, repeat(my))))
     scale = sxy / sxx
     return scale, my - scale * mx
 
@@ -161,19 +171,23 @@ def run_trace(
     records = trace.records
     if not records:
         return CalibrationResult(Status.AMBIGUOUS, None, None, ())
-    state = start(table, tolerance)
-    history = [state.candidate_count]
+    # The fold of observe on the bare bitmask: one advance per gap, until
+    # at most one event is left (identified or no_match).
+    current = start(table, tolerance).current
+    history = [current.bit_count()]
     for prev, rec in zip(records, records[1:]):
-        state = observe(state, rec.reading - prev.reading)
-        history.append(state.candidate_count)
-        if state.terminal:
+        current = advance(current, table.match_mask(rec.reading - prev.reading, tolerance))
+        history.append(current.bit_count())
+        if current & (current - 1) == 0:
             break
-    status = state.status
-    if status is not Status.IDENTIFIED:
-        return CalibrationResult(status, None, None, tuple(history))
+    state = IdentifierState(table, tolerance, current)
+    here = state.identified_index
+    if here is None:
+        return CalibrationResult(state.status, None, None, tuple(history))
 
-    first = state.identified_index - (len(history) - 1)  # the first record's event
-    stroke = table.events[first - 1].rho - state.identified_rho
+    rho = table.events[here - 1].rho
+    first = here - (len(history) - 1)  # the first record's event
+    stroke = table.events[first - 1].rho - rho
 
     fit = None
     if trace.start_rho is not None:
@@ -181,4 +195,4 @@ def run_trace(
         fit = fit_encoder(trace.start_rho, samples)
     scale, offset = fit or (None, None)
 
-    return CalibrationResult(status, state.identified_rho, stroke, tuple(history), scale, offset)
+    return CalibrationResult(Status.IDENTIFIED, rho, stroke, tuple(history), scale, offset)

@@ -10,9 +10,12 @@ so traces are reproducible bit-for-bit across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .events import _csv_lines, _read_csv_rows, enumerate_events, rectify
@@ -66,13 +69,63 @@ class TraceRecord(NamedTuple):
     truth_j: int | None = None
 
 
-def _not_finite(name: str, t: float, reading: float, truth_rho: float | None) -> ValueError:
-    return ValueError(f"{name} must be finite, got t={t} reading={reading} truth_rho={truth_rho}")
+class TraceRecordError(ValueError):
+    """A trace record breaks a rule of :class:`ObservationTrace`.
+
+    ``index`` is the record's 0-based position in the trace and ``reason``
+    the rule it breaks, worded to follow the record's line number in a
+    trace file.
+    """
+
+    def __init__(self, message: str, index: int, reason: str) -> None:
+        super().__init__(message)
+        self.index = index
+        self.reason = reason
+
+
+_TIMES_INCREASE = "trace times must strictly increase"
+_TRUTHS_DECREASE = "truth lengths must strictly decrease while winding"
+_known = functools.partial(operator.is_not, None)
+
+
+def _columns_valid(records: tuple[TraceRecord, ...]) -> bool:
+    """Whether the records keep the rules of :class:`ObservationTrace`,
+    checked on whole columns: finite values, increasing times and, where
+    two successive truth lengths are known, decreasing truth lengths."""
+    ts, readings, truths, _, _ = zip(*records)
+    known = truths if None not in truths else tuple(filter(_known, truths))
+    if not all(map(math.isfinite, chain(ts, readings, known))):
+        return False
+    if len(known) < len(truths):
+        # nan compares false, so a pair with an unknown length never fails.
+        truths = tuple(math.nan if x is None else x for x in truths)
+    return all(map(operator.lt, ts, ts[1:])) and not any(map(operator.le, truths, truths[1:]))
+
+
+def _check_records(records: tuple[TraceRecord, ...]) -> None:
+    """The rules of :func:`_columns_valid`, record by record: raises a
+    :class:`TraceRecordError` naming the first record that breaks one."""
+    for n, r in enumerate(records):
+        if not (math.isfinite(r.t) and math.isfinite(r.reading) and _finite(r.truth_rho)):
+            got = f"got t={r.t} reading={r.reading} truth_rho={r.truth_rho}"
+            raise TraceRecordError(
+                f"trace record {n + 1} must be finite, {got}", n, f"values must be finite, {got}"
+            )
+    for n, (a, b) in enumerate(zip(records, records[1:]), start=1):
+        if b.t <= a.t:
+            raise TraceRecordError(_TIMES_INCREASE, n, _TIMES_INCREASE)
+        if a.truth_rho is not None and b.truth_rho is not None and b.truth_rho >= a.truth_rho:
+            raise TraceRecordError(_TRUTHS_DECREASE, n, _TRUTHS_DECREASE)
 
 
 @dataclass(frozen=True)
 class ObservationTrace:
-    """Detections from one continuous winding drive."""
+    """Detections from one continuous winding drive.
+
+    A record with a non-finite value, a time not after the one before, or a
+    known truth length not below the known one before raises a
+    :class:`TraceRecordError` that names the record.
+    """
 
     records: tuple[TraceRecord, ...]
     start_rho: float | None
@@ -84,18 +137,10 @@ class ObservationTrace:
                 f"trace start_rho and stop_rho must be finite, got "
                 f"{self.start_rho} and {self.stop_rho}"
             )
-        for n, r in enumerate(self.records, start=1):
-            if not (math.isfinite(r.t) and math.isfinite(r.reading) and _finite(r.truth_rho)):
-                raise _not_finite(f"trace record {n}", r.t, r.reading, r.truth_rho)
-        for a, b in zip(self.records, self.records[1:]):
-            if b.t <= a.t:
-                raise ValueError("trace times must strictly increase")
-            if (
-                a.truth_rho is not None
-                and b.truth_rho is not None
-                and b.truth_rho >= a.truth_rho
-            ):
-                raise ValueError("truth lengths must strictly decrease while winding")
+        # The columns are checked whole; only a trace that fails is scanned
+        # record by record, to name the record.
+        if self.records and not _columns_valid(self.records):
+            _check_records(self.records)
 
     @property
     def count(self) -> int:
@@ -187,19 +232,20 @@ def parse_trace_csv(text: str) -> ObservationTrace:
                 if not math.isfinite(window[key]):
                     raise ValueError(f"line {lineno}: {key} must be finite, got {value}")
     records = _read_csv_rows(lines, TRACE_CSV_HEADER, _trace_record)
-    return ObservationTrace(tuple(records), window.get("start_rho"), window.get("stop_rho"))
+    try:
+        return ObservationTrace(tuple(records), window.get("start_rho"), window.get("stop_rho"))
+    except TraceRecordError as exc:
+        # lines[0] is the header, so record k is on lines[k + 1].
+        raise ValueError(f"line {lines[exc.index + 1][0]}: {exc.reason}") from None
 
 
 def _trace_record(parts: list[str]) -> TraceRecord:
+    # Values are checked for finiteness once, by ObservationTrace.
     t, reading, truth_rho, truth_i, truth_j = parts
-    t, reading = float(t), float(reading)
-    truth_rho = float(truth_rho) if truth_rho else None
-    if not (math.isfinite(t) and math.isfinite(reading) and _finite(truth_rho)):
-        raise _not_finite("values", t, reading, truth_rho)
-    return TraceRecord(
-        t,
-        reading,
-        truth_rho,
+    return tuple.__new__(TraceRecord, (
+        float(t),
+        float(reading),
+        float(truth_rho) if truth_rho else None,
         int(truth_i) if truth_i else None,
         int(truth_j) if truth_j else None,
-    )
+    ))

@@ -235,6 +235,9 @@ class TestConfig:
             ("rho_max = 11", "rho_max = 11\nv = x", "geometry"),
             ("2 5", "2 x", "layout"),
             ("10 9", "10 x", "layout"),
+            # A % is plain text: no interpolation error escapes the loader.
+            ("h = 6", "h = 18%", "geometry"),
+            ("2 5", "2 5%(x)s", "layout"),
         ],
     )
     def test_unreadable_value_names_file_once(self, tmp_path, old, new, section):
@@ -532,6 +535,27 @@ class TestCliCalibrate:
         assert captured.out == ""
         assert f"error: {bad}: line 4: values must be finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "column,message",
+        [(0, "trace times must strictly increase"), (2, "truth lengths must strictly decrease")],
+    )
+    def test_row_order_fault_names_its_line(self, config_dir, tmp_path, capsys, column, message):
+        # The fourth record goes back to the third's value; the blank line
+        # above the header moves it from line 6 to line 7 of the file.
+        trace = self._trace(config_dir, tmp_path, 9.1, 7.4)
+        text = trace.read_text().splitlines()
+        third, fourth = text[4].split(","), text[5].split(",")
+        fourth[column] = third[column]
+        text[5] = ",".join(fourth)
+        text.insert(1, "")
+        bad = trace.with_name("order.csv")
+        bad.write_text("\n".join(text) + "\n")
+        code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: line 7: {message}")
+
     def test_missing_trace_file(self, config_dir):
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", "/nope.csv"])
         assert code == 1
@@ -757,6 +781,31 @@ class TestShell:
             out, err = capsys.readouterr()
             assert (shell.returncode, shell.stdout, shell.stderr) == (code, out, err)
             assert out or err
+
+
+    @pytest.mark.parametrize(
+        "old,new,where",
+        [("h = 6", "h = 18%", "[geometry] h"), ("2 5", "2 5%(x)s", "[layout] sensor_heights")],
+    )
+    def test_percent_in_a_value_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, old, new, where
+    ):
+        # configparser's % interpolation would raise its own errors, which
+        # are no ValueError and would end the process with a traceback.
+        monkeypatch.chdir(tmp_path)
+        Path("pct.ini").write_text(MEDIUM_LAYOUT.replace(old, new))
+        argv = ["validate", "pct.ini"]
+        shell = subprocess.run(
+            [sys.executable, "-m", "cablecal.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(self.SRC)},
+            timeout=60,
+        )
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (shell.returncode, shell.stdout, shell.stderr) == (1, out, err)
+        assert out == ""
+        assert err.startswith(f"error: pct.ini: {where}: could not convert string to float")
+        assert "Traceback" not in err
 
 
 class TestReadmeExitCodes:

@@ -26,6 +26,7 @@ from cablecal import (
 )
 from cablecal import presets
 from conftest import FIVE_CENTIMETRE_POOLS, ONE_SENSOR
+from test_exactness import TOLERANCES, drives
 
 # Every design whose profile the identifier is checked against: the presets
 # and the 5 cm recipes, on which 0.01 and 0.05 give different profiles.
@@ -344,6 +345,44 @@ class TestHistoryOracle:
                 assert list(result.candidate_history) == replayed_history(
                     table, readings, tolerance
                 )
+
+
+def folded(design, trace, tolerance):
+    """(status, candidate_history, rho, stroke) of a drive, folded by hand
+    through start and observe as an online caller does; every terminal
+    state must refuse a further gap."""
+    table = rectify(enumerate_events(design))
+    records = trace.records
+    if not records:
+        return Status.AMBIGUOUS, (), None, None
+    state = start(table, tolerance)
+    history = [state.candidate_count]
+    for prev, rec in zip(records, records[1:]):
+        state = observe(state, rec.reading - prev.reading)
+        history.append(state.candidate_count)
+        if state.terminal:
+            with pytest.raises(ValueError, match=f"cannot observe on a {state.status.value} state"):
+                observe(state, rec.reading - prev.reading)
+            break
+    if state.status is not Status.IDENTIFIED:
+        return state.status, tuple(history), None, None
+    first = table.events[state.identified_index - len(history)]  # the first record's event
+    return state.status, tuple(history), state.identified_rho, first.rho - state.identified_rho
+
+
+class TestFoldOracle:
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_run_trace_is_the_fold_of_observe(self, tolerance):
+        # The calibration digest's seeded drives: from every start of the
+        # presets and the long recipe's design, clean and with one of the
+        # first three detections dropped.
+        statuses = set()
+        for design, trace in drives():
+            result = run_trace(design, trace, tolerance)
+            expected = folded(design, trace, tolerance)
+            assert (result.status, result.candidate_history, result.rho, result.stroke) == expected
+            statuses.add(result.status)
+        assert statuses == set(Status)
 
 
 class TestTruthFree:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from cablecal import (
     rectify,
     simulate,
 )
-from cablecal.simulate import format_trace_csv, parse_trace_csv
+from cablecal.simulate import TraceRecordError, format_trace_csv, parse_trace_csv
 
 IDEAL = EncoderModel()
 
@@ -180,3 +181,78 @@ class TestTraceValidation:
     def test_values_must_be_finite(self, records, start_rho, stop_rho):
         with pytest.raises(ValueError, match="finite"):
             ObservationTrace(records, start_rho, stop_rho)
+
+    @pytest.mark.parametrize(
+        "records,index,message",
+        [
+            (
+                (TraceRecord(0.0, 0.0), TraceRecord(math.inf, 1.0)),
+                1,
+                "trace record 2 must be finite",
+            ),
+            (
+                (TraceRecord(0.0, 0.0), TraceRecord(1.0, 1.0), TraceRecord(0.5, 2.0)),
+                2,
+                "trace times must strictly increase",
+            ),
+            (
+                (TraceRecord(0.0, 0.0, 5.0), TraceRecord(1.0, 1.0, 4.0), TraceRecord(2.0, 2.0, 4.0)),
+                2,
+                "truth lengths must strictly decrease",
+            ),
+            # Every value is checked before any order: the nan of record 3
+            # is named, not the time fault of record 2.
+            (
+                (TraceRecord(1.0, 0.0), TraceRecord(0.0, 1.0), TraceRecord(2.0, math.nan)),
+                2,
+                "trace record 3 must be finite",
+            ),
+        ],
+    )
+    def test_fault_names_its_record(self, records, index, message):
+        with pytest.raises(TraceRecordError, match=message) as err:
+            ObservationTrace(records, None, None)
+        assert err.value.index == index
+
+    def test_unknown_truth_lengths_are_not_compared(self):
+        # Only two successive known truth lengths must decrease.
+        records = (TraceRecord(0.0, 0.0, 5.0), TraceRecord(1.0, 1.0), TraceRecord(2.0, 2.0, 6.0))
+        assert ObservationTrace(records, None, None).records == records
+
+    def test_column_checks_agree_with_the_record_scan(self):
+        # Random short traces, about half of them valid: the column checks
+        # accept exactly the traces the record-by-record rules accept.
+        rng = random.Random(0)
+        values = (0.0, 1.0, 2.0, math.nan, math.inf, None)
+        outcomes = set()
+        for _ in range(3000):
+            records = []
+            for n in range(rng.randrange(1, 5)):
+                t = float(n) if rng.random() < 0.9 else rng.choice(values[:5])
+                reading = 0.0 if rng.random() < 0.95 else math.nan
+                truth = 10.0 - n if rng.random() < 0.7 else rng.choice(values)
+                records.append(TraceRecord(t, reading, truth))
+            records = tuple(records)
+            try:
+                ObservationTrace(records, None, None)
+                accepted = True
+            except TraceRecordError:
+                accepted = False
+            assert accepted == reference_valid(records), records
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
+
+def reference_valid(records) -> bool:
+    """The trace rules written out pair by pair."""
+    for r in records:
+        if not (math.isfinite(r.t) and math.isfinite(r.reading)):
+            return False
+        if r.truth_rho is not None and not math.isfinite(r.truth_rho):
+            return False
+    for a, b in zip(records, records[1:]):
+        if b.t <= a.t:
+            return False
+        if a.truth_rho is not None and b.truth_rho is not None and b.truth_rho >= a.truth_rho:
+            return False
+    return True
