@@ -185,9 +185,7 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     """
     g = design.geometry
     l_max, h, v = g.l_max, g.h, g.v
-    # (j, height, h - height) top-down
-    top_down = [(j, height, h - height) for j, height in enumerate(design.sensors.heights, start=1)]
-    top_down.reverse()
+    top_down = tuple(enumerate(design.sensors.heights, start=1))[::-1]
     # Marks in index order and each mark's sensors top-down, so a stable
     # sort on time alone leaves ties by ascending i, then descending j.
     # Each row is built from its finished tuple, as Event's own __new__
@@ -195,13 +193,10 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     found = [
         tuple.__new__(Event, (t, i, j, rho))
         for i, position in enumerate(design.marks.positions, start=1)
-        for reach in (l_max - position,)
-        for j, height, drop in top_down
-        # The expressions of detection_time, (l_max - position - height) / v,
-        # and CalibrationDesign.rho_at, position - (h - height), with each
-        # mark's and each sensor's term taken once.
-        if (t := (reach - height) / v) >= -GEOM_TOL
-        and (rho := position - drop) > GEOM_TOL
+        for j, height in top_down
+        # The expressions of detection_time and CalibrationDesign.rho_at.
+        if (t := (l_max - position - height) / v) >= -GEOM_TOL
+        and (rho := position - (h - height)) > GEOM_TOL
     ]
     found.sort(key=_time)
     return EventTable(tuple(found))
@@ -271,8 +266,9 @@ def advance(current: int, match: int) -> int:
     q stands for the 1-based event q + 1 as the drive's current position.
     A current event survives when its next table gap matches, and the drive
     moves on to the event after it; the last event has no gap.  This is the
-    one elimination rule: ``identify.observe`` folds measured gaps through
-    it and :func:`stroke_profile` folds the table's own gaps.
+    one elimination rule: ``identify.run_trace`` and ``identify.observe``
+    fold measured gaps through it and :func:`stroke_profile` folds the
+    table's own gaps.
     """
     return (current & match) << 1
 

@@ -12,9 +12,7 @@ however far it wound after its last detection.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 from .events import EventTable, advance, enumerate_events, left_sum, rectify
 from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
@@ -119,10 +117,6 @@ def observe(state: IdentifierState, gap: float) -> IdentifierState:
     return IdentifierState(table, tolerance, current)
 
 
-_first = operator.itemgetter(0)
-_second = operator.itemgetter(1)
-
-
 def fit_encoder(
     start_rho: float, samples: list[tuple[float, float]]
 ) -> tuple[float, float] | None:
@@ -133,18 +127,15 @@ def fit_encoder(
     rho) + offset`` is fitted; it needs samples at two or more distinct
     lengths, and None is returned otherwise.
     """
-    rhos = tuple(map(_first, samples))
-    if len(set(rhos)) < 2:
+    if len({rho for rho, _ in samples}) < 2:
         return None
-    ys = tuple(map(_second, samples))
-    xs = tuple(map(operator.sub, repeat(start_rho), rhos))
+    xs = [start_rho - rho for rho, _ in samples]
+    ys = [reading for _, reading in samples]
     n = len(xs)
     mx = left_sum(xs) / n
     my = left_sum(ys) / n
-    dxs = tuple(map(operator.sub, xs, repeat(mx)))
-    # pow(d, 2) is d ** 2 and mul is *, so the sums stay bit-exact.
-    sxx = left_sum(map(pow, dxs, repeat(2)))
-    sxy = left_sum(map(operator.mul, dxs, map(operator.sub, ys, repeat(my))))
+    sxx = left_sum((x - mx) ** 2 for x in xs)
+    sxy = left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     scale = sxy / sxx
     return scale, my - scale * mx
 

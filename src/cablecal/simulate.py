@@ -10,12 +10,9 @@ so traces are reproducible bit-for-bit across platforms.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 from .events import _csv_lines, _read_csv_rows, enumerate_events, rectify
@@ -85,25 +82,11 @@ class TraceRecordError(ValueError):
 
 _TIMES_INCREASE = "trace times must strictly increase"
 _TRUTHS_DECREASE = "truth lengths must strictly decrease while winding"
-_known = functools.partial(operator.is_not, None)
-
-
-def _columns_valid(records: tuple[TraceRecord, ...]) -> bool:
-    """Whether the records keep the rules of :class:`ObservationTrace`,
-    checked on whole columns: finite values, increasing times and, where
-    two successive truth lengths are known, decreasing truth lengths."""
-    ts, readings, truths, _, _ = zip(*records)
-    known = truths if None not in truths else tuple(filter(_known, truths))
-    if not all(map(math.isfinite, chain(ts, readings, known))):
-        return False
-    if len(known) < len(truths):
-        # nan compares false, so a pair with an unknown length never fails.
-        truths = tuple(math.nan if x is None else x for x in truths)
-    return all(map(operator.lt, ts, ts[1:])) and not any(map(operator.le, truths, truths[1:]))
 
 
 def _check_records(records: tuple[TraceRecord, ...]) -> None:
-    """The rules of :func:`_columns_valid`, record by record: raises a
+    """Finite values, increasing times and, where two successive truth
+    lengths are known, decreasing truth lengths: raises a
     :class:`TraceRecordError` naming the first record that breaks one."""
     for n, r in enumerate(records):
         if not (math.isfinite(r.t) and math.isfinite(r.reading) and _finite(r.truth_rho)):
@@ -137,10 +120,7 @@ class ObservationTrace:
                 f"trace start_rho and stop_rho must be finite, got "
                 f"{self.start_rho} and {self.stop_rho}"
             )
-        # The columns are checked whole; only a trace that fails is scanned
-        # record by record, to name the record.
-        if self.records and not _columns_valid(self.records):
-            _check_records(self.records)
+        _check_records(self.records)
 
     @property
     def count(self) -> int:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import random
 
 import pytest
 
@@ -218,41 +217,3 @@ class TestTraceValidation:
         # Only two successive known truth lengths must decrease.
         records = (TraceRecord(0.0, 0.0, 5.0), TraceRecord(1.0, 1.0), TraceRecord(2.0, 2.0, 6.0))
         assert ObservationTrace(records, None, None).records == records
-
-    def test_column_checks_agree_with_the_record_scan(self):
-        # Random short traces, about half of them valid: the column checks
-        # accept exactly the traces the record-by-record rules accept.
-        rng = random.Random(0)
-        values = (0.0, 1.0, 2.0, math.nan, math.inf, None)
-        outcomes = set()
-        for _ in range(3000):
-            records = []
-            for n in range(rng.randrange(1, 5)):
-                t = float(n) if rng.random() < 0.9 else rng.choice(values[:5])
-                reading = 0.0 if rng.random() < 0.95 else math.nan
-                truth = 10.0 - n if rng.random() < 0.7 else rng.choice(values)
-                records.append(TraceRecord(t, reading, truth))
-            records = tuple(records)
-            try:
-                ObservationTrace(records, None, None)
-                accepted = True
-            except TraceRecordError:
-                accepted = False
-            assert accepted == reference_valid(records), records
-            outcomes.add(accepted)
-        assert outcomes == {True, False}
-
-
-def reference_valid(records) -> bool:
-    """The trace rules written out pair by pair."""
-    for r in records:
-        if not (math.isfinite(r.t) and math.isfinite(r.reading)):
-            return False
-        if r.truth_rho is not None and not math.isfinite(r.truth_rho):
-            return False
-    for a, b in zip(records, records[1:]):
-        if b.t <= a.t:
-            return False
-        if a.truth_rho is not None and b.truth_rho is not None and b.truth_rho >= a.truth_rho:
-            return False
-    return True
