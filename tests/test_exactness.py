@@ -16,10 +16,16 @@ three detections dropped.  Each drive runs with and without its
 was computed with the ``ClosedLoopCorrector`` class that ``fit_encoder``
 replaced.
 
+The search digest is one SHA-256 over the trail CSV, the dumped design, the
+score ``repr`` and the revisit count of 87 ``search`` runs: the climb recipe
+at seeds 0-19 and budgets 0, 1, 40 and 500, the long recipe at budget 500,
+and a small five-value recipe at three tolerances, budgets 60 and 240.  Its
+pinned value was computed with a search that scored every ordering in full.
+
 A change that moves any of these values in its last bit changes a digest.
-Both are the same on Python 3.10 to 3.13.  Run as a script to print the
-digests of the current code; it exits non-zero when either differs from its
-pinned value::
+The first two are the same on Python 3.10 to 3.13; the search digest was
+recorded on Python 3.11.  Run as a script to print the digests of the
+current code; it exits non-zero when any differs from its pinned value::
 
     PYTHONPATH=src python tests/test_exactness.py
 """
@@ -41,13 +47,17 @@ from cablecal import (
     presets,
     rectify,
     run_trace,
+    search,
     simulate,
     stroke_profile,
     validate_design,
 )
+from cablecal.config import dump_design
+from cablecal.optimize import format_trail_csv
 
 EXPECTED_DIGEST = "5e8e465194c39d435bb42ddb176da99fdf52e0db95f21974629b4971d11b15b6"
 EXPECTED_CALIBRATION_DIGEST = "4b5594c6b6f4f2d9cd8368d4c0f5a63e07dd0dc923ed649eaf6f4c99fc27d67e"
+EXPECTED_SEARCH_DIGEST = "8aaf516193c423a2c3e0ee6a733cac543153bf77d8e94efe1cb5c50290a60fc8"
 
 # (h, rho_max, d_pool, z_pool) of the long recipe, as the benchmark builds it
 LONG_RECIPE = (18.0, 60.0, (0.5, 0.75, 1.25), (2.0, 3.0))
@@ -57,6 +67,8 @@ RECIPES = (
     (*LONG_RECIPE, 1),
 )
 TOLERANCES = (0.01, 0.05, 0.3)
+# The search tests' small recipe: 240 orderings on a 6 m support.
+FIVE_POOL_RECIPE = (6.0, 11.0, (0.5, 0.75, 1.0, 1.25, 1.5), (1.0, 2.0))
 
 
 def designs():
@@ -145,6 +157,33 @@ def calibration_digest() -> tuple[int, str]:
     return count, sha.hexdigest()
 
 
+def searches():
+    """(recipe, budget, seed, tolerance) of every pinned search."""
+    climb, long_recipe = (DesignRecipe(RobotGeometry(h, rho_max), d, z) for h, rho_max, d, z, _ in RECIPES)
+    for seed in range(20):
+        for budget in (0, 1, 40, 500):
+            yield climb, budget, seed, 0.05
+    yield long_recipe, 500, 0, 0.05
+    h, rho_max, d_pool, z_pool = FIVE_POOL_RECIPE
+    small = DesignRecipe(RobotGeometry(h, rho_max, v=1.0, b=1.0), d_pool, z_pool)
+    for tolerance in TOLERANCES:
+        for budget in (60, 240):
+            yield small, budget, 42, tolerance
+
+
+def search_digest() -> tuple[int, str]:
+    """(number of searches, hex digest of their results)."""
+    sha = hashlib.sha256()
+    count = 0
+    for count, (recipe, budget, seed, tolerance) in enumerate(searches(), start=1):
+        result = search(recipe, budget, seed, tolerance)
+        values = format_trail_csv(result.trail), dump_design(result.design), repr(result.score), repr(result.revisits)
+        for value in values:
+            sha.update(value.encode())
+            sha.update(b"\n")
+    return count, sha.hexdigest()
+
+
 def test_pipeline_output_is_bit_exact():
     assert digest() == (232, EXPECTED_DIGEST)
 
@@ -153,10 +192,17 @@ def test_calibration_output_is_bit_exact():
     assert calibration_digest() == (3132, EXPECTED_CALIBRATION_DIGEST)
 
 
+def test_search_output_is_bit_exact():
+    assert search_digest() == (87, EXPECTED_SEARCH_DIGEST)
+
+
 if __name__ == "__main__":
-    tables = digest()
-    calibrations = calibration_digest()
-    print(*tables)
-    print(*calibrations)
-    pinned = (tables, calibrations) == ((232, EXPECTED_DIGEST), (3132, EXPECTED_CALIBRATION_DIGEST))
+    digests = digest(), calibration_digest(), search_digest()
+    for pair in digests:
+        print(*pair)
+    pinned = digests == (
+        (232, EXPECTED_DIGEST),
+        (3132, EXPECTED_CALIBRATION_DIGEST),
+        (87, EXPECTED_SEARCH_DIGEST),
+    )
     raise SystemExit(0 if pinned else "a digest differs from its pinned value")
