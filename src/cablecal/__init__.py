@@ -12,7 +12,6 @@ from .designer import (
     build_design,
     distal_reserve,
     first_sensor_height,
-    mark_count_estimate,
     place_marks,
     place_sensors,
     sensor_count,

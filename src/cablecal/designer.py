@@ -55,15 +55,6 @@ class DesignRecipe:
             raise ValueError("gap pool values must be positive")
 
 
-class MarkCountEstimate(NamedTuple):
-    """Real-valued mark count from the span/mean-gap formula plus its
-    truncated integer; the integer is advisory only, actual counts emerge
-    from placement."""
-
-    exact: float
-    advisory: int
-
-
 class BuildResult(NamedTuple):
     design: CalibrationDesign
     report: ConditionReport
@@ -96,24 +87,6 @@ def sensor_count(geometry: RobotGeometry, d0: float, os1: float, z_bar: float) -
     if d0 < 0 or os1 >= geometry.h - d0:
         raise ValueError(f"need 0 <= d0 and os1 < h - d0 (d0={d0}, os1={os1})")
     return int(1 + (geometry.h - d0 - os1) / z_bar)
-
-
-def mark_count_estimate(
-    geometry: RobotGeometry, d0: float, dn: float, d_bar: float
-) -> MarkCountEstimate:
-    """Marks that fit between the reserves at mean gap d_bar.
-
-    Returns both the exact real value and its truncation.  The estimate is
-    advisory: :func:`place_marks` derives the real count from the gap walk.
-    """
-    if d_bar <= 0:
-        raise ValueError(f"mean mark gap must be positive, got {d_bar}")
-    if geometry.rho_max <= d0 + dn:
-        raise ValueError(
-            f"reserves d0={d0}, dn={dn} leave no instrumented span on rho_max={geometry.rho_max}"
-        )
-    exact = 1 + (geometry.rho_max - d0 - dn) / d_bar
-    return MarkCountEstimate(exact, int(exact))
 
 
 def place_sensors(

@@ -39,6 +39,7 @@ class Event(NamedTuple):
 
 
 _time = operator.itemgetter(0)  # an event's t
+_wound = operator.itemgetter(3)  # a stroke_profile group's wound length
 
 
 def _new_instants(times: tuple[float, ...]) -> Iterator[bool]:
@@ -274,8 +275,10 @@ def advance(current: int, match: int) -> int:
 
 
 def stroke_profile(
-    table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE
-) -> StrokeProfile:
+    table: EventTable,
+    tolerance: float = DEFAULT_GAP_TOLERANCE,
+    limit: tuple[int, float] | None = None,
+) -> StrokeProfile | None:
     """How much cable each starting position must wind before it is unique.
 
     The profile is the identifier's elimination replayed on the table's own
@@ -292,7 +295,17 @@ def stroke_profile(
     of their next gap.  A group's members also share the length their
     common gaps wind, so each step adds its gap to that once, and a stroke
     is its start's gaps added left to right.  Every gap value is folded at
-    k = 1, so its match mask is taken once, up front.
+    k = 1, so its match mask is taken once, up front.  The walk is
+    deepest-first; with a limit, the groups a split yields are walked
+    longest-wound first, so a long stroke shows early.
+
+    With a ``limit`` ``(u, w)`` the walk returns None as soon as it proves
+    that the profile's ``(unidentifiable_starts, worst_stroke)``, with no
+    stroke read as infinite, is lexicographically above the limit.  Gaps
+    are positive, so the starts flagged so far and the length any group
+    has wound are lower bounds on the final pair: it is proved once more
+    than u starts are flagged, or u are and a group has wound more than w.
+    A profile it does return is exact, and may still lie above the limit.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
@@ -304,6 +317,10 @@ def stroke_profile(
     }
     everyone = (1 << table.count) - 1
     has_next = everyone >> 1  # the events with a next gap
+    ends = has_next ^ (has_next >> 1)  # the event whose next gap is the last
+    # Without a limit, one that no profile lies above.
+    most, longest = limit or (table.count, math.inf)
+    flagged = min(table.count, 1)  # the final event has no gap
     identified: dict[int, tuple[int, int, float]] = {}  # p -> (p, k, stroke)
     # (those of the current events of starts sharing their first k - 1 gaps
     # that have a next gap, the candidates those gaps leave, k, the length
@@ -311,6 +328,7 @@ def stroke_profile(
     pending = [(has_next, everyone, 1, 0)]
     while pending:
         rest, current, k, wound = pending.pop()
+        split = len(pending)
         while rest:
             gap = gaps[(rest & -rest).bit_length() - 1]  # the lowest event's next gap
             bits, match = splits[gap]
@@ -323,7 +341,18 @@ def stroke_profile(
                 p = after.bit_length() - k
                 identified[p] = (p, k, stroke)
             else:
-                pending.append(((subgroup << 1) & has_next, after, k + 1, stroke))
+                if subgroup & ends:  # its start's gaps run out here
+                    flagged += 1
+                    if flagged > most:
+                        return None
+                    subgroup ^= ends
+                    if not subgroup:
+                        continue
+                pending.append((subgroup << 1, after, k + 1, stroke))
+            if stroke > longest and flagged >= most:
+                return None
+        if limit and len(pending) - split > 1:
+            pending[split:] = sorted(pending[split:], key=_wound)
     return StrokeProfile(tuple([
         tuple.__new__(StartStroke, identified.get(p) or (p, None, None))
         for p in range(1, table.count + 1)

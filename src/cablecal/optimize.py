@@ -52,23 +52,45 @@ def compare(a: ObjectiveScore, b: ObjectiveScore) -> int:
 
 
 def score(
-    design: CalibrationDesign, tolerance: float = DEFAULT_GAP_TOLERANCE
-) -> ObjectiveScore:
+    design: CalibrationDesign,
+    tolerance: float = DEFAULT_GAP_TOLERANCE,
+    incumbent: ObjectiveScore | None = None,
+) -> ObjectiveScore | None:
     """Gap statistics plus identification strokes for one design.
 
     ``tolerance`` is the gap match tolerance calibration will use, so the
     strokes are the ones the identifier actually needs.
+
+    Given an ``incumbent``, the result is None when the design's score
+    would not beat it (``compare(score, incumbent) >= 0``), and the exact
+    score otherwise.  The gap statistics come first; the stroke walk then
+    stops as soon as its partial ``(unidentifiable_starts, worst_stroke)``
+    proves the loss (see :func:`stroke_profile`), so a losing design is
+    seldom walked in full.
     """
     table = rectify(enumerate_events(design))
     stats = delta_stats(table)
-    profile = stroke_profile(table, tolerance)
+    limit = None
+    if incumbent is not None:
+        worst = incumbent.worst_stroke
+        if (stats.mean, -stats.std) >= (incumbent.mean_gap, -incumbent.std_gap):
+            # The tail does not beat the incumbent's, so a tie on the
+            # strokes loses too: the limit is the next float down.
+            worst = math.nextafter(worst, -math.inf)
+        limit = incumbent.unidentifiable_starts, worst
+    profile = stroke_profile(table, tolerance, limit)
+    if profile is None:
+        return None
     worst = profile.worst_stroke
-    return ObjectiveScore(
+    scored = ObjectiveScore(
         mean_gap=stats.mean,
         std_gap=stats.std,
         worst_stroke=worst if worst is not None else math.inf,
         unidentifiable_starts=profile.unidentifiable_starts,
     )
+    if incumbent is not None and compare(scored, incumbent) >= 0:
+        return None
+    return scored
 
 
 def _orderings(pool: tuple[float, ...]) -> int:
@@ -106,9 +128,10 @@ class SearchResult(NamedTuple):
     revisits: int  # evaluations served from the memo, not rebuilt
 
 
-def _assess(candidate: DesignRecipe, tolerance: float):
+def _assess(candidate: DesignRecipe, tolerance: float, incumbent: ObjectiveScore | None):
     """(candidate, design, score) for a recipe whose design meets C1..C5 and
-    can be scored, else None."""
+    can be scored, else None.  The score is None when it does not beat
+    ``incumbent`` (see :func:`score`)."""
     try:
         design, report = build_design(candidate)
     except InfeasibleRecipe:
@@ -116,7 +139,7 @@ def _assess(candidate: DesignRecipe, tolerance: float):
     if not report.hard_pass:
         return None
     try:
-        scored = score(design, tolerance)
+        scored = score(design, tolerance, incumbent)
     except ValueError:
         # The tolerance is checked and the table rectified, so score refuses
         # only a design of fewer than 3 events, which has no gap statistics.
@@ -148,8 +171,17 @@ def search(
     index, score) for every improvement within the budget.  Designs are
     scored at the gap match ``tolerance``.  Deterministic per seed.
 
-    A revisited ordering counts against the budget but is not rebuilt or
-    rescored: its first result is reused, and ``revisits`` counts how often.
+    Scoring is bounded: an enumerated ordering is scored against the best
+    so far and a climbing step against the current ordering, and its walk
+    stops once it cannot beat that incumbent.  The given ordering and each
+    restart are scored in full.  The result is the same as with every
+    ordering scored in full.
+
+    A revisited ordering counts against the budget but is never rebuilt,
+    and ``revisits`` counts how often that happens.  Its stored score is
+    reused, and an ordering that lost to an incumbent still loses to any
+    incumbent at least as good.  Only after a restart can the incumbent be
+    worse, and then the stored design is scored again.
     """
     check_gap_tolerance(tolerance)
     if budget < 0:
@@ -160,31 +192,53 @@ def search(
     best = None
     trail: list[tuple[int, ObjectiveScore]] = []
     evals = revisits = 0
+    # Ordering -> None when it does not conform, else (candidate, design,
+    # score or None, the sort key of the incumbent it was scored against).
     seen: dict[tuple[tuple[float, ...], tuple[float, ...]], tuple | None] = {}
 
-    def evaluate(d_order: tuple[float, ...], z_order: tuple[float, ...]):
-        """Build, check and score one ordering; None when it does not conform.
+    def evaluate(
+        d_order: tuple[float, ...],
+        z_order: tuple[float, ...],
+        incumbent: ObjectiveScore | None = None,
+    ):
+        """(candidate, design, score) of one ordering; None when it does not
+        conform or does not beat ``incumbent``.
 
-        A revisit returns the stored result.  It was no better than ``best``
-        when first scored, so it cannot improve on it now.
+        A revisit cannot improve on ``best``: it was no better than
+        ``best`` when first scored.
         """
         nonlocal best, evals, revisits
         evals += 1
         key = d_order, z_order
+        bar = None if incumbent is None else sort_key(incumbent)
         if key in seen:
             revisits += 1
-            return seen[key]
-        result = seen[key] = _assess(replace(recipe, d_pool=d_order, z_pool=z_order), tolerance)
-        if result is not None and (best is None or compare(result[2], best[2]) < 0):
-            best = result
-            trail.append((evals, result[2]))
-        return result
+            if seen[key] is None:
+                return None
+            candidate, design, scored, lost_to = seen[key]
+            if scored is None and (bar is None or bar > lost_to):
+                # The incumbent is worse than the one this ordering lost to.
+                scored = score(design, tolerance, incumbent)
+                seen[key] = candidate, design, scored, bar
+        else:
+            result = _assess(replace(recipe, d_pool=d_order, z_pool=z_order), tolerance, incumbent)
+            if result is None:
+                seen[key] = None
+                return None
+            candidate, design, scored = result
+            seen[key] = candidate, design, scored, bar
+        if scored is None or (bar is not None and sort_key(scored) >= bar):
+            return None
+        if best is None or compare(scored, best[2]) < 0:
+            best = candidate, design, scored
+            trail.append((evals, scored))
+        return candidate, design, scored
 
     if exhaustive:
         z_orders = list(_distinct_orderings(recipe.z_pool))
         for d_order in _distinct_orderings(recipe.d_pool):
             for z_order in z_orders:
-                evaluate(d_order, z_order)
+                evaluate(d_order, z_order, None if best is None else best[2])
     else:
         rng = random.Random(seed)
         current_d = tuple(recipe.d_pool)
@@ -209,8 +263,8 @@ def search(
             else:
                 cand_d, cand_z = current_d, _swap_adjacent(current_z, rng)
 
-            candidate = evaluate(cand_d, cand_z)
-            if candidate is not None and compare(candidate[2], current[2]) < 0:
+            candidate = evaluate(cand_d, cand_z, current[2])
+            if candidate is not None:
                 current = candidate
                 current_d, current_z = cand_d, cand_z
                 stall = 0

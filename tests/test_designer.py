@@ -11,7 +11,6 @@ from cablecal import (
     build_design,
     distal_reserve,
     first_sensor_height,
-    mark_count_estimate,
     place_marks,
     place_sensors,
     sensor_count,
@@ -60,19 +59,6 @@ class TestFormulas:
             sensor_count(G_MEDIUM, d0=1.0, os1=2.0, z_bar=0.0)
         with pytest.raises(ValueError):
             sensor_count(G_MEDIUM, d0=1.0, os1=5.5, z_bar=1.0)
-
-    def test_mark_count_estimate(self):
-        assert mark_count_estimate(G_MEDIUM, 1.0, 5.0, 1.0) == (6.0, 6)
-        exact, advisory = mark_count_estimate(G_LARGE, 0.5, 9.0, 1.0)
-        assert exact == 12.5 and advisory == 12
-        exact, advisory = mark_count_estimate(G_XL, 0.25, 13.0, 1.375)
-        assert exact == pytest.approx(14.636363636363637) and advisory == 14
-
-    def test_mark_count_estimate_bad_inputs(self):
-        with pytest.raises(ValueError):
-            mark_count_estimate(G_MEDIUM, 1.0, 5.0, 0.0)
-        with pytest.raises(ValueError):
-            mark_count_estimate(G_MEDIUM, 6.0, 5.0, 1.0)
 
 
 class TestPlaceSensors:

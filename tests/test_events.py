@@ -592,6 +592,36 @@ class TestStrokeProfile:
         with pytest.raises(ValueError, match="finite and positive"):
             stroke_profile(table, tolerance)
 
+    @pytest.mark.parametrize("tolerance", [0.01, 0.3, 0.6])
+    def test_limit_stops_only_above_the_profile(self, tolerance):
+        # A bounded walk returns None only when the profile's (flagged
+        # starts, worst stroke) lies above the limit, and otherwise the
+        # profile itself.  Few gap values leave starts that wind far before
+        # their gaps run out; that length is no stroke.
+        rng = random.Random(1)
+        stopped = 0
+        for _ in range(1500):
+            pool = [0.5, 1.0, 1.5, 2.0][: rng.randint(1, 4)]
+            table = table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))])
+            profile = stroke_profile(table, tolerance)
+            worst = profile.worst_stroke
+            u, w = pair = profile.unidentifiable_starts, math.inf if worst is None else worst
+            for limit in ((u, w), (u - 1, w), (u, w - 0.5), (u, w + 0.5), (u - 1, math.inf), (1, 0.0)):
+                walked = stroke_profile(table, tolerance, limit)
+                assert walked == profile or (walked is None and pair > limit)
+                stopped += walked is None
+        assert stopped > 0
+
+    def test_a_start_whose_gaps_run_out_has_no_stroke(self):
+        # Start 4 winds its two 2 m gaps, 4 m, and is still ambiguous when
+        # they run out.  Only identified starts count toward the worst
+        # stroke of 3.5 m, so the profile does not lie above its own pair.
+        table = table_winding([1.5, 1.5, 0.5, 2.0, 2.0])
+        profile = stroke_profile(table, 0.6)
+        limit = profile.unidentifiable_starts, profile.worst_stroke
+        assert limit == (3, 3.5) and not profile.entry(4).identifiable
+        assert stroke_profile(table, 0.6, limit) == profile
+
     def test_frozen_summaries(self, all_designs):
         expected = {
             "medium-cube": (8, 8.0, 8.0),

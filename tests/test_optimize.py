@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,11 +14,21 @@ from cablecal import (
     RobotGeometry,
     build_design,
     compare,
+    enumerate_events,
+    rectify,
     score,
     search,
+    stroke_profile,
 )
 from cablecal import optimize
-from cablecal.optimize import _distinct_orderings, _orderings, format_trail_csv, sort_key
+from cablecal.optimize import (
+    SearchResult,
+    _distinct_orderings,
+    _orderings,
+    _swap_adjacent,
+    format_trail_csv,
+    sort_key,
+)
 
 G_SMALL = RobotGeometry(h=6.0, rho_max=11.0, v=1.0, b=1.0)
 FIVE_POOL = (0.5, 0.75, 1.0, 1.25, 1.5)
@@ -46,6 +59,58 @@ def enumerate_best(recipe: DesignRecipe) -> ObjectiveScore:
     return best
 
 
+def reference_climb(recipe: DesignRecipe, budget: int, seed: int) -> SearchResult:
+    """Independent oracle: the hill-climb with every ordering scored in full.
+
+    The climb of :func:`search` as it was before scoring was bounded, for
+    pools of two or more values: each distinct ordering is built and scored
+    once, and a revisit reuses that.
+    """
+    best = None
+    trail = []
+    evals = revisits = 0
+    seen = {}
+
+    def evaluate(d_order, z_order):
+        nonlocal best, evals, revisits
+        evals += 1
+        if (d_order, z_order) in seen:
+            revisits += 1
+            return seen[d_order, z_order]
+        candidate = replace(recipe, d_pool=d_order, z_pool=z_order)
+        design, report = build_design(candidate)
+        result = seen[d_order, z_order] = (candidate, design, score(design)) if report.hard_pass else None
+        if result is not None and (best is None or compare(result[2], best[2]) < 0):
+            best = result
+            trail.append((evals, result[2]))
+        return result
+
+    rng = random.Random(seed)
+    current_d, current_z = recipe.d_pool, recipe.z_pool
+    current = evaluate(current_d, current_z)
+    stall, stall_limit = 0, 2 * (len(current_d) + len(current_z))
+    while evals < budget:
+        if current is None or stall >= stall_limit:
+            d_list, z_list = list(current_d), list(current_z)
+            rng.shuffle(d_list)
+            rng.shuffle(z_list)
+            current_d, current_z = tuple(d_list), tuple(z_list)
+            current = evaluate(current_d, current_z)
+            stall = 0
+            continue
+        if rng.random() < 0.5:
+            cand_d, cand_z = _swap_adjacent(current_d, rng), current_z
+        else:
+            cand_d, cand_z = current_d, _swap_adjacent(current_z, rng)
+        candidate = evaluate(cand_d, cand_z)
+        if candidate is not None and compare(candidate[2], current[2]) < 0:
+            current, current_d, current_z, stall = candidate, cand_d, cand_z, 0
+        else:
+            stall += 1
+    candidate, design, best_score = best
+    return SearchResult(design, best_score, candidate, tuple(trail), revisits)
+
+
 class TestScore:
     def test_constant_gap_design(self, medium):
         sc = score(medium)
@@ -69,6 +134,46 @@ class TestScore:
     def test_rejects_unusable_tolerance(self, workshop, tolerance):
         with pytest.raises(ValueError, match="finite and positive"):
             score(workshop, tolerance)
+
+
+class TestBoundedScore:
+    # Every ordering of a 240-ordering recipe.  At 0.3 m gaps of different
+    # values match, so matching is no equivalence and groups split unevenly.
+    @pytest.mark.parametrize("tolerance", [0.01, 0.05, 0.3])
+    def test_bound_decides_exactly_as_the_full_score(self, tolerance):
+        designs = []
+        for d_order in itertools.permutations(FIVE_POOL):
+            for z_order in ((1.0, 2.0), (2.0, 1.0)):
+                design, report = build_design(DesignRecipe(G_SMALL, d_order, z_order))
+                if report.hard_pass:
+                    designs.append(design)
+        full = [score(design, tolerance) for design in designs]
+        ranked = sorted(full, key=sort_key)
+        pruned = stopped = 0
+        for design, exact in zip(designs, full):
+            better_tail = replace(exact, mean_gap=exact.mean_gap - 0.125)
+            worse_tail = replace(exact, mean_gap=exact.mean_gap + 0.125)
+            table = rectify(enumerate_events(design))
+            profile = stroke_profile(table, tolerance)
+            for incumbent in (ranked[0], ranked[-1], exact, better_tail, worse_tail):
+                bounded = score(design, tolerance, incumbent)
+                if compare(exact, incumbent) >= 0:
+                    assert bounded is None
+                    pruned += 1
+                else:
+                    assert bounded == exact
+                limit = incumbent.unidentifiable_starts, incumbent.worst_stroke
+                walked = stroke_profile(table, tolerance, limit)
+                pair = exact.unidentifiable_starts, exact.worst_stroke
+                assert walked == profile or (walked is None and pair > limit)
+                stopped += walked is None
+        assert len(designs) > 200 and 0 < stopped < pruned < 5 * len(designs)
+
+    def test_incumbent_with_no_identified_start(self, medium):
+        exact = score(medium)
+        blind = replace(exact, worst_stroke=math.inf)
+        assert score(medium, incumbent=blind) == exact
+        assert score(medium, incumbent=exact) is None
 
 
 class TestCompare:
@@ -218,6 +323,28 @@ class TestSearch:
         assert len(built) == len(set(built))  # each distinct ordering once
         assert result.revisits == 500 - len(built) > 0
         assert result == expected
+
+    def test_rescored_revisit_matches_full_scoring(self, monkeypatch):
+        # At seed 13 a restart leaves the climb worse than an incumbent that
+        # a pruned ordering lost to, and the climb comes back to that
+        # ordering: its stored design is scored again, not rebuilt.
+        expected = reference_climb(CLIMB_RECIPE, 60, 13)
+        built, scored = [], []
+        build, real_score = optimize.build_design, optimize.score
+
+        def counting_build(recipe):
+            built.append((recipe.d_pool, recipe.z_pool))
+            return build(recipe)
+
+        def counting_score(design, *args):
+            scored.append(id(design))
+            return real_score(design, *args)
+
+        monkeypatch.setattr(optimize, "build_design", counting_build)
+        monkeypatch.setattr(optimize, "score", counting_score)
+        assert search(CLIMB_RECIPE, 60, 13) == expected
+        assert len(built) == len(set(built))  # each distinct ordering once
+        assert len(scored) > len(set(scored))  # a design scored twice
 
     @pytest.mark.parametrize("budget", [0, 10, 200])
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
