@@ -124,12 +124,14 @@ def fit_encoder(
 
     Each sample pairs a true length (the setpoint) with the raw register
     (the measurement).  The register model ``reading = scale * (start_rho -
-    rho) + offset`` is fitted; it needs samples at two or more distinct
-    lengths, and None is returned otherwise.
+    rho) + offset`` is fitted; it needs two or more distinct wound lengths
+    ``start_rho - rho`` as computed, and None is returned otherwise.  A
+    start so far above the samples that those all round to one value
+    gives no fit, as a drive without a start does.
     """
-    if len({rho for rho, _ in samples}) < 2:
-        return None
     xs = [start_rho - rho for rho, _ in samples]
+    if len(set(xs)) < 2:
+        return None
     ys = [reading for _, reading in samples]
     n = len(xs)
     mx = left_sum(xs) / n

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .designer import DesignRecipe, InfeasibleRecipe, build_design
-from .events import delta_stats, enumerate_events, rectify, stroke_profile
+from .events import EventTable, delta_stats, enumerate_events, rectify, stroke_profile
 from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
 
 
@@ -55,6 +56,7 @@ def score(
     design: CalibrationDesign,
     tolerance: float = DEFAULT_GAP_TOLERANCE,
     incumbent: ObjectiveScore | None = None,
+    record: dict[bytes, ObjectiveScore | tuple] | None = None,
 ) -> ObjectiveScore | None:
     """Gap statistics plus identification strokes for one design.
 
@@ -67,8 +69,30 @@ def score(
     stops as soon as its partial ``(unidentifiable_starts, worst_stroke)``
     proves the loss (see :func:`stroke_profile`), so a losing design is
     seldom walked in full.
+
+    A ``record`` answers designs whose rectified gaps were scored before;
+    :func:`search` keeps one, because every rotation of a mark-pool
+    ordering builds the same layout.  Both the statistics and the walk read
+    only the gaps and the tolerance, so one record serves calls at one
+    tolerance.  It maps the packed gaps to the exact score, or to the sort
+    key of the incumbent the design lost to.  A stored loss answers only an
+    incumbent at least as good as that one; against a worse incumbent the
+    walk runs again and the record keeps the new result.
     """
     table = rectify(enumerate_events(design))
+    bar = None if incumbent is None else sort_key(incumbent)
+    if record is None:
+        return _verdict(_measure(table, tolerance, incumbent), bar)
+    key = array("d", table.gaps).tobytes()
+    result = record.get(key)
+    if not _stands(result, bar):
+        result = record[key] = _measure(table, tolerance, incumbent)
+    return _verdict(result, bar)
+
+
+def _measure(table: EventTable, tolerance: float, incumbent: ObjectiveScore | None):
+    """The exact score of a rectified table, or the incumbent's sort key
+    once the stroke walk proves the table cannot beat it."""
     stats = delta_stats(table)
     limit = None
     if incumbent is not None:
@@ -80,17 +104,35 @@ def score(
         limit = incumbent.unidentifiable_starts, worst
     profile = stroke_profile(table, tolerance, limit)
     if profile is None:
-        return None
+        return sort_key(incumbent)
     worst = profile.worst_stroke
-    scored = ObjectiveScore(
+    return ObjectiveScore(
         mean_gap=stats.mean,
         std_gap=stats.std,
         worst_stroke=worst if worst is not None else math.inf,
         unidentifiable_starts=profile.unidentifiable_starts,
     )
-    if incumbent is not None and compare(scored, incumbent) >= 0:
-        return None
-    return scored
+
+
+def _stands(result: ObjectiveScore | tuple | None, bar: tuple | None) -> bool:
+    """Whether a stored result still decides against an incumbent of sort
+    key ``bar`` (None when there is none).
+
+    A result is an exact score, which always decides, or the sort key of
+    an incumbent the design lost to.  A design that lost to an incumbent
+    loses to any incumbent at least as good, so a loss decides when ``bar``
+    is no worse than the key it lost to.
+    """
+    return isinstance(result, ObjectiveScore) or (
+        result is not None and bar is not None and bar <= result
+    )
+
+
+def _verdict(result: ObjectiveScore | tuple, bar: tuple | None) -> ObjectiveScore | None:
+    """The exact score of a deciding result when it beats ``bar``, else None."""
+    if isinstance(result, ObjectiveScore) and (bar is None or sort_key(result) < bar):
+        return result
+    return None
 
 
 def _orderings(pool: tuple[float, ...]) -> int:
@@ -128,10 +170,15 @@ class SearchResult(NamedTuple):
     revisits: int  # evaluations served from the memo, not rebuilt
 
 
-def _assess(candidate: DesignRecipe, tolerance: float, incumbent: ObjectiveScore | None):
+def _assess(
+    candidate: DesignRecipe,
+    tolerance: float,
+    incumbent: ObjectiveScore | None,
+    record: dict[bytes, ObjectiveScore | tuple],
+):
     """(candidate, design, score) for a recipe whose design meets C1..C5 and
     can be scored, else None.  The score is None when it does not beat
-    ``incumbent`` (see :func:`score`)."""
+    ``incumbent`` (see :func:`score`, which keeps its result in ``record``)."""
     try:
         design, report = build_design(candidate)
     except InfeasibleRecipe:
@@ -139,7 +186,7 @@ def _assess(candidate: DesignRecipe, tolerance: float, incumbent: ObjectiveScore
     if not report.hard_pass:
         return None
     try:
-        scored = score(design, tolerance, incumbent)
+        scored = score(design, tolerance, incumbent, record)
     except ValueError:
         # The tolerance is checked and the table rectified, so score refuses
         # only a design of fewer than 3 events, which has no gap statistics.
@@ -182,6 +229,12 @@ def search(
     reused, and an ordering that lost to an incumbent still loses to any
     incumbent at least as good.  Only after a restart can the incumbent be
     worse, and then the stored design is scored again.
+
+    :func:`~cablecal.designer.place_marks` cycles the mark pool from just
+    after its minimum, so every rotation of a mark-pool ordering builds the
+    same layout.  Each ordering is still built and gets its own table, but
+    one whose rectified gaps this search has already scored reuses that
+    result, under the rule revisits follow, instead of walking again.
     """
     check_gap_tolerance(tolerance)
     if budget < 0:
@@ -193,8 +246,10 @@ def search(
     trail: list[tuple[int, ObjectiveScore]] = []
     evals = revisits = 0
     # Ordering -> None when it does not conform, else (candidate, design,
-    # score or None, the sort key of the incumbent it was scored against).
+    # its exact score or the sort key of the incumbent it lost to).
     seen: dict[tuple[tuple[float, ...], tuple[float, ...]], tuple | None] = {}
+    # Packed rectified gaps -> the same kind of result, for :func:`score`.
+    record: dict[bytes, ObjectiveScore | tuple] = {}
 
     def evaluate(
         d_order: tuple[float, ...],
@@ -215,19 +270,23 @@ def search(
             revisits += 1
             if seen[key] is None:
                 return None
-            candidate, design, scored, lost_to = seen[key]
-            if scored is None and (bar is None or bar > lost_to):
+            candidate, design, result = seen[key]
+            if not _stands(result, bar):
                 # The incumbent is worse than the one this ordering lost to.
-                scored = score(design, tolerance, incumbent)
-                seen[key] = candidate, design, scored, bar
+                result = score(design, tolerance, incumbent, record)
         else:
-            result = _assess(replace(recipe, d_pool=d_order, z_pool=z_order), tolerance, incumbent)
-            if result is None:
+            assessed = _assess(
+                replace(recipe, d_pool=d_order, z_pool=z_order), tolerance, incumbent, record
+            )
+            if assessed is None:
                 seen[key] = None
                 return None
-            candidate, design, scored = result
-            seen[key] = candidate, design, scored, bar
-        if scored is None or (bar is not None and sort_key(scored) >= bar):
+            candidate, design, result = assessed
+        if result is None:  # it does not beat the incumbent
+            result = bar
+        seen[key] = candidate, design, result
+        scored = _verdict(result, bar)
+        if scored is None:
             return None
         if best is None or compare(scored, best[2]) < 0:
             best = candidate, design, scored

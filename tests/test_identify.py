@@ -159,6 +159,11 @@ class TestFitEncoder:
     def test_duplicate_lengths_do_not_fit(self):
         assert fit_encoder(9.0, [(8.0, 1.0), (8.0, 1.1)]) is None
 
+    def test_lengths_that_round_together_do_not_fit(self):
+        # Seen from 1e20 m, 9.0 and 7.5 m wind one length: nothing to fit.
+        assert 1e20 - 9.0 == 1e20 - 7.5
+        assert fit_encoder(1e20, [(9.0, 0.0), (7.5, 1.53)]) is None
+
     def test_ideal_samples_give_identity(self):
         fit = fit_encoder(12.0, [(rho, 12.0 - rho) for rho in (11.0, 9.5, 7.25)])
         scale, offset = fit

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -37,6 +38,8 @@ ORDERING_POOLS = [(3.0,), FIVE_POOL, (1.0, 1.0, 2.0), (0.5, 0.5, 0.75, 0.75, 0.7
 CLIMB_RECIPE = DesignRecipe(
     RobotGeometry(h=18.0, rho_max=32.0), (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
 )
+# 12 orderings of 144-165 events, enumerated: the bench's optimize-long pools.
+LONG_RECIPE = DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), (0.5, 0.75, 1.25), (2.0, 3.0))
 
 
 def enumerate_best(recipe: DesignRecipe) -> ObjectiveScore:
@@ -150,6 +153,7 @@ class TestBoundedScore:
         full = [score(design, tolerance) for design in designs]
         ranked = sorted(full, key=sort_key)
         pruned = stopped = 0
+        record = {}  # shared by every design, as in one search
         for design, exact in zip(designs, full):
             better_tail = replace(exact, mean_gap=exact.mean_gap - 0.125)
             worse_tail = replace(exact, mean_gap=exact.mean_gap + 0.125)
@@ -157,6 +161,7 @@ class TestBoundedScore:
             profile = stroke_profile(table, tolerance)
             for incumbent in (ranked[0], ranked[-1], exact, better_tail, worse_tail):
                 bounded = score(design, tolerance, incumbent)
+                assert score(design, tolerance, incumbent, record) == bounded
                 if compare(exact, incumbent) >= 0:
                     assert bounded is None
                     pruned += 1
@@ -308,6 +313,33 @@ class TestSearch:
         monkeypatch.setattr(itertools, "permutations", refuse)
         assert search(recipe, budget=90) == expected
         assert expected.score == oracle and expected.revisits == 0
+
+    @pytest.mark.parametrize("recipe,every", [(CLIMB_RECIPE, 60), (LONG_RECIPE, 1)])
+    def test_rotated_mark_orderings_build_one_design(self, recipe, every):
+        # The marks are placed cycling the pool from just after its
+        # minimum, so every rotation of an ordering builds the same layout.
+        for d_order in itertools.islice(_distinct_orderings(recipe.d_pool), 0, None, every):
+            rotations = [d_order[k:] + d_order[:k] for k in range(len(d_order))]
+            designs = [build_design(replace(recipe, d_pool=d)).design for d in rotations]
+            assert all(design == designs[0] for design in designs[1:])
+
+    def test_repeated_gaps_are_walked_once(self, monkeypatch):
+        # The long recipe's 12 orderings build 4 layouts; a search scores
+        # each layout's gaps once and answers its other orderings from that.
+        expected = search(LONG_RECIPE, budget=500)
+        calls = Counter()
+
+        def counting(name, real):
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return count
+
+        for name in ("delta_stats", "stroke_profile"):
+            monkeypatch.setattr(optimize, name, counting(name, getattr(optimize, name)))
+        assert search(LONG_RECIPE, budget=500) == expected
+        assert calls == {"delta_stats": 4, "stroke_profile": 4}
 
     def test_revisits_are_not_rebuilt(self, monkeypatch):
         expected = search(CLIMB_RECIPE, budget=500, seed=0)
