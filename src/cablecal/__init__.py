@@ -12,6 +12,7 @@ from .designer import (
     build_design,
     distal_reserve,
     first_sensor_height,
+    mark_cycle,
     place_marks,
     place_sensors,
     sensor_count,

@@ -124,6 +124,19 @@ def place_sensors(
     return SensorLayout(tuple(heights))
 
 
+def mark_cycle(d_pool: tuple[float, ...] | list[float]) -> tuple[float, ...]:
+    """The mark gaps in the order :func:`place_marks` cycles them.
+
+    The cycle starts just after the first occurrence of the pool minimum,
+    which the proximal reserve d0 consumes.  The marks depend on the pool
+    only through this cycle, so every rotation of an ordering gives one
+    cycle and builds one layout.
+    """
+    pool = tuple(d_pool)
+    start = pool.index(min(pool)) + 1
+    return pool[start:] + pool[:start]
+
+
 def place_marks(
     geometry: RobotGeometry,
     d0: float,
@@ -133,13 +146,12 @@ def place_marks(
     """Walk mark gaps down the cable from rho_max - d0 to exactly dn.
 
     The pool is cycled in its given order starting just after the first
-    occurrence of its minimum (the minimum itself is consumed by the
-    proximal reserve d0).  The walk stops as soon as the next gap would
-    leave at most one pool-maximum of slack; the remainder is then closed
-    by one to three pool gaps, chosen greedily largest-first, preferring
-    values distinct from their neighbours so the gap variability survives
-    the tail.  Raises :class:`InfeasibleRecipe` when no closing
-    combination lands on dn exactly.
+    occurrence of its minimum (see :func:`mark_cycle`).  The walk stops as
+    soon as the next gap would leave at most one pool-maximum of slack; the
+    remainder is then closed by one to three pool gaps, chosen greedily
+    largest-first, preferring values distinct from their neighbours so the
+    gap variability survives the tail.  Raises :class:`InfeasibleRecipe`
+    when no closing combination lands on dn exactly.
     """
     if not d_pool or any(d <= 0 for d in d_pool):
         raise ValueError("mark gaps must be positive and non-empty")
@@ -151,8 +163,7 @@ def place_marks(
         return MarkLayout((dn,))
 
     pool = tuple(d_pool)
-    start = pool.index(min(pool)) + 1
-    order = pool[start:] + pool[:start]
+    order = mark_cycle(pool)
     pool_max = max(pool)
 
     positions = [top]

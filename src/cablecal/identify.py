@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 
 from .events import EventTable, advance, enumerate_events, left_sum, rectify
-from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
+from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
 from .simulate import ObservationTrace
 
 
@@ -158,8 +158,13 @@ def run_trace(
     on the encoder readings alone: neither the truth columns nor the drive's
     stop length are read, and its start length only anchors the encoder fit.
     The tolerance is checked even when the trace has no detection to match.
+    A start above the design's ``rho_max`` cannot be wound from and is a
+    ValueError.
     """
     check_gap_tolerance(tolerance)
+    rho_max = design.geometry.rho_max
+    if trace.start_rho is not None and trace.start_rho > rho_max + GEOM_TOL:
+        raise ValueError(f"trace start_rho={trace.start_rho} lies above rho_max={rho_max}")
     table = rectify(enumerate_events(design))
     records = trace.records
     if not records:

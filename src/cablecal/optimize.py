@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .designer import DesignRecipe, InfeasibleRecipe, build_design
+from .designer import DesignRecipe, InfeasibleRecipe, build_design, mark_cycle
 from .events import EventTable, delta_stats, enumerate_events, rectify, stroke_profile
 from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
 
@@ -71,13 +71,14 @@ def score(
     seldom walked in full.
 
     A ``record`` answers designs whose rectified gaps were scored before;
-    :func:`search` keeps one, because every rotation of a mark-pool
-    ordering builds the same layout.  Both the statistics and the walk read
-    only the gaps and the tolerance, so one record serves calls at one
-    tolerance.  It maps the packed gaps to the exact score, or to the sort
-    key of the incumbent the design lost to.  A stored loss answers only an
-    incumbent at least as good as that one; against a worse incumbent the
-    walk runs again and the record keeps the new result.
+    :func:`search` keeps one, because its enumeration builds every rotation
+    of a mark-pool ordering and each rotation builds the same layout.  Both
+    the statistics and the walk read only the gaps and the tolerance, so one
+    record serves calls at one tolerance.  It maps the packed gaps to the
+    exact score, or to the sort key of the incumbent the design lost to.  A
+    stored loss answers only an incumbent at least as good as that one;
+    against a worse incumbent the walk runs again and the record keeps the
+    new result.
     """
     table = rectify(enumerate_events(design))
     bar = None if incumbent is None else sort_key(incumbent)
@@ -167,7 +168,9 @@ class SearchResult(NamedTuple):
     score: ObjectiveScore
     recipe: DesignRecipe
     trail: tuple[tuple[int, ObjectiveScore], ...]
-    revisits: int  # evaluations served from the memo, not rebuilt
+    # Evaluations of an ordering visited before; one whose layout's stored
+    # result still decides is not rebuilt.
+    revisits: int
 
 
 def _assess(
@@ -224,17 +227,18 @@ def search(
     restart are scored in full.  The result is the same as with every
     ordering scored in full.
 
-    A revisited ordering counts against the budget but is never rebuilt,
-    and ``revisits`` counts how often that happens.  Its stored score is
-    reused, and an ordering that lost to an incumbent still loses to any
+    The climb keeps each layout's result: the marks follow the
+    :func:`~cablecal.designer.mark_cycle` of the mark pool, so every
+    rotation of an ordering builds the same layout.  A revisited or rotated
+    ordering counts against the budget and is answered from that result
+    without a build while the result still decides: an exact score always
+    does, and a layout that lost to an incumbent still loses to any
     incumbent at least as good.  Only after a restart can the incumbent be
-    worse, and then the stored design is scored again.
-
-    :func:`~cablecal.designer.place_marks` cycles the mark pool from just
-    after its minimum, so every rotation of a mark-pool ordering builds the
-    same layout.  Each ordering is still built and gets its own table, but
-    one whose rectified gaps this search has already scored reuses that
-    result, under the rule revisits follow, instead of walking again.
+    worse; the stale result is then dropped and the ordering built and
+    scored like a new one.  ``revisits`` counts evaluations of an ordering
+    visited before.  The enumeration visits each ordering once and builds
+    every one; a rotation there is answered from the gaps its layout's
+    first ordering scored (see :func:`score`) instead of walking again.
     """
     check_gap_tolerance(tolerance)
     if budget < 0:
@@ -244,10 +248,12 @@ def search(
 
     best = None
     trail: list[tuple[int, ObjectiveScore]] = []
-    evals = revisits = 0
-    # Ordering -> None when it does not conform, else (candidate, design,
-    # its exact score or the sort key of the incumbent it lost to).
-    seen: dict[tuple[tuple[float, ...], tuple[float, ...]], tuple | None] = {}
+    evals = 0
+    visited: set[tuple[tuple[float, ...], tuple[float, ...]]] = set()
+    # Climb layout (mark cycle, sensor order), or enumerated ordering ->
+    # None when it does not conform, else its exact score or the sort key
+    # of the incumbent it lost to.
+    seen: dict[tuple[tuple[float, ...], tuple[float, ...]], ObjectiveScore | tuple | None] = {}
     # Packed rectified gaps -> the same kind of result, for :func:`score`.
     record: dict[bytes, ObjectiveScore | tuple] = {}
 
@@ -255,43 +261,39 @@ def search(
         d_order: tuple[float, ...],
         z_order: tuple[float, ...],
         incumbent: ObjectiveScore | None = None,
-    ):
-        """(candidate, design, score) of one ordering; None when it does not
-        conform or does not beat ``incumbent``.
+    ) -> ObjectiveScore | None:
+        """The exact score of one ordering; None when it does not conform or
+        does not beat ``incumbent``.
 
-        A revisit cannot improve on ``best``: it was no better than
+        A stored result cannot improve on ``best``: it was no better than
         ``best`` when first scored.
         """
-        nonlocal best, evals, revisits
+        nonlocal best, evals
         evals += 1
-        key = d_order, z_order
+        visited.add((d_order, z_order))
+        # The enumeration keeps one key per ordering and so builds each one,
+        # which the benchmark's exhaustive check (bench/workloads.py) needs.
+        key = (d_order if exhaustive else mark_cycle(d_order)), z_order
         bar = None if incumbent is None else sort_key(incumbent)
         if key in seen:
-            revisits += 1
-            if seen[key] is None:
+            result = seen[key]
+            if result is None:
                 return None
-            candidate, design, result = seen[key]
-            if not _stands(result, bar):
-                # The incumbent is worse than the one this ordering lost to.
-                result = score(design, tolerance, incumbent, record)
-        else:
-            assessed = _assess(
-                replace(recipe, d_pool=d_order, z_pool=z_order), tolerance, incumbent, record
-            )
-            if assessed is None:
-                seen[key] = None
-                return None
-            candidate, design, result = assessed
-        if result is None:  # it does not beat the incumbent
-            result = bar
-        seen[key] = candidate, design, result
-        scored = _verdict(result, bar)
-        if scored is None:
+            if _stands(result, bar):
+                return _verdict(result, bar)
+        assessed = _assess(
+            replace(recipe, d_pool=d_order, z_pool=z_order), tolerance, incumbent, record
+        )
+        if assessed is None:
+            seen[key] = None
             return None
-        if best is None or compare(scored, best[2]) < 0:
+        candidate, design, scored = assessed
+        # A design that does not beat the incumbent lost to it.
+        seen[key] = bar if scored is None else scored
+        if scored is not None and (best is None or compare(scored, best[2]) < 0):
             best = candidate, design, scored
             trail.append((evals, scored))
-        return candidate, design, scored
+        return scored
 
     if exhaustive:
         z_orders = list(_distinct_orderings(recipe.z_pool))
@@ -322,9 +324,9 @@ def search(
             else:
                 cand_d, cand_z = current_d, _swap_adjacent(current_z, rng)
 
-            candidate = evaluate(cand_d, cand_z, current[2])
-            if candidate is not None:
-                current = candidate
+            scored = evaluate(cand_d, cand_z, current)
+            if scored is not None:
+                current = scored
                 current_d, current_z = cand_d, cand_z
                 stall = 0
             else:
@@ -340,7 +342,7 @@ def search(
     # The budget-0 evaluation only checks the given ordering; it is no step
     # of the search, so it leaves no trail.
     return SearchResult(
-        design, best_score, candidate, tuple(trail) if budget else (), revisits
+        design, best_score, candidate, tuple(trail) if budget else (), evals - len(visited)
     )
 
 

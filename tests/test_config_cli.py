@@ -483,22 +483,19 @@ class TestCliCalibrate:
             "corrector_offset: 0.000501",
         ]
 
-    def test_far_start_prints_as_no_start(self, config_dir, tmp_path, capsys, monkeypatch):
-        # From a start of 1e20 m every wound length rounds to one value, so
-        # the encoder has nothing to fit: the result prints as it does for
-        # the same records with no drive metadata.
+    def test_start_above_rho_max_is_usage_error(self, config_dir, tmp_path, capsys, monkeypatch):
+        # The workshop robot's rho_max is 13 m.  A drive cannot start above
+        # it, so the trace is refused rather than fitted to a corrector.
         monkeypatch.chdir(tmp_path)
         workshop = str(config_dir / "workshop.ini")
         assert main(["simulate", workshop, "--start", "9.1", "--stop", "7.4", "--out", "trace.csv"]) == 0
         _, *rows = Path("trace.csv").read_text().splitlines(keepends=True)
-        Path("far.csv").write_text("# start_rho=1e20 stop_rho=1.0\n" + "".join(rows))
-        Path("bare.csv").write_text("".join(rows))
+        Path("far.csv").write_text("# start_rho=1e17 stop_rho=7.4\n" + "".join(rows))
         capsys.readouterr()
-        assert main(["calibrate", workshop, "--trace", "bare.csv"]) == 0
-        bare = capsys.readouterr().out
-        assert main(["calibrate", workshop, "--trace", "far.csv"]) == 0
-        assert capsys.readouterr().out == bare
-        assert "status: identified" in bare and "corrector_" not in bare
+        assert main(["calibrate", workshop, "--trace", "far.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "start_rho=1e+17 lies above rho_max=13.0" in captured.err
 
     @pytest.mark.parametrize(
         "meta,key",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from cablecal import (
     build_design,
     distal_reserve,
     first_sensor_height,
+    mark_cycle,
     place_marks,
     place_sensors,
     sensor_count,
@@ -123,6 +125,29 @@ class TestPlaceMarks:
     def test_reserves_must_fit(self):
         with pytest.raises(ValueError):
             place_marks(G_MEDIUM, d0=6.0, dn=6.0, d_pool=(1.0,))
+
+
+class TestMarkCycle:
+    @pytest.mark.parametrize("pool", [LARGE_RECIPE.d_pool, (1.25, 0.5, 1.0, 0.75)])
+    def test_every_rotation_gives_one_cycle(self, pool):
+        rotations = [pool[k:] + pool[:k] for k in range(len(pool))]
+        assert {mark_cycle(order) for order in rotations} == {mark_cycle(pool)}
+        # The cycle ends with the minimum, which the proximal reserve consumes.
+        assert mark_cycle(pool)[-1] == min(pool)
+        assert sorted(mark_cycle(pool)) == sorted(pool)
+
+    def test_repeated_minimum_keeps_distinct_layouts_apart(self):
+        # Rotations of a pool with a repeated minimum start the walk after
+        # different copies of it: the 12 orderings of this pool form 3
+        # rotation classes but 6 cycles, each building its own layout.
+        pool = (0.5, 1.0, 0.5, 1.5)
+        dn = distal_reserve(G_MEDIUM, first_sensor_height(G_MEDIUM))
+        layouts: dict[tuple[float, ...], set] = {}
+        for order in set(itertools.permutations(pool)):
+            built = place_marks(G_MEDIUM, min(pool), dn, order)
+            layouts.setdefault(mark_cycle(order), set()).add(built)
+        assert all(len(built) == 1 for built in layouts.values())
+        assert len(set().union(*layouts.values())) == len(layouts) == 6
 
 
 class TestBuildDesign:

@@ -239,6 +239,21 @@ class TestRunTrace:
         assert result.corrector_scale == pytest.approx(1.02)
         assert result.corrector_offset == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("start_rho", [13.5, 1e17])
+    def test_start_above_rho_max_is_an_error(self, workshop, start_rho):
+        # No drive winds from above rho_max (13 m here), so the encoder would
+        # be fitted to a length the cable never had.
+        drive = simulate(workshop, EncoderModel(), 9.1, 7.4)
+        trace = ObservationTrace(drive.records, start_rho, drive.stop_rho)
+        message = f"start_rho={start_rho} lies above rho_max=13.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_trace(workshop, trace)
+
+    def test_start_at_rho_max_fits_the_encoder(self, workshop):
+        result = run_trace(workshop, simulate(workshop, EncoderModel(scale=1.02), 13.0, 7.4))
+        assert result.status is Status.IDENTIFIED
+        assert result.corrector_scale == pytest.approx(1.02)
+
     def test_empty_trace_beyond_spacing_is_ambiguous(self, workshop):
         trace = ObservationTrace((), start_rho=4.0, stop_rho=1.0)
         result = run_trace(workshop, trace)

@@ -16,6 +16,7 @@ from cablecal import (
     build_design,
     compare,
     enumerate_events,
+    mark_cycle,
     rectify,
     score,
     search,
@@ -342,41 +343,61 @@ class TestSearch:
         assert calls == {"delta_stats": 4, "stroke_profile": 4}
 
     def test_revisits_are_not_rebuilt(self, monkeypatch):
-        expected = search(CLIMB_RECIPE, budget=500, seed=0)
-        built = []
-        build = optimize.build_design
+        # A revisited or rotated ordering is answered from its layout's
+        # stored result.  A layout is built again only when its stored result
+        # is a loss to a better incumbent than the one it now faces.
+        built, lost = [], {}
+        build, real_score = optimize.build_design, optimize.score
 
-        def counting(recipe):
-            built.append((recipe.d_pool, recipe.z_pool))
+        def counting_build(recipe):
+            layout = mark_cycle(recipe.d_pool), recipe.z_pool
+            assert layout not in built or layout in lost
+            built.append(layout)
             return build(recipe)
 
-        monkeypatch.setattr(optimize, "build_design", counting)
+        def counting_score(design, tolerance, incumbent, record):
+            layout = built[-1]
+            if layout in lost:
+                assert incumbent is None or sort_key(incumbent) > lost[layout]
+            scored = real_score(design, tolerance, incumbent, record)
+            if scored is None:
+                lost[layout] = sort_key(incumbent)
+            else:
+                lost.pop(layout, None)
+            return scored
+
+        monkeypatch.setattr(optimize, "build_design", counting_build)
+        monkeypatch.setattr(optimize, "score", counting_score)
         result = search(CLIMB_RECIPE, budget=500, seed=0)
-        assert len(built) == len(set(built))  # each distinct ordering once
-        assert result.revisits == 500 - len(built) > 0
-        assert result == expected
+        assert result == reference_climb(CLIMB_RECIPE, 500, 0)
+        assert result.revisits == 282  # 218 distinct orderings
+        assert len(built) == 196 and len(set(built)) == 188  # 8 stale rebuilds
 
     def test_rescored_revisit_matches_full_scoring(self, monkeypatch):
         # At seed 13 a restart leaves the climb worse than an incumbent that
         # a pruned ordering lost to, and the climb comes back to that
-        # ordering: its stored design is scored again, not rebuilt.
+        # ordering: the stale result is dropped and the ordering built and
+        # scored again, so every score comes with its own build.
         expected = reference_climb(CLIMB_RECIPE, 60, 13)
-        built, scored = [], []
+        built, designs, scored = [], [], []
         build, real_score = optimize.build_design, optimize.score
 
         def counting_build(recipe):
             built.append((recipe.d_pool, recipe.z_pool))
-            return build(recipe)
+            result = build(recipe)
+            designs.append(result.design)  # kept alive, so ids stay unique
+            return result
 
         def counting_score(design, *args):
+            assert design is designs[-1]
             scored.append(id(design))
             return real_score(design, *args)
 
         monkeypatch.setattr(optimize, "build_design", counting_build)
         monkeypatch.setattr(optimize, "score", counting_score)
         assert search(CLIMB_RECIPE, 60, 13) == expected
-        assert len(built) == len(set(built))  # each distinct ordering once
-        assert len(scored) > len(set(scored))  # a design scored twice
+        assert len(built) == len(set(built)) + 1  # the revisited ordering
+        assert len(scored) == len(set(scored))  # no design scored twice
 
     @pytest.mark.parametrize("budget", [0, 10, 200])
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
