@@ -15,7 +15,7 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, count, repeat
 from typing import NamedTuple, TypeVar
 
 from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
@@ -39,6 +39,10 @@ class Event(NamedTuple):
 
 
 _time = operator.itemgetter(0)  # an event's t
+_rho = operator.itemgetter(3)  # an event's rho
+# A row record from its finished tuple, as the record's own __new__ makes
+# it, without the call through that.
+_new_row = tuple.__new__
 _wound = operator.itemgetter(3)  # a stroke_profile group's wound length
 
 
@@ -70,7 +74,7 @@ class EventTable:
     def __post_init__(self) -> None:
         # Every table's checks read both columns.
         times = tuple(map(_time, self.events))
-        rhos = tuple(map(operator.attrgetter("rho"), self.events))
+        rhos = tuple(map(_rho, self.events))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "rho_values", rhos)
         # A time may lie up to GEOM_TOL before the one before it; a nan fails.
@@ -176,6 +180,41 @@ def detection_time(design: CalibrationDesign, i: int, j: int) -> float:
     return (g.l_max - design.marks.position(i) - design.sensors.height(j)) / g.v
 
 
+def _reach(
+    positions: tuple[float, ...],
+    top_down: tuple[tuple[int, float], ...],
+    l_max: float,
+    h: float,
+    v: float,
+) -> list[tuple[tuple[int, float], ...]]:
+    """Each mark's reachable sensors, top-down, as ``top_down`` lists them.
+
+    A pair is reachable when ``t >= -GEOM_TOL`` and ``rho > GEOM_TOL``.
+    Down the marks t rises and rho falls, and float rounding keeps both
+    monotone, so the marks that reach a sensor form one run: from the
+    first whose t reaches to the last whose rho does.  Each run's ends are
+    found by testing inward from the ends of the marks, so a design whose
+    every pair reaches tests two pairs per sensor.  Between the run ends the
+    reachable sensors stay the same, and each stretch of marks shares one
+    tuple of them.
+    """
+    marks = len(positions)
+    runs = []  # per sensor, top-down: (the first index of its marks, their end)
+    for _, height in top_down:
+        first, end = 0, marks
+        while first < marks and (l_max - positions[first] - height) / v < -GEOM_TOL:
+            first += 1
+        while end > first and positions[end - 1] - (h - height) <= GEOM_TOL:
+            end -= 1
+        runs.append((first, end))
+    cuts = sorted({0, marks}.union(*runs))
+    reach: list[tuple[tuple[int, float], ...]] = []
+    for low, high in zip(cuts, cuts[1:]):
+        sensors = tuple(sensor for sensor, (first, end) in zip(top_down, runs) if first <= low < end)
+        reach += [sensors] * (high - low)
+    return reach
+
+
 def enumerate_events(design: CalibrationDesign) -> EventTable:
     """All physically reachable mark/sensor meetings, sorted by time.
 
@@ -186,25 +225,40 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     """
     g = design.geometry
     l_max, h, v = g.l_max, g.h, g.v
+    positions = design.marks.positions
     top_down = tuple(enumerate(design.sensors.heights, start=1))[::-1]
     # Marks in index order and each mark's sensors top-down, so a stable
     # sort on time alone leaves ties by ascending i, then descending j.
-    # Each row is built from its finished tuple, as Event's own __new__
-    # does, without the call through it.
-    found = [
-        tuple.__new__(Event, (t, i, j, rho))
-        for i, position in enumerate(design.marks.positions, start=1)
-        for j, height in top_down
+    rows = [
         # The expressions of detection_time and CalibrationDesign.rho_at.
-        if (t := (l_max - position - height) / v) >= -GEOM_TOL
-        and (rho := position - (h - height)) > GEOM_TOL
+        ((l_max - position - height) / v, i, j, position - (h - height))
+        for i, position, sensors in zip(count(1), positions, _reach(positions, top_down, l_max, h, v))
+        for j, height in sensors
     ]
-    found.sort(key=_time)
-    return EventTable(tuple(found))
+    rows.sort(key=_time)
+    return EventTable(tuple(map(_new_row, repeat(Event), rows)))
 
 
-def _rank(event: Event) -> tuple[float, int]:
-    return event.i / event.j, event.i
+def _survivors(events: tuple[Event, ...], times: tuple[float, ...]) -> list[Event]:
+    """One grouping pass of :func:`rectify`: the survivor of each group.
+
+    The first event of a group minimising ``(i / j, i)`` survives.  The
+    comparison runs field by field, and a one-event group is not ranked.
+    """
+    survivors = []
+    first = 0
+    for last in chain(compress(range(1, len(events)), _new_instants(times)), (len(events),)):
+        survivor = events[first]
+        if last - first > 1:
+            _, mark, sensor, _ = survivor
+            ratio = mark / sensor
+            for event in events[first + 1 : last]:
+                _, i, j, _ = event
+                if (rank := i / j) < ratio or rank == ratio and i < mark:
+                    survivor, ratio, mark = event, rank, i
+        survivors.append(survivor)
+        first = last
+    return survivors
 
 
 def rectify(table: EventTable) -> EventTable:
@@ -214,19 +268,24 @@ def rectify(table: EventTable) -> EventTable:
     event's instant, so a chain of such events forms one group.  Within a
     group the survivor is the pair minimising the index ratio i/j; on a
     ratio tie the smaller mark index wins.  This keeps the detection closest
-    to the support, i.e. the shortest stroke.  Successive groups lie more
-    than ``GEOM_TOL`` apart, so the result is always rectified, and
-    rectifying a rectified table is a no-op.
+    to the support, i.e. the shortest stroke.
+
+    Every table :class:`EventTable` accepts comes back rectified.  When the
+    times never fall, every survivor lies within its group and successive
+    groups lie more than ``GEOM_TOL`` apart, so one pass rectifies; tables
+    from :func:`enumerate_events` are sorted and take one.  A table whose
+    times dip by less than ``GEOM_TOL`` can leave two survivors sharing an
+    instant, and the grouping repeats on the survivors until none do.
+    Rectifying a rectified table is a no-op.
     """
-    events = table.events
+    events, times = table.events, table.times
     if not events:
         return table
-    # The first event of each group, then the end of the table.
-    bounds = [0, *compress(range(1, len(events)), _new_instants(table.times)), len(events)]
-    return EventTable(tuple([
-        events[first] if last - first == 1 else min(events[first:last], key=_rank)
-        for first, last in zip(bounds, bounds[1:])
-    ]))
+    while True:
+        survivors = _survivors(events, times)
+        if list(times) == sorted(times):  # in order, so one pass rectified them
+            return EventTable(tuple(survivors))
+        events, times = survivors, tuple(map(_time, survivors))
 
 
 def left_sum(values: Iterable[float]) -> float:

@@ -71,14 +71,14 @@ def score(
     seldom walked in full.
 
     A ``record`` answers designs whose rectified gaps were scored before;
-    :func:`search` keeps one, because its enumeration builds every rotation
-    of a mark-pool ordering and each rotation builds the same layout.  Both
-    the statistics and the walk read only the gaps and the tolerance, so one
-    record serves calls at one tolerance.  It maps the packed gaps to the
-    exact score, or to the sort key of the incumbent the design lost to.  A
-    stored loss answers only an incumbent at least as good as that one;
-    against a worse incumbent the walk runs again and the record keeps the
-    new result.
+    :func:`search` keeps one in its enumeration, because that builds every
+    rotation of a mark-pool ordering and each rotation builds the same
+    layout.  Both the statistics and the walk read only the gaps and the
+    tolerance, so one record serves calls at one tolerance.  It maps the
+    packed gaps to the exact score, or to the sort key of the incumbent the
+    design lost to.  A stored loss answers only an incumbent at least as
+    good as that one; against a worse incumbent the walk runs again and the
+    record keeps the new result.
     """
     table = rectify(enumerate_events(design))
     bar = None if incumbent is None else sort_key(incumbent)
@@ -177,11 +177,11 @@ def _assess(
     candidate: DesignRecipe,
     tolerance: float,
     incumbent: ObjectiveScore | None,
-    record: dict[bytes, ObjectiveScore | tuple],
+    record: dict[bytes, ObjectiveScore | tuple] | None,
 ):
     """(candidate, design, score) for a recipe whose design meets C1..C5 and
     can be scored, else None.  The score is None when it does not beat
-    ``incumbent`` (see :func:`score`, which keeps its result in ``record``)."""
+    ``incumbent`` (see :func:`score`, which keeps its result in a ``record``)."""
     try:
         design, report = build_design(candidate)
     except InfeasibleRecipe:
@@ -250,12 +250,13 @@ def search(
     trail: list[tuple[int, ObjectiveScore]] = []
     evals = 0
     visited: set[tuple[tuple[float, ...], tuple[float, ...]]] = set()
-    # Climb layout (mark cycle, sensor order), or enumerated ordering ->
-    # None when it does not conform, else its exact score or the sort key
-    # of the incumbent it lost to.
+    # The climb's layout (mark cycle, sensor order) -> None when it does not
+    # conform, else its exact score or the sort key of the incumbent it lost
+    # to.  The enumeration visits each ordering once and keeps none.
     seen: dict[tuple[tuple[float, ...], tuple[float, ...]], ObjectiveScore | tuple | None] = {}
-    # Packed rectified gaps -> the same kind of result, for :func:`score`.
-    record: dict[bytes, ObjectiveScore | tuple] = {}
+    # The enumeration's packed rectified gaps -> the same kind of result, for
+    # :func:`score`.  The climb's layout keys leave it nothing to answer.
+    record: dict[bytes, ObjectiveScore | tuple] | None = {} if exhaustive else None
 
     def evaluate(
         d_order: tuple[float, ...],
@@ -271,9 +272,9 @@ def search(
         nonlocal best, evals
         evals += 1
         visited.add((d_order, z_order))
-        # The enumeration keeps one key per ordering and so builds each one,
-        # which the benchmark's exhaustive check (bench/workloads.py) needs.
-        key = (d_order if exhaustive else mark_cycle(d_order)), z_order
+        # Without a memo the enumeration builds every ordering, which the
+        # benchmark's exhaustive check (bench/workloads.py) needs.
+        key = None if exhaustive else (mark_cycle(d_order), z_order)
         bar = None if incumbent is None else sort_key(incumbent)
         if key in seen:
             result = seen[key]
@@ -285,11 +286,13 @@ def search(
             replace(recipe, d_pool=d_order, z_pool=z_order), tolerance, incumbent, record
         )
         if assessed is None:
-            seen[key] = None
+            if key is not None:
+                seen[key] = None
             return None
         candidate, design, scored = assessed
-        # A design that does not beat the incumbent lost to it.
-        seen[key] = bar if scored is None else scored
+        if key is not None:
+            # A design that does not beat the incumbent lost to it.
+            seen[key] = bar if scored is None else scored
         if scored is not None and (best is None or compare(scored, best[2]) < 0):
             best = candidate, design, scored
             trail.append((evals, scored))

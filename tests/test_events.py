@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -134,17 +136,22 @@ def climb_table(rho_max: float) -> EventTable:
 
 def group_list_rectify(table: EventTable) -> EventTable:
     """Reference rectification: collect each chain of near-ties in a list,
-    then keep the group's minimum by (i/j, i)."""
-    survivors: list[Event] = []
-    group: list[Event] = []
-    for event in table.events:
-        if group and event.t > group[-1].t + GEOM_TOL:
+    keep the group's minimum by (i/j, i), and group the survivors again
+    until no two share an instant."""
+    events = list(table.events)
+    while True:
+        survivors: list[Event] = []
+        group: list[Event] = []
+        for event in events:
+            if group and event.t > group[-1].t + GEOM_TOL:
+                survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
+                group = []
+            group.append(event)
+        if group:
             survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
-            group = []
-        group.append(event)
-    if group:
-        survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
-    return EventTable(tuple(survivors))
+        if survivors == events:
+            return EventTable(tuple(survivors))
+        events = survivors
 
 
 def tuple_sort_enumerate(design: CalibrationDesign) -> EventTable:
@@ -169,6 +176,42 @@ SUB_ULP_SENSORS = CalibrationDesign(
     SensorLayout((2.0, math.nextafter(2.0, 3.0))),
     MarkLayout((10.0, 9.0, 8.0, 7.0)),
 )
+
+
+# Marks past both ends of the winding window, on each reach boundary
+# (l_max = 17): mark 1 meets sensor 2 at t = 0 and is reachable; mark 5
+# meets sensor 2 at rho = 0 and is not.
+BOUNDARY_MARKS = CalibrationDesign(
+    RobotGeometry(h=6.0, rho_max=11.0),
+    SensorLayout((2.0, 5.0)),
+    MarkLayout((12.0, 10.0, 6.0, 3.5, 1.0)),
+)
+# Within GEOM_TOL of each boundary: mark 1 meets sensor 3 at a t just below
+# 0 and is reachable; mark 3 meets sensor 2 at a rho just above 0 and is not.
+NEAR_BOUNDARY_MARKS = CalibrationDesign(
+    RobotGeometry(h=6.0, rho_max=11.0),
+    SensorLayout((2.0, 4.0, 5.0)),
+    MarkLayout((12.0 + 0.5e-9, 9.0, 2.0 + 0.5e-9)),
+)
+
+
+def unreachable_pair_designs() -> list[CalibrationDesign]:
+    """Seeded random layouts whose marks spread past the winding window, so
+    early marks can meet the top sensors only while unwinding (t < 0) and
+    late marks the bottom sensors only beyond the support (rho <= 0)."""
+    designs = []
+    rng = random.Random(20)
+    for _ in range(60):
+        h = rng.uniform(4.0, 10.0)
+        geometry = RobotGeometry(h=h, rho_max=rng.uniform(4.0, 12.0))
+        heights = sorted(rng.sample(range(1, int(h * 20)), rng.randint(1, 5)))
+        positions = sorted(rng.sample(range(1, int(geometry.l_max * 20) + 40), rng.randint(1, 12)))
+        designs.append(CalibrationDesign(
+            geometry,
+            SensorLayout(tuple(x / 20 for x in heights)),
+            MarkLayout(tuple(x / 20 for x in reversed(positions))),
+        ))
+    return designs
 
 
 def plain_sum(values) -> float:
@@ -236,6 +279,14 @@ class TestEnumerate:
         pairs = {(e.i, e.j) for e in enumerate_events(design).events}
         assert (2, 1) not in pairs  # rho would be -0.5
         assert (2, 2) in pairs
+        # On and within GEOM_TOL of each reach boundary.
+        table = enumerate_events(BOUNDARY_MARKS)
+        assert rows(table)[:2] == [(0.0, 1, 2, 11.0), (2.0, 2, 2, 9.0)]
+        assert (5, 2) not in {(e.i, e.j) for e in table.events}
+        near = enumerate_events(NEAR_BOUNDARY_MARKS).events
+        assert -GEOM_TOL < near[0].t < 0 and (near[0].i, near[0].j) == (1, 3)
+        pairs = set(itertools.product(range(1, 4), range(1, 4)))
+        assert {(e.i, e.j) for e in near} == pairs - {(3, 1), (3, 2)}
 
     def test_simultaneity_criterion(self, all_designs):
         # Equal times, equal lengths and equal position sums coincide.
@@ -271,9 +322,22 @@ class TestEnumerate:
         for d_order, z_order in orderings[::20]:
             recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=32.0), d_order, z_order)
             designs.append(build_design(recipe).design)
-        assert len(designs) == 4 + 1 + 3 + 216
+        # Designs whose pairs fail each reach test, from both ends.
+        unreachable = [BOUNDARY_MARKS, NEAR_BOUNDARY_MARKS, *unreachable_pair_designs()]
+        early = late = 0
+        for design in unreachable:
+            g = design.geometry
+            for position in design.marks.positions:
+                for height in design.sensors.heights:
+                    early += (g.l_max - position - height) / g.v < -GEOM_TOL
+                    late += position - (g.h - height) <= GEOM_TOL
+        assert early > 100 and late > 100
+        designs += unreachable
+        assert len(designs) == 4 + 1 + 3 + 216 + 62
         for design in designs:
-            assert enumerate_events(design) == tuple_sort_enumerate(design)
+            table = enumerate_events(design)
+            assert table == tuple_sort_enumerate(design)
+            assert all(type(event) is Event for event in table.events)
 
     def test_same_float_instant_lists_sensors_top_down(self):
         events = enumerate_events(SUB_ULP_SENSORS).events
@@ -371,8 +435,70 @@ class TestRectify:
             except InfeasibleRecipe:
                 pass
         assert len(raws) > 4000
+        # The long recipe's 12 orderings, whose groups hold up to 5 events.
+        recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), (0.5, 0.75, 1.25), (2.0, 3.0))
+        long_raws = [
+            enumerate_events(build_design(replace(recipe, d_pool=d_order, z_pool=z_order)).design)
+            for d_order in sorted(set(itertools.permutations(recipe.d_pool)))
+            for z_order in sorted(set(itertools.permutations(recipe.z_pool)))
+        ]
+        assert len(long_raws) == 12
+        largest = 0
+        for raw in long_raws:
+            starts = [k for k in range(1, raw.count) if raw.times[k] > raw.times[k - 1] + GEOM_TOL]
+            largest = max(largest, *map(operator.sub, [*starts, raw.count], [0, *starts]))
+        assert largest == 5
+        raws += long_raws
         for raw in raws:
-            assert rectify(raw) == group_list_rectify(raw)
+            table = rectify(raw)
+            assert table == group_list_rectify(raw)
+            assert all(type(event) is Event for event in table.events)
+
+    def test_ratio_tie_prefers_small_mark_index_listed_later(self):
+        # Near-ties are listed by time, so the smaller mark can come second.
+        table = EventTable((
+            Event(0.0, 4, 2, 5.0),
+            Event(0.5e-9, 2, 1, 4.0),
+            Event(0.9e-9, 6, 3, 3.5),
+            Event(3.0, 5, 1, 3.0),
+        ))
+        assert rows(rectify(table)) == [(0.5e-9, 2, 1, 4.0), (3.0, 5, 1, 3.0)]
+
+    def test_times_that_dip_inside_a_group_still_rectify(self):
+        # Two groups, {0, 0.9e-9} and {1.95e-9, 1.0e-9}, whose survivors lie
+        # 0.1e-9 apart: the survivors are grouped again.
+        table = EventTable((
+            Event(0.0, 2, 1, 5.0),
+            Event(0.9e-9, 1, 1, 4.9),
+            Event(1.95e-9, 4, 1, 4.0),
+            Event(1.0e-9, 3, 3, 3.9),
+        ))
+        rectified = rectify(table)
+        assert rectified.rectified
+        assert rows(rectified) == [(0.9e-9, 1, 1, 4.9)]  # ratio tie with (3, 3): smaller i
+        assert rectified == group_list_rectify(table)
+
+    def test_survivors_further_out_of_order_than_the_table_allows(self):
+        # The first group climbs to 2.7e-9 and falls back to 0, and the
+        # second starts at 1.05e-9: its survivor lies 1.65e-9 before the
+        # first group's, an order no EventTable accepts, and rectify builds
+        # no table from them.
+        table = EventTable((
+            Event(0.0, 4, 1, 8.0),
+            Event(0.9e-9, 4, 1, 7.0),
+            Event(1.8e-9, 4, 1, 6.0),
+            Event(2.7e-9, 1, 1, 5.0),
+            Event(1.8e-9, 4, 1, 4.0),
+            Event(0.9e-9, 4, 1, 3.0),
+            Event(0.0, 4, 1, 2.0),
+            Event(1.05e-9, 2, 1, 1.0),
+            Event(4.0, 3, 1, 0.5),
+        ))
+        with pytest.raises(ValueError, match="time-ordered"):
+            EventTable((table.events[3], table.events[7]))
+        rectified = rectify(table)
+        assert rows(rectified) == [(2.7e-9, 1, 1, 5.0), (4.0, 3, 1, 0.5)]
+        assert rectified == group_list_rectify(table)
 
     def test_strictly_decreasing_rho(self, all_designs):
         for design in all_designs.values():

@@ -342,6 +342,27 @@ class TestSearch:
         assert search(LONG_RECIPE, budget=500) == expected
         assert calls == {"delta_stats": 4, "stroke_profile": 4}
 
+    @pytest.mark.parametrize("recipe,exhaustive", [(LONG_RECIPE, True), (CLIMB_RECIPE, False)])
+    def test_only_the_enumeration_keeps_a_gap_record(self, monkeypatch, recipe, exhaustive):
+        # The enumeration shares one record across its orderings; the
+        # climb's layout keys leave a record nothing to answer, so it passes
+        # none.
+        records = []
+        real_score = optimize.score
+
+        def recording(design, tolerance, incumbent, record):
+            records.append(record)
+            return real_score(design, tolerance, incumbent, record)
+
+        monkeypatch.setattr(optimize, "score", recording)
+        search(recipe, budget=500, seed=0)
+        if exhaustive:
+            assert len(records) == 12
+            assert all(record is records[0] for record in records)
+            assert len(records[0]) == 4  # one entry per layout
+        else:
+            assert records and all(record is None for record in records)
+
     def test_revisits_are_not_rebuilt(self, monkeypatch):
         # A revisited or rotated ordering is answered from its layout's
         # stored result.  A layout is built again only when its stored result
