@@ -26,7 +26,7 @@ from .events import (
     rectify,
     stroke_profile,
 )
-from .identify import Status, fit_encoder, observe, run_trace, start
+from .identify import Status, fit_encoder, run_trace
 from .model import (
     CalibrationDesign,
     Condition,

@@ -326,9 +326,9 @@ def advance(current: int, match: int) -> int:
     q stands for the 1-based event q + 1 as the drive's current position.
     A current event survives when its next table gap matches, and the drive
     moves on to the event after it; the last event has no gap.  This is the
-    one elimination rule: ``identify.run_trace`` and ``identify.observe``
-    fold measured gaps through it and :func:`stroke_profile` folds the
-    table's own gaps.
+    one elimination rule: ``identify.run_trace`` folds measured gaps through
+    it, as an online caller does one detection at a time, and
+    :func:`stroke_profile` folds the table's own gaps.
     """
     return (current & match) << 1
 
@@ -446,16 +446,19 @@ def _csv_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _read_csv_rows(
-    lines: list[tuple[int, str]], header: str, read_row: Callable[[list[str]], _Row]
+    lines: list[tuple[int, str]], readers: dict[str, Callable[[list[str]], _Row]]
 ) -> list[_Row]:
-    """Read the rows under ``header`` from numbered lines (see :func:`_csv_lines`).
+    """Read the rows under a header from numbered lines (see :func:`_csv_lines`).
 
-    The first line must be the header.  Every later line must have as many
-    columns as the header and is read by ``read_row``; a ``ValueError`` it
-    raises names the line's number in the document.
+    The first line must be one of the headers that key ``readers``.  Every
+    later line must have as many columns as that header and is read by its
+    reader; a ``ValueError`` the reader raises names the line's number in
+    the document.
     """
-    if not lines or lines[0][1].strip() != header:
-        raise ValueError(f"expected header {header!r}")
+    header = lines[0][1].strip() if lines else None
+    if header not in readers:
+        raise ValueError(f"expected header {' or '.join(map(repr, readers))}")
+    read_row = readers[header]
     columns = header.count(",") + 1
     rows: list[_Row] = []
     for lineno, line in lines[1:]:
@@ -484,4 +487,4 @@ def parse_event_csv(text: str) -> EventTable:
     The gap column is derived data and is ignored on input.  Times and
     lengths must be finite and mark and sensor indices at least 1.
     """
-    return EventTable(tuple(_read_csv_rows(_csv_lines(text), EVENT_CSV_HEADER, _event_row)))
+    return EventTable(tuple(_read_csv_rows(_csv_lines(text), {EVENT_CSV_HEADER: _event_row})))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .events import EventTable, advance, enumerate_events, left_sum, rectify
+from .events import advance, enumerate_events, left_sum, rectify
 from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
 from .simulate import ObservationTrace
 
@@ -25,47 +25,6 @@ class Status(str, enum.Enum):
     AMBIGUOUS = "ambiguous"
     IDENTIFIED = "identified"
     NO_MATCH = "no_match"
-
-
-@dataclass(frozen=True)
-class IdentifierState:
-    """Candidate set after some number of observed gaps.
-
-    A state holds only the table, the tolerance and ``current``: a
-    bitmask in which bit q stands for the 1-based event q + 1 of the
-    rectified table as the drive's current position.  The status is read
-    from it: no candidate is no_match, one event is identified, more are
-    ambiguous.
-    """
-
-    table: EventTable
-    tolerance: float
-    current: int
-
-    @property
-    def candidate_count(self) -> int:
-        return self.current.bit_count()
-
-    @property
-    def status(self) -> Status:
-        if not self.current:
-            return Status.NO_MATCH
-        return Status.IDENTIFIED if self.candidate_count == 1 else Status.AMBIGUOUS
-
-    @property
-    def identified_index(self) -> int | None:
-        if self.status is not Status.IDENTIFIED:
-            return None
-        return self.current.bit_length()
-
-    @property
-    def identified_rho(self) -> float | None:
-        here = self.identified_index
-        return None if here is None else self.table.events[here - 1].rho
-
-    @property
-    def terminal(self) -> bool:
-        return self.status in (Status.IDENTIFIED, Status.NO_MATCH)
 
 
 @dataclass(frozen=True)
@@ -96,25 +55,6 @@ class CalibrationResult:
             out.append(f"corrector_scale: {self.corrector_scale:.6f}")
             out.append(f"corrector_offset: {self.corrector_offset:.6f}")
         return out
-
-
-def start(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> IdentifierState:
-    """State right after the first detection: every table position is possible."""
-    if not table.rectified:
-        raise ValueError("identifier needs a rectified event table")
-    if table.count < 2:
-        raise ValueError("identification needs a table with at least 2 events")
-    check_gap_tolerance(tolerance)
-    return IdentifierState(table, tolerance, current=(1 << table.count) - 1)
-
-
-def observe(state: IdentifierState, gap: float) -> IdentifierState:
-    """Fold one measured gap into the candidates; their count only shrinks."""
-    if state.status is not Status.AMBIGUOUS:
-        raise ValueError(f"cannot observe on a {state.status.value} state")
-    table, tolerance = state.table, state.tolerance
-    current = advance(state.current, table.match_mask(gap, tolerance))
-    return IdentifierState(table, tolerance, current)
 
 
 def fit_encoder(
@@ -158,8 +98,10 @@ def run_trace(
     on the encoder readings alone: neither the truth columns nor the drive's
     stop length are read, and its start length only anchors the encoder fit.
     The tolerance is checked even when the trace has no detection to match.
-    A start above the design's ``rho_max`` cannot be wound from and is a
-    ValueError.
+    A start above the design's ``rho_max`` cannot be wound from, and a
+    detection on a design of fewer than 2 events cannot be identified; both
+    are a ValueError.  An online caller takes the same step per detection:
+    ``events.advance(current, table.match_mask(gap, tolerance))``.
     """
     check_gap_tolerance(tolerance)
     rho_max = design.geometry.rho_max
@@ -169,20 +111,24 @@ def run_trace(
     records = trace.records
     if not records:
         return CalibrationResult(Status.AMBIGUOUS, None, None, ())
-    # The fold of observe on the bare bitmask: one advance per gap, until
-    # at most one event is left (identified or no_match).
-    current = start(table, tolerance).current
-    history = [current.bit_count()]
+    if table.count < 2:
+        raise ValueError("identification needs a table with at least 2 events")
+    # Bit q of current stands for event q + 1 as the drive's position; the
+    # first detection leaves every event possible.  Fold one advance per
+    # gap until at most one event is left (identified or no_match).
+    current = (1 << table.count) - 1
+    history = [table.count]
     for prev, rec in zip(records, records[1:]):
         current = advance(current, table.match_mask(rec.reading - prev.reading, tolerance))
         history.append(current.bit_count())
         if current & (current - 1) == 0:
             break
-    state = IdentifierState(table, tolerance, current)
-    here = state.identified_index
-    if here is None:
-        return CalibrationResult(state.status, None, None, tuple(history))
+    if not current:
+        return CalibrationResult(Status.NO_MATCH, None, None, tuple(history))
+    if current & (current - 1):
+        return CalibrationResult(Status.AMBIGUOUS, None, None, tuple(history))
 
+    here = current.bit_length()
     rho = table.events[here - 1].rho
     first = here - (len(history) - 1)  # the first record's event
     stroke = table.events[first - 1].rho - rho

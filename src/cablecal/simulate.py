@@ -19,6 +19,8 @@ from .events import _csv_lines, _read_csv_rows, enumerate_events, rectify
 from .model import GEOM_TOL, CalibrationDesign
 
 TRACE_CSV_HEADER = "t,encoder_reading,truth_rho,truth_i,truth_j"
+# The header of a hardware log, which has no truth columns.
+TRACE_CSV_SHORT_HEADER = "t,encoder_reading"
 
 
 def _finite(x: float | None) -> bool:
@@ -193,10 +195,11 @@ def format_trace_csv(trace: ObservationTrace) -> str:
 
 
 def parse_trace_csv(text: str) -> ObservationTrace:
-    """Parse CSV produced by :func:`format_trace_csv`.
+    """Parse CSV produced by :func:`format_trace_csv`, or a hardware log.
 
     The metadata comment is optional (hardware logs will not have it); the
     drive window is then unknown, and calibration fits no encoder correction.
+    A log may also be headed ``t,encoder_reading`` alone; its truths are None.
     """
     window: dict[str, float] = {}
     lines = _csv_lines(text)
@@ -211,7 +214,8 @@ def parse_trace_csv(text: str) -> ObservationTrace:
                     raise ValueError(f"line {lineno}: {key}: {exc}") from None
                 if not math.isfinite(window[key]):
                     raise ValueError(f"line {lineno}: {key} must be finite, got {value}")
-    records = _read_csv_rows(lines, TRACE_CSV_HEADER, _trace_record)
+    readers = {TRACE_CSV_HEADER: _trace_record, TRACE_CSV_SHORT_HEADER: _log_record}
+    records = _read_csv_rows(lines, readers)
     try:
         return ObservationTrace(tuple(records), window.get("start_rho"), window.get("stop_rho"))
     except TraceRecordError as exc:
@@ -229,3 +233,8 @@ def _trace_record(parts: list[str]) -> TraceRecord:
         int(truth_i) if truth_i else None,
         int(truth_j) if truth_j else None,
     ))
+
+
+def _log_record(parts: list[str]) -> TraceRecord:
+    t, reading = parts
+    return tuple.__new__(TraceRecord, (float(t), float(reading), None, None, None))

@@ -436,6 +436,35 @@ class TestCliCalibrate:
         assert "status: ambiguous" in out
         assert "rho: -" in out
 
+    @pytest.mark.parametrize(
+        "stop,nudge,window,code",
+        [(7.4, 0.0, True, 0), (7.4, 0.0, False, 0), (8.4, 0.0, True, 4), (7.4, 50.0, True, 3)],
+    )
+    def test_short_header_log_calibrates_as_the_long_one(
+        self, config_dir, tmp_path, capsys, stop, nudge, window, code
+    ):
+        # The same truth-stripped drive under either header: identified
+        # with and without a drive window, truncated, and with a gap no
+        # table position has.
+        noisy = ("--scale", "1.01", "--noise", "0.005", "--seed", "7")
+        meta, _, *rows = self._trace(config_dir, tmp_path, 9.1, stop, noisy).read_text().splitlines()
+        cols = [row.split(",")[:2] for row in rows]
+        cols[1][1] = repr(float(cols[1][1]) + nudge)
+        head = [meta] if window else []
+        logs = {
+            "long.csv": head + ["t,encoder_reading,truth_rho,truth_i,truth_j"]
+            + [f"{t},{reading},,," for t, reading in cols],
+            "short.csv": head + ["t,encoder_reading"] + [f"{t},{reading}" for t, reading in cols],
+        }
+        workshop = str(config_dir / "workshop.ini")
+        outputs = []
+        for name, lines in logs.items():
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            assert main(["calibrate", workshop, "--trace", str(tmp_path / name)]) == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out and not outputs[0].err
+
     @pytest.mark.parametrize("start,stop", [("10.95", "9.8"), ("9.9", "7.9")])
     def test_long_silent_wind_is_ambiguous(self, tmp_path, capsys, start, stop):
         # A conforming design and a healthy drive that winds more than

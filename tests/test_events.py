@@ -22,7 +22,6 @@ from cablecal import (
     detection_time,
     enumerate_events,
     rectify,
-    start,
     stroke_profile,
 )
 from cablecal import events
@@ -849,7 +848,7 @@ class TestEventTableValidation:
         # Enough events for every count check, so only the tie can refuse them.
         table = EventTable((Event(0.0, 1, 1, 3.0), Event(1.0, 2, 1, 2.0), Event(1.0, 3, 2, 2.0)))
         assert table.rectified is False
-        for needs_rectified in (start, delta_stats, stroke_profile):
+        for needs_rectified in (delta_stats, stroke_profile):
             with pytest.raises(ValueError, match="rectified"):
                 needs_rectified(table)
 

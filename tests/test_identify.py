@@ -8,23 +8,27 @@ from pathlib import Path
 import pytest
 
 from cablecal import (
+    CalibrationDesign,
     DesignRecipe,
     EncoderModel,
+    MarkLayout,
     ObservationTrace,
     RobotGeometry,
+    SensorLayout,
     Status,
     build_design,
     enumerate_events,
     fit_encoder,
-    observe,
     rectify,
     run_trace,
     simulate,
-    start,
     stroke_profile,
     validate_design,
 )
 from cablecal import presets
+from cablecal.cli import main
+from cablecal.events import advance
+from cablecal.model import DEFAULT_GAP_TOLERANCE
 from conftest import FIVE_CENTIMETRE_POOLS, ONE_SENSOR
 from test_exactness import TOLERANCES, drives
 
@@ -47,75 +51,108 @@ def workshop_table(workshop):
     return rectify(enumerate_events(workshop))
 
 
+def step(table, current: int, gap: float, tolerance: float = DEFAULT_GAP_TOLERANCE) -> int:
+    """The one elimination step, as an online caller takes it per detection."""
+    return advance(current, table.match_mask(gap, tolerance))
+
+
+def first_detection(trace: ObservationTrace) -> ObservationTrace:
+    return ObservationTrace(trace.records[:1], trace.start_rho, trace.stop_rho)
+
+
 class TestStart:
-    def test_all_positions_possible_after_first_detection(self, workshop_table):
-        state = start(workshop_table)
-        assert state.status is Status.AMBIGUOUS
-        assert state.candidate_count == 26
-        assert state.current == (1 << 26) - 1  # no gap observed yet
+    """What ``run_trace`` does with a drive's first detection."""
 
-    def test_two_event_table(self, workshop_table):
-        from cablecal import Event, EventTable
+    def test_all_positions_possible_after_first_detection(self, workshop):
+        trace = first_detection(simulate(workshop, EncoderModel(), 9.1, 7.4))
+        result = run_trace(workshop, trace)
+        assert result.status is Status.AMBIGUOUS
+        assert result.candidate_history == (26,)  # no gap observed yet
 
-        table = EventTable((Event(0.0, 1, 1, 2.0), Event(1.0, 2, 1, 1.0)))
-        assert start(table).candidate_count == 2
+    def test_two_event_table(self):
+        design = CalibrationDesign(
+            RobotGeometry(h=6.0, rho_max=11.0), SensorLayout((2.0,)), MarkLayout((10.0, 9.0))
+        )
+        assert rectify(enumerate_events(design)).count == 2
+        trace = simulate(design, EncoderModel(), 11.0, 1.0)
+        assert run_trace(design, first_detection(trace)).candidate_history == (2,)
+        result = run_trace(design, trace)
+        assert result.status is Status.IDENTIFIED and result.candidate_history == (2, 1)
 
-    def test_rejects_raw_table(self, workshop):
-        with pytest.raises(ValueError):
-            start(enumerate_events(workshop))
-
-    def test_rejects_tiny_table(self):
-        from cablecal import Event, EventTable
-
-        table = EventTable((Event(0.0, 1, 1, 2.0),))
-        with pytest.raises(ValueError):
-            start(table)
+    def test_rejects_tiny_table(self, tmp_path, capsys):
+        # One mark meets one sensor once: a detection cannot be placed.
+        design = CalibrationDesign(
+            RobotGeometry(h=6.0, rho_max=11.0), SensorLayout((2.0,)), MarkLayout((10.0,))
+        )
+        trace = simulate(design, EncoderModel(), 11.0, 1.0)
+        assert trace.count == 1
+        message = "identification needs a table with at least 2 events"
+        with pytest.raises(ValueError, match=message):
+            run_trace(design, trace)
+        config = tmp_path / "tiny.ini"
+        config.write_text(
+            "[geometry]\nh = 6\nrho_max = 11\n"
+            "[layout]\nsensor_heights = 2\nmark_positions = 10\n"
+        )
+        assert main(["simulate", str(config), "--start", "11", "--stop", "1",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", str(config), "--trace", str(tmp_path / "t.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
-    def test_rejects_unusable_tolerance(self, workshop_table, tolerance):
+    def test_rejects_unusable_tolerance(self, workshop, tolerance):
+        trace = first_detection(simulate(workshop, EncoderModel(), 9.1, 7.4))
         with pytest.raises(ValueError, match="finite and positive"):
-            start(workshop_table, tolerance)
+            run_trace(workshop, trace, tolerance)
 
 
 class TestObserve:
+    """The step ``advance(current, table.match_mask(gap, tolerance))`` that
+    ``run_trace`` folds once per measured gap.  Bit q of ``current`` stands
+    for event q + 1 as the drive's position."""
+
     def test_walkthrough_elimination(self, workshop_table):
         # Gaps 0.5 then 0.75 then 0.25 from the detection at 9.00 m.
-        state = start(workshop_table)
-        state = observe(state, 0.5)
-        assert state.status is Status.AMBIGUOUS and state.candidate_count == 11
-        state = observe(state, 0.75)
-        assert state.status is Status.AMBIGUOUS and state.candidate_count == 2
-        state = observe(state, 0.25)
-        assert state.status is Status.IDENTIFIED
-        assert state.current == 1 << 10
-        assert state.identified_index == 11
-        assert state.identified_rho == pytest.approx(7.50)
+        current = (1 << workshop_table.count) - 1
+        current = step(workshop_table, current, 0.5)
+        assert current.bit_count() == 11
+        current = step(workshop_table, current, 0.75)
+        assert current.bit_count() == 2
+        current = step(workshop_table, current, 0.25)
+        assert current == 1 << 10
+        assert current.bit_length() == 11
+        assert workshop_table.events[current.bit_length() - 1].rho == pytest.approx(7.50)
 
-    def test_current_is_the_event_the_drive_stands_at(self, workshop_table):
-        state = start(workshop_table)
-        for gap in (0.5, 0.75, 0.25):  # the walkthrough drive
-            state = observe(state, gap)
-        assert state.current == 1 << 10  # bit q stands for event q + 1
-        assert state.identified_index == 11
+    def test_current_is_the_event_the_drive_stands_at(self, workshop, workshop_table):
+        # Each step leaves the drive's true event among the candidates, and
+        # the survivor is the event of the last detection.
+        records = simulate(workshop, EncoderModel(scale=1.01), 9.1, 7.4).records
+        current = (1 << workshop_table.count) - 1
+        for prev, rec in zip(records, records[1:]):
+            current = step(workshop_table, current, rec.reading - prev.reading)
+            q = next(q for q, e in enumerate(workshop_table.events) if e.rho == rec.truth_rho)
+            assert current >> q & 1
+        assert current == 1 << 10  # bit q stands for event q + 1
+        assert workshop_table.events[10].rho == records[-1].truth_rho
 
     def test_impossible_gap_dies(self, workshop_table):
-        state = observe(start(workshop_table), 99.0)
-        assert state.status is Status.NO_MATCH
-        assert state.candidate_count == 0
+        assert step(workshop_table, (1 << workshop_table.count) - 1, 99.0) == 0
 
     def test_candidates_shrink_monotonically(self, workshop_table):
         rng = random.Random(0)
         gaps = list(workshop_table.gaps)
         for _ in range(20):
-            state = start(workshop_table)
+            current = (1 << workshop_table.count) - 1
             p = rng.randrange(len(gaps))
             for gap in gaps[p:]:
-                before = state.current
-                state = observe(state, gap + rng.uniform(-0.02, 0.02))
+                before = current
+                current = step(workshop_table, current, gap + rng.uniform(-0.02, 0.02))
                 # Every new current event follows an old one.
-                assert state.current & ~(before << 1) == 0
-                assert state.candidate_count <= before.bit_count()
-                if state.terminal:
+                assert current & ~(before << 1) == 0
+                assert current.bit_count() <= before.bit_count()
+                if current & (current - 1) == 0:
                     break
 
     @pytest.mark.parametrize("name", sorted(presets.ALL))
@@ -124,19 +161,25 @@ class TestObserve:
         table = rectify(enumerate_events(presets.ALL[name]()))
         gaps = list(table.gaps)
         for p in range(1, len(gaps) + 1):
-            state = start(table)
+            current = (1 << table.count) - 1
             for m, gap in enumerate(gaps[p - 1 :], start=1):
-                state = observe(state, gap)
-                if state.status is Status.IDENTIFIED:
-                    assert state.identified_index == p + m
-                    assert state.identified_rho == table.events[p + m - 1].rho
+                current = step(table, current, gap)
+                assert current >> (p + m - 1) & 1  # event p + m
+                if current.bit_count() == 1:
+                    assert current.bit_length() == p + m
                     break
-                assert state.current >> (p + m - 1) & 1  # event p + m
 
-    def test_terminal_state_rejects_observations(self, workshop_table):
-        state = observe(start(workshop_table), 99.0)
-        with pytest.raises(ValueError):
-            observe(state, 0.5)
+    def test_terminal_state_rejects_observations(self, workshop):
+        # run_trace folds no gap once the drive is identified or no_match,
+        # however many records follow.
+        full = simulate(workshop, EncoderModel(), 9.1, 1.0)
+        assert full.count > 4
+        assert run_trace(workshop, full).candidate_history == (26, 11, 2, 1)
+        records = list(full.records)
+        records[1] = records[1]._replace(reading=records[1].reading + 50.0)
+        result = run_trace(workshop, ObservationTrace(tuple(records), None, None))
+        assert result.status is Status.NO_MATCH
+        assert result.candidate_history == (26, 0)
 
 
 def corrected_length(start_rho: float, fit: tuple[float, float], reading: float) -> float:
@@ -327,19 +370,32 @@ class TestRunTrace:
                 assert result.status is Status.AMBIGUOUS
 
 
-def replayed_history(table, readings, tolerance) -> list[int]:
-    """Independent history oracle: the elimination replayed on plain sets of
-    1-based current events, stopping once at most one is left."""
+def replayed_history(table, readings, tolerance):
+    """Independent oracle: the elimination replayed on plain sets of 1-based
+    current events, stopping once at most one is left.  Returns the
+    ``(status, candidate_history, rho, stroke)`` that ``run_trace`` must give."""
+    if not readings:
+        return Status.AMBIGUOUS, (), None, None
     gaps = table.gaps
     current = set(range(1, table.count + 1))
-    history = [len(current)] if readings else []
+    history = [len(current)]
     for prev, here in zip(readings, readings[1:]):
         if len(current) <= 1:
             break
         gap = here - prev
         current = {e + 1 for e in current if e <= len(gaps) and abs(gaps[e - 1] - gap) <= tolerance}
         history.append(len(current))
-    return history
+    if len(current) != 1:
+        status = Status.AMBIGUOUS if current else Status.NO_MATCH
+        return status, tuple(history), None, None
+    (last,) = current
+    first = last - (len(history) - 1)  # the event of the first reading
+    rho = table.events[last - 1].rho
+    return Status.IDENTIFIED, tuple(history), rho, table.events[first - 1].rho - rho
+
+
+def outcome(result):
+    return result.status, result.candidate_history, result.rho, result.stroke
 
 
 class TestHistoryOracle:
@@ -362,45 +418,19 @@ class TestHistoryOracle:
             for drive in drives:
                 readings = [r.reading for r in drive.records]
                 result = run_trace(design, drive, tolerance)
-                assert list(result.candidate_history) == replayed_history(
-                    table, readings, tolerance
-                )
+                assert outcome(result) == replayed_history(table, readings, tolerance)
 
-
-def folded(design, trace, tolerance):
-    """(status, candidate_history, rho, stroke) of a drive, folded by hand
-    through start and observe as an online caller does; every terminal
-    state must refuse a further gap."""
-    table = rectify(enumerate_events(design))
-    records = trace.records
-    if not records:
-        return Status.AMBIGUOUS, (), None, None
-    state = start(table, tolerance)
-    history = [state.candidate_count]
-    for prev, rec in zip(records, records[1:]):
-        state = observe(state, rec.reading - prev.reading)
-        history.append(state.candidate_count)
-        if state.terminal:
-            with pytest.raises(ValueError, match=f"cannot observe on a {state.status.value} state"):
-                observe(state, rec.reading - prev.reading)
-            break
-    if state.status is not Status.IDENTIFIED:
-        return state.status, tuple(history), None, None
-    first = table.events[state.identified_index - len(history)]  # the first record's event
-    return state.status, tuple(history), state.identified_rho, first.rho - state.identified_rho
-
-
-class TestFoldOracle:
     @pytest.mark.parametrize("tolerance", TOLERANCES)
-    def test_run_trace_is_the_fold_of_observe(self, tolerance):
+    def test_digest_drives_match_a_set_replay(self, tolerance):
         # The calibration digest's seeded drives: from every start of the
         # presets and the long recipe's design, clean and with one of the
         # first three detections dropped.
         statuses = set()
         for design, trace in drives():
+            table = rectify(enumerate_events(design))
+            readings = [r.reading for r in trace.records]
             result = run_trace(design, trace, tolerance)
-            expected = folded(design, trace, tolerance)
-            assert (result.status, result.candidate_history, result.rho, result.stroke) == expected
+            assert outcome(result) == replayed_history(table, readings, tolerance)
             statuses.add(result.status)
         assert statuses == set(Status)
 

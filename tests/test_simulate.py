@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -139,9 +140,22 @@ class TestTraceCsv:
         assert (trace.start_rho, trace.stop_rho) == (9.1, 7.4)
         assert trace.records == (TraceRecord(0.1, 0.1, 9.0, 5, 1),)
 
+    def test_short_header_import(self):
+        # A hardware log may leave the truth columns out altogether.
+        short = parse_trace_csv("t,encoder_reading\n0.5,0.5\n1.0,1.0\n")
+        long = parse_trace_csv("t,encoder_reading,truth_rho,truth_i,truth_j\n0.5,0.5,,,\n1.0,1.0,,,\n")
+        assert short == long
+        assert short.records[1] == TraceRecord(1.0, 1.0, None, None, None)
+
+    def test_short_header_counts_its_columns(self):
+        with pytest.raises(ValueError, match="line 3: expected 2 columns, got 5"):
+            parse_trace_csv("t,encoder_reading\n0.5,0.5\n1.0,1.0,,,\n")
+
     def test_header_required(self):
-        with pytest.raises(ValueError):
-            parse_trace_csv("a,b\n1,2\n")
+        expected = "expected header 't,encoder_reading,truth_rho,truth_i,truth_j' or 't,encoder_reading'"
+        for text in ("a,b\n1,2\n", "t,encoder_reading,truth_rho\n0.5,0.5,\n", ""):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                parse_trace_csv(text)
 
     def test_empty_trace_file(self, workshop):
         trace = simulate(workshop, IDEAL, 8.0, 8.0)
