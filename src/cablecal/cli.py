@@ -115,7 +115,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_calibrate(args) -> int:
     loaded = _load(args.config)
     try:
-        trace = parse_trace_csv(Path(args.trace).read_text())
+        text = sys.stdin.read() if args.trace == "-" else Path(args.trace).read_text()
+        trace = parse_trace_csv(text)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"{args.trace}: {exc}") from None
     tolerance = args.tolerance if args.tolerance is not None else loaded.gap_tol
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="identify the cable length from a trace")
     p.add_argument("config")
-    p.add_argument("--trace", required=True, help="trace CSV to replay")
+    p.add_argument("--trace", required=True, help="trace CSV to replay, - for stdin")
     p.add_argument("--tolerance", type=float, default=None, help="gap match tolerance")
     p.set_defaults(func=_cmd_calibrate)
 

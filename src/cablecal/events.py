@@ -39,7 +39,6 @@ class Event(NamedTuple):
 
 
 _time = operator.itemgetter(0)  # an event's t
-_rho = operator.itemgetter(3)  # an event's rho
 # A row record from its finished tuple, as the record's own __new__ makes
 # it, without the call through that.
 _new_row = tuple.__new__
@@ -52,6 +51,15 @@ def _new_instants(times: tuple[float, ...]) -> Iterator[bool]:
     return map(operator.gt, times[1:], map(operator.add, times, repeat(GEOM_TOL)))
 
 
+def _check_finite(columns: tuple[tuple, ...]) -> None:
+    times, _, _, rhos = columns
+    # Ordered times without a nan are finite when the first and last are.
+    if times and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+        raise ValueError("event times must be finite")
+    if not all(map(math.isfinite, rhos)):
+        raise ValueError("event lengths must be finite")
+
+
 @dataclass(frozen=True)
 class EventTable:
     """Time-ordered detection events with derived length gaps.
@@ -62,33 +70,49 @@ class EventTable:
 
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
-    collects the gaps that match a given one.  The ``times`` and
-    ``rho_values`` columns are filled at construction, and ``gaps`` and the
-    index on first use.  None of them is a field, so they stay out of
-    equality, hashing and repr.  The checks on a table compare whole
-    columns.
+    collects the gaps that match a given one.  A table holds its events as
+    columns: ``times``, ``rho_values`` and the mark and sensor indices are
+    set at construction, and ``gaps`` and the index on first use.  The
+    tables :func:`enumerate_events` and :func:`rectify` return are built
+    from their columns, and their ``events`` rows are built on first read
+    (by ``==``, ``hash`` and ``repr`` too).  None of the columns is a
+    field, so they stay out of equality, hashing and repr.  The checks on
+    a table compare whole columns.
     """
 
     events: tuple[Event, ...]
 
     def __post_init__(self) -> None:
-        # Every table's checks read both columns.
-        times = tuple(map(_time, self.events))
-        rhos = tuple(map(_rho, self.events))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "rho_values", rhos)
+        columns = tuple(zip(*self.events)) or ((),) * 4
+        times = columns[0]
         # A time may lie up to GEOM_TOL before the one before it; a nan fails.
         if not all(map(operator.ge, times[1:], map(operator.sub, times, repeat(GEOM_TOL)))):
             raise ValueError("events must be time-ordered")
-        # Ordered times are finite when the first and last are.
-        if times and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
-            raise ValueError("event times must be finite")
-        if not all(map(math.isfinite, rhos)):
-            raise ValueError("event lengths must be finite")
+        _check_finite(columns)
+        vars(self).update(times=times, rho_values=columns[3], _columns=columns)
+
+    @classmethod
+    def _from_columns(cls, columns: tuple[tuple, ...], rectified: bool = False) -> EventTable:
+        """A table of checked ``(t, i, j, rho)`` columns whose rows are built
+        on first read; ``rectified`` says the table is known to be."""
+        table = object.__new__(cls)
+        vars(table).update(times=columns[0], rho_values=columns[3], _columns=columns)
+        if rectified:
+            vars(table)["rectified"] = True
+        return table
+
+    def __getattr__(self, name: str) -> tuple[Event, ...]:
+        # Reached only for names the instance lacks: the rows of a table
+        # built from columns, until they are first read.
+        if name != "events":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        events = tuple(map(_new_row, repeat(Event), zip(*vars(self)["_columns"])))
+        vars(self)["events"] = events
+        return events
 
     @property
     def count(self) -> int:
-        return len(self.events)
+        return len(self.times)
 
     @functools.cached_property
     def rectified(self) -> bool:
@@ -236,29 +260,42 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
         for j, height in sensors
     ]
     rows.sort(key=_time)
-    return EventTable(tuple(map(_new_row, repeat(Event), rows)))
+    columns = tuple(zip(*rows)) or ((),) * 4
+    # The sort leaves the times in order, and from finite designs none is a nan.
+    _check_finite(columns)
+    return EventTable._from_columns(columns)
 
 
-def _survivors(events: tuple[Event, ...], times: tuple[float, ...]) -> list[Event]:
-    """One grouping pass of :func:`rectify`: the survivor of each group.
+def _survivors(
+    times: tuple[float, ...], marks: tuple[int, ...], sensors: tuple[int, ...]
+) -> list[int]:
+    """One grouping pass of :func:`rectify` over a table's columns: the
+    index of each group's survivor.
 
     The first event of a group minimising ``(i / j, i)`` survives.  The
     comparison runs field by field, and a one-event group is not ranked.
     """
     survivors = []
     first = 0
-    for last in chain(compress(range(1, len(events)), _new_instants(times)), (len(events),)):
-        survivor = events[first]
+    for last in chain(compress(range(1, len(times)), _new_instants(times)), (len(times),)):
+        survivor = first
         if last - first > 1:
-            _, mark, sensor, _ = survivor
-            ratio = mark / sensor
-            for event in events[first + 1 : last]:
-                _, i, j, _ = event
-                if (rank := i / j) < ratio or rank == ratio and i < mark:
-                    survivor, ratio, mark = event, rank, i
+            mark = marks[first]
+            ratio = mark / sensors[first]
+            for k in range(first + 1, last):
+                i = marks[k]
+                if (rank := i / sensors[k]) < ratio or rank == ratio and i < mark:
+                    survivor, ratio, mark = k, rank, i
         survivors.append(survivor)
         first = last
     return survivors
+
+
+def _gather(columns: tuple[tuple, ...], keep: list[int]) -> tuple[tuple, ...]:
+    """Each column's entries at the indices ``keep`` lists, in that order."""
+    if len(keep) == 1:  # itemgetter would return the entry itself
+        return tuple((column[keep[0]],) for column in columns)
+    return tuple(map(operator.itemgetter(*keep), columns))
 
 
 def rectify(table: EventTable) -> EventTable:
@@ -276,16 +313,17 @@ def rectify(table: EventTable) -> EventTable:
     from :func:`enumerate_events` are sorted and take one.  A table whose
     times dip by less than ``GEOM_TOL`` can leave two survivors sharing an
     instant, and the grouping repeats on the survivors until none do.
-    Rectifying a rectified table is a no-op.
+    Rectifying a rectified table is a no-op.  The result is built from the
+    survivors' columns and known to be rectified.
     """
-    events, times = table.events, table.times
-    if not events:
+    if not table.times:
         return table
+    columns = table._columns
     while True:
-        survivors = _survivors(events, times)
+        times = columns[0]
+        columns = _gather(columns, _survivors(*columns[:3]))
         if list(times) == sorted(times):  # in order, so one pass rectified them
-            return EventTable(tuple(survivors))
-        events, times = survivors, tuple(map(_time, survivors))
+            return EventTable._from_columns(columns, rectified=True)
 
 
 def left_sum(values: Iterable[float]) -> float:

@@ -129,13 +129,14 @@ def run_trace(
         return CalibrationResult(Status.AMBIGUOUS, None, None, tuple(history))
 
     here = current.bit_length()
-    rho = table.events[here - 1].rho
+    rhos = table.rho_values
+    rho = rhos[here - 1]
     first = here - (len(history) - 1)  # the first record's event
-    stroke = table.events[first - 1].rho - rho
+    stroke = rhos[first - 1] - rho
 
     fit = None
     if trace.start_rho is not None:
-        samples = [(e.rho, r.reading) for e, r in zip(table.events[first - 1 :], records)]
+        samples = [(length, r.reading) for length, r in zip(rhos[first - 1 :], records)]
         fit = fit_encoder(trace.start_rho, samples)
     scale, offset = fit or (None, None)
 

@@ -203,9 +203,9 @@ def parse_trace_csv(text: str) -> ObservationTrace:
     """
     window: dict[str, float] = {}
     lines = _csv_lines(text)
-    if lines and lines[0][1].startswith("#"):
+    if lines and lines[0][1].lstrip().startswith("#"):
         lineno, comment = lines.pop(0)
-        for token in comment[1:].split():
+        for token in comment.lstrip()[1:].split():
             key, _, value = token.partition("=")
             if key in ("start_rho", "stop_rho"):
                 try:

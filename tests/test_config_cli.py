@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import re
 import subprocess
@@ -409,6 +410,24 @@ class TestCliCalibrate:
         assert "status: identified" in out
         assert "rho: 7.50" in out
         assert "candidate_history: 26 -> 11 -> 2 -> 1" in out
+
+    def test_trace_from_stdin(self, config_dir, tmp_path, capsys, monkeypatch):
+        # "-" reads the trace from stdin and prints what the file gives;
+        # an error names the trace "-".
+        workshop = str(config_dir / "workshop.ini")
+        trace = self._trace(config_dir, tmp_path, 9.1, 7.4, ("--scale", "1.01", "--seed", "7"))
+        capsys.readouterr()
+        assert main(["calibrate", workshop, "--trace", str(trace)]) == 0
+        from_file = capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(trace.read_text()))
+        assert main(["calibrate", workshop, "--trace", "-"]) == 0
+        assert capsys.readouterr() == from_file
+        monkeypatch.setattr(sys, "stdin", io.StringIO("t,reading\n0.5,0.5\n"))
+        assert main(["calibrate", workshop, "--trace", "-"]) == 1
+        assert capsys.readouterr().err == (
+            "error: -: expected header 't,encoder_reading,truth_rho,truth_i,truth_j'"
+            " or 't,encoder_reading'\n"
+        )
 
     def test_truncated_trace_is_ambiguous(self, config_dir, tmp_path, capsys):
         trace = self._trace(config_dir, tmp_path, 9.1, 8.4)
@@ -825,6 +844,21 @@ class TestShell:
             assert (shell.returncode, shell.stdout, shell.stderr) == (code, out, err)
             assert out or err
 
+
+    def test_calibrate_reads_a_piped_trace(self, config_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        workshop = str(config_dir / "workshop.ini")
+        assert main(["simulate", workshop, "--start", "9.1", "--stop", "7.4", "--out", "t.csv"]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", workshop, "--trace", "t.csv"]) == 0
+        out, err = capsys.readouterr()
+        shell = subprocess.run(
+            [sys.executable, "-m", "cablecal.cli", "calibrate", workshop, "--trace", "-"],
+            input=Path("t.csv").read_text(), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(self.SRC)}, timeout=60,
+        )
+        assert (shell.returncode, shell.stdout, shell.stderr) == (0, out, err)
+        assert "status: identified" in out
 
     @pytest.mark.parametrize(
         "old,new,where",

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
+import pickle
 import random
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ import pytest
 from cablecal import (
     CalibrationDesign,
     DesignRecipe,
+    EncoderModel,
     Event,
     EventTable,
     MarkLayout,
@@ -18,13 +21,19 @@ from cablecal import (
     SensorLayout,
     TraceRecord,
     build_design,
+    Status,
     delta_stats,
     detection_time,
     enumerate_events,
+    presets,
     rectify,
+    run_trace,
+    score,
+    simulate,
     stroke_profile,
+    validate_design,
 )
-from cablecal import events
+from cablecal import events, identify, optimize
 from cablecal.designer import InfeasibleRecipe
 from cablecal.events import StartStroke, format_event_csv, left_sum, parse_event_csv
 from cablecal.model import GEOM_TOL
@@ -166,6 +175,29 @@ def tuple_sort_enumerate(design: CalibrationDesign) -> EventTable:
                 found.append((t, i, -j, rho))
     found.sort()
     return EventTable(tuple(Event(t, i, -j, rho) for t, i, j, rho in found))
+
+
+def columnar_designs() -> dict[str, CalibrationDesign]:
+    """The presets, the designs of both benchmark recipes and of seeded
+    random recipes on a 5 cm grid, and seeded random layouts."""
+    designs = {name: build() for name, build in presets.ALL.items()}
+    for name, (rho_max, d_pool, z_pool) in {
+        "climb-recipe": (32.0, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)),
+        "long-recipe": (60.0, (0.5, 0.75, 1.25), (2.0, 3.0)),
+    }.items():
+        designs[name] = build_design(DesignRecipe(RobotGeometry(18.0, rho_max), d_pool, z_pool)).design
+    rng = random.Random(22)
+    while len(designs) < 18:  # 12 random recipes that close
+        d_pool = tuple(rng.sample([x / 20 for x in range(5, 21)], 4))
+        z_pool = tuple(rng.sample([1.5, 2.0, 3.0], rng.randint(1, 2)))
+        try:
+            recipe = DesignRecipe(RobotGeometry(h=6.0, rho_max=11.0), d_pool, z_pool)
+            designs[f"recipe-{d_pool}-{z_pool}"] = build_design(recipe).design
+        except InfeasibleRecipe:
+            pass
+    for n, design in enumerate(unreachable_pair_designs()[:20]):
+        designs[f"layout-{n}"] = design
+    return designs
 
 
 # Two sensors closer than one ulp of the meeting times: each mark meets
@@ -987,3 +1019,92 @@ class TestLeftToRightSums:
             assert stats.mean == mean
             assert stats.std == math.sqrt(plain_sum(squares) / (n - 2))
             assert plain_sum(squares) != math.fsum(squares)
+
+
+@pytest.fixture(scope="module")
+def columnar_tables() -> list[tuple[str, EventTable]]:
+    """Every raw and rectified table of :func:`columnar_designs`, as
+    ``enumerate_events`` and ``rectify`` return them, plus the
+    rectifications of near-tie chains that take more than one pass."""
+    tables = []
+    for name, design in columnar_designs().items():
+        raw = enumerate_events(design)
+        tables += [(f"{name}-raw", raw), (f"{name}-rectified", rectify(raw))]
+    chains = {
+        "chain": (Event(0.0, 2, 1, 5.0), Event(0.8e-9, 1, 1, 4.0), Event(1.6e-9, 3, 1, 3.0)),
+        "dip": (Event(0.0, 2, 1, 5.0), Event(0.9e-9, 1, 1, 4.9),
+                Event(1.95e-9, 4, 1, 4.0), Event(1.0e-9, 3, 3, 3.9)),
+    }
+    tables += [(name, rectify(EventTable(events))) for name, events in chains.items()]
+    return tables
+
+
+class TestColumnarTables:
+    """Tables that ``enumerate_events`` and ``rectify`` build from their
+    columns, with their rows built on first read of ``events``."""
+
+    def test_match_their_twin_built_from_rows(self, columnar_tables):
+        assert len(columnar_tables) > 60
+        for name, table in columnar_tables:
+            columns = (table.times, table.rho_values, table.count, table.gaps,
+                       table.gap_positions, table.rectified)
+            assert "events" not in vars(table), name
+            twin = EventTable(table.events)
+            assert "events" in vars(table)
+            assert all(type(event) is Event for event in table.events), name
+            assert table.events == twin.events, name
+            assert columns == (twin.times, twin.rho_values, twin.count, twin.gaps,
+                               twin.gap_positions, twin.rectified), name
+            assert table == twin and twin == table, name
+            assert hash(table) == hash(twin), name
+            assert repr(table) == repr(twin), name
+
+    def test_rectify_marks_its_result_rectified(self, columnar_tables):
+        for name, table in columnar_tables:
+            if not name.endswith("-raw"):
+                assert vars(table)["rectified"] is True, name
+                assert all(events._new_instants(table.times)), name
+
+    def test_other_missing_attributes_raise_attribute_error(self, workshop):
+        table = enumerate_events(workshop)
+        with pytest.raises(AttributeError, match="no attribute 'rows'"):
+            table.rows
+        assert "events" not in vars(table)
+
+    @pytest.mark.parametrize("read_rows", [False, True], ids=["unbuilt", "built"])
+    def test_copy_and_pickle_give_equal_tables(self, read_rows):
+        for table in (enumerate_events(presets.medium_cube()), long_recipe_table()):
+            if read_rows:
+                table.events
+            clones = [copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))]
+            for clone in clones:
+                assert ("events" in vars(clone)) is read_rows
+                assert clone.times == table.times and clone.rectified == table.rectified
+                assert clone == table and hash(clone) == hash(table)
+                assert repr(clone) == repr(table)
+
+    def test_validate_score_and_run_trace_leave_the_rows_unbuilt(self, monkeypatch):
+        # The rows of every table these build stay unbuilt: each reads only
+        # the columns, the gaps and their index.
+        design = presets.workshop()
+        trace = simulate(design, EncoderModel(scale=1.01, offset=3.0, seed=2), 9.1, 7.4)
+        built: list[EventTable] = []
+
+        def recording(function):
+            def wrapper(*args):
+                table = function(*args)
+                built.append(table)
+                return table
+            return wrapper
+
+        # validate_design reads the events module's functions; score and
+        # run_trace call the names their modules imported.
+        for module in (events, optimize, identify):
+            for name in ("enumerate_events", "rectify"):
+                monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        validate_design(design)
+        assert score(design, 0.05) is not None
+        result = run_trace(design, trace)
+        assert result.status is Status.IDENTIFIED and result.corrector_scale is not None
+        assert len(built) == 6
+        assert not any("events" in vars(table) for table in built)

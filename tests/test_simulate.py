@@ -140,6 +140,13 @@ class TestTraceCsv:
         assert (trace.start_rho, trace.stop_rho) == (9.1, 7.4)
         assert trace.records == (TraceRecord(0.1, 0.1, 9.0, 5, 1),)
 
+    @pytest.mark.parametrize("indent", [" ", "  ", "\t"])
+    def test_indented_comment_reads_as_the_comment(self, workshop, indent):
+        text = format_trace_csv(simulate(workshop, IDEAL, 9.1, 7.4))
+        assert parse_trace_csv(indent + text) == parse_trace_csv(text)
+        with pytest.raises(ValueError, match="line 1: start_rho must be finite, got nan"):
+            parse_trace_csv(indent + text.replace("start_rho=9.1", "start_rho=nan"))
+
     def test_short_header_import(self):
         # A hardware log may leave the truth columns out altogether.
         short = parse_trace_csv("t,encoder_reading\n0.5,0.5\n1.0,1.0\n")
