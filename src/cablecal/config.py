@@ -18,7 +18,8 @@ Two variants, exactly one of which must be present:
     geom = 1e-9             geom = 1e-9
     gap = 0.05              gap = 0.05
 
-Lists accept spaces and/or commas as separators.  The [tolerances] section
+Lists accept spaces and/or commas as separators.  A section or option not
+shown here is an error, a misspelt one included.  The [tolerances] section
 is optional; both values must be finite and positive.  ``gap`` is the gap
 match tolerance: ``calibrate`` matches measured gaps with it and
 ``optimize`` ranks layouts by the strokes that matching needs.  ``geom`` is
@@ -63,6 +64,32 @@ class LoadedConfig:
     gap_tol: float
 
 
+# The options each known section may set.
+_OPTIONS = {
+    "geometry": ("h", "rho_max", "v", "b"),
+    "layout": ("sensor_heights", "mark_positions"),
+    "recipe": ("d_pool", "z_pool", "os1", "sensor_heights"),
+    "tolerances": ("geom", "gap"),
+}
+
+
+def _check_names(parser: configparser.ConfigParser, where: str) -> None:
+    """Reject an unknown section, and an option its section does not know."""
+    # Keys of the default section show up in every section, so they are
+    # named where they were written.
+    for option in parser.defaults():
+        raise ConfigError(f"{where}: [{parser.default_section}] unknown option '{option}'")
+    for section in parser.sections():
+        if section not in _OPTIONS:
+            raise ConfigError(f"{where}: unknown section [{section}]")
+        for option in parser.options(section):
+            if option not in _OPTIONS[section]:
+                raise ConfigError(
+                    f"{where}: [{section}] unknown option '{option}'"
+                    f" (expected {', '.join(_OPTIONS[section])})"
+                )
+
+
 def _floats(raw: str, where: str) -> tuple[float, ...]:
     tokens = raw.replace(",", " ").split()
     if not tokens:
@@ -84,8 +111,9 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     """Parse a design config file and build its design.
 
     Raises :class:`ConfigError` with a field-level message on any problem,
-    including structurally invalid layouts and infeasible recipes.  With
-    ``require_design=False`` a recipe is checked but not built.
+    including unknown sections and options, structurally invalid layouts
+    and infeasible recipes.  With ``require_design=False`` a recipe is
+    checked but not built.
     """
     path = Path(path)
     # Values are plain text: a % is kept as it is, and a number that holds
@@ -101,6 +129,7 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
     where = str(path)
+    _check_names(parser, where)
     if not parser.has_section("geometry"):
         raise ConfigError(f"{where}: missing [geometry] section")
     for option in ("h", "rho_max"):
@@ -108,7 +137,7 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
             raise ConfigError(f"{where}: [geometry] needs '{option}'")
     given = {
         option: _float(parser, "geometry", option, where)
-        for option in ("h", "rho_max", "v", "b")
+        for option in _OPTIONS["geometry"]
         if parser.has_option("geometry", option)
     }
     try:

@@ -204,48 +204,13 @@ def detection_time(design: CalibrationDesign, i: int, j: int) -> float:
     return (g.l_max - design.marks.position(i) - design.sensors.height(j)) / g.v
 
 
-def _reach(
-    positions: tuple[float, ...],
-    top_down: tuple[tuple[int, float], ...],
-    l_max: float,
-    h: float,
-    v: float,
-) -> list[tuple[tuple[int, float], ...]]:
-    """Each mark's reachable sensors, top-down, as ``top_down`` lists them.
-
-    A pair is reachable when ``t >= -GEOM_TOL`` and ``rho > GEOM_TOL``.
-    Down the marks t rises and rho falls, and float rounding keeps both
-    monotone, so the marks that reach a sensor form one run: from the
-    first whose t reaches to the last whose rho does.  Each run's ends are
-    found by testing inward from the ends of the marks, so a design whose
-    every pair reaches tests two pairs per sensor.  Between the run ends the
-    reachable sensors stay the same, and each stretch of marks shares one
-    tuple of them.
-    """
-    marks = len(positions)
-    runs = []  # per sensor, top-down: (the first index of its marks, their end)
-    for _, height in top_down:
-        first, end = 0, marks
-        while first < marks and (l_max - positions[first] - height) / v < -GEOM_TOL:
-            first += 1
-        while end > first and positions[end - 1] - (h - height) <= GEOM_TOL:
-            end -= 1
-        runs.append((first, end))
-    cuts = sorted({0, marks}.union(*runs))
-    reach: list[tuple[tuple[int, float], ...]] = []
-    for low, high in zip(cuts, cuts[1:]):
-        sensors = tuple(sensor for sensor, (first, end) in zip(top_down, runs) if first <= low < end)
-        reach += [sensors] * (high - low)
-    return reach
-
-
 def enumerate_events(design: CalibrationDesign) -> EventTable:
     """All physically reachable mark/sensor meetings, sorted by time.
 
-    Pairs with negative detection time or non-positive free length are
-    excluded (the cable starts at full extension and the platform cannot
-    pass the support).  Simultaneous events are kept; ties are ordered by
-    ascending mark index then descending sensor index for stable output.
+    A pair is reachable when ``t >= -GEOM_TOL`` and ``rho > GEOM_TOL``: the
+    cable starts at full extension and the platform cannot pass the
+    support.  Simultaneous events are kept; ties are ordered by ascending
+    mark index then descending sensor index for stable output.
     """
     g = design.geometry
     l_max, h, v = g.l_max, g.h, g.v
@@ -256,9 +221,14 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     rows = [
         # The expressions of detection_time and CalibrationDesign.rho_at.
         ((l_max - position - height) / v, i, j, position - (h - height))
-        for i, position, sensors in zip(count(1), positions, _reach(positions, top_down, l_max, h, v))
-        for j, height in sensors
+        for i, position in zip(count(1), positions)
+        for j, height in top_down
     ]
+    # Down the marks and down the sensors t rises and rho falls, and float
+    # rounding keeps both monotone, so when the first row (the earliest
+    # meeting) and the last (the shortest length) reach, every row does.
+    if rows[0][0] < -GEOM_TOL or rows[-1][3] <= GEOM_TOL:
+        rows = [row for row in rows if row[0] >= -GEOM_TOL and row[3] > GEOM_TOL]
     rows.sort(key=_time)
     columns = tuple(zip(*rows)) or ((),) * 4
     # The sort leaves the times in order, and from finite designs none is a nan.

@@ -219,7 +219,9 @@ def search(
     only that ordering.  Only designs that meet C1..C5 and have the 3
     events :func:`score` needs are returned.  The trail records (evaluation
     index, score) for every improvement within the budget.  Designs are
-    scored at the gap match ``tolerance``.  Deterministic per seed.
+    scored at the gap match ``tolerance``.  Deterministic per seed.  A recipe
+    with ``sensor_heights`` is searched with the first value of its
+    ``z_pool`` alone, which the design ignores; the result's recipe says so.
 
     Scoring is bounded: an enumerated ordering is scored against the best
     so far and a climbing step against the current ordering, and its walk
@@ -243,6 +245,10 @@ def search(
     check_gap_tolerance(tolerance)
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if recipe.sensor_heights is not None:
+        # build_design places no sensors from the z_pool then, so every
+        # ordering of it builds the same design; search one of them.
+        recipe = replace(recipe, z_pool=recipe.z_pool[:1])
 
     exhaustive = _orderings(recipe.d_pool) * _orderings(recipe.z_pool) <= budget
 

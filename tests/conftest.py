@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,33 @@ ONE_SENSOR = CalibrationDesign(
     SensorLayout((5.5,)),
     MarkLayout((11.5, 10.0, 9.5, 8.0, 7.5, 6.0, 5.5, 4.0, 3.5, 2.0, 1.5)),
 )
+
+
+def random_conforming_design(rng: random.Random) -> CalibrationDesign:
+    """Conforming by construction: the reserves pin down C1 and C3 exactly."""
+    step = 0.05
+    d0 = rng.choice([0.25, 0.3, 0.5])
+    n_gaps = rng.randint(0, 18)  # up to 19 marks
+    mark_gaps = [d0 + step * rng.randint(0, 30) for _ in range(n_gaps)]
+    n_sensors = rng.randint(1, 6)
+    z_gaps = [0.3 + step * rng.randint(0, 20) for _ in range(n_sensors - 1)]
+    os1 = 0.5 + step * rng.randint(0, 20)
+    heights = [os1]
+    for z in z_gaps:
+        heights.append(heights[-1] + z)
+    h = heights[-1] + d0
+    b = rng.choice([0.25, 0.5, 1.0])
+    dn = h - os1 + b
+    positions = [dn]
+    for gap in mark_gaps:
+        positions.append(positions[-1] + gap)
+    positions.reverse()
+    rho_max = positions[0] + d0
+    return CalibrationDesign(
+        RobotGeometry(h=h, rho_max=rho_max, v=1.0, b=b),
+        SensorLayout(tuple(heights)),
+        MarkLayout(tuple(positions)),
+    )
 
 
 @pytest.fixture

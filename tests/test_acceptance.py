@@ -17,9 +17,7 @@ from cablecal import (
     CalibrationDesign,
     EncoderModel,
     InfeasibleRecipe,
-    MarkLayout,
     RobotGeometry,
-    SensorLayout,
     build_design,
     delta_stats,
     distal_reserve,
@@ -37,6 +35,7 @@ from cablecal import (
 from cablecal import presets
 from cablecal.events import format_event_csv
 from cablecal.optimize import sort_key
+from conftest import random_conforming_design
 
 
 @contextmanager
@@ -229,38 +228,11 @@ def test_ac10_exhaustive_optimizer_optimum():
         assert sort_key(result.score) == best_key
 
 
-def _random_conforming_design(rng: random.Random) -> CalibrationDesign:
-    """Conforming by construction: the reserves pin down C1 and C3 exactly."""
-    step = 0.05
-    d0 = rng.choice([0.25, 0.3, 0.5])
-    n_gaps = rng.randint(0, 18)  # up to 19 marks
-    mark_gaps = [d0 + step * rng.randint(0, 30) for _ in range(n_gaps)]
-    n_sensors = rng.randint(1, 6)
-    z_gaps = [0.3 + step * rng.randint(0, 20) for _ in range(n_sensors - 1)]
-    os1 = 0.5 + step * rng.randint(0, 20)
-    heights = [os1]
-    for z in z_gaps:
-        heights.append(heights[-1] + z)
-    h = heights[-1] + d0
-    b = rng.choice([0.25, 0.5, 1.0])
-    dn = h - os1 + b
-    positions = [dn]
-    for gap in mark_gaps:
-        positions.append(positions[-1] + gap)
-    positions.reverse()
-    rho_max = positions[0] + d0
-    return CalibrationDesign(
-        RobotGeometry(h=h, rho_max=rho_max, v=1.0, b=b),
-        SensorLayout(tuple(heights)),
-        MarkLayout(tuple(positions)),
-    )
-
-
 def test_ac11_random_design_invariants():
     with criterion(11, "random conforming designs keep the event-table invariants"):
         rng = random.Random(20260808)
         for _ in range(40):
-            design = _random_conforming_design(rng)
+            design = random_conforming_design(rng)
             report = validate_design(design)
             assert report.passed("C1", "C3")
             table = rectify(enumerate_events(design))

@@ -315,6 +315,36 @@ class TestCliValidate:
         assert main(["no-such-command"]) == 1
 
 
+class TestUnknownNames:
+    # A misspelt name must not load the default of the one it stands for.
+    @pytest.mark.parametrize(
+        "body,where",
+        [
+            (
+                MEDIUM_LAYOUT.replace("rho_max = 11", "rho_max = 11\nbb = 0.5"),
+                "[geometry] unknown option 'bb'",
+            ),
+            (
+                MEDIUM_LAYOUT.replace("mark_positions", "mark_position"),
+                "[layout] unknown option 'mark_position'",
+            ),
+            (RECIPE_CONFIG + "os_1 = 4.0\n", "[recipe] unknown option 'os_1'"),
+            (MEDIUM_LAYOUT + "[tolerances]\ngapp = 0.3\n", "[tolerances] unknown option 'gapp'"),
+            (MEDIUM_LAYOUT + "[tolerance]\ngap = 0.3\n", "unknown section [tolerance]"),
+            # Its keys show up in every section, so they are named in it.
+            ("[DEFAULT]\nv = 2.0\n" + MEDIUM_LAYOUT, "[DEFAULT] unknown option 'v'"),
+        ],
+        ids=["geometry", "layout", "recipe", "tolerances", "section", "default"],
+    )
+    def test_misspelt_name_is_a_config_error(self, tmp_path, capsys, body, where):
+        path = tmp_path / "typo.ini"
+        path.write_text(body)
+        assert main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: {where}")
+
+
 class TestCliEvents:
     def test_raw_golden_rows(self, config_dir, capsys):
         code = main(["events", str(config_dir / "medium-cube.ini"), "--raw"])

@@ -38,7 +38,7 @@ from cablecal.designer import InfeasibleRecipe
 from cablecal.events import StartStroke, format_event_csv, left_sum, parse_event_csv
 from cablecal.model import GEOM_TOL
 from cablecal.simulate import parse_trace_csv
-from conftest import FIVE_CENTIMETRE_POOLS
+from conftest import FIVE_CENTIMETRE_POOLS, random_conforming_design
 
 # Reference tables for the medium fixture, transcribed row by row.
 MEDIUM_RAW_ROWS = [
@@ -369,6 +369,24 @@ class TestEnumerate:
             table = enumerate_events(design)
             assert table == tuple_sort_enumerate(design)
             assert all(type(event) is Event for event in table.events)
+
+    def test_conforming_designs_reach_every_pair(self, all_designs):
+        # C1 puts the earliest meeting at t = 2 * d0 / v and C3 the shortest
+        # length at b, so these tables hold one event per mark/sensor pair.
+        designs = list(all_designs.values())
+        for rho_max, d_pool, z_pool, every in (
+            (60.0, (0.5, 0.75, 1.25), (2.0, 3.0), 1),
+            (32.0, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5), 20),
+        ):
+            orderings = sorted(itertools.product(itertools.permutations(d_pool), itertools.permutations(z_pool)))
+            for d_order, z_order in orderings[::every]:
+                recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=rho_max), d_order, z_order)
+                designs.append(build_design(recipe).design)
+        rng = random.Random(20260808)  # AC11's draws
+        designs += [random_conforming_design(rng) for _ in range(40)]
+        assert len(designs) == 4 + 12 + 216 + 40
+        for design in designs:
+            assert enumerate_events(design).count == design.marks.count * design.sensors.count
 
     def test_same_float_instant_lists_sensors_top_down(self):
         events = enumerate_events(SUB_ULP_SENSORS).events

@@ -267,6 +267,18 @@ class TestSearch:
         result = search(recipe, budget=80, seed=11)  # space is 240 > budget
         assert compare(result.score, score(baseline_design)) <= 0
 
+    @pytest.mark.parametrize("budget", [60, 200, 1000])
+    def test_sensor_override_ignores_z_pool_orderings(self, budget):
+        # With sensor_heights set the z_pool places nothing, so its orderings
+        # neither count towards enumerating nor take climbing steps.
+        twin = DesignRecipe(G_SMALL, FIVE_POOL, (1.0,), sensor_heights=(2.0, 3.5, 5.5))
+        recipe = replace(twin, z_pool=(1.0, 2.0, 1.5))
+        for seed in range(5):
+            result, expected = search(recipe, budget, seed), search(twin, budget, seed)
+            assert result.design == expected.design and result.score == expected.score
+            assert result.trail == expected.trail and result.revisits == expected.revisits
+            assert build_design(result.recipe).design == result.design
+
     def test_infeasible_recipe(self):
         # 0.8 m gaps can never close the 5.2 m instrumented span exactly.
         recipe = DesignRecipe(G_SMALL, d_pool=(0.8,), z_pool=(3.0,))
