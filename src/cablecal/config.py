@@ -111,9 +111,10 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     """Parse a design config file and build its design.
 
     Raises :class:`ConfigError` with a field-level message on any problem,
-    including unknown sections and options, structurally invalid layouts
-    and infeasible recipes.  With ``require_design=False`` a recipe is
-    checked but not built.
+    including a file that cannot be read or decoded, unknown sections and
+    options, structurally invalid layouts and infeasible recipes.  One
+    leading byte-order mark is ignored.  With ``require_design=False`` a
+    recipe is checked but not built.
     """
     path = Path(path)
     # Values are plain text: a % is kept as it is, and a number that holds
@@ -121,10 +122,10 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     try:
-        parser.read_string(text, source=str(path))
+        parser.read_string(text.removeprefix("\ufeff"), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

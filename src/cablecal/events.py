@@ -366,13 +366,25 @@ def stroke_profile(
     deepest-first; with a limit, the groups a split yields are walked
     longest-wound first, so a long stroke shows early.
 
+    A group whose candidates are exactly its own current events, all with
+    the same next gap, steps in place: it moves each event on by one and
+    adds the gap to its wound length, without a split or an
+    :func:`advance` call.  That is what :func:`advance` would return, since
+    an event always matches its own next gap, so every candidate survives,
+    and no other event is a candidate.  On periodic tables most steps are
+    such steps.  A group takes the usual path when one of its events has
+    the table's last gap next, since that start is flagged on this step,
+    or a next gap that matches nothing, not even itself.
+
     With a ``limit`` ``(u, w)`` the walk returns None as soon as it proves
     that the profile's ``(unidentifiable_starts, worst_stroke)``, with no
     stroke read as infinite, is lexicographically above the limit.  Gaps
     are positive, so the starts flagged so far and the length any group
     has wound are lower bounds on the final pair: it is proved once more
     than u starts are flagged, or u are and a group has wound more than w.
-    A profile it does return is exact, and may still lie above the limit.
+    The bound is checked after every step, in-place steps included, so the
+    walk stops where a step-by-step one would.  A profile it does return
+    is exact, and may still lie above the limit.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
@@ -385,6 +397,12 @@ def stroke_profile(
     everyone = (1 << table.count) - 1
     has_next = everyone >> 1  # the events with a next gap
     ends = has_next ^ (has_next >> 1)  # the event whose next gap is the last
+    # The events a group may not step in place from: that one, and any whose
+    # next gap matches no gap, not even itself (an overflowed, infinite one).
+    stops = ends
+    for bits, match in splits.values():
+        if not bits & match:
+            stops |= bits
     # Without a limit, one that no profile lies above.
     most, longest = limit or (table.count, math.inf)
     flagged = min(table.count, 1)  # the final event has no gap
@@ -400,6 +418,15 @@ def stroke_profile(
             gap = gaps[(rest & -rest).bit_length() - 1]  # the lowest event's next gap
             bits, match = splits[gap]
             subgroup = rest & bits
+            if subgroup == current and not subgroup & stops:
+                # The candidates are the group's own events, all of which
+                # match their shared next gap, so advance would shift them.
+                rest = current = subgroup << 1
+                k += 1
+                wound += gap
+                if wound > longest and flagged >= most:
+                    return None
+                continue
             rest ^= subgroup
             after = advance(current, match)
             stroke = wound + gap

@@ -200,9 +200,10 @@ def parse_trace_csv(text: str) -> ObservationTrace:
     The metadata comment is optional (hardware logs will not have it); the
     drive window is then unknown, and calibration fits no encoder correction.
     A log may also be headed ``t,encoder_reading`` alone; its truths are None.
+    One leading byte-order mark is ignored.
     """
     window: dict[str, float] = {}
-    lines = _csv_lines(text)
+    lines = _csv_lines(text.removeprefix("\ufeff"))
     if lines and lines[0][1].lstrip().startswith("#"):
         lineno, comment = lines.pop(0)
         for token in comment.lstrip()[1:].split():

@@ -345,6 +345,47 @@ class TestUnknownNames:
         assert err.startswith(f"error: {path}: {where}")
 
 
+class TestInputText:
+    def test_byte_order_mark_in_a_config_is_ignored(self, config_dir, tmp_path, capsys):
+        source = config_dir / "workshop.ini"
+        marked = tmp_path / "workshop.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        assert main(["validate", str(source)]) == 0
+        plain = capsys.readouterr()
+        assert main(["validate", str(marked)]) == 0
+        assert capsys.readouterr() == plain
+
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff" + MEDIUM_LAYOUT.encode())
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_byte_order_mark_in_a_trace_is_ignored(self, config_dir, tmp_path, capsys, monkeypatch):
+        # The simulated trace's first line is its metadata comment.
+        workshop = str(config_dir / "workshop.ini")
+        trace = tmp_path / "trace.csv"
+        args = ["--start", "9.1", "--stop", "7.4", "--noise", "0.005", "--seed", "3"]
+        assert main(["simulate", workshop, *args, "--out", str(trace)]) == 0
+        assert trace.read_text().startswith("# ")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + trace.read_bytes())
+        capsys.readouterr()
+        assert main(["calibrate", workshop, "--trace", str(trace)]) == 0
+        plain = capsys.readouterr()
+        assert main(["calibrate", workshop, "--trace", str(marked)]) == 0
+        assert capsys.readouterr() == plain
+        monkeypatch.setattr(sys, "stdin", io.StringIO(marked.read_text()))
+        assert main(["calibrate", workshop, "--trace", "-"]) == 0
+        assert capsys.readouterr() == plain
+
+    def test_only_one_byte_order_mark_is_ignored(self):
+        text = "t,encoder_reading\n0.5,0.5\n1.5,1.5\n"
+        assert parse_trace_csv("\ufeff" + text) == parse_trace_csv(text)
+        with pytest.raises(ValueError, match="expected header"):
+            parse_trace_csv("\ufeff\ufeff" + text)
+
+
 class TestCliEvents:
     def test_raw_golden_rows(self, config_dir, capsys):
         code = main(["events", str(config_dir / "medium-cube.ini"), "--raw"])

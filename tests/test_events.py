@@ -35,10 +35,11 @@ from cablecal import (
 )
 from cablecal import events, identify, optimize
 from cablecal.designer import InfeasibleRecipe
-from cablecal.events import StartStroke, format_event_csv, left_sum, parse_event_csv
-from cablecal.model import GEOM_TOL
+from cablecal.events import StartStroke, StrokeProfile, format_event_csv, left_sum, parse_event_csv
+from cablecal.model import GEOM_TOL, check_gap_tolerance
 from cablecal.simulate import parse_trace_csv
 from conftest import FIVE_CENTIMETRE_POOLS, random_conforming_design
+from test_exactness import designs as pinned_designs
 
 # Reference tables for the medium fixture, transcribed row by row.
 MEDIUM_RAW_ROWS = [
@@ -257,6 +258,57 @@ def table_winding(gaps: list[float]) -> EventTable:
     """A rectified table, one event per second, that winds ``gaps`` in turn."""
     rhos = [1.0 + sum(gaps[q:]) for q in range(len(gaps) + 1)]
     return EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
+
+
+def stepwise_stroke_profile(
+    table: EventTable, tolerance: float, limit: tuple[int, float] | None = None
+) -> StrokeProfile | None:
+    """Reference walk: :func:`stroke_profile` as it was before groups
+    stepped in place, with one ``advance`` call on every step of every
+    group, the limit checked after each."""
+    if not table.rectified:
+        raise ValueError("stroke_profile needs a rectified table")
+    check_gap_tolerance(tolerance)
+    gaps = table.gaps
+    splits = {
+        gap: (bits, table.match_mask(gap, tolerance)) for gap, bits in table.gap_positions.items()
+    }
+    everyone = (1 << table.count) - 1
+    has_next = everyone >> 1
+    ends = has_next ^ (has_next >> 1)
+    most, longest = limit or (table.count, math.inf)
+    flagged = min(table.count, 1)
+    identified = {}
+    pending = [(has_next, everyone, 1, 0)]
+    while pending:
+        rest, current, k, wound = pending.pop()
+        split = len(pending)
+        while rest:
+            gap = gaps[(rest & -rest).bit_length() - 1]
+            bits, match = splits[gap]
+            subgroup = rest & bits
+            rest ^= subgroup
+            after = events.advance(current, match)
+            stroke = wound + gap
+            if after & (after - 1) == 0:
+                p = after.bit_length() - k
+                identified[p] = (p, k, stroke)
+            else:
+                if subgroup & ends:
+                    flagged += 1
+                    if flagged > most:
+                        return None
+                    subgroup ^= ends
+                    if not subgroup:
+                        continue
+                pending.append((subgroup << 1, after, k + 1, stroke))
+            if stroke > longest and flagged >= most:
+                return None
+        if limit and len(pending) - split > 1:
+            pending[split:] = sorted(pending[split:], key=operator.itemgetter(3))
+    return StrokeProfile(tuple(
+        StartStroke(*identified.get(p, (p, None, None))) for p in range(1, table.count + 1)
+    ))
 
 
 class TestDetectionTime:
@@ -787,6 +839,24 @@ class TestStrokeProfile:
                 stopped += walked is None
         assert stopped > 0
 
+    def test_groups_step_in_place_without_advance(self, monkeypatch):
+        # A group whose candidates are its own starts, all sharing the next
+        # gap, steps in place without advance.  Calling it on every step
+        # takes 893 calls on the long table and 4,614 on the climb table.
+        calls = 0
+        advance = events.advance
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return advance(*args)
+
+        monkeypatch.setattr(events, "advance", counting)
+        for table, bound in ((long_recipe_table(), 300), (climb_table(100.0), 600)):
+            calls = 0
+            stroke_profile(table, 0.05)
+            assert 0 < calls <= bound
+
     def test_a_start_whose_gaps_run_out_has_no_stroke(self):
         # Start 4 winds its two 2 m gaps, 4 m, and is still ambiguous when
         # they run out.  Only identified starts count toward the worst
@@ -810,6 +880,71 @@ class TestStrokeProfile:
             assert profile.unidentifiable_starts == unident
             assert profile.worst_stroke == pytest.approx(worst)
             assert profile.mean_stroke == pytest.approx(mean)
+
+
+def assert_walks_agree(table: EventTable) -> None:
+    """stroke_profile returns what the reference walk does, unbounded and
+    under limits at, just inside and around each profile's own pair."""
+    for tolerance in (0.01, 0.05, 0.3, 0.6):
+        profile = stepwise_stroke_profile(table, tolerance)
+        assert stroke_profile(table, tolerance) == profile
+        worst = profile.worst_stroke
+        u, w = profile.unidentifiable_starts, math.inf if worst is None else worst
+        for limit in (
+            (u, w),
+            (u - 1, w),
+            (u, w - 0.5),
+            (u, w + 0.5),
+            (u - 1, math.inf),
+            (1, 0.0),
+            (u, math.nextafter(w, -math.inf)),
+        ):
+            assert stroke_profile(table, tolerance, limit) == stepwise_stroke_profile(
+                table, tolerance, limit
+            )
+
+
+class TestStrokeProfileMatchesStepwiseWalk:
+    def test_pinned_designs(self):
+        # The presets, every 20th climb ordering and all 12 long orderings.
+        for design in pinned_designs():
+            assert_walks_agree(rectify(enumerate_events(design)))
+
+    @pytest.mark.parametrize("rho_max", [60.0, 100.0, 300.0])
+    def test_long_climb_tables(self, rho_max):
+        assert_walks_agree(climb_table(rho_max))
+
+    def test_five_centimetre_pools(self):
+        for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
+            design, _ = build_design(DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool))
+            assert_walks_agree(rectify(enumerate_events(design)))
+
+    def test_random_conforming_designs(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            assert_walks_agree(rectify(enumerate_events(random_conforming_design(rng))))
+
+    def test_gaps_that_overflow(self):
+        # An infinite gap matches no gap, not even itself, so starts 1 and 4
+        # drop out when they reach theirs instead of stepping on together.
+        rhos = (1.7e308, 1e308, -1e308, 1.7e308, 1e308, -1e308, -1.1e308)
+        table = EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
+        assert table.gaps[1:3] == (math.inf, -math.inf) and table.gaps[4] == math.inf
+        assert_walks_agree(table)
+
+    def test_rising_lengths(self):
+        # Negative gaps let a group's wound length rise above the limit and
+        # fall back within one run of in-place steps, so the limit must be
+        # checked after every step, not once a run ends.  A repeated motif
+        # gives starts long shared runs of gaps.
+        rng = random.Random(24)
+        for _ in range(1500):
+            pool = rng.sample([0.5, 1.0, 2.0, -1.5, -2.5], rng.randint(2, 4))
+            motif = [rng.choice(pool) for _ in range(rng.randint(3, 5))]
+            gaps = []
+            for _ in range(rng.randint(2, 4)):
+                gaps += motif + [rng.choice(pool) for _ in range(rng.randint(0, 1))]
+            assert_walks_agree(table_winding(gaps))
 
 
 class TestEventCsv:

@@ -22,10 +22,19 @@ at seeds 0-19 and budgets 0, 1, 40 and 500, the long recipe at budget 500,
 and a small five-value recipe at three tolerances, budgets 60 and 240.  Its
 pinned value was computed with a search that scored every ordering in full.
 
+The profile digest is one SHA-256 over the ``repr`` of 60 ``stroke_profile``
+results on long periodic tables, where starts share gap prefixes of up to
+a few hundred gaps: the climb recipe's pools at ``rho_max`` 60, 100 and 300
+and the long recipe's at 100, at three tolerances, each unbounded and under
+the limits ``(u, w)``, ``(u, nextafter(w, -inf))``, ``(u - 1, inf)`` and
+``(1, 0.0)``, where ``(u, w)`` is the unbounded profile's flagged starts and
+worst stroke.  Its pinned value was computed with a walk that called
+``advance`` on every step.
+
 A change that moves any of these values in its last bit changes a digest.
-All three read the same on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
-Run as a script to print the digests of the current code; it exits non-zero
-when any differs from its pinned value, and it needs no pytest::
+The first three read the same on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
+Run as a script to print the four digests of the current code; it exits
+non-zero when any differs from its pinned value, and it needs no pytest::
 
     PYTHONPATH=src python tests/test_exactness.py
 """
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 
 from cablecal import (
@@ -58,6 +68,7 @@ from cablecal.optimize import format_trail_csv
 EXPECTED_DIGEST = "5e8e465194c39d435bb42ddb176da99fdf52e0db95f21974629b4971d11b15b6"
 EXPECTED_CALIBRATION_DIGEST = "4b5594c6b6f4f2d9cd8368d4c0f5a63e07dd0dc923ed649eaf6f4c99fc27d67e"
 EXPECTED_SEARCH_DIGEST = "8aaf516193c423a2c3e0ee6a733cac543153bf77d8e94efe1cb5c50290a60fc8"
+EXPECTED_PROFILE_DIGEST = "d17e8f88bb9048d11644572fe749c2607116e91c6fe4eabd3dab0e0a94157b21"
 
 # (h, rho_max, d_pool, z_pool) of the long recipe, as the benchmark builds it
 LONG_RECIPE = (18.0, 60.0, (0.5, 0.75, 1.25), (2.0, 3.0))
@@ -67,6 +78,11 @@ RECIPES = (
     (*LONG_RECIPE, 1),
 )
 TOLERANCES = (0.01, 0.05, 0.3)
+# (rho_max, d_pool, z_pool) of the long periodic tables on an 18 m support
+PROFILE_TABLES = (
+    *((rho_max, *RECIPES[0][2:4]) for rho_max in (60.0, 100.0, 300.0)),
+    (100.0, *LONG_RECIPE[2:]),
+)
 # The search tests' small recipe: 240 orderings on a 6 m support.
 FIVE_POOL_RECIPE = (6.0, 11.0, (0.5, 0.75, 1.0, 1.25, 1.5), (1.0, 2.0))
 
@@ -184,6 +200,30 @@ def search_digest() -> tuple[int, str]:
     return count, sha.hexdigest()
 
 
+def profiles():
+    """Every pinned ``stroke_profile`` result, unbounded ones first per tolerance."""
+    for rho_max, d_pool, z_pool in PROFILE_TABLES:
+        design = build_design(DesignRecipe(RobotGeometry(18.0, rho_max), d_pool, z_pool)).design
+        table = rectify(enumerate_events(design))
+        for tolerance in TOLERANCES:
+            profile = stroke_profile(table, tolerance)
+            yield profile
+            worst = profile.worst_stroke
+            u, w = profile.unidentifiable_starts, math.inf if worst is None else worst
+            for limit in ((u, w), (u, math.nextafter(w, -math.inf)), (u - 1, math.inf), (1, 0.0)):
+                yield stroke_profile(table, tolerance, limit)
+
+
+def profile_digest() -> tuple[int, str]:
+    """(number of profiles, hex digest of their reprs)."""
+    sha = hashlib.sha256()
+    count = 0
+    for count, profile in enumerate(profiles(), start=1):
+        sha.update(repr(profile).encode())
+        sha.update(b"\n")
+    return count, sha.hexdigest()
+
+
 def test_pipeline_output_is_bit_exact():
     assert digest() == (232, EXPECTED_DIGEST)
 
@@ -196,13 +236,18 @@ def test_search_output_is_bit_exact():
     assert search_digest() == (87, EXPECTED_SEARCH_DIGEST)
 
 
+def test_profile_output_is_bit_exact():
+    assert profile_digest() == (60, EXPECTED_PROFILE_DIGEST)
+
+
 if __name__ == "__main__":
-    digests = digest(), calibration_digest(), search_digest()
+    digests = digest(), calibration_digest(), search_digest(), profile_digest()
     for pair in digests:
         print(*pair)
     pinned = digests == (
         (232, EXPECTED_DIGEST),
         (3132, EXPECTED_CALIBRATION_DIGEST),
         (87, EXPECTED_SEARCH_DIGEST),
+        (60, EXPECTED_PROFILE_DIGEST),
     )
     raise SystemExit(0 if pinned else "a digest differs from its pinned value")
