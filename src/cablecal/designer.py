@@ -9,7 +9,9 @@ distal reserve so the final detection leaves the boost length free.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .model import (
@@ -46,12 +48,21 @@ class DesignRecipe:
     def __post_init__(self) -> None:
         if not self.d_pool or not self.z_pool:
             raise ValueError("gap pools must be non-empty")
-        if not all(x is None or math.isfinite(x) for x in (*self.d_pool, *self.z_pool, self.os1)):
+        pools = (*self.d_pool, *self.z_pool)
+        # The usual recipe in C-level scans: positive pool values (a nan is
+        # not), the largest of them finite, and no os1 or a finite one.
+        if (
+            all(map(operator.lt, repeat(0), pools))
+            and max(pools) < math.inf
+            and (self.os1 is None or math.isfinite(self.os1))
+        ):
+            return
+        if not all(x is None or math.isfinite(x) for x in (*pools, self.os1)):
             raise ValueError(
                 f"gap pools and os1 must be finite, got d_pool={self.d_pool} "
                 f"z_pool={self.z_pool} os1={self.os1}"
             )
-        if any(x <= 0 for x in self.d_pool) or any(x <= 0 for x in self.z_pool):
+        if any(x <= 0 for x in pools):
             raise ValueError("gap pool values must be positive")
 
 

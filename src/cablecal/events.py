@@ -43,6 +43,7 @@ _time = operator.itemgetter(0)  # an event's t
 # it, without the call through that.
 _new_row = tuple.__new__
 _wound = operator.itemgetter(3)  # a stroke_profile group's wound length
+_stroke = operator.itemgetter(2)  # an identified start's stroke
 
 
 def _new_instants(times: tuple[float, ...]) -> Iterator[bool]:
@@ -170,11 +171,44 @@ class StartStroke(NamedTuple):
 
 @dataclass(frozen=True)
 class StrokeProfile:
-    """Per-start identification strokes plus worst-case and mean summaries."""
+    """Per-start identification strokes plus worst-case and mean summaries.
+
+    The profiles :func:`stroke_profile` returns are built from its walk's
+    identified starts: ``worst_stroke`` and ``unidentifiable_starts`` are
+    set from them, and the ``entries`` are built on first read (by ``==``,
+    ``hash`` and ``repr`` too), as an :class:`EventTable`'s rows are.
+    """
 
     entries: tuple[StartStroke, ...]
 
-    @property
+    @classmethod
+    def _from_walk(cls, identified: dict[int, tuple[int, int, float]], count: int) -> StrokeProfile:
+        """The profile of a table of ``count`` events whose identified
+        starts ``identified`` maps to their ``(start, k, stroke)``; other
+        keys are no start and are left out."""
+        profile = object.__new__(cls)
+        # The strokes in start order, as the entries hold them.
+        strokes = list(map(_stroke, filter(None, map(identified.get, range(1, count + 1)))))
+        vars(profile).update(
+            worst_stroke=max(strokes, default=None),
+            unidentifiable_starts=count - len(strokes),
+            _walk=(identified, count),
+        )
+        return profile
+
+    def __getattr__(self, name: str) -> tuple[StartStroke, ...]:
+        # Reached only for names the instance lacks: the entries of a
+        # profile built from its walk, until they are first read.
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        identified, count = vars(self)["_walk"]
+        entries = tuple([
+            _new_row(StartStroke, identified.get(p) or (p, None, None)) for p in range(1, count + 1)
+        ])
+        vars(self)["entries"] = entries
+        return entries
+
+    @functools.cached_property
     def worst_stroke(self) -> float | None:
         return max((e.stroke for e in self.entries if e.stroke is not None), default=None)
 
@@ -183,7 +217,7 @@ class StrokeProfile:
         strokes = [e.stroke for e in self.entries if e.stroke is not None]
         return left_sum(strokes) / len(strokes) if strokes else None
 
-    @property
+    @functools.cached_property
     def unidentifiable_starts(self) -> int:
         return sum(1 for e in self.entries if not e.identifiable)
 
@@ -378,10 +412,12 @@ def stroke_profile(
 
     With a ``limit`` ``(u, w)`` the walk returns None as soon as it proves
     that the profile's ``(unidentifiable_starts, worst_stroke)``, with no
-    stroke read as infinite, is lexicographically above the limit.  Gaps
-    are positive, so the starts flagged so far and the length any group
-    has wound are lower bounds on the final pair: it is proved once more
-    than u starts are flagged, or u are and a group has wound more than w.
+    stroke read as infinite, is lexicographically above the limit.  The
+    starts flagged so far are a lower bound on the final count, and, when
+    no gap is negative, the length any group has wound is one on its
+    starts' strokes: it is proved once more than u starts are flagged, or
+    u are and a group has wound more than w.  A negative gap winds a group
+    back, so on a table with one the walk bounds by flagged starts alone.
     The bound is checked after every step, in-place steps included, so the
     walk stops where a step-by-step one would.  A profile it does return
     is exact, and may still lie above the limit.
@@ -405,8 +441,12 @@ def stroke_profile(
             stops |= bits
     # Without a limit, one that no profile lies above.
     most, longest = limit or (table.count, math.inf)
+    if limit and min(splits, default=0) < 0:  # wound lengths can fall, so they bound nothing
+        longest = math.inf
     flagged = min(table.count, 1)  # the final event has no gap
-    identified: dict[int, tuple[int, int, float]] = {}  # p -> (p, k, stroke)
+    # p -> (p, k, stroke); a group whose next gap matches nothing, not even
+    # itself, leaves no candidate and lands on a p below 1.
+    identified: dict[int, tuple[int, int, float]] = {}
     # (those of the current events of starts sharing their first k - 1 gaps
     # that have a next gap, the candidates those gaps leave, k, the length
     # those gaps wind)
@@ -447,10 +487,7 @@ def stroke_profile(
                 return None
         if limit and len(pending) - split > 1:
             pending[split:] = sorted(pending[split:], key=_wound)
-    return StrokeProfile(tuple([
-        tuple.__new__(StartStroke, identified.get(p) or (p, None, None))
-        for p in range(1, table.count + 1)
-    ]))
+    return StrokeProfile._from_walk(identified, table.count)
 
 
 def format_event_csv(table: EventTable, precision: str = "table") -> str:

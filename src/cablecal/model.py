@@ -14,7 +14,10 @@ sensor 1 the lowest on the support.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 # Equality tolerance for geometric checks.  Desk-scale layouts are specified
 # as exact quarter-metre rationals, so this only needs to absorb binary
@@ -34,6 +37,7 @@ def check_gap_tolerance(tolerance: float) -> None:
         raise ValueError(f"gap tolerance must be finite and positive, got {tolerance}")
 
 _CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
+_passed = operator.attrgetter("passed")  # a condition's verdict
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,12 @@ class SensorLayout:
     heights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.heights:
+        heights = self.heights
+        # One scan for the usual layout: 0 < h_1 < ... < h_n < inf holds
+        # exactly when every check below passes (a nan fails any comparison).
+        if heights and all(map(operator.lt, chain((0,), heights), chain(heights, (math.inf,)))):
+            return
+        if not heights:
             raise ValueError("a layout needs at least one sensor")
         if not all(map(math.isfinite, self.heights)):
             raise ValueError(f"sensor heights must be finite: {self.heights}")
@@ -99,7 +108,8 @@ class SensorLayout:
     @property
     def gaps(self) -> tuple[float, ...]:
         """Distances z_j between successive sensors (empty for one sensor)."""
-        return tuple(hi - lo for lo, hi in zip(self.heights, self.heights[1:]))
+        heights = self.heights
+        return tuple(map(operator.sub, heights[1:], heights))
 
     def height(self, j: int) -> float:
         """||OS_j|| for 1-based sensor index j."""
@@ -119,7 +129,12 @@ class MarkLayout:
     positions: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.positions:
+        positions = self.positions
+        # One scan for the usual layout: inf > p_1 > ... > p_n > 0 holds
+        # exactly when every check below passes (a nan fails any comparison).
+        if positions and all(map(operator.gt, chain((math.inf,), positions), chain(positions, (0,)))):
+            return
+        if not positions:
             raise ValueError("a layout needs at least one mark")
         if not all(map(math.isfinite, self.positions)):
             raise ValueError(f"mark positions must be finite: {self.positions}")
@@ -138,7 +153,8 @@ class MarkLayout:
     @property
     def gaps(self) -> tuple[float, ...]:
         """Distances d_i between successive marks (empty for one mark)."""
-        return tuple(hi - lo for hi, lo in zip(self.positions, self.positions[1:]))
+        positions = self.positions
+        return tuple(map(operator.sub, positions, positions[1:]))
 
     @property
     def distal_reserve(self) -> float:
@@ -187,9 +203,10 @@ class CalibrationDesign:
         return self.marks.position(i) - (self.geometry.h - self.sensors.height(j))
 
 
-@dataclass(frozen=True)
-class Condition:
-    """Outcome of one placement condition check."""
+class Condition(NamedTuple):
+    """Outcome of one placement condition check: a row record, like
+    :class:`~cablecal.events.Event`, that compares equal to the plain tuple
+    ``(name, passed, detail)``."""
 
     name: str
     passed: bool
@@ -222,7 +239,7 @@ class ConditionReport:
     @property
     def hard_pass(self) -> bool:
         """True when the mandatory conditions C1..C5 all hold."""
-        return self.passed("C1", "C2", "C3", "C4", "C5")
+        return all(map(_passed, self.conditions[:5]))  # C1..C5, in that order
 
     @property
     def soft_failures(self) -> tuple[str, ...]:
@@ -295,7 +312,10 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
 
     raw = _events.enumerate_events(design)
     rect = _events.rectify(raw)
-    residual_ties = sum(1 for gap in rect.gaps if gap <= tol)
+    # Each gap rhos[q] - rhos[q + 1] is read once, so the table's cached
+    # tuple of them is never built.
+    rhos = rect.rho_values
+    residual_ties = sum(1 for a, b in zip(rhos, rhos[1:]) if a - b <= tol)
     merged = raw.count - rect.count
     checks.append(
         Condition(

@@ -260,12 +260,19 @@ def table_winding(gaps: list[float]) -> EventTable:
     return EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
 
 
+def overflowing_table() -> EventTable:
+    """A table whose gaps overflow to infinity, which no gap matches."""
+    rhos = (1.7e308, 1e308, -1e308, 1.7e308, 1e308, -1e308, -1.1e308)
+    return EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
+
+
 def stepwise_stroke_profile(
     table: EventTable, tolerance: float, limit: tuple[int, float] | None = None
 ) -> StrokeProfile | None:
     """Reference walk: :func:`stroke_profile` as it was before groups
     stepped in place, with one ``advance`` call on every step of every
-    group, the limit checked after each."""
+    group, the limit checked after each.  Like it, the walk bounds by wound
+    length only on tables with no negative gap."""
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
@@ -277,6 +284,8 @@ def stepwise_stroke_profile(
     has_next = everyone >> 1
     ends = has_next ^ (has_next >> 1)
     most, longest = limit or (table.count, math.inf)
+    if gaps and min(gaps) < 0:
+        longest = math.inf
     flagged = min(table.count, 1)
     identified = {}
     pending = [(has_next, everyone, 1, 0)]
@@ -824,12 +833,18 @@ class TestStrokeProfile:
         # A bounded walk returns None only when the profile's (flagged
         # starts, worst stroke) lies above the limit, and otherwise the
         # profile itself.  Few gap values leave starts that wind far before
-        # their gaps run out; that length is no stroke.
+        # their gaps run out; that length is no stroke.  Half the tables
+        # have rising lengths too, where a wound length can fall back.
         rng = random.Random(1)
-        stopped = 0
+        tables = []
         for _ in range(1500):
             pool = [0.5, 1.0, 1.5, 2.0][: rng.randint(1, 4)]
-            table = table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))])
+            tables.append(table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))]))
+        for _ in range(1500):
+            pool = rng.sample([0.5, 1.0, 2.0, -1.5, -2.5], rng.randint(2, 4))
+            tables.append(table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))]))
+        stopped = 0
+        for table in tables:
             profile = stroke_profile(table, tolerance)
             worst = profile.worst_stroke
             u, w = pair = profile.unidentifiable_starts, math.inf if worst is None else worst
@@ -838,6 +853,18 @@ class TestStrokeProfile:
                 assert walked == profile or (walked is None and pair > limit)
                 stopped += walked is None
         assert stopped > 0
+
+    def test_limit_at_the_profile_of_rising_lengths(self):
+        # Lengths rise at the negative gaps, so a group can wind past the
+        # limit's 4 m and back below it before its start is identified;
+        # the wound length bounds nothing, and the profile's own pair is no
+        # reason to stop.
+        table = table_winding(
+            [2.0, 2.0, -2.5, -1.5, 0.5, 2.0, 2.0, -2.5, -2.5, 0.5, 2.0, 2.0, -2.5, 2.0, -1.5]
+        )
+        profile = stroke_profile(table, 0.05)
+        assert (profile.unidentifiable_starts, profile.worst_stroke) == (2, 4.0)
+        assert stroke_profile(table, 0.05, (2, 4.0)) == profile
 
     def test_groups_step_in_place_without_advance(self, monkeypatch):
         # A group whose candidates are its own starts, all sharing the next
@@ -927,8 +954,7 @@ class TestStrokeProfileMatchesStepwiseWalk:
     def test_gaps_that_overflow(self):
         # An infinite gap matches no gap, not even itself, so starts 1 and 4
         # drop out when they reach theirs instead of stepping on together.
-        rhos = (1.7e308, 1e308, -1e308, 1.7e308, 1e308, -1e308, -1.1e308)
-        table = EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
+        table = overflowing_table()
         assert table.gaps[1:3] == (math.inf, -math.inf) and table.gaps[4] == math.inf
         assert_walks_agree(table)
 
@@ -1261,3 +1287,101 @@ class TestColumnarTables:
         assert result.status is Status.IDENTIFIED and result.corrector_scale is not None
         assert len(built) == 6
         assert not any("events" in vars(table) for table in built)
+
+
+@pytest.fixture(scope="module")
+def summary_tables() -> list[tuple[str, EventTable]]:
+    """The presets, both benchmark recipes' tables, the climb pools at
+    ``rho_max`` 100, the 5 cm pools and a table whose gaps overflow."""
+    tables = [(name, rectify(enumerate_events(build()))) for name, build in presets.ALL.items()]
+    tables += [
+        ("climb-recipe", climb_table(32.0)),
+        ("long-recipe", long_recipe_table()),
+        ("climb-100", climb_table(100.0)),
+        ("overflow", overflowing_table()),
+    ]
+    for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
+        design, _ = build_design(DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool))
+        tables.append((f"pools-{d_pool}-{z_pool}", rectify(enumerate_events(design))))
+    return tables
+
+
+def entrywise_summaries(entries: tuple[StartStroke, ...]) -> tuple[int, float | None]:
+    """``(unidentifiable_starts, worst_stroke)`` read entry by entry."""
+    return (
+        sum(1 for e in entries if not e.identifiable),
+        max((e.stroke for e in entries if e.stroke is not None), default=None),
+    )
+
+
+class TestLazyProfileEntries:
+    """Profiles that ``stroke_profile`` builds from its walk, with their
+    summaries set and their entries built on first read."""
+
+    def test_summaries_match_their_entrywise_definitions(self, summary_tables):
+        for name, table in summary_tables:
+            for tolerance in (0.01, 0.05, 0.3, 0.6):
+                profile = stroke_profile(table, tolerance)
+                pair = profile.unidentifiable_starts, profile.worst_stroke
+                assert "entries" not in vars(profile), name
+                expected = entrywise_summaries(profile.entries)
+                # repr tells an int or a signed zero from an equal float.
+                assert repr(pair) == repr(expected), (name, tolerance)
+                u, w = pair
+                bounded = stroke_profile(table, tolerance, (u, math.inf if w is None else w))
+                assert repr((bounded.unidentifiable_starts, bounded.worst_stroke)) == repr(expected)
+
+    def test_match_their_twin_built_from_entries(self, summary_tables):
+        for name, table in summary_tables:
+            profile = stroke_profile(table, 0.05)
+            assert "entries" not in vars(profile), name
+            twin = StrokeProfile(profile.entries)
+            assert "entries" in vars(profile), name
+            assert all(type(entry) is StartStroke for entry in profile.entries), name
+            assert [entry.start for entry in profile.entries] == list(range(1, table.count + 1))
+            assert profile == twin and twin == profile, name
+            assert hash(profile) == hash(twin), name
+            assert repr(profile) == repr(twin), name
+            assert repr(profile.mean_stroke) == repr(twin.mean_stroke), name
+
+    @pytest.mark.parametrize("read", [operator.eq, lambda a, b: hash(a) == hash(b),
+                                      lambda a, b: repr(a) == repr(b)], ids=["eq", "hash", "repr"])
+    def test_equality_hash_and_repr_build_the_entries(self, read):
+        table = long_recipe_table()
+        profile = stroke_profile(table, 0.05)
+        assert read(profile, StrokeProfile(stroke_profile(table, 0.05).entries))
+        assert "entries" in vars(profile)
+
+    def test_other_missing_attributes_raise_attribute_error(self, workshop):
+        profile = stroke_profile(rectify(enumerate_events(workshop)))
+        with pytest.raises(AttributeError, match="no attribute 'rows'"):
+            profile.rows
+        assert "entries" not in vars(profile)
+
+    @pytest.mark.parametrize("read_entries", [False, True], ids=["unbuilt", "built"])
+    def test_copy_and_pickle_give_equal_profiles(self, read_entries):
+        for table in (rectify(enumerate_events(presets.medium_cube())), long_recipe_table()):
+            profile = stroke_profile(table, 0.05)
+            if read_entries:
+                profile.entries
+            clones = [copy.copy(profile), copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))]
+            for clone in clones:
+                assert ("entries" in vars(clone)) is read_entries
+                assert clone.worst_stroke == profile.worst_stroke
+                assert clone.unidentifiable_starts == profile.unidentifiable_starts
+                assert clone == profile and hash(clone) == hash(profile)
+                assert repr(clone) == repr(profile)
+
+    def test_score_leaves_the_entries_unbuilt(self, monkeypatch):
+        profiles: list[StrokeProfile] = []
+
+        def recording(*args):
+            profile = stroke_profile(*args)
+            profiles.append(profile)
+            return profile
+
+        monkeypatch.setattr(optimize, "stroke_profile", recording)
+        for design in presets.ALL.values():
+            assert score(design(), 0.05) is not None
+        assert len(profiles) == len(presets.ALL)
+        assert not any("entries" in vars(profile) for profile in profiles)

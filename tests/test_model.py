@@ -1,17 +1,105 @@
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import pytest
 
 from cablecal import (
     CalibrationDesign,
+    DesignRecipe,
     MarkLayout,
     RobotGeometry,
     SensorLayout,
+    build_design,
+    enumerate_events,
+    rectify,
     validate_design,
 )
+from cablecal import model
 from cablecal.model import Condition, ConditionReport
+from cablecal.optimize import _distinct_orderings
+from conftest import random_conforming_design
+
+CLIMB_RECIPE = (RobotGeometry(18.0, 32.0), (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5))
+
+
+# validate_design's scans, one comprehension each, as references.
+def reference_no_coincidence(name, element, gaps, tol):
+    """C2/C4: no two successive elements coincide, i.e. every gap exceeds tol."""
+    bad = [idx + 1 for idx, gap in enumerate(gaps) if gap <= tol]
+    detail = f"zero {element} gaps after {element}s {bad}" if bad else f"{len(gaps)} {element} gaps"
+    return Condition(name, not bad, detail)
+
+
+def reference_gap_variation(name, element, gaps, tol):
+    """C6/C7: no two successive gaps are equal within tol."""
+    bad = [idx + 1 for idx, (a, b) in enumerate(zip(gaps, gaps[1:])) if abs(b - a) <= tol]
+    detail = f"equal successive {element} gaps at {bad}" if bad else f"{element} gaps vary"
+    return Condition(name, not bad, detail)
+
+
+def reference_unresolved_ties(design, tol):
+    """C5: every gap of the rectified table exceeds tol."""
+    raw = enumerate_events(design)
+    rect = rectify(raw)
+    residual_ties = sum(1 for gap in rect.gaps if gap <= tol)
+    return Condition(
+        "C5",
+        residual_ties == 0,
+        f"{raw.count - rect.count} simultaneous detections resolved, {rect.count} exploitable events"
+        + (f"; {residual_ties} unresolved ties" if residual_ties else ""),
+    )
+
+
+def assert_scans_match_references(design, tol):
+    report = validate_design(design, tol)
+    marks, sensors = design.marks.gaps, design.sensors.gaps
+    assert report["C2"] == reference_no_coincidence("C2", "mark", marks, tol)
+    assert report["C4"] == reference_no_coincidence("C4", "sensor", sensors, tol)
+    assert report["C6"] == reference_gap_variation("C6", "mark", marks, tol)
+    assert report["C7"] == reference_gap_variation("C7", "sensor", sensors, tol)
+    assert report["C5"] == reference_unresolved_ties(design, tol)
+    assert report.hard_pass is all(report[name].passed for name in ("C1", "C2", "C3", "C4", "C5"))
+    assert report.all_pass is all(condition.passed for condition in report)
+
+
+def reference_layout_error(values, element):
+    """The message a layout of marks (positions) or sensors (heights)
+    raises, from each check on its own as the layouts made them; None when
+    every check passes."""
+    descending = element == "mark"
+    plural = "positions" if descending else "heights"
+    if not values:
+        return f"a layout needs at least one {element}"
+    if not all(map(math.isfinite, values)):
+        return f"{element} {plural} must be finite: {values}"
+    if any(x <= 0 for x in values):
+        return f"{element} {plural} must be positive: {values}"
+    for first, then in zip(values, values[1:]):
+        if (then >= first) if descending else (then <= first):
+            order = "descend" if descending else "ascend"
+            return f"{element} {plural} must strictly {order}, got {first} before {then}"
+    return None
+
+
+def reference_recipe_error(d_pool, z_pool, os1):
+    if not d_pool or not z_pool:
+        return "gap pools must be non-empty"
+    if not all(x is None or math.isfinite(x) for x in (*d_pool, *z_pool, os1)):
+        return "gap pools and os1 must be finite"
+    if any(x <= 0 for x in d_pool) or any(x <= 0 for x in z_pool):
+        return "gap pool values must be positive"
+    return None
+
+
+def raised(build, *args):
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestRobotGeometry:
@@ -218,3 +306,99 @@ class TestValidateDesign:
     def test_report_requires_all_seven(self):
         with pytest.raises(ValueError):
             ConditionReport((Condition("C1", True, ""),))
+
+
+class TestScansMatchReferences:
+    """validate_design's scans and the layout and recipe checks against
+    their one-check-at-a-time references."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.6])
+    def test_every_climb_recipe_ordering(self, tol):
+        geometry, d_pool, z_pool = CLIMB_RECIPE
+        z_orders = list(_distinct_orderings(z_pool))
+        for d_order in _distinct_orderings(d_pool):
+            for z_order in z_orders:
+                assert_scans_match_references(build_design(DesignRecipe(geometry, d_order, z_order)).design, tol)
+
+    @pytest.mark.parametrize("tol", [0.25, 0.5])
+    def test_gaps_exactly_at_the_tolerance(self, tol):
+        # Climb-recipe gaps are exact quarter metres, so gaps and their
+        # differences meet tol exactly.
+        geometry, d_pool, z_pool = CLIMB_RECIPE
+        orderings = itertools.product(_distinct_orderings(d_pool), _distinct_orderings(z_pool))
+        for d_order, z_order in itertools.islice(orderings, 0, None, 20):
+            design = build_design(DesignRecipe(geometry, d_order, z_order)).design
+            assert_scans_match_references(design, tol)
+
+    def test_seeded_random_layouts(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            design = random_conforming_design(rng)
+            for tol in (1e-9, 0.05, 0.3, 0.6):
+                assert_scans_match_references(design, tol)
+
+    @pytest.mark.parametrize("tol", [0.25, 1e-9])
+    def test_gap_tuples_at_plus_and_minus_tol(self, tol):
+        # Gaps and successive differences at, just inside and just outside
+        # +-tol, every 7th tuple of up to five and seeded draws of twelve.
+        below, above = math.nextafter(tol, -math.inf), math.nextafter(tol, math.inf)
+        values = [tol, -tol, below, above, -below, -above, 0.0, 1.0, 1.0 + tol, 1.0 - tol]
+        rng = random.Random(25)
+        tuples = [gaps for n in range(6) for gaps in itertools.islice(itertools.product(values, repeat=n), 0, None, 7)]
+        tuples += [tuple(rng.choice(values) for _ in range(12)) for _ in range(500)]
+        failed = 0
+        for gaps in tuples:
+            for name, element in (("C2", "mark"), ("C4", "sensor")):
+                condition = model._no_coincidence(name, element, gaps, tol)
+                assert condition == reference_no_coincidence(name, element, gaps, tol), gaps
+            for name, element in (("C6", "mark"), ("C7", "sensor")):
+                condition = model._gap_variation(name, element, gaps, tol)
+                assert condition == reference_gap_variation(name, element, gaps, tol), gaps
+                failed += not condition.passed
+        assert failed
+
+    def test_layouts_raise_what_each_check_raised(self):
+        # The usual layout passes one scan; any other raises the message
+        # of the first check it fails.
+        pool = [0.5, 1.0, 2.0, 2.0, 3.5, 0.0, -1.0, math.inf, -math.inf, math.nan, 1e-300]
+        rng = random.Random(25)
+        raised_any = passed_any = 0
+        for _ in range(3000):
+            values = tuple(rng.choice(pool) for _ in range(rng.randint(0, 5)))
+            if rng.random() < 0.5:
+                values = tuple(sorted(set(values) - {math.nan}))
+            for layout, element, ordered in ((MarkLayout, "mark", values[::-1]),
+                                             (SensorLayout, "sensor", values)):
+                for candidate in (values, ordered):
+                    expected = reference_layout_error(candidate, element)
+                    assert raised(layout, candidate) == expected, (layout, candidate)
+                    raised_any += expected is not None
+                    passed_any += expected is None
+        assert raised_any and passed_any
+
+    def test_recipes_raise_what_each_check_raised(self):
+        pool = [0.5, 1.0, 1.0, 0.0, -0.5, math.inf, -math.inf, math.nan]
+        rng = random.Random(25)
+        geometry = RobotGeometry(6.0, 11.0)
+        outcomes = set()
+        for _ in range(3000):
+            d_pool = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+            z_pool = tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+            os1 = rng.choice([None, 2.0, -1.0, math.inf, math.nan])
+            expected = reference_recipe_error(d_pool, z_pool, os1)
+            message = raised(DesignRecipe, geometry, d_pool, z_pool, os1)
+            assert (message or "").startswith(expected or ""), (d_pool, z_pool, os1)
+            assert (message is None) is (expected is None)
+            outcomes.add(expected)
+        assert len(outcomes) == 4
+
+
+class TestConditionRecord:
+    def test_fields_repr_equality_and_hash(self):
+        condition = Condition("C2", False, "zero mark gaps after marks [3]")
+        assert condition == ("C2", False, "zero mark gaps after marks [3]")
+        assert (condition.name, condition.passed, condition.detail) == tuple(condition)
+        assert repr(condition) == "Condition(name='C2', passed=False, detail='zero mark gaps after marks [3]')"
+        assert hash(condition) == hash(("C2", False, "zero mark gaps after marks [3]"))
+        with pytest.raises(AttributeError):
+            condition.passed = True
