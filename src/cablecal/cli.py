@@ -65,8 +65,8 @@ def _resolve_config(path: str) -> Path:
     return candidate  # load_config reports the missing file
 
 
-def _load(path: str) -> LoadedConfig:
-    return load_config(_resolve_config(path))
+def _load(path: str, require_design: bool = True) -> LoadedConfig:
+    return load_config(_resolve_config(path), require_design)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -129,7 +129,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_optimize(args) -> int:
     # A recipe whose given ordering is infeasible may still have feasible
     # permutations, so defer design construction to the search itself.
-    loaded = load_config(_resolve_config(args.config), require_design=False)
+    loaded = _load(args.config, require_design=False)
     if loaded.recipe is None:
         raise ConfigError(f"{args.config}: optimize needs a [recipe] config")
     try:

@@ -18,12 +18,16 @@ Two variants, exactly one of which must be present:
     geom = 1e-9             geom = 1e-9
     gap = 0.05              gap = 0.05
 
-Lists accept spaces and/or commas as separators.  A section or option not
-shown here is an error, a misspelt one included.  The [tolerances] section
-is optional; both values must be finite and positive.  ``gap`` is the gap
-match tolerance: ``calibrate`` matches measured gaps with it and
-``optimize`` ranks layouts by the strokes that matching needs.  ``geom`` is
-the geometric equality tolerance of ``validate`` and affects nothing else.
+[geometry] must set h and rho_max, [layout] sensor_heights and
+mark_positions, and [recipe] d_pool and z_pool; the other options are
+optional.  Lists accept spaces and/or commas as separators.  A section or
+option not shown here is an error, a misspelt one included.  The
+[tolerances] section is optional; both values must be finite and positive.
+``gap`` is the gap match tolerance: ``calibrate`` matches measured gaps
+with it and ``optimize`` ranks layouts by the strokes that matching needs.
+``geom`` is the geometric equality tolerance of ``validate`` and affects
+nothing else.  Each section's options, their readers and the options it
+must set are one table, ``_SECTIONS``: a new key is one entry there.
 """
 
 from __future__ import annotations
@@ -64,12 +68,26 @@ class LoadedConfig:
     gap_tol: float
 
 
-# The options each known section may set.
-_OPTIONS = {
-    "geometry": ("h", "rho_max", "v", "b"),
-    "layout": ("sensor_heights", "mark_positions"),
-    "recipe": ("d_pool", "z_pool", "os1", "sensor_heights"),
-    "tolerances": ("geom", "gap"),
+def _numbers(raw: str) -> tuple[float, ...]:
+    tokens = raw.replace(",", " ").split()
+    if not tokens:
+        raise ValueError("expected at least one number")
+    return tuple(map(float, tokens))
+
+
+# Each known section: the reader of each option it may set, in the order
+# they are read, and the options it must set.
+_SECTIONS = {
+    "geometry": ({"h": float, "rho_max": float, "v": float, "b": float}, ("h", "rho_max")),
+    "layout": (
+        {"sensor_heights": _numbers, "mark_positions": _numbers},
+        ("sensor_heights", "mark_positions"),
+    ),
+    "recipe": (
+        {"d_pool": _numbers, "z_pool": _numbers, "os1": float, "sensor_heights": _numbers},
+        ("d_pool", "z_pool"),
+    ),
+    "tolerances": ({"geom": float, "gap": float}, ()),
 }
 
 
@@ -80,31 +98,31 @@ def _check_names(parser: configparser.ConfigParser, where: str) -> None:
     for option in parser.defaults():
         raise ConfigError(f"{where}: [{parser.default_section}] unknown option '{option}'")
     for section in parser.sections():
-        if section not in _OPTIONS:
+        if section not in _SECTIONS:
             raise ConfigError(f"{where}: unknown section [{section}]")
+        readers = _SECTIONS[section][0]
         for option in parser.options(section):
-            if option not in _OPTIONS[section]:
+            if option not in readers:
                 raise ConfigError(
                     f"{where}: [{section}] unknown option '{option}'"
-                    f" (expected {', '.join(_OPTIONS[section])})"
+                    f" (expected {', '.join(readers)})"
                 )
 
 
-def _floats(raw: str, where: str) -> tuple[float, ...]:
-    tokens = raw.replace(",", " ").split()
-    if not tokens:
-        raise ConfigError(f"{where}: expected at least one number")
-    try:
-        return tuple(float(tok) for tok in tokens)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _float(parser: configparser.ConfigParser, section: str, option: str, where: str) -> float:
-    try:
-        return parser.getfloat(section, option)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: [{section}] {option}: {exc}") from None
+def _values(parser: configparser.ConfigParser, section: str, where: str) -> dict:
+    """The values a section sets, by option; an absent section sets none."""
+    readers, required = _SECTIONS[section]
+    for option in required:
+        if not parser.has_option(section, option):
+            raise ConfigError(f"{where}: [{section}] needs '{option}'")
+    values = {}
+    for option, read in readers.items():
+        if parser.has_option(section, option):
+            try:
+                values[option] = read(parser.get(section, option))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: [{section}] {option}: {exc}") from None
+    return values
 
 
 def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
@@ -129,77 +147,40 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    # Names are checked in every section before any value is read; values
+    # are read [geometry] first, then [tolerances], then the design.
     where = str(path)
     _check_names(parser, where)
     if not parser.has_section("geometry"):
         raise ConfigError(f"{where}: missing [geometry] section")
-    for option in ("h", "rho_max"):
-        if not parser.has_option("geometry", option):
-            raise ConfigError(f"{where}: [geometry] needs '{option}'")
-    given = {
-        option: _float(parser, "geometry", option, where)
-        for option in _OPTIONS["geometry"]
-        if parser.has_option("geometry", option)
-    }
+    given = _values(parser, "geometry", where)
     try:
         geometry = RobotGeometry(**given)
     except ValueError as exc:
         raise ConfigError(f"{where}: [geometry] {exc}") from None
 
-    geom_tol = GEOM_TOL
-    gap_tol = DEFAULT_GAP_TOLERANCE
-    if parser.has_section("tolerances"):
-        if parser.has_option("tolerances", "geom"):
-            geom_tol = _float(parser, "tolerances", "geom", where)
-        if parser.has_option("tolerances", "gap"):
-            gap_tol = _float(parser, "tolerances", "gap", where)
+    tolerances = _values(parser, "tolerances", where)
+    geom_tol = tolerances.get("geom", GEOM_TOL)
+    gap_tol = tolerances.get("gap", DEFAULT_GAP_TOLERANCE)
     if not all(math.isfinite(tol) and tol > 0 for tol in (geom_tol, gap_tol)):
         raise ConfigError(f"{where}: [tolerances] values must be finite and positive")
 
     has_layout = parser.has_section("layout")
-    has_recipe = parser.has_section("recipe")
-    if has_layout == has_recipe:
-        raise ConfigError(
-            f"{where}: exactly one of [layout] or [recipe] must be present"
-        )
+    if has_layout == parser.has_section("recipe"):
+        raise ConfigError(f"{where}: exactly one of [layout] or [recipe] must be present")
 
-    if has_layout:
-        for option in ("sensor_heights", "mark_positions"):
-            if not parser.has_option("layout", option):
-                raise ConfigError(f"{where}: [layout] needs '{option}'")
-        sensors = _floats(parser.get("layout", "sensor_heights"), f"{where}: [layout] sensor_heights")
-        marks = _floats(parser.get("layout", "mark_positions"), f"{where}: [layout] mark_positions")
-        try:
-            design = CalibrationDesign(geometry, SensorLayout(sensors), MarkLayout(marks))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: [layout] {exc}") from None
-        return LoadedConfig(design, None, geom_tol, gap_tol)
-
-    for option in ("d_pool", "z_pool"):
-        if not parser.has_option("recipe", option):
-            raise ConfigError(f"{where}: [recipe] needs '{option}'")
+    section = "layout" if has_layout else "recipe"
+    given = _values(parser, section, where)
+    recipe = None
     try:
-        recipe = DesignRecipe(
-            geometry=geometry,
-            d_pool=_floats(parser.get("recipe", "d_pool"), f"{where}: [recipe] d_pool"),
-            z_pool=_floats(parser.get("recipe", "z_pool"), f"{where}: [recipe] z_pool"),
-            os1=_float(parser, "recipe", "os1", where) if parser.has_option("recipe", "os1") else None,
-            sensor_heights=(
-                _floats(parser.get("recipe", "sensor_heights"), f"{where}: [recipe] sensor_heights")
-                if parser.has_option("recipe", "sensor_heights")
-                else None
-            ),
-        )
-    except ConfigError:
-        raise
+        if has_layout:
+            sensors = SensorLayout(given["sensor_heights"])
+            design = CalibrationDesign(geometry, sensors, MarkLayout(given["mark_positions"]))
+        else:
+            recipe = DesignRecipe(geometry, **given)
+            design = build_design(recipe).design if require_design else None
     except ValueError as exc:
-        raise ConfigError(f"{where}: [recipe] {exc}") from None
-    if not require_design:
-        return LoadedConfig(None, recipe, geom_tol, gap_tol)
-    try:
-        design, _ = build_design(recipe)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: [recipe] {exc}") from None
+        raise ConfigError(f"{where}: [{section}] {exc}") from None
     return LoadedConfig(design, recipe, geom_tol, gap_tol)
 
 

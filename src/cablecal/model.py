@@ -308,8 +308,6 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     checks.append(_no_coincidence("C4", "sensor", z_gaps, tol))
 
     # C5: one event per instant once simultaneities are resolved.
-    from . import events as _events  # local import: events builds on this module
-
     raw = _events.enumerate_events(design)
     rect = _events.rectify(raw)
     # Each gap rhos[q] - rhos[q + 1] is read once, so the table's cached
@@ -345,3 +343,8 @@ def _gap_variation(name: str, element: str, gaps: tuple[float, ...], tol: float)
     bad = [idx + 1 for idx, (a, b) in enumerate(zip(gaps, gaps[1:])) if abs(b - a) <= tol]
     detail = f"equal successive {element} gaps at {bad}" if bad else f"{element} gaps vary"
     return Condition(name, not bad, detail)
+
+
+# events builds on this module, so it is bound last, once every name it
+# imports from here exists; validate_design reads it only when called.
+from . import events as _events  # noqa: E402

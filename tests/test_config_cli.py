@@ -345,6 +345,79 @@ class TestUnknownNames:
         assert err.startswith(f"error: {path}: {where}")
 
 
+class TestConfigErrors:
+    # Each config holds one fault, or several to pin which one is reported:
+    # names are checked in every section first, then [geometry] is read,
+    # then [tolerances], then [layout] or [recipe].  {path} is the file,
+    # {quoted} its repr.
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (
+                RECIPE_CONFIG.replace("d_pool = 0.5 0.75 1.0 1.25 1.5", "d_pool = ,"),
+                "{path}: [recipe] d_pool: expected at least one number",
+            ),
+            (
+                MEDIUM_LAYOUT.replace("rho_max = 11", "rho_max = 11\nh = 7"),
+                "{path}: While reading from {quoted} [line  4]:"
+                " option 'h' in section 'geometry' already exists",
+            ),
+            (
+                MEDIUM_LAYOUT.replace("mark_positions = 10 9 8 7 6 5\n", ""),
+                "{path}: [layout] needs 'mark_positions'",
+            ),
+            (RECIPE_CONFIG.replace("z_pool = 3.0\n", ""), "{path}: [recipe] needs 'z_pool'"),
+            (
+                RECIPE_CONFIG.replace("0.75", "x"),
+                "{path}: [recipe] d_pool: could not convert string to float: 'x'",
+            ),
+            (
+                "[geometry]\nh = 6\nrho_max = 11\n[recipe]\nd_pool = 0.8\nz_pool = 3.0\n",
+                "{path}: [recipe] no combination of up to three pool gaps (0.8,)"
+                " closes the remaining 1.2 m onto dn=5.0",
+            ),
+            (
+                "[layout]\nsensor_heights = 2 x\nmark_positions = 10 9\n"
+                "[geometry]\nh = banana\nrho_max = 11\n",
+                "{path}: [geometry] h: could not convert string to float: 'banana'",
+            ),
+            (
+                MEDIUM_LAYOUT + "[recipe]\nd_pool = 1\n",
+                "{path}: exactly one of [layout] or [recipe] must be present",
+            ),
+            (
+                MEDIUM_LAYOUT.replace("h = 6", "h = banana") + "mark = 3\n",
+                "{path}: [layout] unknown option 'mark' (expected sensor_heights, mark_positions)",
+            ),
+            (
+                MEDIUM_LAYOUT.replace("2 5", "2 x") + "[tolerances]\ngap = 0\n",
+                "{path}: [tolerances] values must be finite and positive",
+            ),
+        ],
+        ids=[
+            "empty-list",
+            "duplicate-option",
+            "layout-without-marks",
+            "recipe-without-z-pool",
+            "bad-d-pool-token",
+            "infeasible-recipe",
+            "layout-before-geometry",
+            "layout-and-recipe-without-z-pool",
+            "names-before-values",
+            "tolerances-before-layout",
+        ],
+    )
+    def test_exact_message_and_exit_code(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(body)
+        expected = message.format(path=path, quoted=repr(str(path)))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == expected
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
+
+
 class TestInputText:
     def test_byte_order_mark_in_a_config_is_ignored(self, config_dir, tmp_path, capsys):
         source = config_dir / "workshop.ini"

@@ -89,6 +89,11 @@ class TestPlaceSensors:
         with pytest.raises(ValueError):
             place_sensors(G_MEDIUM, os1=5.5, z_gaps=(1.0,), d0=1.0)
 
+    @pytest.mark.parametrize("z_gaps", [(), (1.0, 0.0), (-1.0,)], ids=["empty", "zero", "negative"])
+    def test_gaps_must_be_positive_and_non_empty(self, z_gaps):
+        with pytest.raises(ValueError, match="^sensor gaps must be positive and non-empty$"):
+            place_sensors(G_MEDIUM, os1=2.0, z_gaps=z_gaps, d0=1.0)
+
 
 class TestPlaceMarks:
     def test_constant_pool_reproduces_constant_gaps(self):
@@ -125,6 +130,11 @@ class TestPlaceMarks:
     def test_reserves_must_fit(self):
         with pytest.raises(ValueError):
             place_marks(G_MEDIUM, d0=6.0, dn=6.0, d_pool=(1.0,))
+
+    @pytest.mark.parametrize("d_pool", [(), (1.0, -0.5), (0.0,)], ids=["empty", "negative", "zero"])
+    def test_gaps_must_be_positive_and_non_empty(self, d_pool):
+        with pytest.raises(ValueError, match="^mark gaps must be positive and non-empty$"):
+            place_marks(G_MEDIUM, d0=1.0, dn=5.0, d_pool=d_pool)
 
 
 class TestMarkCycle:
@@ -192,6 +202,12 @@ class TestBuildDesign:
         )
         design, _ = build_design(recipe)
         assert design.sensors.heights == (6.0, 7.0, 9.0, 11.0, 17.75)
+
+    @pytest.mark.parametrize("top", [6.0, 7.5])
+    def test_sensor_override_must_sit_below_support_top(self, top):
+        recipe = DesignRecipe(G_MEDIUM, d_pool=(1.0,), z_pool=(3.0,), sensor_heights=(2.0, top))
+        with pytest.raises(ValueError, match="^override sensors must sit below the support top$"):
+            build_design(recipe)
 
     def test_single_element_pools(self):
         design, _ = build_design(MEDIUM_RECIPE)

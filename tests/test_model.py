@@ -294,6 +294,15 @@ class TestValidateDesign:
         assert not c1.passed
         assert c1.detail == "d0=0.5 is within tolerance 0.6 of zero"
 
+    def test_c1_reserve_above_smallest_mark_gap(self):
+        # d0 = 11 - 9 = 2 while the marks are 0.5 m apart; C1's other
+        # clauses and C3 hold.
+        marks = MarkLayout(tuple(9.0 - 0.5 * k for k in range(9)))
+        design = CalibrationDesign(RobotGeometry(h=6, rho_max=11), SensorLayout((2.0, 4.0)), marks)
+        report = validate_design(design)
+        assert report["C1"] == ("C1", False, "d0=2 exceeds smallest mark gap 0.5")
+        assert report["C3"].passed
+
     def test_pure(self, workshop):
         assert validate_design(workshop) == validate_design(workshop)
 

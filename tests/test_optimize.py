@@ -432,6 +432,12 @@ class TestSearch:
         assert len(built) == len(set(built)) + 1  # the revisited ordering
         assert len(scored) == len(set(scored))  # no design scored twice
 
+    def test_rejects_negative_budget(self):
+        recipe = DesignRecipe(G_SMALL, d_pool=FIVE_POOL, z_pool=(3.0,))
+        with pytest.raises(ValueError, match="^budget must be non-negative$") as raised:
+            search(recipe, budget=-1)
+        assert not isinstance(raised.value, InfeasibleRecipe)
+
     @pytest.mark.parametrize("budget", [0, 10, 200])
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
     def test_rejects_unusable_tolerance(self, budget, tolerance):
