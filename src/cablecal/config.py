@@ -125,6 +125,19 @@ def _values(parser: configparser.ConfigParser, section: str, where: str) -> dict
     return values
 
 
+def _syntax_error(exc: configparser.Error, text: str) -> str:
+    """A configparser syntax error on one line, built from its attributes."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: option {exc.option!r} in section {exc.section!r} already exists"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section {exc.section!r} already exists"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: expected a section header, got {exc.line.strip()!r}"
+    lineno = exc.errors[0][0]  # a ParsingError, whose copy of the line may be a repr
+    line = text.split("\n")[lineno - 1]
+    return f"line {lineno}: cannot parse {line.strip()!r}"
+
+
 def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     """Parse a design config file and build its design.
 
@@ -139,13 +152,13 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     # one fails to parse as any other malformed number does.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        text = path.read_text()
+        text = path.read_text().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     try:
-        parser.read_string(text.removeprefix("\ufeff"), source=str(path))
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {_syntax_error(exc, text)}") from None
 
     # Names are checked in every section before any value is read; values
     # are read [geometry] first, then [tolerances], then the design.

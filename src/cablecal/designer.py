@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .model import (
     GEOM_TOL,
+    MAX_PAIRS,
     CalibrationDesign,
     ConditionReport,
     MarkLayout,
@@ -49,20 +50,12 @@ class DesignRecipe:
         if not self.d_pool or not self.z_pool:
             raise ValueError("gap pools must be non-empty")
         pools = (*self.d_pool, *self.z_pool)
-        # The usual recipe in C-level scans: positive pool values (a nan is
-        # not), the largest of them finite, and no os1 or a finite one.
-        if (
-            all(map(operator.lt, repeat(0), pools))
-            and max(pools) < math.inf
-            and (self.os1 is None or math.isfinite(self.os1))
-        ):
-            return
-        if not all(x is None or math.isfinite(x) for x in (*pools, self.os1)):
+        if not (all(map(math.isfinite, pools)) and (self.os1 is None or math.isfinite(self.os1))):
             raise ValueError(
                 f"gap pools and os1 must be finite, got d_pool={self.d_pool} "
                 f"z_pool={self.z_pool} os1={self.os1}"
             )
-        if any(x <= 0 for x in pools):
+        if not all(map(operator.lt, repeat(0), pools)):
             raise ValueError("gap pool values must be positive")
 
 
@@ -111,7 +104,8 @@ def place_sensors(
     Placement stops once the next gap would pass the top reserve; the
     topmost sensor is then moved up to sit exactly at h - d0.  When os1
     is the only sensor below the ceiling and does not reach it, a top
-    sensor is added at h - d0 instead of moving os1.
+    sensor is added at h - d0 instead of moving os1.  Raises ValueError once
+    the walk has placed MAX_PAIRS sensors.
     """
     if not z_gaps or any(z <= 0 for z in z_gaps):
         raise ValueError("sensor gaps must be positive and non-empty")
@@ -121,13 +115,13 @@ def place_sensors(
             f"first sensor at {os1} overshoots the top reserve h-d0={ceiling}"
         )
     heights = [os1]
-    idx = 0
-    while True:
+    for idx in range(MAX_PAIRS - 1):
         nxt = heights[-1] + z_gaps[idx % len(z_gaps)]
         if nxt > ceiling + GEOM_TOL:
             break
         heights.append(nxt)
-        idx += 1
+    else:
+        raise ValueError(f"sensor gaps {tuple(z_gaps)} place more than {MAX_PAIRS} sensors")
     if abs(heights[-1] - ceiling) > GEOM_TOL and len(heights) == 1:
         heights.append(ceiling)
     else:
@@ -162,7 +156,8 @@ def place_marks(
     remainder is then closed by one to three pool gaps, chosen greedily
     largest-first, preferring values distinct from their neighbours so the
     gap variability survives the tail.  Raises :class:`InfeasibleRecipe`
-    when no closing combination lands on dn exactly.
+    when no closing combination lands on dn exactly, and ValueError once
+    the walk has placed MAX_PAIRS marks.
     """
     if not d_pool or any(d <= 0 for d in d_pool):
         raise ValueError("mark gaps must be positive and non-empty")
@@ -179,16 +174,16 @@ def place_marks(
 
     positions = [top]
     remaining = span
-    idx = 0
     last_gap: float | None = None
-    while True:
+    for idx in range(MAX_PAIRS - 1):
         gap = order[idx % len(order)]
         if remaining - gap <= pool_max + GEOM_TOL:
             break
         positions.append(positions[-1] - gap)
         remaining -= gap
         last_gap = gap
-        idx += 1
+    else:
+        raise ValueError(f"mark gaps {pool} place more than {MAX_PAIRS} marks")
 
     tail = _closing_gaps(remaining, pool, last_gap)
     if tail is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from typing import NamedTuple
 
 # Equality tolerance for geometric checks.  Desk-scale layouts are specified
@@ -28,6 +28,8 @@ GEOM_TOL = 1e-9
 # measured gaps against the design with it, and the optimiser ranks layouts
 # by the strokes that matching needs, so both must use the same value.
 DEFAULT_GAP_TOLERANCE = 0.05
+
+MAX_PAIRS = 1_000_000  # most mark/sensor pairs, one event row each, a design may have
 
 
 def check_gap_tolerance(tolerance: float) -> None:
@@ -77,6 +79,19 @@ class RobotGeometry:
         return self.h + self.rho_max
 
 
+def _check_lengths(values, element: str, noun: str, ordered, order: str) -> None:
+    """Raise the first rule ``values`` break: non-empty, finite, positive, pairwise ``ordered``."""
+    if not values:
+        raise ValueError(f"a layout needs at least one {element}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{element} {noun} must be finite: {values}")
+    if not all(map(operator.lt, repeat(0), values)):
+        raise ValueError(f"{element} {noun} must be positive: {values}")
+    if not all(map(ordered, values, values[1:])):
+        first, then = next(pair for pair in zip(values, values[1:]) if not ordered(*pair))
+        raise ValueError(f"{element} {noun} must strictly {order}, got {first} before {then}")
+
+
 @dataclass(frozen=True)
 class SensorLayout:
     """Sensor heights ||OS_j|| above the winch centre, strictly ascending."""
@@ -84,22 +99,7 @@ class SensorLayout:
     heights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        heights = self.heights
-        # One scan for the usual layout: 0 < h_1 < ... < h_n < inf holds
-        # exactly when every check below passes (a nan fails any comparison).
-        if heights and all(map(operator.lt, chain((0,), heights), chain(heights, (math.inf,)))):
-            return
-        if not heights:
-            raise ValueError("a layout needs at least one sensor")
-        if not all(map(math.isfinite, self.heights)):
-            raise ValueError(f"sensor heights must be finite: {self.heights}")
-        if any(x <= 0 for x in self.heights):
-            raise ValueError(f"sensor heights must be positive: {self.heights}")
-        for lo, hi in zip(self.heights, self.heights[1:]):
-            if hi <= lo:
-                raise ValueError(
-                    f"sensor heights must strictly ascend, got {lo} before {hi}"
-                )
+        _check_lengths(self.heights, "sensor", "heights", operator.lt, "ascend")
 
     @property
     def count(self) -> int:
@@ -129,22 +129,7 @@ class MarkLayout:
     positions: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        positions = self.positions
-        # One scan for the usual layout: inf > p_1 > ... > p_n > 0 holds
-        # exactly when every check below passes (a nan fails any comparison).
-        if positions and all(map(operator.gt, chain((math.inf,), positions), chain(positions, (0,)))):
-            return
-        if not positions:
-            raise ValueError("a layout needs at least one mark")
-        if not all(map(math.isfinite, self.positions)):
-            raise ValueError(f"mark positions must be finite: {self.positions}")
-        if any(x <= 0 for x in self.positions):
-            raise ValueError(f"mark positions must be positive: {self.positions}")
-        for hi, lo in zip(self.positions, self.positions[1:]):
-            if lo >= hi:
-                raise ValueError(
-                    f"mark positions must strictly descend, got {hi} before {lo}"
-                )
+        _check_lengths(self.positions, "mark", "positions", operator.gt, "descend")
 
     @property
     def count(self) -> int:
@@ -188,6 +173,9 @@ class CalibrationDesign:
             raise ValueError(
                 f"top sensor at {top} must sit below the support top h={self.geometry.h}"
             )
+        marks, sensors = self.marks.count, self.sensors.count
+        if marks * sensors > MAX_PAIRS:
+            raise ValueError(f"{marks} marks and {sensors} sensors make over {MAX_PAIRS} pairs")
 
     @property
     def proximal_reserve(self) -> float:

@@ -13,7 +13,7 @@ import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .designer import DesignRecipe, InfeasibleRecipe, build_design, mark_cycle
@@ -248,7 +248,9 @@ def search(
     if recipe.sensor_heights is not None:
         # build_design places no sensors from the z_pool then, so every
         # ordering of it builds the same design; search one of them.
-        recipe = replace(recipe, z_pool=recipe.z_pool[:1])
+        recipe = DesignRecipe(
+            recipe.geometry, recipe.d_pool, recipe.z_pool[:1], recipe.os1, recipe.sensor_heights
+        )
 
     exhaustive = _orderings(recipe.d_pool) * _orderings(recipe.z_pool) <= budget
 
@@ -289,7 +291,8 @@ def search(
             if _stands(result, bar):
                 return _verdict(result, bar)
         assessed = _assess(
-            replace(recipe, d_pool=d_order, z_pool=z_order), tolerance, incumbent, record
+            DesignRecipe(recipe.geometry, d_order, z_order, recipe.os1, recipe.sensor_heights),
+            tolerance, incumbent, record,
         )
         if assessed is None:
             if key is not None:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -348,8 +349,8 @@ class TestUnknownNames:
 class TestConfigErrors:
     # Each config holds one fault, or several to pin which one is reported:
     # names are checked in every section first, then [geometry] is read,
-    # then [tolerances], then [layout] or [recipe].  {path} is the file,
-    # {quoted} its repr.
+    # then [tolerances], then [layout] or [recipe].  {path} is the file.
+    # A syntax error names its first bad line.
     @pytest.mark.parametrize(
         "body,message",
         [
@@ -359,8 +360,7 @@ class TestConfigErrors:
             ),
             (
                 MEDIUM_LAYOUT.replace("rho_max = 11", "rho_max = 11\nh = 7"),
-                "{path}: While reading from {quoted} [line  4]:"
-                " option 'h' in section 'geometry' already exists",
+                "{path}: line 4: option 'h' in section 'geometry' already exists",
             ),
             (
                 MEDIUM_LAYOUT.replace("mark_positions = 10 9 8 7 6 5\n", ""),
@@ -393,6 +393,15 @@ class TestConfigErrors:
                 MEDIUM_LAYOUT.replace("2 5", "2 x") + "[tolerances]\ngap = 0\n",
                 "{path}: [tolerances] values must be finite and positive",
             ),
+            (
+                MEDIUM_LAYOUT.replace("rho_max = 11\n", "rho_max = 11\n[geometry]\n"),
+                "{path}: line 4: section 'geometry' already exists",
+            ),
+            ("h = 6\n" + MEDIUM_LAYOUT, "{path}: line 1: expected a section header, got 'h = 6'"),
+            (
+                MEDIUM_LAYOUT.replace("rho_max = 11\n", "rho_max = 11\ngarbage\n  more\nworse\n"),
+                "{path}: line 4: cannot parse 'garbage'",
+            ),
         ],
         ids=[
             "empty-list",
@@ -405,17 +414,69 @@ class TestConfigErrors:
             "layout-and-recipe-without-z-pool",
             "names-before-values",
             "tolerances-before-layout",
+            "duplicate-section",
+            "missing-section-header",
+            "unparsable-line",
         ],
     )
     def test_exact_message_and_exit_code(self, tmp_path, capsys, body, message):
         path = tmp_path / "bad.ini"
         path.write_text(body)
-        expected = message.format(path=path, quoted=repr(str(path)))
+        expected = message.format(path=path)
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert str(err.value) == expected
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {expected}\n")
+
+
+class TestBoundedDesigns:
+    # A gap far below the cable's length, or one below float resolution
+    # that never moves a placement walk, stops the walk at MAX_PAIRS
+    # elements with a config error; a layout of more pairs fails too.
+    # Each fails within seconds instead of exhausting memory.
+    SECONDS = 10
+
+    @pytest.mark.parametrize(
+        "d_pool,z_pool,message",
+        [
+            ("1e-9", "3.0", "mark gaps (1e-09,) place more than 1000000 marks"),
+            ("0.5 0.75 1.0 1.25 1.5", "1e-9", "sensor gaps (1e-09,) place more than 1000000 sensors"),
+            ("1e-300", "3.0", "mark gaps (1e-300,) place more than 1000000 marks"),
+            ("0.5 1.0", "1e-300", "sensor gaps (1e-300,) place more than 1000000 sensors"),
+        ],
+        ids=["fine-marks", "fine-sensors", "unmoving-marks", "unmoving-sensors"],
+    )
+    def test_fine_recipe_gaps_fail_fast(self, tmp_path, capsys, d_pool, z_pool, message):
+        path = tmp_path / "fine.ini"
+        path.write_text(f"[geometry]\nh = 6\nrho_max = 11\n[recipe]\nd_pool = {d_pool}\nz_pool = {z_pool}\n")
+        started = time.perf_counter()
+        assert main(["validate", str(path)]) == 1
+        assert time.perf_counter() - started < self.SECONDS
+        assert capsys.readouterr() == ("", f"error: {path}: [recipe] {message}\n")
+
+    def test_optimize_stops_at_the_first_fine_ordering(self, tmp_path, capsys):
+        path = tmp_path / "fine.ini"
+        path.write_text("[geometry]\nh = 6\nrho_max = 11\n[recipe]\nd_pool = 1e-9 2e-9 3e-9\nz_pool = 3.0\n")
+        started = time.perf_counter()
+        assert main(["optimize", str(path), "--budget", "6"]) == 1
+        assert time.perf_counter() - started < self.SECONDS
+        message = "mark gaps (1e-09, 2e-09, 3e-09) place more than 1000000 marks"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_layout_over_the_pair_bound(self, tmp_path, capsys):
+        sensors = " ".join(map(str, range(1, 1002)))
+        marks = " ".join(map(str, range(1000, 0, -1)))
+        path = tmp_path / "dense.ini"
+        path.write_text(
+            f"[geometry]\nh = 1002\nrho_max = 1001\n"
+            f"[layout]\nsensor_heights = {sensors}\nmark_positions = {marks}\n"
+        )
+        started = time.perf_counter()
+        assert main(["validate", str(path)]) == 1
+        assert time.perf_counter() - started < self.SECONDS
+        message = "1000 marks and 1001 sensors make over 1000000 pairs"
+        assert capsys.readouterr() == ("", f"error: {path}: [layout] {message}\n")
 
 
 class TestInputText:

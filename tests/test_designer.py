@@ -94,6 +94,12 @@ class TestPlaceSensors:
         with pytest.raises(ValueError, match="^sensor gaps must be positive and non-empty$"):
             place_sensors(G_MEDIUM, os1=2.0, z_gaps=z_gaps, d0=1.0)
 
+    def test_walk_stops_at_the_pair_bound(self):
+        # A gap below float resolution never moves the walk.
+        with pytest.raises(ValueError, match="^sensor gaps .* place more than 1000000 sensors$") as err:
+            place_sensors(G_MEDIUM, os1=2.0, z_gaps=(1e-300,), d0=1.0)
+        assert not isinstance(err.value, InfeasibleRecipe)
+
 
 class TestPlaceMarks:
     def test_constant_pool_reproduces_constant_gaps(self):
@@ -135,6 +141,13 @@ class TestPlaceMarks:
     def test_gaps_must_be_positive_and_non_empty(self, d_pool):
         with pytest.raises(ValueError, match="^mark gaps must be positive and non-empty$"):
             place_marks(G_MEDIUM, d0=1.0, dn=5.0, d_pool=d_pool)
+
+    def test_walk_stops_at_the_pair_bound(self):
+        # Not an InfeasibleRecipe: the optimiser stops instead of walking
+        # every ordering.
+        with pytest.raises(ValueError, match=r"^mark gaps \(1e-09,\) place more than 1000000 marks$") as err:
+            place_marks(G_MEDIUM, d0=1.0, dn=5.0, d_pool=(1e-9,))
+        assert not isinstance(err.value, InfeasibleRecipe)
 
 
 class TestMarkCycle:

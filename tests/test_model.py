@@ -189,6 +189,14 @@ class TestDesign:
                 MarkLayout((10.0, 5.0)),
             )
 
+    def test_pairs_are_bounded(self):
+        geometry = RobotGeometry(h=1002, rho_max=1001)
+        marks = MarkLayout(tuple(map(float, range(1000, 0, -1))))
+        assert CalibrationDesign(geometry, SensorLayout(tuple(map(float, range(1, 1001)))), marks)
+        assert model.MAX_PAIRS == 1000 * 1000
+        with pytest.raises(ValueError, match="^1000 marks and 1001 sensors make over 1000000 pairs$"):
+            CalibrationDesign(geometry, SensorLayout(tuple(map(float, range(1, 1002)))), marks)
+
     def test_rho_at_examples(self, medium, workshop):
         assert medium.rho_at(1, 2) == pytest.approx(9.00, abs=1e-12)
         assert workshop.rho_at(6, 3) == pytest.approx(7.50, abs=1e-12)
@@ -367,8 +375,8 @@ class TestScansMatchReferences:
         assert failed
 
     def test_layouts_raise_what_each_check_raised(self):
-        # The usual layout passes one scan; any other raises the message
-        # of the first check it fails.
+        # A layout raises the message of the first check it fails, and
+        # passes when it fails none.
         pool = [0.5, 1.0, 2.0, 2.0, 3.5, 0.0, -1.0, math.inf, -math.inf, math.nan, 1e-300]
         rng = random.Random(25)
         raised_any = passed_any = 0
