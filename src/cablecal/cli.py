@@ -65,8 +65,8 @@ def _resolve_config(path: str) -> Path:
     return candidate  # load_config reports the missing file
 
 
-def _load(path: str, require_design: bool = True) -> LoadedConfig:
-    return load_config(_resolve_config(path), require_design)
+def _load(path: str) -> LoadedConfig:
+    return load_config(_resolve_config(path))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -129,7 +129,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_optimize(args) -> int:
     # A recipe whose given ordering is infeasible may still have feasible
     # permutations, so defer design construction to the search itself.
-    loaded = _load(args.config, require_design=False)
+    path = _resolve_config(args.config)
+    loaded = load_config(path, require_design=False)
     if loaded.recipe is None:
         raise ConfigError(f"{args.config}: optimize needs a [recipe] config")
     try:
@@ -139,6 +140,11 @@ def _cmd_optimize(args) -> int:
     except InfeasibleRecipe as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_CONDITION
+    except ValueError as exc:
+        if args.budget < 0:  # refused before any ordering is built
+            raise
+        # Else an ordering failed to place, reported as validate reports it.
+        raise ConfigError(f"{path}: [recipe] {exc}") from None
     _write_output(dump_design(result.design, loaded.geom_tol, loaded.gap_tol), args.out)
     _write_output(format_trail_csv(result.trail), args.report)
     sc = result.score

@@ -52,22 +52,22 @@ def _new_instants(times: tuple[float, ...]) -> Iterator[bool]:
     return map(operator.gt, times[1:], map(operator.add, times, repeat(GEOM_TOL)))
 
 
-def _check_finite(columns: tuple[tuple, ...]) -> None:
-    times, _, _, rhos = columns
+def _check_times(times: tuple[float, ...]) -> None:
     # Ordered times without a nan are finite when the first and last are.
     if times and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
         raise ValueError("event times must be finite")
-    if not all(map(math.isfinite, rhos)):
-        raise ValueError("event lengths must be finite")
 
 
 @dataclass(frozen=True)
 class EventTable:
     """Time-ordered detection events with derived length gaps.
 
-    A raw table may hold simultaneous events.  ``rectified`` is read from
-    the events: no two events share an instant, i.e. every time exceeds the
-    one before by more than ``GEOM_TOL``.
+    A table holds what a winding detects: its times never fall and are
+    finite, its lengths are finite within a finite spread, so every gap of
+    it or of a table of some of its rows is finite, and its mark and sensor
+    indices start at 1.  A raw table may hold simultaneous events.
+    ``rectified`` is read from the events: no two events share an instant,
+    i.e. every time exceeds the one before by more than ``GEOM_TOL``.
 
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
@@ -85,12 +85,15 @@ class EventTable:
 
     def __post_init__(self) -> None:
         columns = tuple(zip(*self.events)) or ((),) * 4
-        times = columns[0]
-        # A time may lie up to GEOM_TOL before the one before it; a nan fails.
-        if not all(map(operator.ge, times[1:], map(operator.sub, times, repeat(GEOM_TOL)))):
+        times, marks, sensors, rhos = columns
+        if not all(map(operator.le, times, times[1:])):  # a nan fails too
             raise ValueError("events must be time-ordered")
-        _check_finite(columns)
-        vars(self).update(times=times, rho_values=columns[3], _columns=columns)
+        _check_times(times)
+        if rhos and not (all(map(math.isfinite, rhos)) and math.isfinite(max(rhos) - min(rhos))):
+            raise ValueError("event lengths must be finite, with a finite spread")
+        if marks and min(min(marks), min(sensors)) < 1:
+            raise ValueError("mark and sensor indices start at 1")
+        vars(self).update(times=times, rho_values=rhos, _columns=columns)
 
     @classmethod
     def _from_columns(cls, columns: tuple[tuple, ...], rectified: bool = False) -> EventTable:
@@ -265,8 +268,9 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
         rows = [row for row in rows if row[0] >= -GEOM_TOL and row[3] > GEOM_TOL]
     rows.sort(key=_time)
     columns = tuple(zip(*rows)) or ((),) * 4
-    # The sort leaves the times in order, and from finite designs none is a nan.
-    _check_finite(columns)
+    # The sort leaves the times in order, and from finite designs none is a
+    # nan; every length is finite and above GEOM_TOL, so their spread is finite.
+    _check_times(columns[0])
     return EventTable._from_columns(columns)
 
 
@@ -311,23 +315,16 @@ def rectify(table: EventTable) -> EventTable:
     ratio tie the smaller mark index wins.  This keeps the detection closest
     to the support, i.e. the shortest stroke.
 
-    Every table :class:`EventTable` accepts comes back rectified.  When the
-    times never fall, every survivor lies within its group and successive
-    groups lie more than ``GEOM_TOL`` apart, so one pass rectifies; tables
-    from :func:`enumerate_events` are sorted and take one.  A table whose
-    times dip by less than ``GEOM_TOL`` can leave two survivors sharing an
-    instant, and the grouping repeats on the survivors until none do.
-    Rectifying a rectified table is a no-op.  The result is built from the
-    survivors' columns and known to be rectified.
+    One pass rectifies every table :class:`EventTable` accepts: its times
+    never fall, so every survivor lies within its group and successive
+    groups lie more than ``GEOM_TOL`` apart.  Rectifying a rectified table
+    is a no-op.  The result is built from the survivors' columns, a subset
+    of the table's in order, and known to be rectified.
     """
     if not table.times:
         return table
     columns = table._columns
-    while True:
-        times = columns[0]
-        columns = _gather(columns, _survivors(*columns[:3]))
-        if list(times) == sorted(times):  # in order, so one pass rectified them
-            return EventTable._from_columns(columns, rectified=True)
+    return EventTable._from_columns(_gather(columns, _survivors(*columns[:3])), rectified=True)
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -404,11 +401,11 @@ def stroke_profile(
     the same next gap, steps in place: it moves each event on by one and
     adds the gap to its wound length, without a split or an
     :func:`advance` call.  That is what :func:`advance` would return, since
-    an event always matches its own next gap, so every candidate survives,
-    and no other event is a candidate.  On periodic tables most steps are
-    such steps.  A group takes the usual path when one of its events has
-    the table's last gap next, since that start is flagged on this step,
-    or a next gap that matches nothing, not even itself.
+    a table's gaps are finite and a finite gap matches itself, so every
+    candidate survives, and no other event is a candidate.  On periodic
+    tables most steps are such steps.  A group takes the usual path only
+    when one of its events has the table's last gap next, since that start
+    is flagged on this step.
 
     With a ``limit`` ``(u, w)`` the walk returns None as soon as it proves
     that the profile's ``(unidentifiable_starts, worst_stroke)``, with no
@@ -433,19 +430,12 @@ def stroke_profile(
     everyone = (1 << table.count) - 1
     has_next = everyone >> 1  # the events with a next gap
     ends = has_next ^ (has_next >> 1)  # the event whose next gap is the last
-    # The events a group may not step in place from: that one, and any whose
-    # next gap matches no gap, not even itself (an overflowed, infinite one).
-    stops = ends
-    for bits, match in splits.values():
-        if not bits & match:
-            stops |= bits
     # Without a limit, one that no profile lies above.
     most, longest = limit or (table.count, math.inf)
     if limit and min(splits, default=0) < 0:  # wound lengths can fall, so they bound nothing
         longest = math.inf
     flagged = min(table.count, 1)  # the final event has no gap
-    # p -> (p, k, stroke); a group whose next gap matches nothing, not even
-    # itself, leaves no candidate and lands on a p below 1.
+    # p -> (p, k, stroke)
     identified: dict[int, tuple[int, int, float]] = {}
     # (those of the current events of starts sharing their first k - 1 gaps
     # that have a next gap, the candidates those gaps leave, k, the length
@@ -458,7 +448,7 @@ def stroke_profile(
             gap = gaps[(rest & -rest).bit_length() - 1]  # the lowest event's next gap
             bits, match = splits[gap]
             subgroup = rest & bits
-            if subgroup == current and not subgroup & stops:
+            if subgroup == current and not subgroup & ends:
                 # The candidates are the group's own events, all of which
                 # match their shared next gap, so advance would shift them.
                 rest = current = subgroup << 1

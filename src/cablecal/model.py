@@ -318,10 +318,19 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     return ConditionReport(tuple(checks))
 
 
+def _listed(indices: list[int]) -> str:
+    """``indices`` as a list, cut to its first 10 and the total count when longer."""
+    if len(indices) <= 10:
+        return str(indices)
+    return f"{str(indices[:10])[:-1]}, ...] ({len(indices)} in all)"
+
+
 def _no_coincidence(name: str, element: str, gaps: tuple[float, ...], tol: float) -> Condition:
     """C2/C4: no two successive elements coincide, i.e. every gap exceeds tol."""
     bad = [idx + 1 for idx, gap in enumerate(gaps) if gap <= tol]
-    detail = f"zero {element} gaps after {element}s {bad}" if bad else f"{len(gaps)} {element} gaps"
+    detail = (
+        f"zero {element} gaps after {element}s {_listed(bad)}" if bad else f"{len(gaps)} {element} gaps"
+    )
     return Condition(name, not bad, detail)
 
 
@@ -329,7 +338,7 @@ def _gap_variation(name: str, element: str, gaps: tuple[float, ...], tol: float)
     """C6/C7: the distance between successive elements varies, i.e. no two
     successive gaps are equal within tol."""
     bad = [idx + 1 for idx, (a, b) in enumerate(zip(gaps, gaps[1:])) if abs(b - a) <= tol]
-    detail = f"equal successive {element} gaps at {bad}" if bad else f"{element} gaps vary"
+    detail = f"equal successive {element} gaps at {_listed(bad)}" if bad else f"{element} gaps vary"
     return Condition(name, not bad, detail)
 
 

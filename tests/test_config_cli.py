@@ -462,7 +462,17 @@ class TestBoundedDesigns:
         assert main(["optimize", str(path), "--budget", "6"]) == 1
         assert time.perf_counter() - started < self.SECONDS
         message = "mark gaps (1e-09, 2e-09, 3e-09) place more than 1000000 marks"
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {path}: [recipe] {message}\n")
+
+    def test_fine_recipe_under_the_bound_prints_short_details(self, tmp_path, capsys):
+        # 60,000 marks, 59,998 of whose successive gaps are equal: C6 lists
+        # the first 10 and the count.
+        path = tmp_path / "fine.ini"
+        path.write_text("[geometry]\nh = 6\nrho_max = 11\n[recipe]\nd_pool = 1e-4\nz_pool = 3.0\n")
+        assert main(["validate", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.encode()) < 4096
+        assert "C6  WARN  equal successive mark gaps at [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (59998 in all)\n" in out
 
     def test_layout_over_the_pair_bound(self, tmp_path, capsys):
         sensors = " ".join(map(str, range(1, 1002)))
@@ -889,6 +899,13 @@ class TestCliOptimize:
 
     def test_layout_config_is_rejected(self, config_dir):
         assert main(["optimize", str(config_dir / "workshop.ini"), "--budget", "5"]) == 1
+
+    @pytest.mark.parametrize("d_pool", ["0.5 0.75 1.0 1.25 1.5", "1e-9"], ids=["placeable", "fine"])
+    def test_negative_budget_is_refused_before_any_placement(self, tmp_path, capsys, d_pool):
+        cfg = tmp_path / "recipe.ini"
+        cfg.write_text(f"[geometry]\nh = 6\nrho_max = 11\n[recipe]\nd_pool = {d_pool}\nz_pool = 3.0\n")
+        assert main(["optimize", str(cfg), "--budget", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: budget must be non-negative\n")
 
     @pytest.mark.parametrize("budget", ["0", "1", "10"])
     @pytest.mark.parametrize(

@@ -88,6 +88,10 @@ def rows(table: EventTable) -> list[tuple[float, int, int, float]]:
     return [(e.t, e.i, e.j, e.rho) for e in table.events]
 
 
+def events_gaps(events: tuple[Event, ...]) -> list[float]:
+    return [a.rho - b.rho for a, b in zip(events, events[1:])]
+
+
 def brute_stats(rho_values: list[float]) -> tuple[float, float]:
     """Independent statistics oracle: direct arithmetic over a length column."""
     gaps = [a - b for a, b in zip(rho_values, rho_values[1:])]
@@ -144,23 +148,18 @@ def climb_table(rho_max: float) -> EventTable:
 
 
 def group_list_rectify(table: EventTable) -> EventTable:
-    """Reference rectification: collect each chain of near-ties in a list,
-    keep the group's minimum by (i/j, i), and group the survivors again
-    until no two share an instant."""
-    events = list(table.events)
-    while True:
-        survivors: list[Event] = []
-        group: list[Event] = []
-        for event in events:
-            if group and event.t > group[-1].t + GEOM_TOL:
-                survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
-                group = []
-            group.append(event)
-        if group:
+    """Reference rectification: collect each chain of near-ties in a list
+    and keep the group's minimum by (i/j, i)."""
+    survivors: list[Event] = []
+    group: list[Event] = []
+    for event in table.events:
+        if group and event.t > group[-1].t + GEOM_TOL:
             survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
-        if survivors == events:
-            return EventTable(tuple(survivors))
-        events = survivors
+            group = []
+        group.append(event)
+    if group:
+        survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
+    return EventTable(tuple(survivors))
 
 
 def tuple_sort_enumerate(design: CalibrationDesign) -> EventTable:
@@ -227,6 +226,42 @@ NEAR_BOUNDARY_MARKS = CalibrationDesign(
 )
 
 
+# Layouts on a decimal grid whose lengths rise by float rounding: the raw
+# lengths of the first step from 3.5999999999999996 to 3.6000000000000005,
+# and the second, wound slowly, has a rectified gap of -8.9e-16 (C5 counts
+# two unresolved ties).
+DECIMAL_LAYOUTS = {
+    "raw-rise": CalibrationDesign(
+        RobotGeometry(h=7.3, rho_max=13.3, v=3.0),
+        SensorLayout((0.4, 4.2, 4.8, 5.5, 6.3)),
+        MarkLayout((10.6, 9.3, 6.7, 4.7, 4.6, 3.7, 1.3, 1.0)),
+    ),
+    "slow-rise": CalibrationDesign(
+        RobotGeometry(h=6.0, rho_max=11.0, v=1e-7),
+        SensorLayout((2.2, 4.1)),
+        MarkLayout((10.6, 9.6, 7.7, 5.8)),
+    ),
+}
+
+
+def decimal_layouts(count: int, seed: int) -> list[CalibrationDesign]:
+    """Seeded random layouts on a 0.1 m grid, wound at speeds from 1e-7 to
+    3, some of whose marks lie past the winding window."""
+    designs = []
+    rng = random.Random(seed)
+    for _ in range(count):
+        h = rng.randint(30, 100) / 10
+        geometry = RobotGeometry(h=h, rho_max=rng.randint(40, 140) / 10, v=rng.choice([1e-7, 0.3, 1.0, 3.0]))
+        heights = sorted(rng.sample(range(1, int(h * 10)), rng.randint(1, 5)))
+        positions = sorted(rng.sample(range(1, int(geometry.l_max * 10)), rng.randint(1, 12)))
+        designs.append(CalibrationDesign(
+            geometry,
+            SensorLayout(tuple(x / 10 for x in heights)),
+            MarkLayout(tuple(x / 10 for x in reversed(positions))),
+        ))
+    return designs
+
+
 def unreachable_pair_designs() -> list[CalibrationDesign]:
     """Seeded random layouts whose marks spread past the winding window, so
     early marks can meet the top sensors only while unwinding (t < 0) and
@@ -257,12 +292,6 @@ def plain_sum(values) -> float:
 def table_winding(gaps: list[float]) -> EventTable:
     """A rectified table, one event per second, that winds ``gaps`` in turn."""
     rhos = [1.0 + sum(gaps[q:]) for q in range(len(gaps) + 1)]
-    return EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
-
-
-def overflowing_table() -> EventTable:
-    """A table whose gaps overflow to infinity, which no gap matches."""
-    rhos = (1.7e308, 1e308, -1e308, 1.7e308, 1e308, -1e308, -1.1e308)
     return EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
 
 
@@ -573,42 +602,6 @@ class TestRectify:
             Event(3.0, 5, 1, 3.0),
         ))
         assert rows(rectify(table)) == [(0.5e-9, 2, 1, 4.0), (3.0, 5, 1, 3.0)]
-
-    def test_times_that_dip_inside_a_group_still_rectify(self):
-        # Two groups, {0, 0.9e-9} and {1.95e-9, 1.0e-9}, whose survivors lie
-        # 0.1e-9 apart: the survivors are grouped again.
-        table = EventTable((
-            Event(0.0, 2, 1, 5.0),
-            Event(0.9e-9, 1, 1, 4.9),
-            Event(1.95e-9, 4, 1, 4.0),
-            Event(1.0e-9, 3, 3, 3.9),
-        ))
-        rectified = rectify(table)
-        assert rectified.rectified
-        assert rows(rectified) == [(0.9e-9, 1, 1, 4.9)]  # ratio tie with (3, 3): smaller i
-        assert rectified == group_list_rectify(table)
-
-    def test_survivors_further_out_of_order_than_the_table_allows(self):
-        # The first group climbs to 2.7e-9 and falls back to 0, and the
-        # second starts at 1.05e-9: its survivor lies 1.65e-9 before the
-        # first group's, an order no EventTable accepts, and rectify builds
-        # no table from them.
-        table = EventTable((
-            Event(0.0, 4, 1, 8.0),
-            Event(0.9e-9, 4, 1, 7.0),
-            Event(1.8e-9, 4, 1, 6.0),
-            Event(2.7e-9, 1, 1, 5.0),
-            Event(1.8e-9, 4, 1, 4.0),
-            Event(0.9e-9, 4, 1, 3.0),
-            Event(0.0, 4, 1, 2.0),
-            Event(1.05e-9, 2, 1, 1.0),
-            Event(4.0, 3, 1, 0.5),
-        ))
-        with pytest.raises(ValueError, match="time-ordered"):
-            EventTable((table.events[3], table.events[7]))
-        rectified = rectify(table)
-        assert rows(rectified) == [(2.7e-9, 1, 1, 5.0), (4.0, 3, 1, 0.5)]
-        assert rectified == group_list_rectify(table)
 
     def test_strictly_decreasing_rho(self, all_designs):
         for design in all_designs.values():
@@ -951,12 +944,14 @@ class TestStrokeProfileMatchesStepwiseWalk:
         for _ in range(200):
             assert_walks_agree(rectify(enumerate_events(random_conforming_design(rng))))
 
-    def test_gaps_that_overflow(self):
-        # An infinite gap matches no gap, not even itself, so starts 1 and 4
-        # drop out when they reach theirs instead of stepping on together.
-        table = overflowing_table()
-        assert table.gaps[1:3] == (math.inf, -math.inf) and table.gaps[4] == math.inf
-        assert_walks_agree(table)
+    def test_decimal_layouts(self):
+        # Rounding lets a rectified length of the slowly wound layout rise
+        # above the one before it, so on it both walks bound by flagged
+        # starts alone.
+        tables = {name: rectify(enumerate_events(d)) for name, d in DECIMAL_LAYOUTS.items()}
+        assert min(tables["slow-rise"].gaps) < 0
+        for table in tables.values():
+            assert_walks_agree(table)
 
     def test_rising_lengths(self):
         # Negative gaps let a group's wound length rise above the limit and
@@ -1078,6 +1073,55 @@ class TestEventTableValidation:
         with pytest.raises(ValueError):
             EventTable((Event(2.0, 1, 1, 2.0), Event(1.0, 2, 2, 3.0)))
 
+    @pytest.mark.parametrize(
+        "events",
+        [
+            # A time 0.95e-9 below the one before it, within GEOM_TOL.
+            (Event(0.0, 2, 1, 5.0), Event(0.9e-9, 1, 1, 4.9),
+             Event(1.95e-9, 4, 1, 4.0), Event(1.0e-9, 3, 3, 3.9)),
+            # Times that climb by near-ties and fall back by as many.
+            (Event(0.0, 4, 1, 8.0), Event(0.9e-9, 4, 1, 7.0), Event(1.8e-9, 4, 1, 6.0),
+             Event(2.7e-9, 1, 1, 5.0), Event(1.8e-9, 4, 1, 4.0), Event(0.9e-9, 4, 1, 3.0),
+             Event(0.0, 4, 1, 2.0), Event(1.05e-9, 2, 1, 1.0), Event(4.0, 3, 1, 0.5)),
+        ],
+        ids=["dip-inside-a-group", "fall-back-a-chain"],
+    )
+    def test_rejects_times_that_fall_within_geom_tol(self, events):
+        # No winding detects an event before the one before it, however
+        # close the two are.
+        with pytest.raises(ValueError, match="time-ordered"):
+            EventTable(events)
+
+    def test_rejects_lengths_whose_gaps_overflow(self):
+        rhos = (1.7e308, 1e308, -1e308, 1.7e308, 1e308, -1e308, -1.1e308)
+        events = tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos))
+        with pytest.raises(ValueError, match="lengths must be finite"):
+            EventTable(events)
+
+    def test_rejects_lengths_whose_spread_overflows(self):
+        # Each gap is finite, but rectify keeps events 1 and 3, whose gap
+        # would not be.
+        events = (Event(0.0, 1, 1, 1e308), Event(0.0, 2, 1, 0.0), Event(1.0, 3, 1, -1e308))
+        assert all(map(math.isfinite, events_gaps(events)))
+        with pytest.raises(ValueError, match="lengths must be finite"):
+            EventTable(events)
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            (Event(0.0, 1, 0, 2.0), Event(0.0, 2, 0, 2.0), Event(1.0, 3, 1, 1.0)),
+            (Event(0.0, 0, 1, 2.0), Event(1.0, 1, 1, 1.0)),
+            (Event(0.0, 1, 2, 2.0), Event(0.0, 2, -1, 2.0), Event(1.0, 3, 1, 1.0)),
+            (Event(0.0, -1, 1, 2.0), Event(1.0, 1, 1, 1.0)),
+        ],
+        ids=["sensor-0", "mark-0", "negative-sensor", "negative-mark"],
+    )
+    def test_rejects_an_index_below_1(self, events):
+        # Unchecked, j = 0 divides by zero in rectify and a negative j ranks
+        # its tied group backwards.
+        with pytest.raises(ValueError, match="indices start at 1"):
+            EventTable(events)
+
     def test_rejects_a_nan_time(self):
         with pytest.raises(ValueError, match="time-ordered"):
             EventTable((Event(0.0, 1, 1, 3.0), Event(math.nan, 2, 1, 2.0), Event(-5.0, 3, 1, 1.0)))
@@ -1120,6 +1164,47 @@ class TestEventTableValidation:
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh)
         assert "gap_positions" not in repr(read)
+
+
+def assert_meets_the_table_contract(table: EventTable) -> None:
+    """Times never fall and are finite, every length and gap is finite, and
+    mark and sensor indices start at 1."""
+    times, rhos = table.times, table.rho_values
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    assert all(map(math.isfinite, times)) and all(map(math.isfinite, rhos))
+    assert all(map(math.isfinite, events_gaps(table.events)))
+    assert all(event.i >= 1 and event.j >= 1 for event in table.events)
+
+
+class TestTablesMeetTheContract:
+    """Every table the program makes is one an EventTable accepts, and
+    rebuilding it from its rows or its CSV, at either precision, gives one
+    too."""
+
+    def test_raw_and_rectified_tables(self):
+        designs = [*columnar_designs().values(), *DECIMAL_LAYOUTS.values()]
+        rng = random.Random(28)
+        designs += [random_conforming_design(rng) for _ in range(100)]
+        designs += decimal_layouts(300, seed=28)
+        tables = 0
+        for design in designs:
+            raw = enumerate_events(design)
+            for table in (raw, rectify(raw)):
+                assert_meets_the_table_contract(table)
+                assert EventTable(table.events) == table
+                assert parse_event_csv(format_event_csv(table, "full")) == table
+                rounded = parse_event_csv(format_event_csv(table, "table"))
+                assert_meets_the_table_contract(rounded)
+                assert rounded.count == table.count
+                tables += 1
+        assert tables == 880
+
+    def test_decimal_layouts_whose_lengths_rise(self):
+        raw = enumerate_events(DECIMAL_LAYOUTS["raw-rise"])
+        assert (3.5999999999999996, 3.6000000000000005) in zip(raw.rho_values, raw.rho_values[1:])
+        slow = DECIMAL_LAYOUTS["slow-rise"]
+        assert min(rectify(enumerate_events(slow)).gaps) == -8.881784197001252e-16
+        assert validate_design(slow)["C5"].detail.endswith("; 2 unresolved ties")
 
 
 class TestRowRecords:
@@ -1204,15 +1289,15 @@ class TestLeftToRightSums:
 def columnar_tables() -> list[tuple[str, EventTable]]:
     """Every raw and rectified table of :func:`columnar_designs`, as
     ``enumerate_events`` and ``rectify`` return them, plus the
-    rectifications of near-tie chains that take more than one pass."""
+    rectifications of near-tie chains."""
     tables = []
     for name, design in columnar_designs().items():
         raw = enumerate_events(design)
         tables += [(f"{name}-raw", raw), (f"{name}-rectified", rectify(raw))]
     chains = {
         "chain": (Event(0.0, 2, 1, 5.0), Event(0.8e-9, 1, 1, 4.0), Event(1.6e-9, 3, 1, 3.0)),
-        "dip": (Event(0.0, 2, 1, 5.0), Event(0.9e-9, 1, 1, 4.9),
-                Event(1.95e-9, 4, 1, 4.0), Event(1.0e-9, 3, 3, 3.9)),
+        "listed-later": (Event(0.0, 4, 2, 5.0), Event(0.5e-9, 2, 1, 4.0),
+                         Event(0.9e-9, 6, 3, 3.5), Event(3.0, 5, 1, 3.0)),
     }
     tables += [(name, rectify(EventTable(events))) for name, events in chains.items()]
     return tables
@@ -1292,13 +1377,13 @@ class TestColumnarTables:
 @pytest.fixture(scope="module")
 def summary_tables() -> list[tuple[str, EventTable]]:
     """The presets, both benchmark recipes' tables, the climb pools at
-    ``rho_max`` 100, the 5 cm pools and a table whose gaps overflow."""
+    ``rho_max`` 100, the 5 cm pools and a table whose lengths rise."""
     tables = [(name, rectify(enumerate_events(build()))) for name, build in presets.ALL.items()]
     tables += [
         ("climb-recipe", climb_table(32.0)),
         ("long-recipe", long_recipe_table()),
         ("climb-100", climb_table(100.0)),
-        ("overflow", overflowing_table()),
+        ("rising", table_winding([1.0, -1.5, 1.0, 2.0, -1.5, 1.0, 0.5])),
     ]
     for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
         design, _ = build_design(DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool))

@@ -26,17 +26,28 @@ CLIMB_RECIPE = (RobotGeometry(18.0, 32.0), (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2
 
 
 # validate_design's scans, one comprehension each, as references.
+def reference_indices(bad):
+    """The first 10 indices, then "..." and the count when there are more."""
+    if len(bad) > 10:
+        return "[" + ", ".join(map(str, bad[:10])) + f", ...] ({len(bad)} in all)"
+    return str(bad)
+
+
 def reference_no_coincidence(name, element, gaps, tol):
     """C2/C4: no two successive elements coincide, i.e. every gap exceeds tol."""
     bad = [idx + 1 for idx, gap in enumerate(gaps) if gap <= tol]
-    detail = f"zero {element} gaps after {element}s {bad}" if bad else f"{len(gaps)} {element} gaps"
+    detail = (
+        f"zero {element} gaps after {element}s {reference_indices(bad)}"
+        if bad
+        else f"{len(gaps)} {element} gaps"
+    )
     return Condition(name, not bad, detail)
 
 
 def reference_gap_variation(name, element, gaps, tol):
     """C6/C7: no two successive gaps are equal within tol."""
     bad = [idx + 1 for idx, (a, b) in enumerate(zip(gaps, gaps[1:])) if abs(b - a) <= tol]
-    detail = f"equal successive {element} gaps at {bad}" if bad else f"{element} gaps vary"
+    detail = f"equal successive {element} gaps at {reference_indices(bad)}" if bad else f"{element} gaps vary"
     return Condition(name, not bad, detail)
 
 
@@ -373,6 +384,26 @@ class TestScansMatchReferences:
                 assert condition == reference_gap_variation(name, element, gaps, tol), gaps
                 failed += not condition.passed
         assert failed
+
+    @pytest.mark.parametrize(
+        "count,listed",
+        [
+            (10, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+            (11, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (11 in all)"),
+            (59998, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (59998 in all)"),
+        ],
+        ids=["ten", "eleven", "fine-recipe"],
+    )
+    def test_long_index_lists_are_cut(self, count, listed):
+        # count + 1 equal gaps: count successive pairs are equal, and, at a
+        # tolerance above the gap, count + 1 gaps are zero.
+        gaps = (0.5,) * (count + 1)
+        varied = model._gap_variation("C6", "mark", gaps, 1e-9)
+        assert varied == ("C6", False, f"equal successive mark gaps at {listed}")
+        assert varied == reference_gap_variation("C6", "mark", gaps, 1e-9)
+        coinciding = model._no_coincidence("C2", "mark", gaps[1:], 1.0)
+        assert coinciding == ("C2", False, f"zero mark gaps after marks {listed}")
+        assert coinciding == reference_no_coincidence("C2", "mark", gaps[1:], 1.0)
 
     def test_layouts_raise_what_each_check_raised(self):
         # A layout raises the message of the first check it fails, and
