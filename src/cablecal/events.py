@@ -2,9 +2,9 @@
 
 Winding the cable at constant speed from full extension sweeps every mark
 past every sensor.  Each meeting is an event pinning the free length to
-``rho = ||BM_i|| - (h - ||OS_j||)`` at time ``t = (l_max - ||BM_i|| -
-||OS_j||) / v``.  Two different pairs can meet at the same instant; the
-rectification rule keeps exactly one of them so that every instant maps to a
+``rho = ||BM_i|| - (h - ||OS_j||)``, reached at time ``t = (rho_max - rho) /
+v``.  Two different pairs can meet at the same length; the rectification
+rule keeps exactly one of them so that every detected length maps to a
 unique event.
 """
 
@@ -38,7 +38,7 @@ class Event(NamedTuple):
     rho: float
 
 
-_time = operator.itemgetter(0)  # an event's t
+_length = operator.itemgetter(3)  # an event's rho
 # A row record from its finished tuple, as the record's own __new__ makes
 # it, without the call through that.
 _new_row = tuple.__new__
@@ -46,10 +46,10 @@ _wound = operator.itemgetter(3)  # a stroke_profile group's wound length
 _stroke = operator.itemgetter(2)  # an identified start's stroke
 
 
-def _new_instants(times: tuple[float, ...]) -> Iterator[bool]:
-    """For each time after the first, whether it lies more than ``GEOM_TOL``
-    after the one before it, i.e. does not share that event's instant."""
-    return map(operator.gt, times[1:], map(operator.add, times, repeat(GEOM_TOL)))
+def _new_lengths(rhos: tuple[float, ...]) -> Iterator[bool]:
+    """For each length after the first, whether it lies more than ``GEOM_TOL``
+    below the one before it, i.e. is not detected with that event."""
+    return map(operator.gt, map(operator.sub, rhos, rhos[1:]), repeat(GEOM_TOL))
 
 
 def _check_times(times: tuple[float, ...]) -> None:
@@ -60,14 +60,14 @@ def _check_times(times: tuple[float, ...]) -> None:
 
 @dataclass(frozen=True)
 class EventTable:
-    """Time-ordered detection events with derived length gaps.
+    """Detection events in winding order with derived length gaps.
 
     A table holds what a winding detects: its times never fall and are
-    finite, its lengths are finite within a finite spread, so every gap of
-    it or of a table of some of its rows is finite, and its mark and sensor
-    indices start at 1.  A raw table may hold simultaneous events.
-    ``rectified`` is read from the events: no two events share an instant,
-    i.e. every time exceeds the one before by more than ``GEOM_TOL``.
+    finite, its lengths never rise and are finite within a finite spread,
+    so every gap of it or of a table of some of its rows is finite and not
+    negative, and its mark and sensor indices start at 1.  A raw table may
+    hold simultaneous events.  ``rectified`` is read from the lengths: no
+    two events are detected together, i.e. every gap exceeds ``GEOM_TOL``.
 
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
@@ -91,6 +91,8 @@ class EventTable:
         _check_times(times)
         if rhos and not (all(map(math.isfinite, rhos)) and math.isfinite(max(rhos) - min(rhos))):
             raise ValueError("event lengths must be finite, with a finite spread")
+        if not all(map(operator.ge, rhos, rhos[1:])):
+            raise ValueError("event lengths must never rise")
         if marks and min(min(marks), min(sensors)) < 1:
             raise ValueError("mark and sensor indices start at 1")
         vars(self).update(times=times, rho_values=rhos, _columns=columns)
@@ -120,7 +122,7 @@ class EventTable:
 
     @functools.cached_property
     def rectified(self) -> bool:
-        return all(_new_instants(self.times))
+        return all(_new_lengths(self.rho_values))
 
     @functools.cached_property
     def gaps(self) -> tuple[float, ...]:
@@ -232,50 +234,51 @@ class StrokeProfile:
 
 
 def detection_time(design: CalibrationDesign, i: int, j: int) -> float:
-    """Instant at which mark i meets sensor j when winding from full extension.
+    """Instant at which winding from full extension brings mark i to sensor j.
 
     Negative values mean the pair would only meet while unwinding; callers
     filter to the winding window.
     """
     g = design.geometry
-    return (g.l_max - design.marks.position(i) - design.sensors.height(j)) / g.v
+    return (g.rho_max - design.rho_at(i, j)) / g.v
 
 
 def enumerate_events(design: CalibrationDesign) -> EventTable:
-    """All physically reachable mark/sensor meetings, sorted by time.
+    """All physically reachable mark/sensor meetings, longest length first.
 
-    A pair is reachable when ``t >= -GEOM_TOL`` and ``rho > GEOM_TOL``: the
-    cable starts at full extension and the platform cannot pass the
-    support.  Simultaneous events are kept; ties are ordered by ascending
-    mark index then descending sensor index for stable output.
+    A pair is reachable when ``rho_max - rho >= -GEOM_TOL`` and ``rho >
+    GEOM_TOL``: the cable starts at full extension and the platform cannot
+    pass the support.  Each time derives from its length, so times never
+    fall.  Simultaneous events are kept; ties are ordered by ascending mark
+    index then descending sensor index for stable output.
     """
     g = design.geometry
-    l_max, h, v = g.l_max, g.h, g.v
+    rho_max, h, v = g.rho_max, g.h, g.v
     positions = design.marks.positions
     top_down = tuple(enumerate(design.sensors.heights, start=1))[::-1]
     # Marks in index order and each mark's sensors top-down, so a stable
-    # sort on time alone leaves ties by ascending i, then descending j.
+    # sort on length alone leaves ties by ascending i, then descending j.
     rows = [
         # The expressions of detection_time and CalibrationDesign.rho_at.
-        ((l_max - position - height) / v, i, j, position - (h - height))
+        ((rho_max - rho) / v, i, j, rho)
         for i, position in zip(count(1), positions)
         for j, height in top_down
+        for rho in (position - (h - height),)
     ]
-    # Down the marks and down the sensors t rises and rho falls, and float
-    # rounding keeps both monotone, so when the first row (the earliest
-    # meeting) and the last (the shortest length) reach, every row does.
-    if rows[0][0] < -GEOM_TOL or rows[-1][3] <= GEOM_TOL:
-        rows = [row for row in rows if row[0] >= -GEOM_TOL and row[3] > GEOM_TOL]
-    rows.sort(key=_time)
+    # Down the marks and down the sensors rho falls, monotone under rounding,
+    # so when the first row (the longest) and the last (the shortest) reach, every row does.
+    if rho_max - rows[0][3] < -GEOM_TOL or rows[-1][3] <= GEOM_TOL:
+        rows = [row for row in rows if rho_max - row[3] >= -GEOM_TOL and row[3] > GEOM_TOL]
+    rows.sort(key=_length, reverse=True)
     columns = tuple(zip(*rows)) or ((),) * 4
-    # The sort leaves the times in order, and from finite designs none is a
-    # nan; every length is finite and above GEOM_TOL, so their spread is finite.
+    # Sorted lengths leave the times in order, and from finite designs none is
+    # a nan; every length is finite and above GEOM_TOL, so their spread is finite.
     _check_times(columns[0])
     return EventTable._from_columns(columns)
 
 
 def _survivors(
-    times: tuple[float, ...], marks: tuple[int, ...], sensors: tuple[int, ...]
+    marks: tuple[int, ...], sensors: tuple[int, ...], rhos: tuple[float, ...]
 ) -> list[int]:
     """One grouping pass of :func:`rectify` over a table's columns: the
     index of each group's survivor.
@@ -285,7 +288,7 @@ def _survivors(
     """
     survivors = []
     first = 0
-    for last in chain(compress(range(1, len(times)), _new_instants(times)), (len(times),)):
+    for last in chain(compress(range(1, len(rhos)), _new_lengths(rhos)), (len(rhos),)):
         survivor = first
         if last - first > 1:
             mark = marks[first]
@@ -307,24 +310,24 @@ def _gather(columns: tuple[tuple, ...], keep: list[int]) -> tuple[tuple, ...]:
 
 
 def rectify(table: EventTable) -> EventTable:
-    """Resolve simultaneous detections so each instant maps to one event.
+    """Resolve simultaneous detections so each length maps to one event.
 
-    An event no more than ``GEOM_TOL`` after the one before it shares that
-    event's instant, so a chain of such events forms one group.  Within a
-    group the survivor is the pair minimising the index ratio i/j; on a
-    ratio tie the smaller mark index wins.  This keeps the detection closest
-    to the support, i.e. the shortest stroke.
+    An event whose length lies no more than ``GEOM_TOL`` metres below the
+    one before it is detected with that event, so a chain of such events
+    forms one group.  Within a group the survivor is the pair minimising
+    the index ratio i/j; on a ratio tie the smaller mark index wins.  This
+    keeps the detection closest to the support, i.e. the shortest stroke.
 
-    One pass rectifies every table :class:`EventTable` accepts: its times
-    never fall, so every survivor lies within its group and successive
-    groups lie more than ``GEOM_TOL`` apart.  Rectifying a rectified table
-    is a no-op.  The result is built from the survivors' columns, a subset
-    of the table's in order, and known to be rectified.
+    One pass rectifies every table :class:`EventTable` accepts: its lengths
+    never rise, so every survivor lies within its group and the gap between
+    the survivors of successive groups exceeds ``GEOM_TOL``.  Rectifying a
+    rectified table is a no-op.  The result is built from the survivors'
+    columns, a subset of the table's in order, and known to be rectified.
     """
     if not table.times:
         return table
     columns = table._columns
-    return EventTable._from_columns(_gather(columns, _survivors(*columns[:3])), rectified=True)
+    return EventTable._from_columns(_gather(columns, _survivors(*columns[1:])), rectified=True)
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -410,14 +413,13 @@ def stroke_profile(
     With a ``limit`` ``(u, w)`` the walk returns None as soon as it proves
     that the profile's ``(unidentifiable_starts, worst_stroke)``, with no
     stroke read as infinite, is lexicographically above the limit.  The
-    starts flagged so far are a lower bound on the final count, and, when
-    no gap is negative, the length any group has wound is one on its
-    starts' strokes: it is proved once more than u starts are flagged, or
-    u are and a group has wound more than w.  A negative gap winds a group
-    back, so on a table with one the walk bounds by flagged starts alone.
-    The bound is checked after every step, in-place steps included, so the
-    walk stops where a step-by-step one would.  A profile it does return
-    is exact, and may still lie above the limit.
+    starts flagged so far are a lower bound on the final count, and, as
+    every gap of a rectified table is positive, the length any group has
+    wound is one on its starts' strokes: it is proved once more than u
+    starts are flagged, or u are and a group has wound more than w.  The
+    bound is checked after every step, in-place steps included, so the walk
+    stops where a step-by-step one would.  A profile it does return is
+    exact, and may still lie above the limit.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
@@ -432,8 +434,6 @@ def stroke_profile(
     ends = has_next ^ (has_next >> 1)  # the event whose next gap is the last
     # Without a limit, one that no profile lies above.
     most, longest = limit or (table.count, math.inf)
-    if limit and min(splits, default=0) < 0:  # wound lengths can fall, so they bound nothing
-        longest = math.inf
     flagged = min(table.count, 1)  # the final event has no gap
     # p -> (p, k, stroke)
     identified: dict[int, tuple[int, int, float]] = {}

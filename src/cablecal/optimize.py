@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,7 +55,7 @@ def score(
     design: CalibrationDesign,
     tolerance: float = DEFAULT_GAP_TOLERANCE,
     incumbent: ObjectiveScore | None = None,
-    record: dict[bytes, ObjectiveScore | tuple] | None = None,
+    record: dict[tuple[float, ...], ObjectiveScore | tuple] | None = None,
 ) -> ObjectiveScore | None:
     """Gap statistics plus identification strokes for one design.
 
@@ -75,7 +74,7 @@ def score(
     rotation of a mark-pool ordering and each rotation builds the same
     layout.  Both the statistics and the walk read only the gaps and the
     tolerance, so one record serves calls at one tolerance.  It maps the
-    packed gaps to the exact score, or to the sort key of the incumbent the
+    gaps to the exact score, or to the sort key of the incumbent the
     design lost to.  A stored loss answers only an incumbent at least as
     good as that one; against a worse incumbent the walk runs again and the
     record keeps the new result.
@@ -84,10 +83,9 @@ def score(
     bar = None if incumbent is None else sort_key(incumbent)
     if record is None:
         return _verdict(_measure(table, tolerance, incumbent), bar)
-    key = array("d", table.gaps).tobytes()
-    result = record.get(key)
+    result = record.get(table.gaps)
     if not _stands(result, bar):
-        result = record[key] = _measure(table, tolerance, incumbent)
+        result = record[table.gaps] = _measure(table, tolerance, incumbent)
     return _verdict(result, bar)
 
 
@@ -177,7 +175,7 @@ def _assess(
     candidate: DesignRecipe,
     tolerance: float,
     incumbent: ObjectiveScore | None,
-    record: dict[bytes, ObjectiveScore | tuple] | None,
+    record: dict[tuple[float, ...], ObjectiveScore | tuple] | None,
 ):
     """(candidate, design, score) for a recipe whose design meets C1..C5 and
     can be scored, else None.  The score is None when it does not beat
@@ -262,9 +260,9 @@ def search(
     # conform, else its exact score or the sort key of the incumbent it lost
     # to.  The enumeration visits each ordering once and keeps none.
     seen: dict[tuple[tuple[float, ...], tuple[float, ...]], ObjectiveScore | tuple | None] = {}
-    # The enumeration's packed rectified gaps -> the same kind of result, for
+    # The enumeration's rectified gaps -> the same kind of result, for
     # :func:`score`.  The climb's layout keys leave it nothing to answer.
-    record: dict[bytes, ObjectiveScore | tuple] | None = {} if exhaustive else None
+    record: dict[tuple[float, ...], ObjectiveScore | tuple] | None = {} if exhaustive else None
 
     def evaluate(
         d_order: tuple[float, ...],

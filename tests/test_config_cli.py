@@ -626,6 +626,22 @@ class TestCliCalibrate:
         assert "rho: 7.50" in out
         assert "candidate_history: 26 -> 11 -> 2 -> 1" in out
 
+    @pytest.mark.parametrize("v", ["1e-7", "1.0"])
+    def test_full_drive_identifies_at_any_speed(self, tmp_path, capsys, v):
+        # Meetings 8.9e-16 m apart are one detection however slowly the
+        # cable winds, so the slow drive's trace times strictly increase.
+        config = tmp_path / "slow.ini"
+        config.write_text(
+            f"[geometry]\nh = 6\nrho_max = 11\nv = {v}\n\n"
+            "[layout]\nsensor_heights = 2.2 4.1\nmark_positions = 10.6 9.6 7.7 5.8\n"
+        )
+        trace = tmp_path / "slow.csv"
+        assert main(["simulate", str(config), "--start", "11", "--stop", "1", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", str(config), "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "status: identified" in out and "rho: 6.80" in out
+
     def test_trace_from_stdin(self, config_dir, tmp_path, capsys, monkeypatch):
         # "-" reads the trace from stdin and prints what the file gives;
         # an error names the trace "-".

@@ -148,12 +148,13 @@ def climb_table(rho_max: float) -> EventTable:
 
 
 def group_list_rectify(table: EventTable) -> EventTable:
-    """Reference rectification: collect each chain of near-ties in a list
-    and keep the group's minimum by (i/j, i)."""
+    """Reference rectification: collect each chain of lengths within
+    ``GEOM_TOL`` of the one before in a list and keep the group's minimum by
+    (i/j, i)."""
     survivors: list[Event] = []
     group: list[Event] = []
     for event in table.events:
-        if group and event.t > group[-1].t + GEOM_TOL:
+        if group and group[-1].rho - event.rho > GEOM_TOL:
             survivors.append(min(group, key=lambda e: (e.i / e.j, e.i)))
             group = []
         group.append(event)
@@ -163,18 +164,18 @@ def group_list_rectify(table: EventTable) -> EventTable:
 
 
 def tuple_sort_enumerate(design: CalibrationDesign) -> EventTable:
-    """Reference enumeration: sort (t, i, -j, rho) tuples, whose order is
-    the table order, then build each event from its sorted tuple."""
+    """Reference enumeration: sort (-rho, i, -j, rho) tuples, whose order is
+    the table order, then build each event from its sorted tuple, its time
+    the time to wind from ``rho_max`` to its length."""
     g = design.geometry
     found = []
     for i, position in enumerate(design.marks.positions, start=1):
         for j, height in enumerate(design.sensors.heights, start=1):
-            t = (g.l_max - position - height) / g.v
             rho = position - (g.h - height)
-            if t >= -GEOM_TOL and rho > GEOM_TOL:
-                found.append((t, i, -j, rho))
+            if g.rho_max - rho >= -GEOM_TOL and rho > GEOM_TOL:
+                found.append((-rho, i, -j, rho))
     found.sort()
-    return EventTable(tuple(Event(t, i, -j, rho) for t, i, j, rho in found))
+    return EventTable(tuple(Event((g.rho_max - rho) / g.v, i, -j, rho) for _, i, j, rho in found))
 
 
 def columnar_designs() -> dict[str, CalibrationDesign]:
@@ -198,6 +199,24 @@ def columnar_designs() -> dict[str, CalibrationDesign]:
     for n, design in enumerate(unreachable_pair_designs()[:20]):
         designs[f"layout-{n}"] = design
     return designs
+
+
+# Lengths each within GEOM_TOL of the one before, wound at 1 m/s: the first
+# three are one detection though the chain spans more than GEOM_TOL.
+NEAR_TIE_CHAIN = (
+    Event(0.0, 2, 1, 5.0),
+    Event(0.8e-9, 1, 1, 5.0 - 0.8e-9),
+    Event(1.6e-9, 3, 1, 5.0 - 1.6e-9),
+    Event(3.0, 4, 1, 2.0),
+)
+# A near-tie chain whose three events share the ratio i/j = 2; the smallest
+# mark comes second.
+LISTED_LATER = (
+    Event(0.0, 4, 2, 5.0),
+    Event(0.5e-9, 2, 1, 5.0 - 0.5e-9),
+    Event(0.9e-9, 6, 3, 5.0 - 0.9e-9),
+    Event(3.0, 5, 1, 2.0),
+)
 
 
 # Two sensors closer than one ulp of the meeting times: each mark meets
@@ -226,17 +245,17 @@ NEAR_BOUNDARY_MARKS = CalibrationDesign(
 )
 
 
-# Layouts on a decimal grid whose lengths rise by float rounding: the raw
-# lengths of the first step from 3.5999999999999996 to 3.6000000000000005,
-# and the second, wound slowly, has a rectified gap of -8.9e-16 (C5 counts
-# two unresolved ties).
+# Layouts on a decimal grid whose meetings float rounding puts an ulp
+# apart: the first has raw lengths 3.6000000000000005 and 3.5999999999999996,
+# and the second, wound slowly, pairs 3.8999999999999995 with
+# 3.9000000000000004, which in time order would rise by 8.9e-16.
 DECIMAL_LAYOUTS = {
-    "raw-rise": CalibrationDesign(
+    "near-tie": CalibrationDesign(
         RobotGeometry(h=7.3, rho_max=13.3, v=3.0),
         SensorLayout((0.4, 4.2, 4.8, 5.5, 6.3)),
         MarkLayout((10.6, 9.3, 6.7, 4.7, 4.6, 3.7, 1.3, 1.0)),
     ),
-    "slow-rise": CalibrationDesign(
+    "slow": CalibrationDesign(
         RobotGeometry(h=6.0, rho_max=11.0, v=1e-7),
         SensorLayout((2.2, 4.1)),
         MarkLayout((10.6, 9.6, 7.7, 5.8)),
@@ -246,12 +265,12 @@ DECIMAL_LAYOUTS = {
 
 def decimal_layouts(count: int, seed: int) -> list[CalibrationDesign]:
     """Seeded random layouts on a 0.1 m grid, wound at speeds from 1e-7 to
-    3, some of whose marks lie past the winding window."""
+    1e3, some of whose marks lie past the winding window."""
     designs = []
     rng = random.Random(seed)
     for _ in range(count):
         h = rng.randint(30, 100) / 10
-        geometry = RobotGeometry(h=h, rho_max=rng.randint(40, 140) / 10, v=rng.choice([1e-7, 0.3, 1.0, 3.0]))
+        geometry = RobotGeometry(h=h, rho_max=rng.randint(40, 140) / 10, v=rng.choice([1e-7, 1e-3, 1.0, 3.0, 1e3]))
         heights = sorted(rng.sample(range(1, int(h * 10)), rng.randint(1, 5)))
         positions = sorted(rng.sample(range(1, int(geometry.l_max * 10)), rng.randint(1, 12)))
         designs.append(CalibrationDesign(
@@ -300,8 +319,7 @@ def stepwise_stroke_profile(
 ) -> StrokeProfile | None:
     """Reference walk: :func:`stroke_profile` as it was before groups
     stepped in place, with one ``advance`` call on every step of every
-    group, the limit checked after each.  Like it, the walk bounds by wound
-    length only on tables with no negative gap."""
+    group, the limit checked after each."""
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
@@ -313,8 +331,6 @@ def stepwise_stroke_profile(
     has_next = everyone >> 1
     ends = has_next ^ (has_next >> 1)
     most, longest = limit or (table.count, math.inf)
-    if gaps and min(gaps) < 0:
-        longest = math.inf
     flagged = min(table.count, 1)
     identified = {}
     pending = [(has_next, everyone, 1, 0)]
@@ -450,7 +466,7 @@ class TestEnumerate:
             g = design.geometry
             for position in design.marks.positions:
                 for height in design.sensors.heights:
-                    early += (g.l_max - position - height) / g.v < -GEOM_TOL
+                    early += g.rho_max - (position - (g.h - height)) < -GEOM_TOL
                     late += position - (g.h - height) <= GEOM_TOL
         assert early > 100 and late > 100
         designs += unreachable
@@ -520,17 +536,12 @@ class TestRectify:
             assert rectify(once) == once
 
     def test_chain_of_near_ties_rectifies(self):
-        # Each event is within GEOM_TOL of the one before, so the chain is one
-        # instant even though its ends lie further apart than GEOM_TOL.
-        table = EventTable((
-            Event(0.0, 2, 1, 5.0),
-            Event(0.8e-9, 1, 1, 4.0),
-            Event(1.6e-9, 3, 1, 3.0),
-            Event(5.0, 4, 1, 2.0),
-        ))
+        # Each length is within GEOM_TOL of the one before, so the chain is
+        # one detection even though its ends lie further apart than GEOM_TOL.
+        table = EventTable(NEAR_TIE_CHAIN)
         rectified = rectify(table)
         assert rectified.rectified
-        assert rows(rectified) == [(0.8e-9, 1, 1, 4.0), (5.0, 4, 1, 2.0)]
+        assert rows(rectified) == [(0.8e-9, 1, 1, 5.0 - 0.8e-9), (3.0, 4, 1, 2.0)]
         assert rectify(rectified) == rectified
 
     @pytest.mark.parametrize(
@@ -551,18 +562,13 @@ class TestRectify:
         # Every climb ordering, the presets and two near-tie chains; equality
         # covers each survivor's t, i, j and rho.
         raws = [enumerate_events(design) for design in all_designs.values()]
-        raws.append(EventTable((
-            Event(0.0, 2, 1, 5.0),
-            Event(0.8e-9, 1, 1, 4.0),
-            Event(1.6e-9, 3, 1, 3.0),
-            Event(5.0, 4, 1, 2.0),
-        )))
+        raws.append(EventTable(NEAR_TIE_CHAIN))
         raws.append(EventTable((
             Event(0.0, 3, 2, 6.0),
-            Event(0.6e-9, 2, 1, 5.0),
-            Event(1.2e-9, 4, 2, 4.0),
+            Event(0.6e-9, 2, 1, 6.0 - 0.6e-9),
+            Event(1.2e-9, 4, 2, 6.0 - 1.2e-9),
             Event(3.0, 5, 1, 3.0),
-            Event(3.0, 5, 2, 2.0),
+            Event(3.0, 5, 2, 3.0),
         )))
         d_pool, z_pool = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
         for d_order, z_order in itertools.product(
@@ -584,7 +590,8 @@ class TestRectify:
         assert len(long_raws) == 12
         largest = 0
         for raw in long_raws:
-            starts = [k for k in range(1, raw.count) if raw.times[k] > raw.times[k - 1] + GEOM_TOL]
+            rhos = raw.rho_values
+            starts = [k for k in range(1, raw.count) if rhos[k - 1] - rhos[k] > GEOM_TOL]
             largest = max(largest, *map(operator.sub, [*starts, raw.count], [0, *starts]))
         assert largest == 5
         raws += long_raws
@@ -594,14 +601,9 @@ class TestRectify:
             assert all(type(event) is Event for event in table.events)
 
     def test_ratio_tie_prefers_small_mark_index_listed_later(self):
-        # Near-ties are listed by time, so the smaller mark can come second.
-        table = EventTable((
-            Event(0.0, 4, 2, 5.0),
-            Event(0.5e-9, 2, 1, 4.0),
-            Event(0.9e-9, 6, 3, 3.5),
-            Event(3.0, 5, 1, 3.0),
-        ))
-        assert rows(rectify(table)) == [(0.5e-9, 2, 1, 4.0), (3.0, 5, 1, 3.0)]
+        # Near-ties are listed by length, so the smaller mark can come second.
+        table = EventTable(LISTED_LATER)
+        assert rows(rectify(table)) == [(0.5e-9, 2, 1, 5.0 - 0.5e-9), (3.0, 5, 1, 2.0)]
 
     def test_strictly_decreasing_rho(self, all_designs):
         for design in all_designs.values():
@@ -826,15 +828,11 @@ class TestStrokeProfile:
         # A bounded walk returns None only when the profile's (flagged
         # starts, worst stroke) lies above the limit, and otherwise the
         # profile itself.  Few gap values leave starts that wind far before
-        # their gaps run out; that length is no stroke.  Half the tables
-        # have rising lengths too, where a wound length can fall back.
+        # their gaps run out; that length is no stroke.
         rng = random.Random(1)
         tables = []
         for _ in range(1500):
             pool = [0.5, 1.0, 1.5, 2.0][: rng.randint(1, 4)]
-            tables.append(table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))]))
-        for _ in range(1500):
-            pool = rng.sample([0.5, 1.0, 2.0, -1.5, -2.5], rng.randint(2, 4))
             tables.append(table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))]))
         stopped = 0
         for table in tables:
@@ -846,18 +844,6 @@ class TestStrokeProfile:
                 assert walked == profile or (walked is None and pair > limit)
                 stopped += walked is None
         assert stopped > 0
-
-    def test_limit_at_the_profile_of_rising_lengths(self):
-        # Lengths rise at the negative gaps, so a group can wind past the
-        # limit's 4 m and back below it before its start is identified;
-        # the wound length bounds nothing, and the profile's own pair is no
-        # reason to stop.
-        table = table_winding(
-            [2.0, 2.0, -2.5, -1.5, 0.5, 2.0, 2.0, -2.5, -2.5, 0.5, 2.0, 2.0, -2.5, 2.0, -1.5]
-        )
-        profile = stroke_profile(table, 0.05)
-        assert (profile.unidentifiable_starts, profile.worst_stroke) == (2, 4.0)
-        assert stroke_profile(table, 0.05, (2, 4.0)) == profile
 
     def test_groups_step_in_place_without_advance(self, monkeypatch):
         # A group whose candidates are its own starts, all sharing the next
@@ -945,27 +931,13 @@ class TestStrokeProfileMatchesStepwiseWalk:
             assert_walks_agree(rectify(enumerate_events(random_conforming_design(rng))))
 
     def test_decimal_layouts(self):
-        # Rounding lets a rectified length of the slowly wound layout rise
-        # above the one before it, so on it both walks bound by flagged
-        # starts alone.
-        tables = {name: rectify(enumerate_events(d)) for name, d in DECIMAL_LAYOUTS.items()}
-        assert min(tables["slow-rise"].gaps) < 0
-        for table in tables.values():
+        # Rounding puts raw lengths of these layouts within an ulp of each
+        # other; rectified, every gap exceeds GEOM_TOL, so a group's wound
+        # length only grows.
+        for design in DECIMAL_LAYOUTS.values():
+            table = rectify(enumerate_events(design))
+            assert min(table.gaps) > GEOM_TOL
             assert_walks_agree(table)
-
-    def test_rising_lengths(self):
-        # Negative gaps let a group's wound length rise above the limit and
-        # fall back within one run of in-place steps, so the limit must be
-        # checked after every step, not once a run ends.  A repeated motif
-        # gives starts long shared runs of gaps.
-        rng = random.Random(24)
-        for _ in range(1500):
-            pool = rng.sample([0.5, 1.0, 2.0, -1.5, -2.5], rng.randint(2, 4))
-            motif = [rng.choice(pool) for _ in range(rng.randint(3, 5))]
-            gaps = []
-            for _ in range(rng.randint(2, 4)):
-                gaps += motif + [rng.choice(pool) for _ in range(rng.randint(0, 1))]
-            assert_walks_agree(table_winding(gaps))
 
 
 class TestEventCsv:
@@ -1073,6 +1045,20 @@ class TestEventTableValidation:
         with pytest.raises(ValueError):
             EventTable((Event(2.0, 1, 1, 2.0), Event(1.0, 2, 2, 3.0)))
 
+    def test_rejects_rising_lengths(self):
+        # Winding only shortens the cable: a length above the one before it,
+        # by metres or by one ulp, at a later time or the same one, is no
+        # detection of it.
+        with pytest.raises(ValueError, match="lengths must never rise"):
+            table_winding([2.0, 2.0, -2.5, -1.5, 0.5, 2.0])
+        for rhos in ((3.5999999999999996, 3.6000000000000005), (1.0, 1.0, 2.0)):
+            rising = tuple(Event(0.0, i, 1, rho) for i, rho in enumerate(rhos, start=1))
+            with pytest.raises(ValueError, match="lengths must never rise"):
+                EventTable(rising)
+            text = "t,i,j,rho,delta_rho\n" + "".join(f"0.0,{e.i},1,{e.rho!r},\n" for e in rising)
+            with pytest.raises(ValueError, match="lengths must never rise"):
+                parse_event_csv(text)
+
     @pytest.mark.parametrize(
         "events",
         [
@@ -1167,10 +1153,11 @@ class TestEventTableValidation:
 
 
 def assert_meets_the_table_contract(table: EventTable) -> None:
-    """Times never fall and are finite, every length and gap is finite, and
-    mark and sensor indices start at 1."""
+    """Times never fall and are finite, lengths never rise, every length and
+    gap is finite, and mark and sensor indices start at 1."""
     times, rhos = table.times, table.rho_values
     assert all(a <= b for a, b in zip(times, times[1:]))
+    assert all(a >= b for a, b in zip(rhos, rhos[1:]))
     assert all(map(math.isfinite, times)) and all(map(math.isfinite, rhos))
     assert all(map(math.isfinite, events_gaps(table.events)))
     assert all(event.i >= 1 and event.j >= 1 for event in table.events)
@@ -1189,6 +1176,7 @@ class TestTablesMeetTheContract:
         tables = 0
         for design in designs:
             raw = enumerate_events(design)
+            assert all(gap > GEOM_TOL for gap in events_gaps(rectify(raw).events))
             for table in (raw, rectify(raw)):
                 assert_meets_the_table_contract(table)
                 assert EventTable(table.events) == table
@@ -1199,12 +1187,45 @@ class TestTablesMeetTheContract:
                 tables += 1
         assert tables == 880
 
-    def test_decimal_layouts_whose_lengths_rise(self):
-        raw = enumerate_events(DECIMAL_LAYOUTS["raw-rise"])
-        assert (3.5999999999999996, 3.6000000000000005) in zip(raw.rho_values, raw.rho_values[1:])
-        slow = DECIMAL_LAYOUTS["slow-rise"]
-        assert min(rectify(enumerate_events(slow)).gaps) == -8.881784197001252e-16
-        assert validate_design(slow)["C5"].detail.endswith("; 2 unresolved ties")
+    def test_decimal_layouts_keep_lengths_in_order(self):
+        # Meetings an ulp apart are listed longest first, whatever their
+        # times; TestWindingSpeed shows the slow layout rectifies as a fast one.
+        raw = enumerate_events(DECIMAL_LAYOUTS["near-tie"])
+        assert (3.6000000000000005, 3.5999999999999996) in zip(raw.rho_values, raw.rho_values[1:])
+        for design in DECIMAL_LAYOUTS.values():
+            rhos = enumerate_events(design).rho_values
+            assert all(a >= b for a, b in zip(rhos, rhos[1:]))
+
+
+class TestWindingSpeed:
+    """The speed sets only when each length is detected: the rectified
+    rows, the placement verdicts and what a drive identifies are the same at
+    any speed.  The slow decimal layout has two meetings 8.9e-16 m apart,
+    which at 1e-7 m/s lie more than GEOM_TOL seconds apart."""
+
+    SLOW = DECIMAL_LAYOUTS["slow"]
+    FAST = replace(SLOW, geometry=replace(SLOW.geometry, v=1.0))
+
+    def test_rectified_rows(self):
+        slow, fast = (rectify(enumerate_events(d)) for d in (self.SLOW, self.FAST))
+        assert [(e.i, e.j, e.rho) for e in slow.events] == [(e.i, e.j, e.rho) for e in fast.events]
+        assert slow.count == 6
+
+    def test_verdicts_and_details(self):
+        report = validate_design(self.SLOW)
+        assert report == validate_design(self.FAST)
+        assert report["C5"] == ("C5", True, "2 simultaneous detections resolved, 6 exploitable events")
+
+    def test_a_full_drive_identifies(self):
+        results = []
+        for design in (self.SLOW, self.FAST):
+            trace = simulate(design, EncoderModel(), 11.0, 1.0)
+            assert all(a.t < b.t for a, b in zip(trace.records, trace.records[1:]))
+            result = run_trace(design, trace)
+            assert result.status is Status.IDENTIFIED
+            results.append((result.rho, result.stroke, result.candidate_history))
+        assert results[0] == results[1]
+        assert results[0][0] == pytest.approx(6.8)
 
 
 class TestRowRecords:
@@ -1294,11 +1315,7 @@ def columnar_tables() -> list[tuple[str, EventTable]]:
     for name, design in columnar_designs().items():
         raw = enumerate_events(design)
         tables += [(f"{name}-raw", raw), (f"{name}-rectified", rectify(raw))]
-    chains = {
-        "chain": (Event(0.0, 2, 1, 5.0), Event(0.8e-9, 1, 1, 4.0), Event(1.6e-9, 3, 1, 3.0)),
-        "listed-later": (Event(0.0, 4, 2, 5.0), Event(0.5e-9, 2, 1, 4.0),
-                         Event(0.9e-9, 6, 3, 3.5), Event(3.0, 5, 1, 3.0)),
-    }
+    chains = {"chain": NEAR_TIE_CHAIN, "listed-later": LISTED_LATER}
     tables += [(name, rectify(EventTable(events))) for name, events in chains.items()]
     return tables
 
@@ -1327,7 +1344,7 @@ class TestColumnarTables:
         for name, table in columnar_tables:
             if not name.endswith("-raw"):
                 assert vars(table)["rectified"] is True, name
-                assert all(events._new_instants(table.times)), name
+                assert all(events._new_lengths(table.rho_values)), name
 
     def test_other_missing_attributes_raise_attribute_error(self, workshop):
         table = enumerate_events(workshop)
@@ -1377,13 +1394,12 @@ class TestColumnarTables:
 @pytest.fixture(scope="module")
 def summary_tables() -> list[tuple[str, EventTable]]:
     """The presets, both benchmark recipes' tables, the climb pools at
-    ``rho_max`` 100, the 5 cm pools and a table whose lengths rise."""
+    ``rho_max`` 100 and the 5 cm pools."""
     tables = [(name, rectify(enumerate_events(build()))) for name, build in presets.ALL.items()]
     tables += [
         ("climb-recipe", climb_table(32.0)),
         ("long-recipe", long_recipe_table()),
         ("climb-100", climb_table(100.0)),
-        ("rising", table_winding([1.0, -1.5, 1.0, 2.0, -1.5, 1.0, 0.5])),
     ]
     for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
         design, _ = build_design(DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool))
