@@ -52,12 +52,6 @@ def _new_lengths(rhos: tuple[float, ...]) -> Iterator[bool]:
     return map(operator.gt, map(operator.sub, rhos, rhos[1:]), repeat(GEOM_TOL))
 
 
-def _check_times(times: tuple[float, ...]) -> None:
-    # Ordered times without a nan are finite when the first and last are.
-    if times and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
-        raise ValueError("event times must be finite")
-
-
 @dataclass(frozen=True)
 class EventTable:
     """Detection events in winding order with derived length gaps.
@@ -88,7 +82,9 @@ class EventTable:
         times, marks, sensors, rhos = columns
         if not all(map(operator.le, times, times[1:])):  # a nan fails too
             raise ValueError("events must be time-ordered")
-        _check_times(times)
+        # Ordered times without a nan are finite when the first and last are.
+        if times and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+            raise ValueError("event times must be finite")
         if rhos and not (all(map(math.isfinite, rhos)) and math.isfinite(max(rhos) - min(rhos))):
             raise ValueError("event lengths must be finite, with a finite spread")
         if not all(map(operator.ge, rhos, rhos[1:])):
@@ -174,62 +170,48 @@ class StartStroke(NamedTuple):
         return self.k is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class StrokeProfile:
-    """Per-start identification strokes plus worst-case and mean summaries.
+    """What :func:`stroke_profile`'s walk found, and the summaries read from it.
 
-    The profiles :func:`stroke_profile` returns are built from its walk's
-    identified starts: ``worst_stroke`` and ``unidentifiable_starts`` are
-    set from them, and the ``entries`` are built on first read (by ``==``,
-    ``hash`` and ``repr`` too), as an :class:`EventTable`'s rows are.
+    ``count`` is the table's number of starts and ``identified`` holds the
+    ``(start, k, stroke)`` of each identifiable start, in start order.
+    ``==`` and ``hash`` compare these two fields, which fix the per-start
+    ``entries``; those are built on first read (by ``repr`` too), as an
+    :class:`EventTable`'s rows are.
     """
 
-    entries: tuple[StartStroke, ...]
+    count: int
+    identified: tuple[tuple[int, int, float], ...]
 
-    @classmethod
-    def _from_walk(cls, identified: dict[int, tuple[int, int, float]], count: int) -> StrokeProfile:
-        """The profile of a table of ``count`` events whose identified
-        starts ``identified`` maps to their ``(start, k, stroke)``; other
-        keys are no start and are left out."""
-        profile = object.__new__(cls)
-        # The strokes in start order, as the entries hold them.
-        strokes = list(map(_stroke, filter(None, map(identified.get, range(1, count + 1)))))
-        vars(profile).update(
-            worst_stroke=max(strokes, default=None),
-            unidentifiable_starts=count - len(strokes),
-            _walk=(identified, count),
-        )
-        return profile
-
-    def __getattr__(self, name: str) -> tuple[StartStroke, ...]:
-        # Reached only for names the instance lacks: the entries of a
-        # profile built from its walk, until they are first read.
-        if name != "entries":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        identified, count = vars(self)["_walk"]
-        entries = tuple([
-            _new_row(StartStroke, identified.get(p) or (p, None, None)) for p in range(1, count + 1)
-        ])
-        vars(self)["entries"] = entries
-        return entries
+    def __repr__(self) -> str:
+        return f"StrokeProfile(entries={self.entries!r})"
 
     @functools.cached_property
+    def entries(self) -> tuple[StartStroke, ...]:
+        """One :class:`StartStroke` per start, unidentifiable ones included."""
+        found = {row[0]: row for row in self.identified}
+        return tuple([
+            _new_row(StartStroke, found.get(p) or (p, None, None)) for p in range(1, self.count + 1)
+        ])
+
+    @property
     def worst_stroke(self) -> float | None:
-        return max((e.stroke for e in self.entries if e.stroke is not None), default=None)
+        return max(map(_stroke, self.identified), default=None)
 
     @property
     def mean_stroke(self) -> float | None:
-        strokes = [e.stroke for e in self.entries if e.stroke is not None]
-        return left_sum(strokes) / len(strokes) if strokes else None
+        n = len(self.identified)
+        return left_sum(map(_stroke, self.identified)) / n if n else None
 
-    @functools.cached_property
+    @property
     def unidentifiable_starts(self) -> int:
-        return sum(1 for e in self.entries if not e.identifiable)
+        return self.count - len(self.identified)
 
     def entry(self, start: int) -> StartStroke:
         """The entry of 1-based start ``start``."""
-        if not 1 <= start <= len(self.entries):
-            raise IndexError(f"start {start} out of range 1..{len(self.entries)}")
+        if not 1 <= start <= self.count:
+            raise IndexError(f"start {start} out of range 1..{self.count}")
         return self.entries[start - 1]
 
 
@@ -271,9 +253,8 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
         rows = [row for row in rows if rho_max - row[3] >= -GEOM_TOL and row[3] > GEOM_TOL]
     rows.sort(key=_length, reverse=True)
     columns = tuple(zip(*rows)) or ((),) * 4
-    # Sorted lengths leave the times in order, and from finite designs none is
-    # a nan; every length is finite and above GEOM_TOL, so their spread is finite.
-    _check_times(columns[0])
+    # Sorted lengths leave the times in order, each finite as RobotGeometry bounds
+    # them; every length is finite and above GEOM_TOL, so their spread is finite.
     return EventTable._from_columns(columns)
 
 
@@ -477,7 +458,9 @@ def stroke_profile(
                 return None
         if limit and len(pending) - split > 1:
             pending[split:] = sorted(pending[split:], key=_wound)
-    return StrokeProfile._from_walk(identified, table.count)
+    return StrokeProfile(
+        table.count, tuple(filter(None, map(identified.get, range(1, table.count + 1))))
+    )
 
 
 def format_event_csv(table: EventTable, precision: str = "table") -> str:

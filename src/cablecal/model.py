@@ -70,6 +70,11 @@ class RobotGeometry:
             raise ValueError(f"rho_max must be positive, got {self.rho_max}")
         if self.v <= 0:
             raise ValueError(f"winding speed must be positive, got {self.v}")
+        # Every detection time, and every time a drive records, is at most this.
+        if not math.isfinite((self.rho_max + GEOM_TOL) / self.v):
+            raise ValueError(
+                f"winding speed must let a drive of rho_max end in finite time, got {self.v}"
+            )
         if self.b < 0:
             raise ValueError(f"boost must be non-negative, got {self.b}")
 

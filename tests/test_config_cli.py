@@ -430,6 +430,38 @@ class TestConfigErrors:
         assert capsys.readouterr() == ("", f"error: {expected}\n")
 
 
+class TestTinyWindingSpeed:
+    """A speed at which a drive of rho_max would never end is a [geometry]
+    error that names the file, from every command that loads the config."""
+
+    MESSAGE = (
+        "{path}: [geometry] winding speed must let a drive of rho_max end in finite time,"
+        " got 1e-320"
+    )
+    GEOMETRY = "[geometry]\nh = 6\nrho_max = 11\nv = 1e-320\n\n"
+    LAYOUT = "[layout]\nsensor_heights = 2.2 4.1\nmark_positions = 10.6 9.6 7.7 5.8\n"
+    RECIPE = "[recipe]\nd_pool = 0.5 0.75 1.0 1.25 1.5\nz_pool = 1.0 2.0\n"
+
+    @pytest.mark.parametrize(
+        "design,command",
+        [
+            (LAYOUT, ["validate"]),
+            (LAYOUT, ["events"]),
+            (LAYOUT, ["events", "--raw", "--precision", "full"]),
+            (LAYOUT, ["simulate", "--start", "11", "--stop", "1"]),
+            (RECIPE, ["validate"]),
+            (RECIPE, ["optimize", "--budget", "60"]),
+        ],
+        ids=["layout-validate", "layout-events", "layout-raw-events", "layout-simulate",
+             "recipe-validate", "recipe-optimize"],
+    )
+    def test_names_the_file_and_section(self, tmp_path, capsys, design, command):
+        path = tmp_path / "tiny.ini"
+        path.write_text(self.GEOMETRY + design)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {self.MESSAGE.format(path=path)}\n")
+
+
 class TestBoundedDesigns:
     # A gap far below the cable's length, or one below float resolution
     # that never moves a placement walk, stops the walk at MAX_PAIRS

@@ -316,10 +316,11 @@ def table_winding(gaps: list[float]) -> EventTable:
 
 def stepwise_stroke_profile(
     table: EventTable, tolerance: float, limit: tuple[int, float] | None = None
-) -> StrokeProfile | None:
+) -> tuple[StartStroke, ...] | None:
     """Reference walk: :func:`stroke_profile` as it was before groups
     stepped in place, with one ``advance`` call on every step of every
-    group, the limit checked after each."""
+    group, the limit checked after each.  It returns the profile's entries,
+    one per start, or None where the limit stops the walk."""
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
@@ -360,9 +361,20 @@ def stepwise_stroke_profile(
                 return None
         if limit and len(pending) - split > 1:
             pending[split:] = sorted(pending[split:], key=operator.itemgetter(3))
-    return StrokeProfile(tuple(
+    return tuple(
         StartStroke(*identified.get(p, (p, None, None))) for p in range(1, table.count + 1)
-    ))
+    )
+
+
+def entrywise_summaries(entries: tuple[StartStroke, ...]) -> tuple[int, float | None, float | None]:
+    """``(unidentifiable_starts, worst_stroke, mean_stroke)`` read entry by
+    entry, the mean's strokes added in start order."""
+    strokes = [e.stroke for e in entries if e.stroke is not None]
+    return (
+        sum(1 for e in entries if not e.identifiable),
+        max(strokes, default=None),
+        plain_sum(strokes) / len(strokes) if strokes else None,
+    )
 
 
 class TestDetectionTime:
@@ -888,14 +900,28 @@ class TestStrokeProfile:
             assert profile.mean_stroke == pytest.approx(mean)
 
 
+def assert_profile_has(
+    profile: StrokeProfile | None, entries: tuple[StartStroke, ...] | None
+) -> None:
+    """``profile`` is None where ``entries`` is, and otherwise holds those
+    entries and reads each summary as they do."""
+    if entries is None:
+        assert profile is None
+        return
+    assert profile.entries == entries
+    summaries = profile.unidentifiable_starts, profile.worst_stroke, profile.mean_stroke
+    # repr tells an int or a signed zero from an equal float.
+    assert repr(summaries) == repr(entrywise_summaries(entries))
+
+
 def assert_walks_agree(table: EventTable) -> None:
     """stroke_profile returns what the reference walk does, unbounded and
     under limits at, just inside and around each profile's own pair."""
     for tolerance in (0.01, 0.05, 0.3, 0.6):
-        profile = stepwise_stroke_profile(table, tolerance)
-        assert stroke_profile(table, tolerance) == profile
-        worst = profile.worst_stroke
-        u, w = profile.unidentifiable_starts, math.inf if worst is None else worst
+        entries = stepwise_stroke_profile(table, tolerance)
+        assert_profile_has(stroke_profile(table, tolerance), entries)
+        u, worst, _ = entrywise_summaries(entries)
+        w = math.inf if worst is None else worst
         for limit in (
             (u, w),
             (u - 1, w),
@@ -905,8 +931,9 @@ def assert_walks_agree(table: EventTable) -> None:
             (1, 0.0),
             (u, math.nextafter(w, -math.inf)),
         ):
-            assert stroke_profile(table, tolerance, limit) == stepwise_stroke_profile(
-                table, tolerance, limit
+            assert_profile_has(
+                stroke_profile(table, tolerance, limit),
+                stepwise_stroke_profile(table, tolerance, limit),
             )
 
 
@@ -1407,51 +1434,67 @@ def summary_tables() -> list[tuple[str, EventTable]]:
     return tables
 
 
-def entrywise_summaries(entries: tuple[StartStroke, ...]) -> tuple[int, float | None]:
-    """``(unidentifiable_starts, worst_stroke)`` read entry by entry."""
-    return (
-        sum(1 for e in entries if not e.identifiable),
-        max((e.stroke for e in entries if e.stroke is not None), default=None),
-    )
-
-
 class TestLazyProfileEntries:
-    """Profiles that ``stroke_profile`` builds from its walk, with their
-    summaries set and their entries built on first read."""
+    """Profiles that ``stroke_profile`` builds from its walk: they hold the
+    walk's identified starts, read their summaries from those and build
+    their entries on first read."""
 
     def test_summaries_match_their_entrywise_definitions(self, summary_tables):
         for name, table in summary_tables:
             for tolerance in (0.01, 0.05, 0.3, 0.6):
                 profile = stroke_profile(table, tolerance)
-                pair = profile.unidentifiable_starts, profile.worst_stroke
+                summaries = profile.unidentifiable_starts, profile.worst_stroke, profile.mean_stroke
                 assert "entries" not in vars(profile), name
                 expected = entrywise_summaries(profile.entries)
                 # repr tells an int or a signed zero from an equal float.
-                assert repr(pair) == repr(expected), (name, tolerance)
-                u, w = pair
+                assert repr(summaries) == repr(expected), (name, tolerance)
+                u, w, _ = summaries
                 bounded = stroke_profile(table, tolerance, (u, math.inf if w is None else w))
-                assert repr((bounded.unidentifiable_starts, bounded.worst_stroke)) == repr(expected)
+                bounded_summaries = (
+                    bounded.unidentifiable_starts, bounded.worst_stroke, bounded.mean_stroke
+                )
+                assert repr(bounded_summaries) == repr(expected)
 
     def test_match_their_twin_built_from_entries(self, summary_tables):
         for name, table in summary_tables:
             profile = stroke_profile(table, 0.05)
-            assert "entries" not in vars(profile), name
-            twin = StrokeProfile(profile.entries)
-            assert "entries" in vars(profile), name
-            assert all(type(entry) is StartStroke for entry in profile.entries), name
-            assert [entry.start for entry in profile.entries] == list(range(1, table.count + 1))
+            u, w = profile.unidentifiable_starts, profile.worst_stroke
+            # A bounded walk that reaches the end returns an equal profile.
+            bounded = stroke_profile(table, 0.05, (u, math.inf if w is None else w))
+            assert bounded is not profile
+            assert profile == bounded and bounded == profile, name
+            assert hash(profile) == hash(bounded), name
+            assert "entries" not in vars(profile) and "entries" not in vars(bounded), name
+            # So does one whose fields are read back from the entries.
+            entries = profile.entries
+            assert all(type(entry) is StartStroke for entry in entries), name
+            assert [entry.start for entry in entries] == list(range(1, table.count + 1))
+            twin = StrokeProfile(len(entries), tuple(e for e in entries if e.identifiable))
             assert profile == twin and twin == profile, name
             assert hash(profile) == hash(twin), name
-            assert repr(profile) == repr(twin), name
+            assert repr(profile) == repr(bounded) == repr(twin), name
             assert repr(profile.mean_stroke) == repr(twin.mean_stroke), name
 
-    @pytest.mark.parametrize("read", [operator.eq, lambda a, b: hash(a) == hash(b),
-                                      lambda a, b: repr(a) == repr(b)], ids=["eq", "hash", "repr"])
-    def test_equality_hash_and_repr_build_the_entries(self, read):
+    @pytest.mark.parametrize(
+        "read,builds",
+        [
+            (operator.eq, False),
+            (lambda a, b: hash(a) == hash(b), False),
+            (lambda a, b: repr(a) == repr(b), True),
+        ],
+        ids=["eq", "hash", "repr"],
+    )
+    def test_only_repr_builds_the_entries(self, read, builds):
         table = long_recipe_table()
-        profile = stroke_profile(table, 0.05)
-        assert read(profile, StrokeProfile(stroke_profile(table, 0.05).entries))
-        assert "entries" in vars(profile)
+        profile, other = stroke_profile(table, 0.05), stroke_profile(table, 0.05)
+        assert read(profile, other)
+        assert ("entries" in vars(profile)) is builds and ("entries" in vars(other)) is builds
+        if builds:
+            # The text the profile printed when its entries were its one field.
+            text = repr(profile)
+            assert text == f"StrokeProfile(entries={profile.entries!r})"
+            assert text.startswith("StrokeProfile(entries=(StartStroke(start=1, k=")
+            assert text.endswith(f"StartStroke(start={table.count}, k=None, stroke=None)))")
 
     def test_other_missing_attributes_raise_attribute_error(self, workshop):
         profile = stroke_profile(rectify(enumerate_events(workshop)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -139,6 +140,7 @@ class TestRobotGeometry:
             dict(h=6, rho_max=math.nan),
             dict(h=6, rho_max=math.inf),
             dict(h=6, rho_max=11, v=math.inf),
+            dict(h=6, rho_max=11, v=1e-320),  # winding 11 m would take 1.1e321 s
             dict(h=6, rho_max=11, b=math.nan),
             dict(h=6, rho_max=11, b=math.inf),
         ],
@@ -149,6 +151,25 @@ class TestRobotGeometry:
 
     def test_boost_zero_allowed(self):
         assert RobotGeometry(h=6, rho_max=11, b=0.0).b == 0.0
+
+    def test_slowest_speed_gives_finite_times(self):
+        # The least v at which a drive of rho_max (plus GEOM_TOL) still ends
+        # in a finite time: one ulp slower, it does not.
+        v = (11 + model.GEOM_TOL) / sys.float_info.max
+        while not math.isfinite((11 + model.GEOM_TOL) / v):
+            v = math.nextafter(v, math.inf)
+        with pytest.raises(ValueError, match="winding speed must let a drive of rho_max end"):
+            RobotGeometry(h=6, rho_max=11, v=math.nextafter(v, 0))
+        assert RobotGeometry(h=6, rho_max=11, v=1e-300).v == 1e-300
+        design = CalibrationDesign(
+            RobotGeometry(h=6, rho_max=11, v=v),
+            SensorLayout((2.2, 4.1)),
+            MarkLayout((10.6, 9.6, 7.7, 5.8)),
+        )
+        times = enumerate_events(design).times
+        assert all(map(math.isfinite, times))
+        assert max(times) > sys.float_info.max / 2
+        assert rectify(enumerate_events(design)).count == 6
 
 
 class TestLayouts:
