@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
@@ -42,7 +43,6 @@ _length = operator.itemgetter(3)  # an event's rho
 # A row record from its finished tuple, as the record's own __new__ makes
 # it, without the call through that.
 _new_row = tuple.__new__
-_wound = operator.itemgetter(3)  # a stroke_profile group's wound length
 _stroke = operator.itemgetter(2)  # an identified start's stroke
 
 
@@ -156,9 +156,9 @@ class StartStroke(NamedTuple):
     """Identification cost when winding starts at one rectified event.
 
     k is the number of detections after the first needed before the observed
-    gap sequence matches a single position in the table; stroke is the cable
-    wound over those k detections.  Both are None when no suffix of the table
-    ever becomes unique from this start.
+    gap sequence matches a single position in the table; stroke is the length
+    between the start's event and the one k detections on.  Both are None
+    when no suffix of the table ever becomes unique from this start.
     """
 
     start: int
@@ -172,7 +172,7 @@ class StartStroke(NamedTuple):
 
 @dataclass(frozen=True, repr=False)
 class StrokeProfile:
-    """What :func:`stroke_profile`'s walk found, and the summaries read from it.
+    """What :func:`stroke_profile` found, and the summaries read from it.
 
     ``count`` is the table's number of starts and ``identified`` holds the
     ``(start, k, stroke)`` of each identifiable start, in start order.
@@ -351,60 +351,146 @@ def advance(current: int, match: int) -> int:
     moves on to the event after it; the last event has no gap.  This is the
     one elimination rule: ``identify.run_trace`` folds measured gaps through
     it, as an online caller does one detection at a time, and
-    :func:`stroke_profile` folds the table's own gaps.
+    :func:`stroke_profile`'s walk folds the table's own gaps.
     """
     return (current & match) << 1
 
 
-def stroke_profile(
-    table: EventTable,
-    tolerance: float = DEFAULT_GAP_TOLERANCE,
-    limit: tuple[int, float] | None = None,
-) -> StrokeProfile | None:
+def stroke_profile(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) -> StrokeProfile:
     """How much cable each starting position must wind before it is unique.
 
     The profile is the identifier's elimination replayed on the table's own
     gaps: from the full candidate set, start p folds g_p, g_{p+1}, ...
     through :func:`advance`, and k counts the gaps until a single current
     event survives, as on a clean ``calibrate`` drive.  Starts whose gaps
-    run out first (including the final event, which has none) are flagged
-    rather than scored.
+    run out first, the final event among them, are unidentifiable.  The
+    stroke is ``rho_p - rho_{p+k}``, as ``identify.run_trace`` measures it.
+
+    When matching is an equivalence on the table's gap values, every k is
+    read from a suffix sort (:func:`_sorted_starts`); otherwise, as where
+    gaps of different values match at a coarse tolerance, from
+    :func:`_walk_starts`.  Both give every start the same k.
+    """
+    if not table.rectified:
+        raise ValueError("stroke_profile needs a rectified table")
+    check_gap_tolerance(tolerance)
+    symbols = _gap_symbols(table.gaps, tolerance)
+    ks = _walk_starts(table, tolerance) if symbols is None else _sorted_starts(symbols)
+    rhos = table.rho_values
+    return StrokeProfile(
+        table.count, tuple([(p, k, rhos[p - 1] - rhos[p - 1 + k]) for p, k in sorted(ks.items())])
+    )
+
+
+def _gap_symbols(gaps: tuple[float, ...], tolerance: float) -> str | None:
+    """The gaps written one character per class of matching values, then a
+    ``"\\0"`` for no gap; None when matching is no equivalence on them.
+
+    Sorted, the distinct values start a new class wherever one exceeds the
+    one before by more than ``tolerance``, and matching is an equivalence
+    exactly when no class spans more: for sorted ``a <= b``, ``b - a`` is
+    the ``abs(a - b)`` that :meth:`EventTable.match_mask` compares.
+    Classes are ``chr(1)`` on, so any number up to ``sys.maxunicode`` fits.
+    """
+    values = sorted(set(gaps))
+    if len(values) > sys.maxunicode:
+        return None
+    symbol: dict[float, str] = {}
+    classes = 0
+    first = previous = -math.inf
+    for value in values:
+        if value - previous > tolerance:
+            first = value
+            classes += 1
+        elif value - first > tolerance:
+            return None
+        symbol[value] = chr(classes)
+        previous = value
+    return "".join(map(symbol.__getitem__, gaps)) + "\0"
+
+
+def _sorted_starts(symbols: str) -> dict[int, int]:
+    """Each identifiable start -> its k, from a table's :func:`_gap_symbols`.
+
+    Start p is unique after k gaps exactly when no other start's gaps begin
+    with its first k classes.  So k is one more than the longest prefix
+    suffix p shares with another suffix, which is the one it shares with a
+    neighbour in sorted order, and p is identifiable when k fits in its
+    gaps.  Kasai et al.'s pass (CPM 2001) finds every neighbour's prefix in
+    linear time; the ``"\\0"``, found only at the end, stops each comparison.
+    """
+    n = len(symbols)
+    order = _suffix_order(symbols)
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    # shared[r]: the prefix the suffixes ranked r - 1 and r share.  The
+    # final event's suffix, "\0" alone, ranks first.
+    shared = [0] * (n + 1)
+    h = 0
+    for i in range(n - 1):
+        r = rank[i]
+        j = order[r - 1]
+        while symbols[i + h] == symbols[j + h]:
+            h += 1
+        shared[r] = h
+        h -= h > 0
+    return {
+        i + 1: k
+        for i, r in enumerate(rank[:-1])
+        if (k := 1 + max(shared[r], shared[r + 1])) < n - i  # k fits in its n - 1 - i gaps
+    }
+
+
+# The most characters the suffix sort's first round holds as slices: it
+# sorts whole suffixes of texts up to 2,048 characters.
+_SLICED = 1 << 22
+
+
+def _suffix_order(text: str) -> list[int]:
+    """The start of each suffix of ``text``, in sorted order.
+
+    Prefix doubling (Manber and Myers, SIAM J. Comput. 1993): a round sorts
+    the suffixes by their first h characters and ranks them, and the next
+    sorts by pairs of ranks, the first 2h.  The first round sorts slices of
+    ``_SLICED // len(text)`` characters; a round whose ranks all differ is
+    the last.
+    """
+    n = len(text)
+    h = max(1, _SLICED // n)
+    keys = [text[i : i + h] for i in range(n)]
+    while True:
+        order = sorted(range(n), key=keys.__getitem__)
+        if h >= n:
+            return order
+        rank = [0] * (n + h)  # past the end ranks first
+        r, previous = 0, None
+        for i in order:
+            r += keys[i] != previous
+            rank[i], previous = r, keys[i]
+        if r == n:
+            return order
+        keys = list(zip(rank, rank[h:]))
+        h *= 2
+
+
+def _walk_starts(table: EventTable, tolerance: float) -> dict[int, int]:
+    """Each identifiable start -> its k, by replaying the elimination.
 
     The elimination is a function of the gaps folded so far, so starts that
     share a gap prefix hold the same candidates and share one
     :func:`advance` call per step: groups of starts are replayed together,
     held as the mask of their current events, and split by the exact value
-    of their next gap.  A group's members also share the length their
-    common gaps wind, so each step adds its gap to that once, and a stroke
-    is its start's gaps added left to right.  Every gap value is folded at
-    k = 1, so its match mask is taken once, up front.  The walk is
-    deepest-first; with a limit, the groups a split yields are walked
-    longest-wound first, so a long stroke shows early.
+    of their next gap.  Every gap value is folded at k = 1, so its match
+    mask is taken once, up front.
 
     A group whose candidates are exactly its own current events, all with
-    the same next gap, steps in place: it moves each event on by one and
-    adds the gap to its wound length, without a split or an
-    :func:`advance` call.  That is what :func:`advance` would return, since
-    a table's gaps are finite and a finite gap matches itself, so every
-    candidate survives, and no other event is a candidate.  On periodic
-    tables most steps are such steps.  A group takes the usual path only
-    when one of its events has the table's last gap next, since that start
-    is flagged on this step.
-
-    With a ``limit`` ``(u, w)`` the walk returns None as soon as it proves
-    that the profile's ``(unidentifiable_starts, worst_stroke)``, with no
-    stroke read as infinite, is lexicographically above the limit.  The
-    starts flagged so far are a lower bound on the final count, and, as
-    every gap of a rectified table is positive, the length any group has
-    wound is one on its starts' strokes: it is proved once more than u
-    starts are flagged, or u are and a group has wound more than w.  The
-    bound is checked after every step, in-place steps included, so the walk
-    stops where a step-by-step one would.  A profile it does return is
-    exact, and may still lie above the limit.
+    the same next gap, steps in place, without a split or an
+    :func:`advance` call: a finite gap matches itself, so every candidate
+    survives, and no other event is one.  On periodic tables most steps are
+    such steps.  A group one of whose starts' gaps run out on this step
+    takes the usual path.
     """
-    if not table.rectified:
-        raise ValueError("stroke_profile needs a rectified table")
-    check_gap_tolerance(tolerance)
     gaps = table.gaps
     # Each gap value -> (the events whose next gap it is, the gaps matching it)
     splits = {
@@ -413,54 +499,28 @@ def stroke_profile(
     everyone = (1 << table.count) - 1
     has_next = everyone >> 1  # the events with a next gap
     ends = has_next ^ (has_next >> 1)  # the event whose next gap is the last
-    # Without a limit, one that no profile lies above.
-    most, longest = limit or (table.count, math.inf)
-    flagged = min(table.count, 1)  # the final event has no gap
-    # p -> (p, k, stroke)
-    identified: dict[int, tuple[int, int, float]] = {}
+    ks: dict[int, int] = {}
     # (those of the current events of starts sharing their first k - 1 gaps
-    # that have a next gap, the candidates those gaps leave, k, the length
-    # those gaps wind)
-    pending = [(has_next, everyone, 1, 0)]
+    # that have a next gap, the candidates those gaps leave, k)
+    pending = [(has_next, everyone, 1)]
     while pending:
-        rest, current, k, wound = pending.pop()
-        split = len(pending)
+        rest, current, k = pending.pop()
         while rest:
             gap = gaps[(rest & -rest).bit_length() - 1]  # the lowest event's next gap
             bits, match = splits[gap]
             subgroup = rest & bits
             if subgroup == current and not subgroup & ends:
-                # The candidates are the group's own events, all of which
-                # match their shared next gap, so advance would shift them.
                 rest = current = subgroup << 1
                 k += 1
-                wound += gap
-                if wound > longest and flagged >= most:
-                    return None
                 continue
             rest ^= subgroup
             after = advance(current, match)
-            stroke = wound + gap
             if after & (after - 1) == 0:
                 # Every start survives its own gaps, so the subgroup is that start.
-                p = after.bit_length() - k
-                identified[p] = (p, k, stroke)
-            else:
-                if subgroup & ends:  # its start's gaps run out here
-                    flagged += 1
-                    if flagged > most:
-                        return None
-                    subgroup ^= ends
-                    if not subgroup:
-                        continue
-                pending.append((subgroup << 1, after, k + 1, stroke))
-            if stroke > longest and flagged >= most:
-                return None
-        if limit and len(pending) - split > 1:
-            pending[split:] = sorted(pending[split:], key=_wound)
-    return StrokeProfile(
-        table.count, tuple(filter(None, map(identified.get, range(1, table.count + 1))))
-    )
+                ks[after.bit_length() - k] = k
+            elif subgroup := subgroup & ~ends:  # a start whose gaps run out here drops
+                pending.append((subgroup << 1, after, k + 1))
+    return ks
 
 
 def format_event_csv(table: EventTable, precision: str = "table") -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .designer import DesignRecipe, InfeasibleRecipe, build_design, mark_cycle
-from .events import EventTable, delta_stats, enumerate_events, rectify, stroke_profile
+from .events import delta_stats, enumerate_events, rectify, stroke_profile
 from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
 
 
@@ -54,84 +54,35 @@ def compare(a: ObjectiveScore, b: ObjectiveScore) -> int:
 def score(
     design: CalibrationDesign,
     tolerance: float = DEFAULT_GAP_TOLERANCE,
-    incumbent: ObjectiveScore | None = None,
-    record: dict[tuple[float, ...], ObjectiveScore | tuple] | None = None,
-) -> ObjectiveScore | None:
+    record: dict[tuple[float, ...], ObjectiveScore] | None = None,
+) -> ObjectiveScore:
     """Gap statistics plus identification strokes for one design.
 
     ``tolerance`` is the gap match tolerance calibration will use, so the
     strokes are the ones the identifier actually needs.
 
-    Given an ``incumbent``, the result is None when the design's score
-    would not beat it (``compare(score, incumbent) >= 0``), and the exact
-    score otherwise.  The gap statistics come first; the stroke walk then
-    stops as soon as its partial ``(unidentifiable_starts, worst_stroke)``
-    proves the loss (see :func:`stroke_profile`), so a losing design is
-    seldom walked in full.
-
     A ``record`` answers designs whose rectified gaps were scored before;
     :func:`search` keeps one in its enumeration, because that builds every
     rotation of a mark-pool ordering and each rotation builds the same
-    layout.  Both the statistics and the walk read only the gaps and the
-    tolerance, so one record serves calls at one tolerance.  It maps the
-    gaps to the exact score, or to the sort key of the incumbent the
-    design lost to.  A stored loss answers only an incumbent at least as
-    good as that one; against a worse incumbent the walk runs again and the
-    record keeps the new result.
+    layout.  Both the statistics and the profile read only the gaps and the
+    tolerance, so one record, which maps the gaps to their score, serves
+    calls at one tolerance.
     """
     table = rectify(enumerate_events(design))
-    bar = None if incumbent is None else sort_key(incumbent)
-    if record is None:
-        return _verdict(_measure(table, tolerance, incumbent), bar)
-    result = record.get(table.gaps)
-    if not _stands(result, bar):
-        result = record[table.gaps] = _measure(table, tolerance, incumbent)
-    return _verdict(result, bar)
-
-
-def _measure(table: EventTable, tolerance: float, incumbent: ObjectiveScore | None):
-    """The exact score of a rectified table, or the incumbent's sort key
-    once the stroke walk proves the table cannot beat it."""
+    if record is not None and table.gaps in record:
+        return record[table.gaps]
     stats = delta_stats(table)
-    limit = None
-    if incumbent is not None:
-        worst = incumbent.worst_stroke
-        if (stats.mean, -stats.std) >= (incumbent.mean_gap, -incumbent.std_gap):
-            # The tail does not beat the incumbent's, so a tie on the
-            # strokes loses too: the limit is the next float down.
-            worst = math.nextafter(worst, -math.inf)
-        limit = incumbent.unidentifiable_starts, worst
-    profile = stroke_profile(table, tolerance, limit)
-    if profile is None:
-        return sort_key(incumbent)
+    profile = stroke_profile(table, tolerance)
     worst = profile.worst_stroke
-    return ObjectiveScore(
+    scored = ObjectiveScore(
         mean_gap=stats.mean,
         std_gap=stats.std,
         worst_stroke=worst if worst is not None else math.inf,
         unidentifiable_starts=profile.unidentifiable_starts,
     )
-
-
-def _stands(result: ObjectiveScore | tuple | None, bar: tuple | None) -> bool:
-    """Whether a stored result still decides against an incumbent of sort
-    key ``bar`` (None when there is none).
-
-    A result is an exact score, which always decides, or the sort key of
-    an incumbent the design lost to.  A design that lost to an incumbent
-    loses to any incumbent at least as good, so a loss decides when ``bar``
-    is no worse than the key it lost to.
-    """
-    return isinstance(result, ObjectiveScore) or (
-        result is not None and bar is not None and bar <= result
-    )
-
-
-def _verdict(result: ObjectiveScore | tuple, bar: tuple | None) -> ObjectiveScore | None:
-    """The exact score of a deciding result when it beats ``bar``, else None."""
-    if isinstance(result, ObjectiveScore) and (bar is None or sort_key(result) < bar):
-        return result
-    return None
+    if record is not None:
+        record[table.gaps] = scored
+    return scored
 
 
 def _orderings(pool: tuple[float, ...]) -> int:
@@ -166,20 +117,18 @@ class SearchResult(NamedTuple):
     score: ObjectiveScore
     recipe: DesignRecipe
     trail: tuple[tuple[int, ObjectiveScore], ...]
-    # Evaluations of an ordering visited before; one whose layout's stored
-    # result still decides is not rebuilt.
+    # Evaluations of an ordering visited before; the climb answers them
+    # from their layout's stored score, without a build.
     revisits: int
 
 
 def _assess(
     candidate: DesignRecipe,
     tolerance: float,
-    incumbent: ObjectiveScore | None,
-    record: dict[tuple[float, ...], ObjectiveScore | tuple] | None,
+    record: dict[tuple[float, ...], ObjectiveScore] | None,
 ):
     """(candidate, design, score) for a recipe whose design meets C1..C5 and
-    can be scored, else None.  The score is None when it does not beat
-    ``incumbent`` (see :func:`score`, which keeps its result in a ``record``)."""
+    can be scored, else None.  A ``record`` is passed on to :func:`score`."""
     try:
         design, report = build_design(candidate)
     except InfeasibleRecipe:
@@ -187,7 +136,7 @@ def _assess(
     if not report.hard_pass:
         return None
     try:
-        scored = score(design, tolerance, incumbent, record)
+        scored = score(design, tolerance, record)
     except ValueError:
         # The tolerance is checked and the table rectified, so score refuses
         # only a design of fewer than 3 events, which has no gap statistics.
@@ -221,24 +170,16 @@ def search(
     with ``sensor_heights`` is searched with the first value of its
     ``z_pool`` alone, which the design ignores; the result's recipe says so.
 
-    Scoring is bounded: an enumerated ordering is scored against the best
-    so far and a climbing step against the current ordering, and its walk
-    stops once it cannot beat that incumbent.  The given ordering and each
-    restart are scored in full.  The result is the same as with every
-    ordering scored in full.
-
-    The climb keeps each layout's result: the marks follow the
-    :func:`~cablecal.designer.mark_cycle` of the mark pool, so every
-    rotation of an ordering builds the same layout.  A revisited or rotated
-    ordering counts against the budget and is answered from that result
-    without a build while the result still decides: an exact score always
-    does, and a layout that lost to an incumbent still loses to any
-    incumbent at least as good.  Only after a restart can the incumbent be
-    worse; the stale result is then dropped and the ordering built and
-    scored like a new one.  ``revisits`` counts evaluations of an ordering
-    visited before.  The enumeration visits each ordering once and builds
-    every one; a rotation there is answered from the gaps its layout's
-    first ordering scored (see :func:`score`) instead of walking again.
+    Every evaluation is scored exactly, and a climbing step is taken when
+    its score beats the current ordering's.  The climb keeps each layout's
+    score: the marks follow the :func:`~cablecal.designer.mark_cycle` of the
+    mark pool, so every rotation of an ordering builds the same layout.  A
+    revisited or rotated ordering counts against the budget and is answered
+    from that score without a build.  ``revisits`` counts evaluations of an
+    ordering visited before.  The enumeration visits each ordering once and
+    builds every one; a rotation there is answered from the gaps its
+    layout's first ordering scored (see :func:`score`) instead of profiling
+    them again.
     """
     check_gap_tolerance(tolerance)
     if budget < 0:
@@ -256,23 +197,18 @@ def search(
     trail: list[tuple[int, ObjectiveScore]] = []
     evals = 0
     visited: set[tuple[tuple[float, ...], tuple[float, ...]]] = set()
-    # The climb's layout (mark cycle, sensor order) -> None when it does not
-    # conform, else its exact score or the sort key of the incumbent it lost
-    # to.  The enumeration visits each ordering once and keeps none.
-    seen: dict[tuple[tuple[float, ...], tuple[float, ...]], ObjectiveScore | tuple | None] = {}
-    # The enumeration's rectified gaps -> the same kind of result, for
-    # :func:`score`.  The climb's layout keys leave it nothing to answer.
-    record: dict[tuple[float, ...], ObjectiveScore | tuple] | None = {} if exhaustive else None
+    # The climb's layout (mark cycle, sensor order) -> its score, or None
+    # when it does not conform.  The enumeration visits each ordering once
+    # and keeps none.
+    seen: dict[tuple[tuple[float, ...], tuple[float, ...]], ObjectiveScore | None] = {}
+    # The enumeration's rectified gaps -> their score, for :func:`score`.
+    # The climb's layout keys leave it nothing to answer.
+    record: dict[tuple[float, ...], ObjectiveScore] | None = {} if exhaustive else None
 
-    def evaluate(
-        d_order: tuple[float, ...],
-        z_order: tuple[float, ...],
-        incumbent: ObjectiveScore | None = None,
-    ) -> ObjectiveScore | None:
-        """The exact score of one ordering; None when it does not conform or
-        does not beat ``incumbent``.
+    def evaluate(d_order: tuple[float, ...], z_order: tuple[float, ...]) -> ObjectiveScore | None:
+        """The score of one ordering; None when it does not conform.
 
-        A stored result cannot improve on ``best``: it was no better than
+        A stored score cannot improve on ``best``: it was no better than
         ``best`` when first scored.
         """
         nonlocal best, evals
@@ -281,27 +217,17 @@ def search(
         # Without a memo the enumeration builds every ordering, which the
         # benchmark's exhaustive check (bench/workloads.py) needs.
         key = None if exhaustive else (mark_cycle(d_order), z_order)
-        bar = None if incumbent is None else sort_key(incumbent)
         if key in seen:
-            result = seen[key]
-            if result is None:
-                return None
-            if _stands(result, bar):
-                return _verdict(result, bar)
+            return seen[key]
         assessed = _assess(
             DesignRecipe(recipe.geometry, d_order, z_order, recipe.os1, recipe.sensor_heights),
-            tolerance, incumbent, record,
+            tolerance, record,
         )
-        if assessed is None:
-            if key is not None:
-                seen[key] = None
-            return None
-        candidate, design, scored = assessed
+        scored = None if assessed is None else assessed[2]
         if key is not None:
-            # A design that does not beat the incumbent lost to it.
-            seen[key] = bar if scored is None else scored
+            seen[key] = scored
         if scored is not None and (best is None or compare(scored, best[2]) < 0):
-            best = candidate, design, scored
+            best = assessed
             trail.append((evals, scored))
         return scored
 
@@ -309,17 +235,17 @@ def search(
         z_orders = list(_distinct_orderings(recipe.z_pool))
         for d_order in _distinct_orderings(recipe.d_pool):
             for z_order in z_orders:
-                evaluate(d_order, z_order, None if best is None else best[2])
+                evaluate(d_order, z_order)
     else:
         rng = random.Random(seed)
         current_d = tuple(recipe.d_pool)
         current_z = tuple(recipe.z_pool)
         current = evaluate(current_d, current_z)
         stall = 0
-        stall_limit = 2 * (len(current_d) + len(current_z))
+        max_stall = 2 * (len(current_d) + len(current_z))
 
         while evals < budget:
-            if current is None or stall >= stall_limit:
+            if current is None or stall >= max_stall:
                 # Random restart from a fresh shuffle of both pools.
                 d_list, z_list = list(current_d), list(current_z)
                 rng.shuffle(d_list)
@@ -334,8 +260,8 @@ def search(
             else:
                 cand_d, cand_z = current_d, _swap_adjacent(current_z, rng)
 
-            scored = evaluate(cand_d, cand_z, current)
-            if scored is not None:
+            scored = evaluate(cand_d, cand_z)
+            if scored is not None and compare(scored, current) < 0:
                 current = scored
                 current_d, current_z = cand_d, cand_z
                 stall = 0

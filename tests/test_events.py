@@ -6,7 +6,9 @@ import math
 import operator
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -314,53 +316,38 @@ def table_winding(gaps: list[float]) -> EventTable:
     return EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(rhos)))
 
 
-def stepwise_stroke_profile(
-    table: EventTable, tolerance: float, limit: tuple[int, float] | None = None
-) -> tuple[StartStroke, ...] | None:
-    """Reference walk: :func:`stroke_profile` as it was before groups
+def stepwise_stroke_profile(table: EventTable, tolerance: float) -> tuple[StartStroke, ...]:
+    """Reference walk: :func:`stroke_profile`'s walk as it was before groups
     stepped in place, with one ``advance`` call on every step of every
-    group, the limit checked after each.  It returns the profile's entries,
-    one per start, or None where the limit stops the walk."""
+    group.  It returns the profile's entries, one per start, each stroke
+    the length between the start's event and the one k gaps on."""
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
-    gaps = table.gaps
+    gaps, rhos = table.gaps, table.rho_values
     splits = {
         gap: (bits, table.match_mask(gap, tolerance)) for gap, bits in table.gap_positions.items()
     }
     everyone = (1 << table.count) - 1
     has_next = everyone >> 1
     ends = has_next ^ (has_next >> 1)
-    most, longest = limit or (table.count, math.inf)
-    flagged = min(table.count, 1)
     identified = {}
-    pending = [(has_next, everyone, 1, 0)]
+    pending = [(has_next, everyone, 1)]
     while pending:
-        rest, current, k, wound = pending.pop()
-        split = len(pending)
+        rest, current, k = pending.pop()
         while rest:
             gap = gaps[(rest & -rest).bit_length() - 1]
             bits, match = splits[gap]
             subgroup = rest & bits
             rest ^= subgroup
             after = events.advance(current, match)
-            stroke = wound + gap
             if after & (after - 1) == 0:
                 p = after.bit_length() - k
-                identified[p] = (p, k, stroke)
+                identified[p] = (p, k, rhos[p - 1] - rhos[p - 1 + k])
             else:
-                if subgroup & ends:
-                    flagged += 1
-                    if flagged > most:
-                        return None
-                    subgroup ^= ends
-                    if not subgroup:
-                        continue
-                pending.append((subgroup << 1, after, k + 1, stroke))
-            if stroke > longest and flagged >= most:
-                return None
-        if limit and len(pending) - split > 1:
-            pending[split:] = sorted(pending[split:], key=operator.itemgetter(3))
+                subgroup &= ~ends  # a start whose gaps run out here drops
+                if subgroup:
+                    pending.append((subgroup << 1, after, k + 1))
     return tuple(
         StartStroke(*identified.get(p, (p, None, None))) for p in range(1, table.count + 1)
     )
@@ -794,8 +781,8 @@ class TestStrokeProfile:
         self.assert_matches_brute_oracle(table, 0.05)
 
     def test_starts_with_a_shared_gap_prefix_share_each_step(self, monkeypatch):
-        # A deterministic work bound: replaying every start on its own makes
-        # 6,784 elimination steps on this table.
+        # A deterministic work bound for the walk: replaying every start on
+        # its own makes 6,784 elimination steps on this table.
         table = long_recipe_table()
         calls = 0
         advance = events.advance
@@ -806,12 +793,12 @@ class TestStrokeProfile:
             return advance(*args)
 
         monkeypatch.setattr(events, "advance", counting)
-        stroke_profile(table, 0.05)
+        events._walk_starts(table, 0.05)
         assert 0 < calls <= 1000
 
     def test_each_gap_value_is_matched_once(self, monkeypatch):
-        # A work bound for matching: every profile asks for each distinct
-        # gap value's mask at k = 1, and never needs another.
+        # A work bound for matching: every walk asks for each distinct gap
+        # value's mask at k = 1, and never needs another.
         table = long_recipe_table()
         calls = 0
         match = EventTable.match_mask
@@ -824,7 +811,7 @@ class TestStrokeProfile:
         monkeypatch.setattr(EventTable, "match_mask", counting)
         for tolerance in (0.05, 0.3):
             calls = 0
-            stroke_profile(table, tolerance)
+            events._walk_starts(table, tolerance)
             assert calls == len(table.gap_positions) == 4
 
     @pytest.mark.parametrize("tolerance", [0.0, -0.05, float("nan"), float("inf")])
@@ -836,26 +823,17 @@ class TestStrokeProfile:
             stroke_profile(table, tolerance)
 
     @pytest.mark.parametrize("tolerance", [0.01, 0.3, 0.6])
-    def test_limit_stops_only_above_the_profile(self, tolerance):
-        # A bounded walk returns None only when the profile's (flagged
-        # starts, worst stroke) lies above the limit, and otherwise the
-        # profile itself.  Few gap values leave starts that wind far before
-        # their gaps run out; that length is no stroke.
+    def test_few_valued_tables_match_the_stepwise_walk(self, tolerance):
+        # Few gap values leave starts that wind far before their gaps run
+        # out.  Values 0.5 m apart are classes at 0.01 and 0.3; at 0.6 their
+        # neighbours match but 0.5 and 1.5 do not, so matching is no
+        # equivalence and the walk decides.
         rng = random.Random(1)
-        tables = []
         for _ in range(1500):
             pool = [0.5, 1.0, 1.5, 2.0][: rng.randint(1, 4)]
-            tables.append(table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))]))
-        stopped = 0
-        for table in tables:
-            profile = stroke_profile(table, tolerance)
-            worst = profile.worst_stroke
-            u, w = pair = profile.unidentifiable_starts, math.inf if worst is None else worst
-            for limit in ((u, w), (u - 1, w), (u, w - 0.5), (u, w + 0.5), (u - 1, math.inf), (1, 0.0)):
-                walked = stroke_profile(table, tolerance, limit)
-                assert walked == profile or (walked is None and pair > limit)
-                stopped += walked is None
-        assert stopped > 0
+            table = table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))])
+            entries = stepwise_stroke_profile(table, tolerance)
+            assert_profile_has(stroke_profile(table, tolerance), entries)
 
     def test_groups_step_in_place_without_advance(self, monkeypatch):
         # A group whose candidates are its own starts, all sharing the next
@@ -872,18 +850,17 @@ class TestStrokeProfile:
         monkeypatch.setattr(events, "advance", counting)
         for table, bound in ((long_recipe_table(), 300), (climb_table(100.0), 600)):
             calls = 0
-            stroke_profile(table, 0.05)
+            events._walk_starts(table, 0.05)
             assert 0 < calls <= bound
 
     def test_a_start_whose_gaps_run_out_has_no_stroke(self):
         # Start 4 winds its two 2 m gaps, 4 m, and is still ambiguous when
         # they run out.  Only identified starts count toward the worst
-        # stroke of 3.5 m, so the profile does not lie above its own pair.
+        # stroke of 3.5 m.
         table = table_winding([1.5, 1.5, 0.5, 2.0, 2.0])
         profile = stroke_profile(table, 0.6)
-        limit = profile.unidentifiable_starts, profile.worst_stroke
-        assert limit == (3, 3.5) and not profile.entry(4).identifiable
-        assert stroke_profile(table, 0.6, limit) == profile
+        assert (profile.unidentifiable_starts, profile.worst_stroke) == (3, 3.5)
+        assert not profile.entry(4).identifiable
 
     def test_frozen_summaries(self, all_designs):
         expected = {
@@ -914,57 +891,70 @@ def assert_profile_has(
     assert repr(summaries) == repr(entrywise_summaries(entries))
 
 
-def assert_walks_agree(table: EventTable) -> None:
-    """stroke_profile returns what the reference walk does, unbounded and
-    under limits at, just inside and around each profile's own pair."""
+def assert_walks_agree(table: EventTable, paths: Counter) -> None:
+    """stroke_profile, its walk and the reference walk give every start the
+    same k and stroke at four tolerances; ``paths`` counts which path each
+    profile took."""
     for tolerance in (0.01, 0.05, 0.3, 0.6):
         entries = stepwise_stroke_profile(table, tolerance)
         assert_profile_has(stroke_profile(table, tolerance), entries)
-        u, worst, _ = entrywise_summaries(entries)
-        w = math.inf if worst is None else worst
-        for limit in (
-            (u, w),
-            (u - 1, w),
-            (u, w - 0.5),
-            (u, w + 0.5),
-            (u - 1, math.inf),
-            (1, 0.0),
-            (u, math.nextafter(w, -math.inf)),
-        ):
-            assert_profile_has(
-                stroke_profile(table, tolerance, limit),
-                stepwise_stroke_profile(table, tolerance, limit),
-            )
+        walked = events._walk_starts(table, tolerance)
+        assert walked == {e.start: e.k for e in entries if e.identifiable}
+        paths["walk" if events._gap_symbols(table.gaps, tolerance) is None else "suffixes"] += 1
+
+
+@pytest.fixture
+def paths():
+    """Which path each profile of a test took; the test must take both."""
+    taken = Counter()
+    yield taken
+    assert taken["walk"] and taken["suffixes"], taken
 
 
 class TestStrokeProfileMatchesStepwiseWalk:
-    def test_pinned_designs(self):
+    def test_pinned_designs(self, paths):
         # The presets, every 20th climb ordering and all 12 long orderings.
         for design in pinned_designs():
-            assert_walks_agree(rectify(enumerate_events(design)))
+            assert_walks_agree(rectify(enumerate_events(design)), paths)
 
     @pytest.mark.parametrize("rho_max", [60.0, 100.0, 300.0])
-    def test_long_climb_tables(self, rho_max):
-        assert_walks_agree(climb_table(rho_max))
+    def test_long_climb_tables(self, rho_max, paths):
+        assert_walks_agree(climb_table(rho_max), paths)
 
-    def test_five_centimetre_pools(self):
+    def test_five_centimetre_pools(self, paths):
         for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
             design, _ = build_design(DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool))
-            assert_walks_agree(rectify(enumerate_events(design)))
+            assert_walks_agree(rectify(enumerate_events(design)), paths)
 
-    def test_random_conforming_designs(self):
+    def test_random_conforming_designs(self, paths):
         rng = random.Random(24)
         for _ in range(200):
-            assert_walks_agree(rectify(enumerate_events(random_conforming_design(rng))))
+            assert_walks_agree(rectify(enumerate_events(random_conforming_design(rng))), paths)
 
-    def test_decimal_layouts(self):
+    def test_decimal_layouts(self, paths):
         # Rounding puts raw lengths of these layouts within an ulp of each
-        # other; rectified, every gap exceeds GEOM_TOL, so a group's wound
-        # length only grows.
+        # other; rectified, every gap exceeds GEOM_TOL.
         for design in DECIMAL_LAYOUTS.values():
             table = rectify(enumerate_events(design))
             assert min(table.gaps) > GEOM_TOL
-            assert_walks_agree(table)
+            assert_walks_agree(table, paths)
+
+    def test_suffix_sort_in_doubling_rounds(self, monkeypatch, paths):
+        # Texts longer than 2,048 characters are sorted in prefix-doubling
+        # rounds; a first round of one-character slices takes them on
+        # every table here.
+        monkeypatch.setattr(events, "_SLICED", 1)
+        for table in (long_recipe_table(), climb_table(100.0)):
+            assert_walks_agree(table, paths)
+
+    def test_more_gap_values_than_characters_take_the_walk(self, monkeypatch):
+        # One character per class fits any table whose distinct gaps number
+        # at most sys.maxunicode; a larger one has no symbols to sort.
+        table = long_recipe_table()
+        fewer = SimpleNamespace(maxunicode=len(table.gap_positions) - 1)
+        monkeypatch.setattr(events, "sys", fewer)
+        assert events._gap_symbols(table.gaps, 0.05) is None
+        assert_profile_has(stroke_profile(table, 0.05), stepwise_stroke_profile(table, 0.05))
 
 
 class TestEventCsv:
@@ -1292,9 +1282,10 @@ class TestRowRecords:
 
 
 class TestLeftToRightSums:
-    """Python 3.12 made ``sum`` of floats compensated.  Strokes and gap
-    statistics add left to right instead, so they read the same on every
-    interpreter; each case below sums differently under the two rules."""
+    """Python 3.12 made ``sum`` of floats compensated.  The mean stroke and
+    gap statistics add left to right instead, so they read the same on every
+    interpreter; each case below sums differently under the two rules.  A
+    stroke is one difference of lengths, as ``run_trace`` measures it."""
 
     # Start 4 winds 0.24, 0.94 and 0.05 before it is unique.
     RHOS = (2.77, 2.53, 2.24, 1.29, 1.05, 0.11, 0.06)
@@ -1305,17 +1296,17 @@ class TestLeftToRightSums:
 
     def test_profile_strokes_and_mean_stroke(self):
         table = EventTable(tuple(Event(float(t), t + 1, 1, rho) for t, rho in enumerate(self.RHOS)))
-        gaps = table.gaps
-        profile = stroke_profile(table, 0.05)
-        entry = profile.entry(4)
+        entry = stroke_profile(table, 0.05).entry(4)
         assert entry.k == 3
-        wound = gaps[3:6]
-        assert entry.stroke == plain_sum(wound) != math.fsum(wound)
-        for e in profile.entries:
-            if e.identifiable:
-                assert e.stroke == plain_sum(gaps[e.start - 1 : e.start - 1 + e.k])
-        strokes = [e.stroke for e in profile.entries if e.identifiable]
-        assert profile.mean_stroke == plain_sum(strokes) / len(strokes)
+        assert entry.stroke == self.RHOS[3] - self.RHOS[6] == 1.23 != plain_sum(table.gaps[3:6])
+        for tolerance in (0.05, 0.01):
+            profile = stroke_profile(table, tolerance)
+            for e in profile.entries:
+                if e.identifiable:
+                    assert e.stroke == self.RHOS[e.start - 1] - self.RHOS[e.start - 1 + e.k]
+            strokes = [e.stroke for e in profile.entries if e.identifiable]
+            assert profile.mean_stroke == plain_sum(strokes) / len(strokes)
+        # At 0.01 the strokes sum differently under the two rules.
         assert plain_sum(strokes) != math.fsum(strokes)
 
     def test_delta_stats(self, workshop):
@@ -1448,23 +1439,16 @@ class TestLazyProfileEntries:
                 expected = entrywise_summaries(profile.entries)
                 # repr tells an int or a signed zero from an equal float.
                 assert repr(summaries) == repr(expected), (name, tolerance)
-                u, w, _ = summaries
-                bounded = stroke_profile(table, tolerance, (u, math.inf if w is None else w))
-                bounded_summaries = (
-                    bounded.unidentifiable_starts, bounded.worst_stroke, bounded.mean_stroke
-                )
-                assert repr(bounded_summaries) == repr(expected)
 
     def test_match_their_twin_built_from_entries(self, summary_tables):
         for name, table in summary_tables:
             profile = stroke_profile(table, 0.05)
-            u, w = profile.unidentifiable_starts, profile.worst_stroke
-            # A bounded walk that reaches the end returns an equal profile.
-            bounded = stroke_profile(table, 0.05, (u, math.inf if w is None else w))
-            assert bounded is not profile
-            assert profile == bounded and bounded == profile, name
-            assert hash(profile) == hash(bounded), name
-            assert "entries" not in vars(profile) and "entries" not in vars(bounded), name
+            # Profiling again returns an equal profile.
+            again = stroke_profile(table, 0.05)
+            assert again is not profile
+            assert profile == again and again == profile, name
+            assert hash(profile) == hash(again), name
+            assert "entries" not in vars(profile) and "entries" not in vars(again), name
             # So does one whose fields are read back from the entries.
             entries = profile.entries
             assert all(type(entry) is StartStroke for entry in entries), name
@@ -1472,7 +1456,7 @@ class TestLazyProfileEntries:
             twin = StrokeProfile(len(entries), tuple(e for e in entries if e.identifiable))
             assert profile == twin and twin == profile, name
             assert hash(profile) == hash(twin), name
-            assert repr(profile) == repr(bounded) == repr(twin), name
+            assert repr(profile) == repr(again) == repr(twin), name
             assert repr(profile.mean_stroke) == repr(twin.mean_stroke), name
 
     @pytest.mark.parametrize(

@@ -22,14 +22,13 @@ at seeds 0-19 and budgets 0, 1, 40 and 500, the long recipe at budget 500,
 and a small five-value recipe at three tolerances, budgets 60 and 240.  Its
 pinned value was computed with a search that scored every ordering in full.
 
-The profile digest is one SHA-256 over the ``repr`` of 60 ``stroke_profile``
+The profile digest is one SHA-256 over the ``repr`` of 12 ``stroke_profile``
 results on long periodic tables, where starts share gap prefixes of up to
 a few hundred gaps: the climb recipe's pools at ``rho_max`` 60, 100 and 300
-and the long recipe's at 100, at three tolerances, each unbounded and under
-the limits ``(u, w)``, ``(u, nextafter(w, -inf))``, ``(u - 1, inf)`` and
-``(1, 0.0)``, where ``(u, w)`` is the unbounded profile's flagged starts and
-worst stroke.  Its pinned value was computed with a walk that called
-``advance`` on every step.
+and the long recipe's at 100, at three tolerances.  Its pinned value was
+computed with a walk that called ``advance`` on every step and added each
+stroke's gaps left to right; it is the hash of the unbounded profiles of
+the digest that also pinned profiles under an incumbent limit.
 
 A change that moves any of these values in its last bit changes a digest.
 The first three read the same on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import random
 
 from cablecal import (
@@ -68,7 +66,7 @@ from cablecal.optimize import format_trail_csv
 EXPECTED_DIGEST = "5e8e465194c39d435bb42ddb176da99fdf52e0db95f21974629b4971d11b15b6"
 EXPECTED_CALIBRATION_DIGEST = "4b5594c6b6f4f2d9cd8368d4c0f5a63e07dd0dc923ed649eaf6f4c99fc27d67e"
 EXPECTED_SEARCH_DIGEST = "8aaf516193c423a2c3e0ee6a733cac543153bf77d8e94efe1cb5c50290a60fc8"
-EXPECTED_PROFILE_DIGEST = "d17e8f88bb9048d11644572fe749c2607116e91c6fe4eabd3dab0e0a94157b21"
+EXPECTED_PROFILE_DIGEST = "fca812f6fc0cc8ee8b738c8b1b70fb12f09382e3684f1194d7bdbd7ad29972bb"
 
 # (h, rho_max, d_pool, z_pool) of the long recipe, as the benchmark builds it
 LONG_RECIPE = (18.0, 60.0, (0.5, 0.75, 1.25), (2.0, 3.0))
@@ -201,17 +199,12 @@ def search_digest() -> tuple[int, str]:
 
 
 def profiles():
-    """Every pinned ``stroke_profile`` result, unbounded ones first per tolerance."""
+    """Every pinned ``stroke_profile`` result."""
     for rho_max, d_pool, z_pool in PROFILE_TABLES:
         design = build_design(DesignRecipe(RobotGeometry(18.0, rho_max), d_pool, z_pool)).design
         table = rectify(enumerate_events(design))
         for tolerance in TOLERANCES:
-            profile = stroke_profile(table, tolerance)
-            yield profile
-            worst = profile.worst_stroke
-            u, w = profile.unidentifiable_starts, math.inf if worst is None else worst
-            for limit in ((u, w), (u, math.nextafter(w, -math.inf)), (u - 1, math.inf), (1, 0.0)):
-                yield stroke_profile(table, tolerance, limit)
+            yield stroke_profile(table, tolerance)
 
 
 def profile_digest() -> tuple[int, str]:
@@ -237,7 +230,7 @@ def test_search_output_is_bit_exact():
 
 
 def test_profile_output_is_bit_exact():
-    assert profile_digest() == (60, EXPECTED_PROFILE_DIGEST)
+    assert profile_digest() == (12, EXPECTED_PROFILE_DIGEST)
 
 
 if __name__ == "__main__":
@@ -248,6 +241,6 @@ if __name__ == "__main__":
         (232, EXPECTED_DIGEST),
         (3132, EXPECTED_CALIBRATION_DIGEST),
         (87, EXPECTED_SEARCH_DIGEST),
-        (60, EXPECTED_PROFILE_DIGEST),
+        (12, EXPECTED_PROFILE_DIGEST),
     )
     raise SystemExit(0 if pinned else "a digest differs from its pinned value")

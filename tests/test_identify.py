@@ -365,7 +365,7 @@ class TestRunTrace:
             if entry.identifiable:
                 assert result.status is Status.IDENTIFIED
                 assert result.detections_used == entry.k + 1
-                assert result.stroke == pytest.approx(entry.stroke)
+                assert result.stroke == entry.stroke
             else:
                 assert result.status is Status.AMBIGUOUS
 

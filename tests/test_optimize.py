@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -15,12 +14,9 @@ from cablecal import (
     RobotGeometry,
     build_design,
     compare,
-    enumerate_events,
     mark_cycle,
-    rectify,
     score,
     search,
-    stroke_profile,
 )
 from cablecal import optimize
 from cablecal.optimize import (
@@ -66,9 +62,9 @@ def enumerate_best(recipe: DesignRecipe) -> ObjectiveScore:
 def reference_climb(recipe: DesignRecipe, budget: int, seed: int) -> SearchResult:
     """Independent oracle: the hill-climb with every ordering scored in full.
 
-    The climb of :func:`search` as it was before scoring was bounded, for
-    pools of two or more values: each distinct ordering is built and scored
-    once, and a revisit reuses that.
+    The climb of :func:`search` for pools of two or more values, keyed by
+    ordering rather than by layout: each distinct ordering is built and
+    scored once, and a revisit reuses that.
     """
     best = None
     trail = []
@@ -140,46 +136,21 @@ class TestScore:
             score(workshop, tolerance)
 
 
-class TestBoundedScore:
+class TestRecordedScore:
     # Every ordering of a 240-ordering recipe.  At 0.3 m gaps of different
-    # values match, so matching is no equivalence and groups split unevenly.
+    # values match, so matching is no equivalence and the walk profiles them.
     @pytest.mark.parametrize("tolerance", [0.01, 0.05, 0.3])
-    def test_bound_decides_exactly_as_the_full_score(self, tolerance):
-        designs = []
+    def test_shared_record_answers_as_the_full_score(self, tolerance):
+        record = {}  # shared by every design, as in one search
+        designs = 0
         for d_order in itertools.permutations(FIVE_POOL):
             for z_order in ((1.0, 2.0), (2.0, 1.0)):
                 design, report = build_design(DesignRecipe(G_SMALL, d_order, z_order))
                 if report.hard_pass:
-                    designs.append(design)
-        full = [score(design, tolerance) for design in designs]
-        ranked = sorted(full, key=sort_key)
-        pruned = stopped = 0
-        record = {}  # shared by every design, as in one search
-        for design, exact in zip(designs, full):
-            better_tail = replace(exact, mean_gap=exact.mean_gap - 0.125)
-            worse_tail = replace(exact, mean_gap=exact.mean_gap + 0.125)
-            table = rectify(enumerate_events(design))
-            profile = stroke_profile(table, tolerance)
-            for incumbent in (ranked[0], ranked[-1], exact, better_tail, worse_tail):
-                bounded = score(design, tolerance, incumbent)
-                assert score(design, tolerance, incumbent, record) == bounded
-                if compare(exact, incumbent) >= 0:
-                    assert bounded is None
-                    pruned += 1
-                else:
-                    assert bounded == exact
-                limit = incumbent.unidentifiable_starts, incumbent.worst_stroke
-                walked = stroke_profile(table, tolerance, limit)
-                pair = exact.unidentifiable_starts, exact.worst_stroke
-                assert walked == profile or (walked is None and pair > limit)
-                stopped += walked is None
-        assert len(designs) > 200 and 0 < stopped < pruned < 5 * len(designs)
-
-    def test_incumbent_with_no_identified_start(self, medium):
-        exact = score(medium)
-        blind = replace(exact, worst_stroke=math.inf)
-        assert score(medium, incumbent=blind) == exact
-        assert score(medium, incumbent=exact) is None
+                    designs += 1
+                    assert score(design, tolerance, record) == score(design, tolerance)
+        # Rotations of a mark ordering build one layout, answered once scored.
+        assert designs > 200 and 0 < len(record) < designs
 
 
 class TestCompare:
@@ -362,9 +333,9 @@ class TestSearch:
         records = []
         real_score = optimize.score
 
-        def recording(design, tolerance, incumbent, record):
+        def recording(design, tolerance, record):
             records.append(record)
-            return real_score(design, tolerance, incumbent, record)
+            return real_score(design, tolerance, record)
 
         monkeypatch.setattr(optimize, "score", recording)
         search(recipe, budget=500, seed=0)
@@ -377,40 +348,25 @@ class TestSearch:
 
     def test_revisits_are_not_rebuilt(self, monkeypatch):
         # A revisited or rotated ordering is answered from its layout's
-        # stored result.  A layout is built again only when its stored result
-        # is a loss to a better incumbent than the one it now faces.
-        built, lost = [], {}
-        build, real_score = optimize.build_design, optimize.score
+        # stored score, so every layout is built once.
+        built = []
+        build = optimize.build_design
 
         def counting_build(recipe):
-            layout = mark_cycle(recipe.d_pool), recipe.z_pool
-            assert layout not in built or layout in lost
-            built.append(layout)
+            built.append((mark_cycle(recipe.d_pool), recipe.z_pool))
             return build(recipe)
 
-        def counting_score(design, tolerance, incumbent, record):
-            layout = built[-1]
-            if layout in lost:
-                assert incumbent is None or sort_key(incumbent) > lost[layout]
-            scored = real_score(design, tolerance, incumbent, record)
-            if scored is None:
-                lost[layout] = sort_key(incumbent)
-            else:
-                lost.pop(layout, None)
-            return scored
-
         monkeypatch.setattr(optimize, "build_design", counting_build)
-        monkeypatch.setattr(optimize, "score", counting_score)
         result = search(CLIMB_RECIPE, budget=500, seed=0)
         assert result == reference_climb(CLIMB_RECIPE, 500, 0)
         assert result.revisits == 282  # 218 distinct orderings
-        assert len(built) == 196 and len(set(built)) == 188  # 8 stale rebuilds
+        assert len(built) == len(set(built)) == 188
 
     def test_rescored_revisit_matches_full_scoring(self, monkeypatch):
-        # At seed 13 a restart leaves the climb worse than an incumbent that
-        # a pruned ordering lost to, and the climb comes back to that
-        # ordering: the stale result is dropped and the ordering built and
-        # scored again, so every score comes with its own build.
+        # At seed 13 a restart leaves the climb worse than an ordering it
+        # scored before, and the climb comes back to that ordering.  Its
+        # stored score is exact, so it is answered without a build: every
+        # ordering is built once, and every score comes with its own build.
         expected = reference_climb(CLIMB_RECIPE, 60, 13)
         built, designs, scored = [], [], []
         build, real_score = optimize.build_design, optimize.score
@@ -429,8 +385,8 @@ class TestSearch:
         monkeypatch.setattr(optimize, "build_design", counting_build)
         monkeypatch.setattr(optimize, "score", counting_score)
         assert search(CLIMB_RECIPE, 60, 13) == expected
-        assert len(built) == len(set(built)) + 1  # the revisited ordering
-        assert len(scored) == len(set(scored))  # no design scored twice
+        assert len(built) == len(set(built)) == 21
+        assert len(scored) == len(set(scored)) == 21  # no design scored twice
 
     def test_rejects_negative_budget(self):
         recipe = DesignRecipe(G_SMALL, d_pool=FIVE_POOL, z_pool=(3.0,))
