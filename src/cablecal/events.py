@@ -368,8 +368,9 @@ def stroke_profile(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) 
 
     When matching is an equivalence on the table's gap values, every k is
     read from a suffix sort (:func:`_sorted_starts`); otherwise, as where
-    gaps of different values match at a coarse tolerance, from
-    :func:`_walk_starts`.  Both give every start the same k.
+    gaps of different values match at a coarse tolerance, by folding each
+    start's gaps (:func:`_walk_starts`).  Both give every start the same k
+    and list the starts in order.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
@@ -378,7 +379,7 @@ def stroke_profile(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) 
     ks = _walk_starts(table, tolerance) if symbols is None else _sorted_starts(symbols)
     rhos = table.rho_values
     return StrokeProfile(
-        table.count, tuple([(p, k, rhos[p - 1] - rhos[p - 1 + k]) for p, k in sorted(ks.items())])
+        table.count, tuple([(p, k, rhos[p - 1] - rhos[p - 1 + k]) for p, k in ks.items()])
     )
 
 
@@ -410,7 +411,8 @@ def _gap_symbols(gaps: tuple[float, ...], tolerance: float) -> str | None:
 
 
 def _sorted_starts(symbols: str) -> dict[int, int]:
-    """Each identifiable start -> its k, from a table's :func:`_gap_symbols`.
+    """Each identifiable start -> its k, in start order, from a table's
+    :func:`_gap_symbols`.
 
     Start p is unique after k gaps exactly when no other start's gaps begin
     with its first k classes.  So k is one more than the longest prefix
@@ -475,51 +477,23 @@ def _suffix_order(text: str) -> list[int]:
 
 
 def _walk_starts(table: EventTable, tolerance: float) -> dict[int, int]:
-    """Each identifiable start -> its k, by replaying the elimination.
-
-    The elimination is a function of the gaps folded so far, so starts that
-    share a gap prefix hold the same candidates and share one
-    :func:`advance` call per step: groups of starts are replayed together,
-    held as the mask of their current events, and split by the exact value
-    of their next gap.  Every gap value is folded at k = 1, so its match
+    """Each identifiable start -> its k, in start order: start p folds its
+    gaps through :func:`advance` from the full candidate set, as
+    ``identify.run_trace`` folds a drive's, and k is the step that leaves
+    one current event.  Every gap value is folded at k = 1, so its match
     mask is taken once, up front.
-
-    A group whose candidates are exactly its own current events, all with
-    the same next gap, steps in place, without a split or an
-    :func:`advance` call: a finite gap matches itself, so every candidate
-    survives, and no other event is one.  On periodic tables most steps are
-    such steps.  A group one of whose starts' gaps run out on this step
-    takes the usual path.
     """
-    gaps = table.gaps
-    # Each gap value -> (the events whose next gap it is, the gaps matching it)
-    splits = {
-        gap: (bits, table.match_mask(gap, tolerance)) for gap, bits in table.gap_positions.items()
-    }
+    matches = {gap: table.match_mask(gap, tolerance) for gap in table.gap_positions}
+    masks = tuple(map(matches.__getitem__, table.gaps))  # each gap's matches, in table order
     everyone = (1 << table.count) - 1
-    has_next = everyone >> 1  # the events with a next gap
-    ends = has_next ^ (has_next >> 1)  # the event whose next gap is the last
     ks: dict[int, int] = {}
-    # (those of the current events of starts sharing their first k - 1 gaps
-    # that have a next gap, the candidates those gaps leave, k)
-    pending = [(has_next, everyone, 1)]
-    while pending:
-        rest, current, k = pending.pop()
-        while rest:
-            gap = gaps[(rest & -rest).bit_length() - 1]  # the lowest event's next gap
-            bits, match = splits[gap]
-            subgroup = rest & bits
-            if subgroup == current and not subgroup & ends:
-                rest = current = subgroup << 1
-                k += 1
-                continue
-            rest ^= subgroup
-            after = advance(current, match)
-            if after & (after - 1) == 0:
-                # Every start survives its own gaps, so the subgroup is that start.
-                ks[after.bit_length() - k] = k
-            elif subgroup := subgroup & ~ends:  # a start whose gaps run out here drops
-                pending.append((subgroup << 1, after, k + 1))
+    for p in range(1, table.count):
+        current = everyone
+        for k, match in enumerate(masks[p - 1 :], start=1):
+            current = advance(current, match)
+            if current & (current - 1) == 0:
+                ks[p] = k
+                break
     return ks
 
 

@@ -259,8 +259,11 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     C6  successive mark gaps differ (gap variability on the cable).
     C7  successive sensor gaps differ (gap variability on the support).
 
-    Pure: identical input yields an identical report.
+    Pure: identical input yields an identical report.  A ``tol`` that is
+    not finite and positive is a ValueError, as for the gap tolerance.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"geometric tolerance must be finite and positive, got {tol}")
     g = design.geometry
     d_gaps = design.marks.gaps
     z_gaps = design.sensors.gaps

@@ -317,10 +317,11 @@ def table_winding(gaps: list[float]) -> EventTable:
 
 
 def stepwise_stroke_profile(table: EventTable, tolerance: float) -> tuple[StartStroke, ...]:
-    """Reference walk: :func:`stroke_profile`'s walk as it was before groups
-    stepped in place, with one ``advance`` call on every step of every
-    group.  It returns the profile's entries, one per start, each stroke
-    the length between the start's event and the one k gaps on."""
+    """Reference walk: starts that share a gap prefix are replayed together,
+    as groups split by the exact value of their next gap, with one
+    ``advance`` call on every step of every group.  It returns the
+    profile's entries, one per start, each stroke the length between the
+    start's event and the one k gaps on."""
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
@@ -780,9 +781,9 @@ class TestStrokeProfile:
         assert table.count == 145
         self.assert_matches_brute_oracle(table, 0.05)
 
-    def test_starts_with_a_shared_gap_prefix_share_each_step(self, monkeypatch):
-        # A deterministic work bound for the walk: replaying every start on
-        # its own makes 6,784 elimination steps on this table.
+    def test_each_start_folds_until_it_is_identified(self, monkeypatch):
+        # An exact work pin for the walk: every start folds its gaps, one
+        # advance call each, and stops at the step that identifies it.
         table = long_recipe_table()
         calls = 0
         advance = events.advance
@@ -793,8 +794,12 @@ class TestStrokeProfile:
             return advance(*args)
 
         monkeypatch.setattr(events, "advance", counting)
-        events._walk_starts(table, 0.05)
-        assert 0 < calls <= 1000
+        for tolerance, expected in ((0.05, 6784), (0.3, 9747)):
+            calls = 0
+            ks = events._walk_starts(table, tolerance)
+            assert calls == expected == sum(
+                ks.get(p, table.count - p) for p in range(1, table.count)
+            )
 
     def test_each_gap_value_is_matched_once(self, monkeypatch):
         # A work bound for matching: every walk asks for each distinct gap
@@ -834,24 +839,6 @@ class TestStrokeProfile:
             table = table_winding([rng.choice(pool) for _ in range(rng.randint(2, 12))])
             entries = stepwise_stroke_profile(table, tolerance)
             assert_profile_has(stroke_profile(table, tolerance), entries)
-
-    def test_groups_step_in_place_without_advance(self, monkeypatch):
-        # A group whose candidates are its own starts, all sharing the next
-        # gap, steps in place without advance.  Calling it on every step
-        # takes 893 calls on the long table and 4,614 on the climb table.
-        calls = 0
-        advance = events.advance
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return advance(*args)
-
-        monkeypatch.setattr(events, "advance", counting)
-        for table, bound in ((long_recipe_table(), 300), (climb_table(100.0), 600)):
-            calls = 0
-            events._walk_starts(table, 0.05)
-            assert 0 < calls <= bound
 
     def test_a_start_whose_gaps_run_out_has_no_stroke(self):
         # Start 4 winds its two 2 m gaps, 4 m, and is still ambiguous when

@@ -351,7 +351,7 @@ class TestRunTrace:
         assert result.status == "ambiguous" and result.status in ("ambiguous", "no_match")
         assert result.lines()[0] == "status: ambiguous"
 
-    @pytest.mark.parametrize("tolerance", [0.01, 0.05])
+    @pytest.mark.parametrize("tolerance", [0.01, 0.05, 0.3, 0.6])
     @pytest.mark.parametrize("name", PROFILE_DESIGNS)
     def test_identified_stroke_matches_profile(self, name, tolerance):
         design = PROFILE_DESIGNS[name]

@@ -346,6 +346,13 @@ class TestValidateDesign:
     def test_pure(self, workshop):
         assert validate_design(workshop) == validate_design(workshop)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, 0.0])
+    def test_rejects_unusable_tolerance(self, workshop, tol):
+        # Unchecked, nan failed only C3, -1 C1 and C3, inf all but C3, and
+        # 0 passed every condition.
+        with pytest.raises(ValueError, match="finite and positive"):
+            validate_design(workshop, tol)
+
     def test_report_shape(self, medium):
         report = validate_design(medium)
         assert tuple(c.name for c in report) == ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
