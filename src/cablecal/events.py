@@ -311,6 +311,17 @@ def rectify(table: EventTable) -> EventTable:
     return EventTable._from_columns(_gather(columns, _survivors(*columns[1:])), rectified=True)
 
 
+def detection_count(table: EventTable) -> int:
+    """How many detections a table's events make: each group of events
+    detected together, as :func:`rectify` groups them, counts once.
+
+    :func:`rectify` keeps one event per group, so this is the count of the
+    table it returns, read from the lengths without building that table.
+    """
+    rhos = table.rho_values
+    return sum(_new_lengths(rhos), 1) if rhos else 0
+
+
 def left_sum(values: Iterable[float]) -> float:
     """Sum in iteration order with plain float additions.
 

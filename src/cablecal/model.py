@@ -254,10 +254,17 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
         detection leaves exactly the boost length free.
     C4  no two successive sensors coincide.
     C5  after resolving simultaneous detections, every instant maps to one
-        event with a strictly positive length gap (checked by enumerating the
-        design's event table).
+        event with a length gap above tol (checked on the design's event
+        table).
     C6  successive mark gaps differ (gap variability on the cable).
     C7  successive sensor gaps differ (gap variability on the support).
+
+    C5 counts the detections of the raw table
+    (:func:`~cablecal.events.detection_count`): those are its exploitable
+    events, and the rest were detected with one of them.  The gap between
+    the events :func:`~cablecal.events.rectify` keeps of successive groups
+    exceeds ``GEOM_TOL``, so no tie is left at a ``tol`` up to that, the
+    default; only above it is the table rectified and its gaps counted.
 
     Pure: identical input yields an identical report.  A ``tol`` that is
     not finite and positive is a ValueError, as for the gap tolerance.
@@ -305,17 +312,19 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
 
     # C5: one event per instant once simultaneities are resolved.
     raw = _events.enumerate_events(design)
-    rect = _events.rectify(raw)
-    # Each gap rhos[q] - rhos[q + 1] is read once, so the table's cached
-    # tuple of them is never built.
-    rhos = rect.rho_values
-    residual_ties = sum(1 for a, b in zip(rhos, rhos[1:]) if a - b <= tol)
-    merged = raw.count - rect.count
+    exploitable = _events.detection_count(raw)
+    merged = raw.count - exploitable
+    residual_ties = 0
+    if tol > GEOM_TOL:
+        # Each gap rhos[q] - rhos[q + 1] is read once, so the table's cached
+        # tuple of them is never built.
+        rhos = _events.rectify(raw).rho_values
+        residual_ties = sum(1 for a, b in zip(rhos, rhos[1:]) if a - b <= tol)
     checks.append(
         Condition(
             "C5",
             residual_ties == 0,
-            f"{merged} simultaneous detections resolved, {rect.count} exploitable events"
+            f"{merged} simultaneous detections resolved, {exploitable} exploitable events"
             + (f"; {residual_ties} unresolved ties" if residual_ties else ""),
         )
     )

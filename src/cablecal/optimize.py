@@ -54,23 +54,26 @@ def compare(a: ObjectiveScore, b: ObjectiveScore) -> int:
 def score(
     design: CalibrationDesign,
     tolerance: float = DEFAULT_GAP_TOLERANCE,
-    record: dict[tuple[float, ...], ObjectiveScore] | None = None,
+    record: dict[tuple[tuple, ...], ObjectiveScore] | None = None,
 ) -> ObjectiveScore:
     """Gap statistics plus identification strokes for one design.
 
     ``tolerance`` is the gap match tolerance calibration will use, so the
     strokes are the ones the identifier actually needs.
 
-    A ``record`` answers designs whose rectified gaps were scored before;
+    A ``record`` answers designs whose raw event table was scored before;
     :func:`search` keeps one in its enumeration, because that builds every
     rotation of a mark-pool ordering and each rotation builds the same
-    layout.  Both the statistics and the profile read only the gaps and the
-    tolerance, so one record, which maps the gaps to their score, serves
-    calls at one tolerance.
+    layout.  The raw table's marks, sensors and lengths fix the rectified
+    table, and the statistics and the profile read only its gaps and the
+    tolerance.  So one record, which maps those raw columns to their score,
+    serves calls at one tolerance, and a design it answers is not rectified.
     """
-    table = rectify(enumerate_events(design))
-    if record is not None and table.gaps in record:
-        return record[table.gaps]
+    raw = enumerate_events(design)
+    key = raw._columns[1:]  # the (i, j, rho) columns
+    if record is not None and (scored := record.get(key)) is not None:
+        return scored
+    table = rectify(raw)
     stats = delta_stats(table)
     profile = stroke_profile(table, tolerance)
     worst = profile.worst_stroke
@@ -81,7 +84,7 @@ def score(
         unidentifiable_starts=profile.unidentifiable_starts,
     )
     if record is not None:
-        record[table.gaps] = scored
+        record[key] = scored
     return scored
 
 
@@ -125,7 +128,7 @@ class SearchResult(NamedTuple):
 def _assess(
     candidate: DesignRecipe,
     tolerance: float,
-    record: dict[tuple[float, ...], ObjectiveScore] | None,
+    record: dict[tuple[tuple, ...], ObjectiveScore] | None,
 ):
     """(candidate, design, score) for a recipe whose design meets C1..C5 and
     can be scored, else None.  A ``record`` is passed on to :func:`score`."""
@@ -177,9 +180,9 @@ def search(
     revisited or rotated ordering counts against the budget and is answered
     from that score without a build.  ``revisits`` counts evaluations of an
     ordering visited before.  The enumeration visits each ordering once and
-    builds every one; a rotation there is answered from the gaps its
-    layout's first ordering scored (see :func:`score`) instead of profiling
-    them again.
+    builds every one; a rotation there is answered from the raw event table
+    its layout's first ordering scored (see :func:`score`), without
+    rectifying or profiling it again.
     """
     check_gap_tolerance(tolerance)
     if budget < 0:
@@ -201,9 +204,10 @@ def search(
     # when it does not conform.  The enumeration visits each ordering once
     # and keeps none.
     seen: dict[tuple[tuple[float, ...], tuple[float, ...]], ObjectiveScore | None] = {}
-    # The enumeration's rectified gaps -> their score, for :func:`score`.
-    # The climb's layout keys leave it nothing to answer.
-    record: dict[tuple[float, ...], ObjectiveScore] | None = {} if exhaustive else None
+    # The enumeration's raw tables, by their (i, j, rho) columns -> their
+    # score, for :func:`score`.  The climb's layout keys leave it nothing
+    # to answer.
+    record: dict[tuple[tuple, ...], ObjectiveScore] | None = {} if exhaustive else None
 
     def evaluate(d_order: tuple[float, ...], z_order: tuple[float, ...]) -> ObjectiveScore | None:
         """The score of one ordering; None when it does not conform.

@@ -600,6 +600,15 @@ class TestRectify:
             assert table == group_list_rectify(raw)
             assert all(type(event) is Event for event in table.events)
 
+    def test_detection_count_is_the_rectified_count(self):
+        # validate_design reads C5's exploitable events from the raw table.
+        raws = [enumerate_events(design) for design in columnar_designs().values()]
+        raws += [enumerate_events(design) for design in DECIMAL_LAYOUTS.values()]
+        raws += [EventTable(NEAR_TIE_CHAIN), EventTable(LISTED_LATER), EventTable(())]
+        for raw in raws:
+            assert events.detection_count(raw) == rectify(raw).count
+        assert [events.detection_count(raw) for raw in raws[-3:]] == [2, 2, 0]
+
     def test_ratio_tie_prefers_small_mark_index_listed_later(self):
         # Near-ties are listed by length, so the smaller mark can come second.
         table = EventTable(LISTED_LATER)
@@ -1392,7 +1401,9 @@ class TestColumnarTables:
         assert score(design, 0.05) is not None
         result = run_trace(design, trace)
         assert result.status is Status.IDENTIFIED and result.corrector_scale is not None
-        assert len(built) == 6
+        # validate_design enumerates but does not rectify at the default
+        # tolerance; score and run_trace build a raw and a rectified table.
+        assert len(built) == 5
         assert not any("events" in vars(table) for table in built)
 
 

@@ -368,7 +368,11 @@ class TestScansMatchReferences:
     """validate_design's scans and the layout and recipe checks against
     their one-check-at-a-time references."""
 
-    @pytest.mark.parametrize("tol", [1e-9, 0.6])
+    # C5 rectifies only at a tol above GEOM_TOL: the tolerances on either
+    # side of that switch take both paths.
+    @pytest.mark.parametrize(
+        "tol", [model.GEOM_TOL / 2, 1e-9, math.nextafter(model.GEOM_TOL, math.inf), 0.6]
+    )
     def test_every_climb_recipe_ordering(self, tol):
         geometry, d_pool, z_pool = CLIMB_RECIPE
         z_orders = list(_distinct_orderings(z_pool))
@@ -390,7 +394,7 @@ class TestScansMatchReferences:
         rng = random.Random(25)
         for _ in range(300):
             design = random_conforming_design(rng)
-            for tol in (1e-9, 0.05, 0.3, 0.6):
+            for tol in (model.GEOM_TOL / 2, 1e-9, math.nextafter(model.GEOM_TOL, math.inf), 0.05, 0.3, 0.6):
                 assert_scans_match_references(design, tol)
 
     @pytest.mark.parametrize("tol", [0.25, 1e-9])

@@ -18,7 +18,7 @@ from cablecal import (
     score,
     search,
 )
-from cablecal import optimize
+from cablecal import events, optimize
 from cablecal.optimize import (
     SearchResult,
     _distinct_orderings,
@@ -324,6 +324,35 @@ class TestSearch:
             monkeypatch.setattr(optimize, name, counting(name, getattr(optimize, name)))
         assert search(LONG_RECIPE, budget=500) == expected
         assert calls == {"delta_stats": 4, "stroke_profile": 4}
+
+    @pytest.mark.parametrize(
+        "recipe,builds,enumerated,rectified",
+        [(LONG_RECIPE, 12, 24, 4), (CLIMB_RECIPE, 188, 376, 188)],
+        ids=["long", "climb"],
+    )
+    def test_each_build_rectifies_at_most_once(self, monkeypatch, recipe, builds, enumerated, rectified):
+        # Every build enumerates its table twice, for C5 and for the score.
+        # C5 counts detections on the raw table, so only the score
+        # rectifies, and in the enumeration only for a raw table it has not
+        # scored: the long recipe's 12 orderings build 4 layouts.
+        expected = search(recipe, budget=500, seed=0)
+        calls = Counter()
+
+        def counting(name, real):
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return count
+
+        # validate_design reads the events module's functions; search and
+        # score call the names the optimize module imported.
+        for module, name in [(events, "enumerate_events"), (events, "rectify"),
+                             (optimize, "enumerate_events"), (optimize, "rectify"),
+                             (optimize, "build_design")]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert search(recipe, budget=500, seed=0) == expected
+        assert calls == {"build_design": builds, "enumerate_events": enumerated, "rectify": rectified}
 
     @pytest.mark.parametrize("recipe,exhaustive", [(LONG_RECIPE, True), (CLIMB_RECIPE, False)])
     def test_only_the_enumeration_keeps_a_gap_record(self, monkeypatch, recipe, exhaustive):
