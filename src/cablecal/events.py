@@ -39,7 +39,7 @@ class Event(NamedTuple):
     rho: float
 
 
-_length = operator.itemgetter(3)  # an event's rho
+_length = operator.itemgetter(2)  # an (i, j, rho) row's rho
 # A row record from its finished tuple, as the record's own __new__ makes
 # it, without the call through that.
 _new_row = tuple.__new__
@@ -66,20 +66,26 @@ class EventTable:
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
     collects the gaps that match a given one.  A table holds its events as
-    columns: ``times``, ``rho_values`` and the mark and sensor indices are
-    set at construction, and ``gaps`` and the index on first use.  The
-    tables :func:`enumerate_events` and :func:`rectify` return are built
-    from their columns, and their ``events`` rows are built on first read
-    (by ``==``, ``hash`` and ``repr`` too).  None of the columns is a
-    field, so they stay out of equality, hashing and repr.  The checks on
-    a table compare whole columns.
+    columns: the mark and sensor indices and ``rho_values`` are set at
+    construction, and ``gaps`` and the index on first use.  A table built
+    from rows holds the ``times`` it was given.  The tables
+    :func:`enumerate_events` returns hold the winding's ``(rho_max, v)``
+    instead and derive ``times`` from it on first read, as
+    :func:`detection_time` does; so do those :func:`rectify` returns
+    from them.  Their ``events`` rows are built on first read (by ``==``,
+    ``hash`` and ``repr`` too).  None of the columns is a field, so they
+    stay out of equality, hashing and repr.  The checks on a table compare
+    whole columns.
     """
 
     events: tuple[Event, ...]
 
+    # The winding's (rho_max, v) that a table's times derive from; None for a
+    # table that holds its times.
+    _clock = None
+
     def __post_init__(self) -> None:
-        columns = tuple(zip(*self.events)) or ((),) * 4
-        times, marks, sensors, rhos = columns
+        times, marks, sensors, rhos = tuple(zip(*self.events)) or ((),) * 4
         if not all(map(operator.le, times, times[1:])):  # a nan fails too
             raise ValueError("events must be time-ordered")
         # Ordered times without a nan are finite when the first and last are.
@@ -91,14 +97,17 @@ class EventTable:
             raise ValueError("event lengths must never rise")
         if marks and min(min(marks), min(sensors)) < 1:
             raise ValueError("mark and sensor indices start at 1")
-        vars(self).update(times=times, rho_values=rhos, _columns=columns)
+        vars(self).update(times=times, rho_values=rhos, _columns=(marks, sensors, rhos))
 
     @classmethod
-    def _from_columns(cls, columns: tuple[tuple, ...], rectified: bool = False) -> EventTable:
-        """A table of checked ``(t, i, j, rho)`` columns whose rows are built
-        on first read; ``rectified`` says the table is known to be."""
+    def _from_columns(
+        cls, columns: tuple[tuple, ...], clock: tuple[float, float] | None, rectified: bool = False
+    ) -> EventTable:
+        """A table of checked ``(i, j, rho)`` columns whose times derive from
+        ``clock`` and whose rows are built on first read; ``rectified`` says
+        the table is known to be.  A caller without a clock sets the times."""
         table = object.__new__(cls)
-        vars(table).update(times=columns[0], rho_values=columns[3], _columns=columns)
+        vars(table).update(rho_values=columns[2], _columns=columns, _clock=clock)
         if rectified:
             vars(table)["rectified"] = True
         return table
@@ -108,13 +117,20 @@ class EventTable:
         # built from columns, until they are first read.
         if name != "events":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        events = tuple(map(_new_row, repeat(Event), zip(*vars(self)["_columns"])))
+        events = tuple(map(_new_row, repeat(Event), zip(self.times, *vars(self)["_columns"])))
         vars(self)["events"] = events
         return events
 
+    @functools.cached_property
+    def times(self) -> tuple[float, ...]:
+        """When each event is detected.  Only a table with a clock reaches
+        this: each time is :func:`detection_time`'s expression of its length."""
+        rho_max, v = self._clock
+        return tuple([(rho_max - rho) / v for rho in self.rho_values])
+
     @property
     def count(self) -> int:
-        return len(self.times)
+        return len(self.rho_values)
 
     @functools.cached_property
     def rectified(self) -> bool:
@@ -230,32 +246,31 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
 
     A pair is reachable when ``rho_max - rho >= -GEOM_TOL`` and ``rho >
     GEOM_TOL``: the cable starts at full extension and the platform cannot
-    pass the support.  Each time derives from its length, so times never
-    fall.  Simultaneous events are kept; ties are ordered by ascending mark
-    index then descending sensor index for stable output.
+    pass the support.  The table holds the ``(i, j, rho)`` columns and the
+    winding's ``(rho_max, v)``, from which each time derives on first read,
+    so times never fall.  Simultaneous events are kept; ties are ordered by
+    ascending mark index then descending sensor index for stable output.
     """
     g = design.geometry
-    rho_max, h, v = g.rho_max, g.h, g.v
+    rho_max, h = g.rho_max, g.h
     positions = design.marks.positions
     top_down = tuple(enumerate(design.sensors.heights, start=1))[::-1]
     # Marks in index order and each mark's sensors top-down, so a stable
     # sort on length alone leaves ties by ascending i, then descending j.
     rows = [
-        # The expressions of detection_time and CalibrationDesign.rho_at.
-        ((rho_max - rho) / v, i, j, rho)
+        (i, j, position - (h - height))  # the expression of CalibrationDesign.rho_at
         for i, position in zip(count(1), positions)
         for j, height in top_down
-        for rho in (position - (h - height),)
     ]
     # Down the marks and down the sensors rho falls, monotone under rounding,
     # so when the first row (the longest) and the last (the shortest) reach, every row does.
-    if rho_max - rows[0][3] < -GEOM_TOL or rows[-1][3] <= GEOM_TOL:
-        rows = [row for row in rows if rho_max - row[3] >= -GEOM_TOL and row[3] > GEOM_TOL]
+    if rho_max - rows[0][2] < -GEOM_TOL or rows[-1][2] <= GEOM_TOL:
+        rows = [row for row in rows if rho_max - row[2] >= -GEOM_TOL and row[2] > GEOM_TOL]
     rows.sort(key=_length, reverse=True)
-    columns = tuple(zip(*rows)) or ((),) * 4
+    columns = tuple(zip(*rows)) or ((),) * 3
     # Sorted lengths leave the times in order, each finite as RobotGeometry bounds
     # them; every length is finite and above GEOM_TOL, so their spread is finite.
-    return EventTable._from_columns(columns)
+    return EventTable._from_columns(columns, (rho_max, g.v))
 
 
 def _survivors(
@@ -303,12 +318,18 @@ def rectify(table: EventTable) -> EventTable:
     never rise, so every survivor lies within its group and the gap between
     the survivors of successive groups exceeds ``GEOM_TOL``.  Rectifying a
     rectified table is a no-op.  The result is built from the survivors'
-    columns, a subset of the table's in order, and known to be rectified.
+    ``(i, j, rho)`` columns, a subset of the table's in order, and known to
+    be rectified.  It takes the table's clock, or, from a table built from
+    rows, the survivors' given times.
     """
-    if not table.times:
+    if not table.rho_values:
         return table
     columns = table._columns
-    return EventTable._from_columns(_gather(columns, _survivors(*columns[1:])), rectified=True)
+    keep = _survivors(*columns)
+    rectified = EventTable._from_columns(_gather(columns, keep), table._clock, rectified=True)
+    if table._clock is None:
+        vars(rectified)["times"] = tuple(map(table.times.__getitem__, keep))
+    return rectified
 
 
 def detection_count(table: EventTable) -> int:
@@ -377,18 +398,21 @@ def stroke_profile(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) 
     run out first, the final event among them, are unidentifiable.  The
     stroke is ``rho_p - rho_{p+k}``, as ``identify.run_trace`` measures it.
 
-    When matching is an equivalence on the table's gap values, every k is
-    read from a suffix sort (:func:`_sorted_starts`); otherwise, as where
-    gaps of different values match at a coarse tolerance, by folding each
-    start's gaps (:func:`_walk_starts`).  Both give every start the same k
-    and list the starts in order.
+    When matching is an equivalence on the table's gap values, a suffix
+    sort reads every k and returns the profile's rows
+    (:func:`_sorted_starts`); otherwise, as where gaps of different values
+    match at a coarse tolerance, folding each start's gaps finds them
+    (:func:`_walk_starts`).  Both give every start the same k and list the
+    starts in order.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_gap_tolerance(tolerance)
     symbols = _gap_symbols(table.gaps, tolerance)
-    ks = _walk_starts(table, tolerance) if symbols is None else _sorted_starts(symbols)
     rhos = table.rho_values
+    if symbols is not None:
+        return StrokeProfile(table.count, _sorted_starts(symbols, rhos))
+    ks = _walk_starts(table, tolerance)
     return StrokeProfile(
         table.count, tuple([(p, k, rhos[p - 1] - rhos[p - 1 + k]) for p, k in ks.items()])
     )
@@ -421,9 +445,9 @@ def _gap_symbols(gaps: tuple[float, ...], tolerance: float) -> str | None:
     return "".join(map(symbol.__getitem__, gaps)) + "\0"
 
 
-def _sorted_starts(symbols: str) -> dict[int, int]:
-    """Each identifiable start -> its k, in start order, from a table's
-    :func:`_gap_symbols`.
+def _sorted_starts(symbols: str, rhos: tuple[float, ...]) -> tuple[tuple[int, int, float], ...]:
+    """The ``(start, k, stroke)`` of each identifiable start, in start
+    order, from a table's :func:`_gap_symbols` and lengths ``rhos``.
 
     Start p is unique after k gaps exactly when no other start's gaps begin
     with its first k classes.  So k is one more than the longest prefix
@@ -431,6 +455,8 @@ def _sorted_starts(symbols: str) -> dict[int, int]:
     neighbour in sorted order, and p is identifiable when k fits in its
     gaps.  Kasai et al.'s pass (CPM 2001) finds every neighbour's prefix in
     linear time; the ``"\\0"``, found only at the end, stops each comparison.
+    The stroke is ``rhos[p - 1] - rhos[p - 1 + k]``, as :func:`stroke_profile`
+    defines it.
     """
     n = len(symbols)
     order = _suffix_order(symbols)
@@ -448,11 +474,11 @@ def _sorted_starts(symbols: str) -> dict[int, int]:
             h += 1
         shared[r] = h
         h -= h > 0
-    return {
-        i + 1: k
+    return tuple([
+        (i + 1, k, rhos[i] - rhos[i + k])
         for i, r in enumerate(rank[:-1])
         if (k := 1 + max(shared[r], shared[r + 1])) < n - i  # k fits in its n - 1 - i gaps
-    }
+    ])
 
 
 # The most characters the suffix sort's first round holds as slices: it

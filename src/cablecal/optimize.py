@@ -70,7 +70,7 @@ def score(
     serves calls at one tolerance, and a design it answers is not rectified.
     """
     raw = enumerate_events(design)
-    key = raw._columns[1:]  # the (i, j, rho) columns
+    key = raw._columns  # the (i, j, rho) columns
     if record is not None and (scored := record.get(key)) is not None:
         return scored
     table = rectify(raw)

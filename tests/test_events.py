@@ -203,6 +203,17 @@ def columnar_designs() -> dict[str, CalibrationDesign]:
     return designs
 
 
+def rewound_layouts() -> list[CalibrationDesign]:
+    """The random layouts of :func:`columnar_designs`, each wound at speeds
+    from 1e-7 to 1e3 m/s, where a time that does not divide by v shows."""
+    return [
+        replace(design, geometry=replace(design.geometry, v=v))
+        for name, design in columnar_designs().items()
+        if name.startswith("layout-")
+        for v in (1e-7, 1e-3, 3.0, 1e3)
+    ]
+
+
 # Lengths each within GEOM_TOL of the one before, wound at 1 m/s: the first
 # three are one detection though the chain spans more than GEOM_TOL.
 NEAR_TIE_CHAIN = (
@@ -439,11 +450,13 @@ class TestEnumerate:
 
     def test_events_match_detection_time_and_rho_at(self, all_designs):
         # The 5 cm designs' lengths are not binary fractions, so a reordered
-        # expression would round differently there.
+        # expression would round differently there; the rewound layouts
+        # wind at other speeds than 1 m/s.
         designs = list(all_designs.values())
         for d_pool, z_pool in FIVE_CENTIMETRE_POOLS:
             recipe = DesignRecipe(RobotGeometry(6.0, 11.0), d_pool, z_pool)
             designs.append(build_design(recipe).design)
+        designs += rewound_layouts()
         for design in designs:
             for e in enumerate_events(design).events:
                 assert e.t == detection_time(design, e.i, e.j)
@@ -469,8 +482,8 @@ class TestEnumerate:
                     early += g.rho_max - (position - (g.h - height)) < -GEOM_TOL
                     late += position - (g.h - height) <= GEOM_TOL
         assert early > 100 and late > 100
-        designs += unreachable
-        assert len(designs) == 4 + 1 + 3 + 216 + 62
+        designs += unreachable + rewound_layouts()
+        assert len(designs) == 4 + 1 + 3 + 216 + 62 + 80
         for design in designs:
             table = enumerate_events(design)
             assert table == tuple_sort_enumerate(design)
@@ -608,6 +621,22 @@ class TestRectify:
         for raw in raws:
             assert events.detection_count(raw) == rectify(raw).count
         assert [events.detection_count(raw) for raw in raws[-3:]] == [2, 2, 0]
+
+    def test_tables_built_from_rows_keep_their_given_times(self):
+        # No winding's (rho_max - rho) / v gives these times: the two events
+        # at 5 m are detected 3 s apart.
+        table = EventTable((
+            Event(0.0, 1, 1, 6.0),
+            Event(1.0, 3, 1, 5.0),
+            Event(4.0, 2, 2, 5.0),
+            Event(4.5, 4, 1, 3.0),
+            Event(9.0, 5, 2, 2.5),
+        ))
+        rectified = rectify(table)
+        assert rows(rectified) == [(0.0, 1, 1, 6.0), (4.0, 2, 2, 5.0), (4.5, 4, 1, 3.0), (9.0, 5, 2, 2.5)]
+        assert rectified.times == (0.0, 4.0, 4.5, 9.0)
+        assert rectify(rectified) == rectified
+        assert rectify(rectified).times == rectified.times
 
     def test_ratio_tie_prefers_small_mark_index_listed_later(self):
         # Near-ties are listed by length, so the smaller mark can come second.
@@ -1336,7 +1365,7 @@ def columnar_tables() -> list[tuple[str, EventTable]]:
 
 class TestColumnarTables:
     """Tables that ``enumerate_events`` and ``rectify`` build from their
-    columns, with their rows built on first read of ``events``."""
+    columns, with their times and rows built on first read of ``events``."""
 
     def test_match_their_twin_built_from_rows(self, columnar_tables):
         assert len(columnar_tables) > 60
@@ -1373,14 +1402,15 @@ class TestColumnarTables:
                 table.events
             clones = [copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))]
             for clone in clones:
-                assert ("events" in vars(clone)) is read_rows
+                # Reading the rows derives the times.
+                assert ("events" in vars(clone)) is ("times" in vars(clone)) is read_rows
                 assert clone.times == table.times and clone.rectified == table.rectified
                 assert clone == table and hash(clone) == hash(table)
                 assert repr(clone) == repr(table)
 
     def test_validate_score_and_run_trace_leave_the_rows_unbuilt(self, monkeypatch):
-        # The rows of every table these build stay unbuilt: each reads only
-        # the columns, the gaps and their index.
+        # The rows and times of every table these build stay unbuilt: each
+        # reads only the (i, j, rho) columns, the gaps and their index.
         design = presets.workshop()
         trace = simulate(design, EncoderModel(scale=1.01, offset=3.0, seed=2), 9.1, 7.4)
         built: list[EventTable] = []
@@ -1404,7 +1434,11 @@ class TestColumnarTables:
         # validate_design enumerates but does not rectify at the default
         # tolerance; score and run_trace build a raw and a rectified table.
         assert len(built) == 5
-        assert not any("events" in vars(table) for table in built)
+        assert not any("events" in vars(table) or "times" in vars(table) for table in built)
+        for table in built:
+            table.events
+            assert "times" in vars(table)
+            assert table.times == tuple(event.t for event in table.events)
 
 
 @pytest.fixture(scope="module")
