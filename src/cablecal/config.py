@@ -33,8 +33,8 @@ must set are one table, ``_SECTIONS``: a new key is one entry there.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .designer import DesignRecipe, build_design
@@ -45,6 +45,7 @@ from .model import (
     MarkLayout,
     RobotGeometry,
     SensorLayout,
+    check_tolerance,
 )
 
 
@@ -87,7 +88,10 @@ _SECTIONS = {
         {"d_pool": _numbers, "z_pool": _numbers, "os1": float, "sensor_heights": _numbers},
         ("d_pool", "z_pool"),
     ),
-    "tolerances": ({"geom": float, "gap": float}, ()),
+    "tolerances": (
+        {"geom": partial(check_tolerance, "geometric"), "gap": partial(check_tolerance, "gap")},
+        (),
+    ),
 }
 
 
@@ -175,8 +179,6 @@ def load_config(path: str | Path, require_design: bool = True) -> LoadedConfig:
     tolerances = _values(parser, "tolerances", where)
     geom_tol = tolerances.get("geom", GEOM_TOL)
     gap_tol = tolerances.get("gap", DEFAULT_GAP_TOLERANCE)
-    if not all(math.isfinite(tol) and tol > 0 for tol in (geom_tol, gap_tol)):
-        raise ConfigError(f"{where}: [tolerances] values must be finite and positive")
 
     has_layout = parser.has_section("layout")
     if has_layout == parser.has_section("recipe"):

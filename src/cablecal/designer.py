@@ -93,6 +93,12 @@ def sensor_count(geometry: RobotGeometry, d0: float, os1: float, z_bar: float) -
     return int(1 + (geometry.h - d0 - os1) / z_bar)
 
 
+def _check_gaps(gaps: tuple[float, ...] | list[float], element: str) -> None:
+    """Reject gaps a placement walk cannot take: none, or one not finite and positive."""
+    if not (gaps and all(0 < gap < math.inf for gap in gaps)):
+        raise ValueError(f"{element} gaps must be finite, positive and non-empty")
+
+
 def place_sensors(
     geometry: RobotGeometry,
     os1: float,
@@ -107,8 +113,7 @@ def place_sensors(
     sensor is added at h - d0 instead of moving os1.  Raises ValueError once
     the walk has placed MAX_PAIRS sensors.
     """
-    if not z_gaps or any(z <= 0 for z in z_gaps):
-        raise ValueError("sensor gaps must be positive and non-empty")
+    _check_gaps(z_gaps, "sensor")
     ceiling = geometry.h - d0
     if os1 > ceiling + GEOM_TOL:
         raise ValueError(
@@ -159,8 +164,7 @@ def place_marks(
     when no closing combination lands on dn exactly, and ValueError once
     the walk has placed MAX_PAIRS marks.
     """
-    if not d_pool or any(d <= 0 for d in d_pool):
-        raise ValueError("mark gaps must be positive and non-empty")
+    _check_gaps(d_pool, "mark")
     top = geometry.rho_max - d0
     span = top - dn
     if span < -GEOM_TOL:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import NamedTuple, TypeVar
 
-from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
+from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_tolerance
 
 EVENT_CSV_HEADER = "t,i,j,rho,delta_rho"
 
@@ -67,22 +67,18 @@ class EventTable:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
     collects the gaps that match a given one.  A table holds its events as
     columns: the mark and sensor indices and ``rho_values`` are set at
-    construction, and ``gaps`` and the index on first use.  A table built
-    from rows holds the ``times`` it was given.  The tables
-    :func:`enumerate_events` returns hold the winding's ``(rho_max, v)``
-    instead and derive ``times`` from it on first read, as
-    :func:`detection_time` does; so do those :func:`rectify` returns
-    from them.  Their ``events`` rows are built on first read (by ``==``,
-    ``hash`` and ``repr`` too).  None of the columns is a field, so they
-    stay out of equality, hashing and repr.  The checks on a table compare
-    whole columns.
+    construction, and ``gaps`` and the index on first use.  A table is of
+    one of two kinds.  One built from rows holds the ``times`` it was
+    given, and its ``_clock`` is None.  One that :func:`enumerate_events`
+    builds, or :func:`rectify` from such a table, holds the winding's
+    ``(rho_max, v)`` as its ``_clock`` and derives ``times`` from it on
+    first read, as :func:`detection_time` does; its ``events`` rows are
+    built on first read (by ``==``, ``hash`` and ``repr`` too).  None of
+    the columns is a field, so they stay out of equality, hashing and
+    repr.  The checks on a table compare whole columns.
     """
 
     events: tuple[Event, ...]
-
-    # The winding's (rho_max, v) that a table's times derive from; None for a
-    # table that holds its times.
-    _clock = None
 
     def __post_init__(self) -> None:
         times, marks, sensors, rhos = tuple(zip(*self.events)) or ((),) * 4
@@ -97,15 +93,15 @@ class EventTable:
             raise ValueError("event lengths must never rise")
         if marks and min(min(marks), min(sensors)) < 1:
             raise ValueError("mark and sensor indices start at 1")
-        vars(self).update(times=times, rho_values=rhos, _columns=(marks, sensors, rhos))
+        vars(self).update(times=times, rho_values=rhos, _columns=(marks, sensors, rhos), _clock=None)
 
     @classmethod
     def _from_columns(
-        cls, columns: tuple[tuple, ...], clock: tuple[float, float] | None, rectified: bool = False
+        cls, columns: tuple[tuple, ...], clock: tuple[float, float], rectified: bool = False
     ) -> EventTable:
         """A table of checked ``(i, j, rho)`` columns whose times derive from
-        ``clock`` and whose rows are built on first read; ``rectified`` says
-        the table is known to be.  A caller without a clock sets the times."""
+        the winding's ``clock``, ``(rho_max, v)``, and whose rows are built
+        on first read; ``rectified`` says the table is known to be."""
         table = object.__new__(cls)
         vars(table).update(rho_values=columns[2], _columns=columns, _clock=clock)
         if rectified:
@@ -317,19 +313,18 @@ def rectify(table: EventTable) -> EventTable:
     One pass rectifies every table :class:`EventTable` accepts: its lengths
     never rise, so every survivor lies within its group and the gap between
     the survivors of successive groups exceeds ``GEOM_TOL``.  Rectifying a
-    rectified table is a no-op.  The result is built from the survivors'
-    ``(i, j, rho)`` columns, a subset of the table's in order, and known to
-    be rectified.  It takes the table's clock, or, from a table built from
-    rows, the survivors' given times.
+    rectified table is a no-op.  The result is the kind of table ``table``
+    is: from a table with a clock, one built from the survivors' ``(i, j,
+    rho)`` columns, a subset of the table's in order, with that clock and
+    known to be rectified; from a table built from rows, the table of the
+    survivors' rows, given times included.
     """
     if not table.rho_values:
         return table
-    columns = table._columns
-    keep = _survivors(*columns)
-    rectified = EventTable._from_columns(_gather(columns, keep), table._clock, rectified=True)
+    keep = _survivors(*table._columns)
     if table._clock is None:
-        vars(rectified)["times"] = tuple(map(table.times.__getitem__, keep))
-    return rectified
+        return EventTable(tuple(map(table.events.__getitem__, keep)))
+    return EventTable._from_columns(_gather(table._columns, keep), table._clock, rectified=True)
 
 
 def detection_count(table: EventTable) -> int:
@@ -399,23 +394,21 @@ def stroke_profile(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) 
     stroke is ``rho_p - rho_{p+k}``, as ``identify.run_trace`` measures it.
 
     When matching is an equivalence on the table's gap values, a suffix
-    sort reads every k and returns the profile's rows
-    (:func:`_sorted_starts`); otherwise, as where gaps of different values
-    match at a coarse tolerance, folding each start's gaps finds them
-    (:func:`_walk_starts`).  Both give every start the same k and list the
-    starts in order.
+    sort reads every k (:func:`_sorted_starts`); otherwise, as where gaps
+    of different values match at a coarse tolerance, folding each start's
+    gaps finds them (:func:`_walk_starts`).  Both return the profile's
+    ``(start, k, stroke)`` rows, with the same k for every start, in start
+    order.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
-    check_gap_tolerance(tolerance)
+    check_tolerance("gap", tolerance)
     symbols = _gap_symbols(table.gaps, tolerance)
-    rhos = table.rho_values
-    if symbols is not None:
-        return StrokeProfile(table.count, _sorted_starts(symbols, rhos))
-    ks = _walk_starts(table, tolerance)
-    return StrokeProfile(
-        table.count, tuple([(p, k, rhos[p - 1] - rhos[p - 1 + k]) for p, k in ks.items()])
-    )
+    if symbols is None:
+        rows = _walk_starts(table, tolerance)
+    else:
+        rows = _sorted_starts(symbols, table.rho_values)
+    return StrokeProfile(table.count, rows)
 
 
 def _gap_symbols(gaps: tuple[float, ...], tolerance: float) -> str | None:
@@ -513,8 +506,8 @@ def _suffix_order(text: str) -> list[int]:
         h *= 2
 
 
-def _walk_starts(table: EventTable, tolerance: float) -> dict[int, int]:
-    """Each identifiable start -> its k, in start order: start p folds its
+def _walk_starts(table: EventTable, tolerance: float) -> tuple[tuple[int, int, float], ...]:
+    """:func:`_sorted_starts`'s rows, found by folding: start p folds its
     gaps through :func:`advance` from the full candidate set, as
     ``identify.run_trace`` folds a drive's, and k is the step that leaves
     one current event.  Every gap value is folded at k = 1, so its match
@@ -522,16 +515,17 @@ def _walk_starts(table: EventTable, tolerance: float) -> dict[int, int]:
     """
     matches = {gap: table.match_mask(gap, tolerance) for gap in table.gap_positions}
     masks = tuple(map(matches.__getitem__, table.gaps))  # each gap's matches, in table order
+    rhos = table.rho_values
     everyone = (1 << table.count) - 1
-    ks: dict[int, int] = {}
+    rows = []
     for p in range(1, table.count):
         current = everyone
         for k, match in enumerate(masks[p - 1 :], start=1):
             current = advance(current, match)
             if current & (current - 1) == 0:
-                ks[p] = k
+                rows.append((p, k, rhos[p - 1] - rhos[p - 1 + k]))
                 break
-    return ks
+    return tuple(rows)
 
 
 def format_event_csv(table: EventTable, precision: str = "table") -> str:
@@ -548,11 +542,8 @@ def format_event_csv(table: EventTable, precision: str = "table") -> str:
         return f"{x:.2f}" if precision == "table" else repr(x)
 
     lines = [EVENT_CSV_HEADER]
-    prev_rho: float | None = None
-    for e in table.events:
-        delta = "" if prev_rho is None else num(prev_rho - e.rho)
+    for e, delta in zip(table.events, chain(("",), map(num, table.gaps))):
         lines.append(f"{num(e.t)},{e.i},{e.j},{num(e.rho)},{delta}")
-        prev_rho = e.rho
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 
 from .events import advance, enumerate_events, left_sum, rectify
-from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_gap_tolerance
+from .model import DEFAULT_GAP_TOLERANCE, GEOM_TOL, CalibrationDesign, check_tolerance
 from .simulate import ObservationTrace
 
 
@@ -103,7 +103,7 @@ def run_trace(
     are a ValueError.  An online caller takes the same step per detection:
     ``events.advance(current, table.match_mask(gap, tolerance))``.
     """
-    check_gap_tolerance(tolerance)
+    check_tolerance("gap", tolerance)
     rho_max = design.geometry.rho_max
     if trace.start_rho is not None and trace.start_rho > rho_max + GEOM_TOL:
         raise ValueError(f"trace start_rho={trace.start_rho} lies above rho_max={rho_max}")

@@ -32,11 +32,14 @@ DEFAULT_GAP_TOLERANCE = 0.05
 MAX_PAIRS = 1_000_000  # most mark/sensor pairs, one event row each, a design may have
 
 
-def check_gap_tolerance(tolerance: float) -> None:
-    """Reject a gap tolerance no gap can be matched with: zero, negative or
-    non-finite."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"gap tolerance must be finite and positive, got {tolerance}")
+def check_tolerance(name: str, tolerance: float | str) -> float:
+    """``tolerance`` as a float.  One that is zero, negative or not finite
+    matches nothing and is a ValueError naming it ``name``."""
+    value = float(tolerance)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} tolerance must be finite and positive, got {tolerance}")
+    return value
+
 
 _CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 _passed = operator.attrgetter("passed")  # a condition's verdict
@@ -269,8 +272,7 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     Pure: identical input yields an identical report.  A ``tol`` that is
     not finite and positive is a ValueError, as for the gap tolerance.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"geometric tolerance must be finite and positive, got {tol}")
+    check_tolerance("geometric", tol)
     g = design.geometry
     d_gaps = design.marks.gaps
     z_gaps = design.sensors.gaps
@@ -316,10 +318,7 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     merged = raw.count - exploitable
     residual_ties = 0
     if tol > GEOM_TOL:
-        # Each gap rhos[q] - rhos[q + 1] is read once, so the table's cached
-        # tuple of them is never built.
-        rhos = _events.rectify(raw).rho_values
-        residual_ties = sum(1 for a, b in zip(rhos, rhos[1:]) if a - b <= tol)
+        residual_ties = sum(1 for gap in _events.rectify(raw).gaps if gap <= tol)
     checks.append(
         Condition(
             "C5",

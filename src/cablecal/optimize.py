@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .designer import DesignRecipe, InfeasibleRecipe, build_design, mark_cycle
 from .events import delta_stats, enumerate_events, rectify, stroke_profile
-from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_gap_tolerance
+from .model import DEFAULT_GAP_TOLERANCE, CalibrationDesign, check_tolerance
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def search(
     its layout's first ordering scored (see :func:`score`), without
     rectifying or profiling it again.
     """
-    check_gap_tolerance(tolerance)
+    check_tolerance("gap", tolerance)
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if recipe.sensor_heights is not None:

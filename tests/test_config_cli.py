@@ -391,7 +391,15 @@ class TestConfigErrors:
             ),
             (
                 MEDIUM_LAYOUT.replace("2 5", "2 x") + "[tolerances]\ngap = 0\n",
-                "{path}: [tolerances] values must be finite and positive",
+                "{path}: [tolerances] gap: gap tolerance must be finite and positive, got 0",
+            ),
+            (
+                MEDIUM_LAYOUT + "[tolerances]\ngap = nan\n",
+                "{path}: [tolerances] gap: gap tolerance must be finite and positive, got nan",
+            ),
+            (
+                MEDIUM_LAYOUT + "[tolerances]\ngeom = 0\n",
+                "{path}: [tolerances] geom: geometric tolerance must be finite and positive, got 0",
             ),
             (
                 MEDIUM_LAYOUT.replace("rho_max = 11\n", "rho_max = 11\n[geometry]\n"),
@@ -414,6 +422,8 @@ class TestConfigErrors:
             "layout-and-recipe-without-z-pool",
             "names-before-values",
             "tolerances-before-layout",
+            "nan-gap-tolerance",
+            "zero-geom-tolerance",
             "duplicate-section",
             "missing-section-header",
             "unparsable-line",
@@ -1012,6 +1022,16 @@ class TestConfigDirEnv:
         local.write_text("[geometry]\nh = banana\n")
         monkeypatch.chdir(tmp_path)
         assert main(["validate", "workshop.ini"]) == 1  # the local broken file is used
+
+    def test_missing_from_both_places_names_the_path_as_given(
+        self, config_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("CABLECAL_CONFIG_DIR", str(config_dir))
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "absent.ini"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: absent.ini: ") and str(config_dir) not in err
 
 
 class TestRepeatedMain:

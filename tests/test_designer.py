@@ -89,9 +89,14 @@ class TestPlaceSensors:
         with pytest.raises(ValueError):
             place_sensors(G_MEDIUM, os1=5.5, z_gaps=(1.0,), d0=1.0)
 
-    @pytest.mark.parametrize("z_gaps", [(), (1.0, 0.0), (-1.0,)], ids=["empty", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "z_gaps",
+        [(), (1.0, 0.0), (-1.0,), (math.nan,), (1.0, math.inf)],
+        ids=["empty", "zero", "negative", "nan", "inf"],
+    )
     def test_gaps_must_be_positive_and_non_empty(self, z_gaps):
-        with pytest.raises(ValueError, match="^sensor gaps must be positive and non-empty$"):
+        # A nan gap would walk to the pair bound, an inf one past the ceiling.
+        with pytest.raises(ValueError, match="^sensor gaps must be finite, positive and non-empty$"):
             place_sensors(G_MEDIUM, os1=2.0, z_gaps=z_gaps, d0=1.0)
 
     def test_walk_stops_at_the_pair_bound(self):
@@ -137,9 +142,13 @@ class TestPlaceMarks:
         with pytest.raises(ValueError):
             place_marks(G_MEDIUM, d0=6.0, dn=6.0, d_pool=(1.0,))
 
-    @pytest.mark.parametrize("d_pool", [(), (1.0, -0.5), (0.0,)], ids=["empty", "negative", "zero"])
+    @pytest.mark.parametrize(
+        "d_pool",
+        [(), (1.0, -0.5), (0.0,), (1.0, math.nan), (math.inf,)],
+        ids=["empty", "negative", "zero", "nan", "inf"],
+    )
     def test_gaps_must_be_positive_and_non_empty(self, d_pool):
-        with pytest.raises(ValueError, match="^mark gaps must be positive and non-empty$"):
+        with pytest.raises(ValueError, match="^mark gaps must be finite, positive and non-empty$"):
             place_marks(G_MEDIUM, d0=1.0, dn=5.0, d_pool=d_pool)
 
     def test_walk_stops_at_the_pair_bound(self):

@@ -38,7 +38,7 @@ from cablecal import (
 from cablecal import events, identify, optimize
 from cablecal.designer import InfeasibleRecipe
 from cablecal.events import StartStroke, StrokeProfile, format_event_csv, left_sum, parse_event_csv
-from cablecal.model import GEOM_TOL, check_gap_tolerance
+from cablecal.model import GEOM_TOL, check_tolerance
 from cablecal.simulate import parse_trace_csv
 from conftest import FIVE_CENTIMETRE_POOLS, random_conforming_design
 from test_exactness import designs as pinned_designs
@@ -335,7 +335,7 @@ def stepwise_stroke_profile(table: EventTable, tolerance: float) -> tuple[StartS
     start's event and the one k gaps on."""
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
-    check_gap_tolerance(tolerance)
+    check_tolerance("gap", tolerance)
     gaps, rhos = table.gaps, table.rho_values
     splits = {
         gap: (bits, table.match_mask(gap, tolerance)) for gap, bits in table.gap_positions.items()
@@ -834,7 +834,7 @@ class TestStrokeProfile:
         monkeypatch.setattr(events, "advance", counting)
         for tolerance, expected in ((0.05, 6784), (0.3, 9747)):
             calls = 0
-            ks = events._walk_starts(table, tolerance)
+            ks = {p: k for p, k, _ in events._walk_starts(table, tolerance)}
             assert calls == expected == sum(
                 ks.get(p, table.count - p) for p in range(1, table.count)
             )
@@ -924,7 +924,7 @@ def assert_walks_agree(table: EventTable, paths: Counter) -> None:
         entries = stepwise_stroke_profile(table, tolerance)
         assert_profile_has(stroke_profile(table, tolerance), entries)
         walked = events._walk_starts(table, tolerance)
-        assert walked == {e.start: e.k for e in entries if e.identifiable}
+        assert walked == tuple(e for e in entries if e.identifiable)
         paths["walk" if events._gap_symbols(table.gaps, tolerance) is None else "suffixes"] += 1
 
 
@@ -1352,20 +1352,19 @@ class TestLeftToRightSums:
 @pytest.fixture(scope="module")
 def columnar_tables() -> list[tuple[str, EventTable]]:
     """Every raw and rectified table of :func:`columnar_designs`, as
-    ``enumerate_events`` and ``rectify`` return them, plus the
-    rectifications of near-tie chains."""
+    ``enumerate_events`` and ``rectify`` return them."""
     tables = []
     for name, design in columnar_designs().items():
         raw = enumerate_events(design)
         tables += [(f"{name}-raw", raw), (f"{name}-rectified", rectify(raw))]
-    chains = {"chain": NEAR_TIE_CHAIN, "listed-later": LISTED_LATER}
-    tables += [(name, rectify(EventTable(events))) for name, events in chains.items()]
     return tables
 
 
 class TestColumnarTables:
     """Tables that ``enumerate_events`` and ``rectify`` build from their
-    columns, with their times and rows built on first read of ``events``."""
+    columns and the winding's clock, with their times and rows built on
+    first read of ``events``.  ``rectify`` of a table built from rows
+    returns a table built from rows."""
 
     def test_match_their_twin_built_from_rows(self, columnar_tables):
         assert len(columnar_tables) > 60
@@ -1388,6 +1387,24 @@ class TestColumnarTables:
             if not name.endswith("-raw"):
                 assert vars(table)["rectified"] is True, name
                 assert all(events._new_lengths(table.rho_values)), name
+
+    def test_rectify_of_rows_gives_the_table_of_its_survivors_rows(self):
+        # The rows' times are given, so the result keeps them; it equals the
+        # rectified clocked twin, times included.
+        for name, design in columnar_designs().items():
+            raw = enumerate_events(design)
+            rectified, clocked = rectify(EventTable(raw.events)), rectify(raw)
+            assert rectified._clock is None and "times" in vars(rectified), name
+            assert rectified == clocked and rectified.times == clocked.times, name
+        # Near-tie chains keep the survivor of least i/j at its given time.
+        chains = {
+            NEAR_TIE_CHAIN: [(0.8e-9, 1, 1, 4.9999999992), (3.0, 4, 1, 2.0)],
+            LISTED_LATER: [(0.5e-9, 2, 1, 4.9999999995), (3.0, 5, 1, 2.0)],
+        }
+        for chain, expected in chains.items():
+            rectified = rectify(EventTable(chain))
+            assert rows(rectified) == expected
+            assert rectified.times == (expected[0][0], 3.0) and rectified.rectified
 
     def test_other_missing_attributes_raise_attribute_error(self, workshop):
         table = enumerate_events(workshop)
