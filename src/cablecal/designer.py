@@ -9,9 +9,7 @@ distal reserve so the final detection leaves the boost length free.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 from .model import (
@@ -47,16 +45,17 @@ class DesignRecipe:
     sensor_heights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.d_pool or not self.z_pool:
-            raise ValueError("gap pools must be non-empty")
+        # The rule _check_gaps states for a placement walk's gaps, over both
+        # pools, plus a finite os1.
         pools = (*self.d_pool, *self.z_pool)
-        if not (all(map(math.isfinite, pools)) and (self.os1 is None or math.isfinite(self.os1))):
+        if not (
+            self.d_pool and self.z_pool and all(0 < gap < math.inf for gap in pools)
+            and (self.os1 is None or math.isfinite(self.os1))
+        ):
             raise ValueError(
-                f"gap pools and os1 must be finite, got d_pool={self.d_pool} "
-                f"z_pool={self.z_pool} os1={self.os1}"
+                "gap pools must be finite, positive and non-empty and os1 finite, got "
+                f"d_pool={self.d_pool} z_pool={self.z_pool} os1={self.os1}"
             )
-        if not all(map(operator.lt, repeat(0), pools)):
-            raise ValueError("gap pool values must be positive")
 
 
 class BuildResult(NamedTuple):

@@ -246,7 +246,14 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     winding's ``(rho_max, v)``, from which each time derives on first read,
     so times never fall.  Simultaneous events are kept; ties are ordered by
     ascending mark index then descending sensor index for stable output.
+
+    The table is a pure function of the design, so it is built on a
+    design's first call and kept in the design's instance dict, out of its
+    fields (``==``, ``hash`` and ``repr`` do not see it): every later call
+    on that design object returns the same table object.
     """
+    if (table := vars(design).get("_raw_table")) is not None:
+        return table
     g = design.geometry
     rho_max, h = g.rho_max, g.h
     positions = design.marks.positions
@@ -266,7 +273,8 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     columns = tuple(zip(*rows)) or ((),) * 3
     # Sorted lengths leave the times in order, each finite as RobotGeometry bounds
     # them; every length is finite and above GEOM_TOL, so their spread is finite.
-    return EventTable._from_columns(columns, (rho_max, g.v))
+    table = vars(design)["_raw_table"] = EventTable._from_columns(columns, (rho_max, g.v))
+    return table
 
 
 def _survivors(

@@ -262,8 +262,10 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     C6  successive mark gaps differ (gap variability on the cable).
     C7  successive sensor gaps differ (gap variability on the support).
 
-    C5 counts the detections of the raw table
-    (:func:`~cablecal.events.detection_count`): those are its exploitable
+    C5 counts the detections of the design's raw table
+    (:func:`~cablecal.events.detection_count`), the table
+    :func:`~cablecal.events.enumerate_events` builds once per design and
+    :func:`~cablecal.optimize.score` reads again: those are its exploitable
     events, and the rest were detected with one of them.  The gap between
     the events :func:`~cablecal.events.rectify` keeps of successive groups
     exceeds ``GEOM_TOL``, so no tie is left at a ``tol`` up to that, the

@@ -68,6 +68,9 @@ def score(
     table, and the statistics and the profile read only its gaps and the
     tolerance.  So one record, which maps those raw columns to their score,
     serves calls at one tolerance, and a design it answers is not rectified.
+    The raw table is the one :func:`enumerate_events` built for the design,
+    as :func:`~cablecal.model.validate_design` did for C5 when the design
+    was built, so the key costs no second enumeration.
     """
     raw = enumerate_events(design)
     key = raw._columns  # the (i, j, rho) columns

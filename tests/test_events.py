@@ -6,6 +6,8 @@ import math
 import operator
 import pickle
 import random
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -1449,13 +1451,126 @@ class TestColumnarTables:
         result = run_trace(design, trace)
         assert result.status is Status.IDENTIFIED and result.corrector_scale is not None
         # validate_design enumerates but does not rectify at the default
-        # tolerance; score and run_trace build a raw and a rectified table.
+        # tolerance; score and run_trace each get the raw table it built
+        # and rectify it.
         assert len(built) == 5
+        assert built[0] is built[1] is built[3]
         assert not any("events" in vars(table) or "times" in vars(table) for table in built)
         for table in built:
             table.events
             assert "times" in vars(table)
             assert table.times == tuple(event.t for event in table.events)
+
+
+class TestSharedRawTable:
+    """``enumerate_events`` builds a design's raw table on its first call
+    and returns that same table object on every later call for the design.
+    The table is kept out of the design's fields."""
+
+    def test_every_call_returns_the_same_table(self):
+        for name, design in columnar_designs().items():
+            table = enumerate_events(design)
+            assert enumerate_events(design) is table, name
+            twin = replace(design)
+            assert enumerate_events(twin) is not table, name
+            assert enumerate_events(twin) == table == tuple_sort_enumerate(design), name
+
+    def test_equality_hash_and_repr_ignore_the_table(self):
+        for name, design in columnar_designs().items():
+            before = (repr(design), hash(design))
+            enumerate_events(design).events
+            twin = replace(design)
+            assert (repr(design), hash(design)) == before == (repr(twin), hash(twin)), name
+            assert design == twin and twin == design, name
+            assert "_raw_table" in vars(design) and "_raw_table" not in vars(twin), name
+
+    @pytest.mark.parametrize("read_rows", [False, True], ids=["unbuilt", "built"])
+    def test_copy_and_pickle_give_an_equal_table(self, read_rows):
+        for name, design in columnar_designs().items():
+            table = enumerate_events(design)
+            if read_rows:
+                table.events
+            fresh = enumerate_events(replace(design))
+            for clone in (copy.copy(design), copy.deepcopy(design), pickle.loads(pickle.dumps(design))):
+                assert clone == design and hash(clone) == hash(design), name
+                assert enumerate_events(clone) == fresh, name
+                assert enumerate_events(clone).times == fresh.times, name
+
+    def test_a_replaced_design_gets_its_own_table(self):
+        for name, design in columnar_designs().items():
+            if design.marks.count < 2:
+                continue
+            table = enumerate_events(design)
+            fewer = replace(design, marks=MarkLayout(design.marks.positions[1:]))
+            assert enumerate_events(fewer) is not table, name
+            assert enumerate_events(fewer) == tuple_sort_enumerate(fewer), name
+            assert enumerate_events(fewer) != table, name
+
+    def test_reading_the_rows_leaves_every_result_alone(self):
+        # As ``cablecal events`` does: read the shared table's rows and times,
+        # then validate, score and calibrate the same design object.
+        for name, build in presets.ALL.items():
+            design, twin = build(), build()
+            table = enumerate_events(design)
+            table.events, table.times
+            g = design.geometry
+            trace = simulate(design, EncoderModel(scale=1.01, offset=3.0, seed=4), g.rho_max, g.b)
+            assert validate_design(design) == validate_design(twin), name
+            assert score(design, 0.05) == score(twin, 0.05), name
+            record: dict = {}
+            scored = score(design, 0.05, record)
+            assert score(twin, 0.05, record) is scored and len(record) == 1, name
+            assert run_trace(design, trace) == run_trace(twin, trace), name
+            assert enumerate_events(design) is table, name
+
+    def test_threads_that_race_get_equal_tables(self):
+        # Four threads, more than the cores, enumerate the same fresh
+        # designs at once; a racing first call may build a table twice, but
+        # every thread reads a table equal to the reference.
+        designs = [replace(design) for design in columnar_designs().values()]
+        expected = [tuple_sort_enumerate(design) for design in designs]
+        seen: list[list[EventTable]] = []
+
+        def enumerate_all():
+            seen.append([enumerate_events(design) for design in designs])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enumerate_all) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4
+        for tables in seen:
+            assert tables == expected
+        for design, table in zip(designs, expected):
+            assert enumerate_events(design) is enumerate_events(design) == table
+
+    def test_a_search_builds_each_raw_table_once(self, monkeypatch):
+        # validate_design (C5) and score both call enumerate_events on every
+        # build; the raw rows are made once per build all the same.
+        counts = Counter()
+        build, from_columns = optimize.build_design, EventTable._from_columns
+
+        def counting_build(recipe):
+            counts["builds"] += 1
+            return build(recipe)
+
+        def counting_from_columns(cls, columns, clock, rectified=False):
+            counts["raw tables"] += not rectified
+            return from_columns(columns, clock, rectified)
+
+        monkeypatch.setattr(optimize, "build_design", counting_build)
+        monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
+        d_pool, z_pool = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
+        optimize.search(DesignRecipe(RobotGeometry(h=18.0, rho_max=32.0), d_pool, z_pool), 50, seed=0)
+        assert counts["builds"] > 10
+        assert counts["raw tables"] == counts["builds"]
 
 
 @pytest.fixture(scope="module")

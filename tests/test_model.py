@@ -97,13 +97,21 @@ def reference_layout_error(values, element):
 
 
 def reference_recipe_error(d_pool, z_pool, os1):
+    """The message a recipe raises and the first of its rules broken, each
+    rule checked on its own; (None, None) when every rule holds."""
     if not d_pool or not z_pool:
-        return "gap pools must be non-empty"
-    if not all(x is None or math.isfinite(x) for x in (*d_pool, *z_pool, os1)):
-        return "gap pools and os1 must be finite"
-    if any(x <= 0 for x in d_pool) or any(x <= 0 for x in z_pool):
-        return "gap pool values must be positive"
-    return None
+        broken = "empty"
+    elif not all(x is None or math.isfinite(x) for x in (*d_pool, *z_pool, os1)):
+        broken = "not finite"
+    elif any(x <= 0 for x in d_pool) or any(x <= 0 for x in z_pool):
+        broken = "not positive"
+    else:
+        return None, None
+    message = (
+        "gap pools must be finite, positive and non-empty and os1 finite, got "
+        f"d_pool={d_pool} z_pool={z_pool} os1={os1}"
+    )
+    return message, broken
 
 
 def raised(build, *args):
@@ -465,11 +473,9 @@ class TestScansMatchReferences:
             d_pool = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
             z_pool = tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))
             os1 = rng.choice([None, 2.0, -1.0, math.inf, math.nan])
-            expected = reference_recipe_error(d_pool, z_pool, os1)
-            message = raised(DesignRecipe, geometry, d_pool, z_pool, os1)
-            assert (message or "").startswith(expected or ""), (d_pool, z_pool, os1)
-            assert (message is None) is (expected is None)
-            outcomes.add(expected)
+            expected, broken = reference_recipe_error(d_pool, z_pool, os1)
+            assert raised(DesignRecipe, geometry, d_pool, z_pool, os1) == expected, (d_pool, z_pool, os1)
+            outcomes.add(broken)
         assert len(outcomes) == 4
 
 
