@@ -363,7 +363,8 @@ def delta_stats(table: EventTable) -> DeltaStats:
     The mean divides the gap sum by count - 1 (the number of gaps); the
     spread divides the squared deviations by count - 2.  Both denominators
     are part of the toolkit's contract, so downstream numbers stay
-    reproducible.
+    reproducible.  Gaps whose squared deviations sum past the float range
+    have no statistics, a ValueError.
     """
     if not table.rectified:
         raise ValueError("delta_stats needs a rectified table")
@@ -372,7 +373,12 @@ def delta_stats(table: EventTable) -> DeltaStats:
         raise ValueError(f"need at least 3 events for gap statistics, got {n}")
     gaps = table.gaps
     mean = left_sum(gaps) / (n - 1)
-    var = left_sum(map(pow, map(operator.sub, gaps, repeat(mean)), repeat(2))) / (n - 2)
+    try:
+        var = left_sum(map(pow, map(operator.sub, gaps, repeat(mean)), repeat(2))) / (n - 2)
+    except OverflowError:  # a square past the float range
+        var = math.inf
+    if var == math.inf:
+        raise ValueError(f"the gap statistics of {n} events overflow the float range")
     return DeltaStats(mean=mean, std=math.sqrt(var), count=n)
 
 

@@ -12,6 +12,7 @@ however far it wound after its last detection.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .events import advance, enumerate_events, left_sum, rectify
@@ -67,7 +68,8 @@ def fit_encoder(
     rho) + offset`` is fitted; it needs two or more distinct wound lengths
     ``start_rho - rho`` as computed, and None is returned otherwise.  A
     start so far above the samples that those all round to one value
-    gives no fit, as a drive without a start does.
+    gives no fit, as a drive without a start does, and so do lengths whose
+    sums leave the float range or give a scale or offset that is not finite.
     """
     xs = [start_rho - rho for rho, _ in samples]
     if len(set(xs)) < 2:
@@ -76,10 +78,16 @@ def fit_encoder(
     n = len(xs)
     mx = left_sum(xs) / n
     my = left_sum(ys) / n
-    sxx = left_sum((x - mx) ** 2 for x in xs)
-    sxy = left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    scale = sxy / sxx
-    return scale, my - scale * mx
+    try:
+        sxx = left_sum((x - mx) ** 2 for x in xs)
+        scale = left_sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    except (OverflowError, ZeroDivisionError):  # squares above or all below the float range
+        return None
+    offset = my - scale * mx
+    # An overflowed sum is infinite and leaves sxx or the scale not finite.
+    if not all(map(math.isfinite, (sxx, scale, offset))):
+        return None
+    return scale, offset
 
 
 def run_trace(

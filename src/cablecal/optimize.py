@@ -54,27 +54,23 @@ def compare(a: ObjectiveScore, b: ObjectiveScore) -> int:
 def score(
     design: CalibrationDesign,
     tolerance: float = DEFAULT_GAP_TOLERANCE,
-    record: dict[tuple[tuple, ...], ObjectiveScore] | None = None,
+    record: dict[CalibrationDesign, ObjectiveScore] | None = None,
 ) -> ObjectiveScore:
     """Gap statistics plus identification strokes for one design.
 
     ``tolerance`` is the gap match tolerance calibration will use, so the
     strokes are the ones the identifier actually needs.
 
-    A ``record`` answers designs whose raw event table was scored before;
-    :func:`search` keeps one in its enumeration, because that builds every
-    rotation of a mark-pool ordering and each rotation builds the same
-    layout.  The raw table's marks, sensors and lengths fix the rectified
-    table, and the statistics and the profile read only its gaps and the
-    tolerance.  So one record, which maps those raw columns to their score,
-    serves calls at one tolerance, and a design it answers is not rectified.
-    The raw table is the one :func:`enumerate_events` built for the design,
-    as :func:`~cablecal.model.validate_design` did for C5 when the design
-    was built, so the key costs no second enumeration.
+    A ``record`` maps designs to their score at one tolerance and answers a
+    design scored before without rectifying it.  :func:`search` keeps one in
+    its enumeration, which builds every rotation of a mark-pool ordering,
+    and each rotation builds an equal design.  The raw table is read first
+    all the same: it is the one :func:`enumerate_events` built for the
+    design, as :func:`~cablecal.model.validate_design` did for C5 when the
+    design was built, so the read costs no second enumeration.
     """
     raw = enumerate_events(design)
-    key = raw._columns  # the (i, j, rho) columns
-    if record is not None and (scored := record.get(key)) is not None:
+    if record is not None and (scored := record.get(design)) is not None:
         return scored
     table = rectify(raw)
     stats = delta_stats(table)
@@ -87,7 +83,7 @@ def score(
         unidentifiable_starts=profile.unidentifiable_starts,
     )
     if record is not None:
-        record[key] = scored
+        record[design] = scored
     return scored
 
 
@@ -128,28 +124,6 @@ class SearchResult(NamedTuple):
     revisits: int
 
 
-def _assess(
-    candidate: DesignRecipe,
-    tolerance: float,
-    record: dict[tuple[tuple, ...], ObjectiveScore] | None,
-):
-    """(candidate, design, score) for a recipe whose design meets C1..C5 and
-    can be scored, else None.  A ``record`` is passed on to :func:`score`."""
-    try:
-        design, report = build_design(candidate)
-    except InfeasibleRecipe:
-        return None
-    if not report.hard_pass:
-        return None
-    try:
-        scored = score(design, tolerance, record)
-    except ValueError:
-        # The tolerance is checked and the table rectified, so score refuses
-        # only a design of fewer than 3 events, which has no gap statistics.
-        return None
-    return candidate, design, scored
-
-
 def _swap_adjacent(pool: tuple[float, ...], rng: random.Random) -> tuple[float, ...]:
     """``pool`` with one adjacent pair, drawn from ``rng``, swapped."""
     k = rng.randrange(len(pool) - 1)
@@ -183,9 +157,8 @@ def search(
     revisited or rotated ordering counts against the budget and is answered
     from that score without a build.  ``revisits`` counts evaluations of an
     ordering visited before.  The enumeration visits each ordering once and
-    builds every one; a rotation there is answered from the raw event table
-    its layout's first ordering scored (see :func:`score`), without
-    rectifying or profiling it again.
+    builds every one; a rotation there is answered from its design's record
+    entry (see :func:`score`), without rectifying or profiling it again.
     """
     check_tolerance("gap", tolerance)
     if budget < 0:
@@ -207,13 +180,13 @@ def search(
     # when it does not conform.  The enumeration visits each ordering once
     # and keeps none.
     seen: dict[tuple[tuple[float, ...], tuple[float, ...]], ObjectiveScore | None] = {}
-    # The enumeration's raw tables, by their (i, j, rho) columns -> their
-    # score, for :func:`score`.  The climb's layout keys leave it nothing
-    # to answer.
-    record: dict[tuple[tuple, ...], ObjectiveScore] | None = {} if exhaustive else None
+    # The enumeration's record for :func:`score`.  The climb's layout keys
+    # leave it nothing to answer.
+    record: dict[CalibrationDesign, ObjectiveScore] | None = {} if exhaustive else None
 
     def evaluate(d_order: tuple[float, ...], z_order: tuple[float, ...]) -> ObjectiveScore | None:
-        """The score of one ordering; None when it does not conform.
+        """The score of one ordering; None when its design fails C1..C5 or
+        has no score.
 
         A stored score cannot improve on ``best``: it was no better than
         ``best`` when first scored.
@@ -226,15 +199,25 @@ def search(
         key = None if exhaustive else (mark_cycle(d_order), z_order)
         if key in seen:
             return seen[key]
-        assessed = _assess(
-            DesignRecipe(recipe.geometry, d_order, z_order, recipe.os1, recipe.sensor_heights),
-            tolerance, record,
-        )
-        scored = None if assessed is None else assessed[2]
+        candidate = DesignRecipe(recipe.geometry, d_order, z_order, recipe.os1, recipe.sensor_heights)
+        try:
+            design, report = build_design(candidate)
+            conforms = report.hard_pass
+        except InfeasibleRecipe:
+            conforms = False
+        scored = None
+        if conforms:
+            try:
+                scored = score(design, tolerance, record)
+            except ValueError:
+                # The tolerance is checked and the table rectified, so score
+                # refuses only a design of fewer than 3 events or one whose
+                # gap statistics overflow; neither has a score.
+                pass
         if key is not None:
             seen[key] = scored
         if scored is not None and (best is None or compare(scored, best[2]) < 0):
-            best = assessed
+            best = candidate, design, scored
             trail.append((evals, scored))
         return scored
 

@@ -1150,6 +1150,46 @@ class TestShell:
         assert (shell.returncode, shell.stdout, shell.stderr) == (0, out, err)
         assert "status: identified" in out
 
+    def _shell(self, argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cablecal.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(self.SRC)}, timeout=60,
+        )
+
+    def test_calibrate_without_a_finite_encoder_fit(self, tmp_path, monkeypatch):
+        # The workshop layout scaled by 1e200: its wound lengths square past
+        # the float range, so the drive identifies without corrector lines.
+        monkeypatch.chdir(tmp_path)
+        Path("huge.ini").write_text(
+            "[geometry]\nh = 3e200\nrho_max = 13e200\nv = 1.0\nb = 1e200\n\n[layout]\n"
+            "sensor_heights = 1e200 1.5e200 2.75e200\nmark_positions = 12.75e200 12.25e200 "
+            "11.5e200 10.5e200 9.25e200 7.75e200 6e200 5.75e200 5.25e200 4.5e200 3e200\n"
+        )
+        assert main(["simulate", "huge.ini", "--start", "9.1e200", "--stop", "7.4e200", "--out", "t.csv"]) == 0
+        shell = self._shell(["calibrate", "huge.ini", "--trace", "t.csv"])
+        assert shell.returncode == 0
+        assert "status: identified" in shell.stdout.splitlines()
+        assert "corrector_" not in shell.stdout
+        assert "Traceback" not in shell.stderr
+
+    def test_optimize_skips_designs_whose_gap_statistics_overflow(self, tmp_path, monkeypatch):
+        # The CI recipe with every length scaled by 2**560 and no boost: its
+        # designs pass C1-C7, but their gap deviations square past the float
+        # range, so no ordering has a score.
+        monkeypatch.chdir(tmp_path)
+        scale = 2.0**560
+        h, rho_max, d_pool, z_pool = 6.0, 11.0, (0.5, 0.75, 1.0, 1.25, 1.5), (1.0, 2.0)
+        Path("vast.ini").write_text(
+            f"[geometry]\nh = {h * scale!r}\nrho_max = {rho_max * scale!r}\nb = 0.0\n\n[recipe]\n"
+            f"d_pool = {' '.join(repr(d * scale) for d in d_pool)}\n"
+            f"z_pool = {' '.join(repr(z * scale) for z in z_pool)}\n"
+        )
+        assert main(["validate", "vast.ini"]) == 0
+        shell = self._shell(["optimize", "vast.ini", "--budget", "5"])
+        assert shell.returncode == 2
+        assert "infeasible: no conforming design found within the search budget" in shell.stderr.splitlines()
+        assert "Traceback" not in shell.stderr
+
     @pytest.mark.parametrize(
         "old,new,where",
         [("h = 6", "h = 18%", "[geometry] h"), ("2 5", "2 5%(x)s", "[layout] sensor_heights")],

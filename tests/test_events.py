@@ -699,6 +699,15 @@ class TestDeltaStats:
         with pytest.raises(ValueError):
             delta_stats(table)
 
+    @pytest.mark.parametrize("top,middle,bottom", [(3e200, 2e200, 0.5e200), (4e154, 3e154, 0.0)])
+    def test_gaps_past_the_float_range_have_no_statistics(self, top, middle, bottom):
+        # Gaps of 1e200 and 1.5e200 deviate from their mean by 2.5e199,
+        # which squares past the float range; gaps of 1e154 and 3e154
+        # deviate by 1e154, whose squares, 1e308 each, sum past it.
+        table = EventTable((Event(0.0, 1, 1, top), Event(1.0, 2, 1, middle), Event(2.0, 3, 1, bottom)))
+        with pytest.raises(ValueError, match="^the gap statistics of 3 events overflow the float range$"):
+            delta_stats(table)
+
 
 class TestAdvance:
     @pytest.mark.parametrize("tolerance", [0.05, 0.25, 0.3])

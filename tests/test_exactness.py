@@ -118,12 +118,14 @@ def digest() -> tuple[int, str]:
 
 
 def drives(seed: int = 0):
-    """(design, trace) for every rectified start, seeded like the benchmark.
+    """(design, kind, trace) for every rectified start, seeded like the benchmark.
 
     Per start: a start length drawn inside the gap above the event, an
     encoder scale from U[0.98, 1.02], an offset from U[-50, 50], jitter sd
     0.005, and a second trace with one of the first three detections
-    dropped when the drive has three or more.
+    dropped when the drive has three or more.  The kind is ``"clean"`` for
+    the first trace and ``"faulty"`` for the second, as the benchmark
+    names them.
     """
     rng = random.Random(seed)
     h, rho_max, d_pool, z_pool = LONG_RECIPE
@@ -141,18 +143,18 @@ def drives(seed: int = 0):
                 seed=rng.randrange(2**31),
             )
             trace = simulate(design, encoder, start_rho, geometry.b)
-            yield design, trace
+            yield design, "clean", trace
             if trace.count >= 3:
                 drop = rng.randrange(3)
                 records = trace.records[:drop] + trace.records[drop + 1 :]
-                yield design, ObservationTrace(records, trace.start_rho, trace.stop_rho)
+                yield design, "faulty", ObservationTrace(records, trace.start_rho, trace.stop_rho)
 
 
 def calibration_digest() -> tuple[int, str]:
     """(number of replays, hex digest of their results)."""
     sha = hashlib.sha256()
     count = 0
-    for design, trace in drives():
+    for design, _, trace in drives():
         bare = ObservationTrace(trace.records, None, None)
         for replay in (trace, bare):
             for tolerance in TOLERANCES:

@@ -207,6 +207,14 @@ class TestFitEncoder:
         assert 1e20 - 9.0 == 1e20 - 7.5
         assert fit_encoder(1e20, [(9.0, 0.0), (7.5, 1.53)]) is None
 
+    def test_lengths_past_the_float_range_do_not_fit(self):
+        # Wound lengths 1e200 apart square past the float range, ones 1e154
+        # apart square to 1e308 and sum past it, and ones 1e-170 apart
+        # square below it; none gives a finite fit.
+        assert fit_encoder(9.1e200, [(7.75e200, 1.35e200), (6.0e200, 3.1e200)]) is None
+        assert fit_encoder(4e154, [(3e154, 0.0), (1e154, 1.0)]) is None
+        assert fit_encoder(3e-170, [(2e-170, 1.0), (1e-170, 2.0)]) is None
+
     def test_ideal_samples_give_identity(self):
         fit = fit_encoder(12.0, [(rho, 12.0 - rho) for rho in (11.0, 9.5, 7.25)])
         scale, offset = fit
@@ -426,7 +434,7 @@ class TestHistoryOracle:
         # presets and the long recipe's design, clean and with one of the
         # first three detections dropped.
         statuses = set()
-        for design, trace in drives():
+        for design, _, trace in drives():
             table = rectify(enumerate_events(design))
             readings = [r.reading for r in trace.records]
             result = run_trace(design, trace, tolerance)

@@ -137,6 +137,16 @@ class TestScore:
 
 
 class TestRecordedScore:
+    def test_record_is_keyed_by_the_design(self):
+        # Rotations of a mark-pool ordering build equal designs, so the
+        # second is answered from the first's entry.
+        first, _ = build_design(DesignRecipe(G_SMALL, FIVE_POOL, (1.0, 2.0)))
+        rotated, _ = build_design(DesignRecipe(G_SMALL, FIVE_POOL[1:] + FIVE_POOL[:1], (1.0, 2.0)))
+        record = {}
+        scored = score(first, 0.05, record)
+        assert record == {first: scored}
+        assert rotated == first and score(rotated, 0.05, record) is scored
+
     # Every ordering of a 240-ordering recipe.  At 0.3 m gaps of different
     # values match, so matching is no equivalence and the walk profiles them.
     @pytest.mark.parametrize("tolerance", [0.01, 0.05, 0.3])
