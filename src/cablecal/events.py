@@ -277,18 +277,29 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     return table
 
 
-def _survivors(
-    marks: tuple[int, ...], sensors: tuple[int, ...], rhos: tuple[float, ...]
-) -> list[int]:
-    """One grouping pass of :func:`rectify` over a table's columns: the
-    index of each group's survivor.
+def _group_starts(table: EventTable) -> list[int]:
+    """The index of each group's first event: the first event's, and each
+    one's whose length lies more than ``GEOM_TOL`` below the one before it.
+    A pure function of the table, built on first use and kept in its
+    instance dict, as :func:`enumerate_events` keeps a design's table."""
+    if (starts := vars(table).get("_group_starts")) is None:
+        rhos = table.rho_values
+        starts = [0, *compress(range(1, len(rhos)), _new_lengths(rhos))] if rhos else []
+        vars(table)["_group_starts"] = starts
+    return starts
+
+
+def _survivors(table: EventTable) -> list[int]:
+    """The index of each group's survivor for :func:`rectify`, one per
+    :func:`_group_starts` entry.
 
     The first event of a group minimising ``(i / j, i)`` survives.  The
     comparison runs field by field, and a one-event group is not ranked.
     """
+    marks, sensors, _ = table._columns
+    starts = _group_starts(table)
     survivors = []
-    first = 0
-    for last in chain(compress(range(1, len(rhos)), _new_lengths(rhos)), (len(rhos),)):
+    for first, last in zip(starts, chain(starts[1:], (table.count,))):
         survivor = first
         if last - first > 1:
             mark = marks[first]
@@ -298,7 +309,6 @@ def _survivors(
                 if (rank := i / sensors[k]) < ratio or rank == ratio and i < mark:
                     survivor, ratio, mark = k, rank, i
         survivors.append(survivor)
-        first = last
     return survivors
 
 
@@ -329,7 +339,7 @@ def rectify(table: EventTable) -> EventTable:
     """
     if not table.rho_values:
         return table
-    keep = _survivors(*table._columns)
+    keep = _survivors(table)
     if table._clock is None:
         return EventTable(tuple(map(table.events.__getitem__, keep)))
     return EventTable._from_columns(_gather(table._columns, keep), table._clock, rectified=True)
@@ -340,10 +350,10 @@ def detection_count(table: EventTable) -> int:
     detected together, as :func:`rectify` groups them, counts once.
 
     :func:`rectify` keeps one event per group, so this is the count of the
-    table it returns, read from the lengths without building that table.
+    table it returns: the length of the group list both read
+    (:func:`_group_starts`), without building that table.
     """
-    rhos = table.rho_values
-    return sum(_new_lengths(rhos), 1) if rhos else 0
+    return len(_group_starts(table))
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -460,31 +470,33 @@ def _sorted_starts(symbols: str, rhos: tuple[float, ...]) -> tuple[tuple[int, in
     with its first k classes.  So k is one more than the longest prefix
     suffix p shares with another suffix, which is the one it shares with a
     neighbour in sorted order, and p is identifiable when k fits in its
-    gaps.  Kasai et al.'s pass (CPM 2001) finds every neighbour's prefix in
-    linear time; the ``"\\0"``, found only at the end, stops each comparison.
-    The stroke is ``rhos[p - 1] - rhos[p - 1 + k]``, as :func:`stroke_profile`
-    defines it.
+    gaps.  Kasai et al.'s pass (CPM 2001) finds each neighbour's prefix in
+    linear time and keeps the longer as the suffix's reach; the ``"\\0"``,
+    found only at the end, stops each comparison.  The stroke is
+    ``rhos[p - 1] - rhos[p - 1 + k]``, as :func:`stroke_profile` defines it.
     """
     n = len(symbols)
     order = _suffix_order(symbols)
     rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
-    # shared[r]: the prefix the suffixes ranked r - 1 and r share.  The
-    # final event's suffix, "\0" alone, ranks first.
-    shared = [0] * (n + 1)
+    # Each suffix but the final event's ("\0" alone, ranked first) meets the
+    # one ranked just before it once; reach[i] is the longer prefix i shares.
+    reach = [0] * n
     h = 0
     for i in range(n - 1):
-        r = rank[i]
-        j = order[r - 1]
+        j = order[rank[i] - 1]
         while symbols[i + h] == symbols[j + h]:
             h += 1
-        shared[r] = h
+        if reach[i] < h:
+            reach[i] = h
+        if reach[j] < h:
+            reach[j] = h
         h -= h > 0
     return tuple([
         (i + 1, k, rhos[i] - rhos[i + k])
-        for i, r in enumerate(rank[:-1])
-        if (k := 1 + max(shared[r], shared[r + 1])) < n - i  # k fits in its n - 1 - i gaps
+        for i, shared in enumerate(reach[:-1])
+        if (k := shared + 1) < n - i  # k fits in its n - 1 - i gaps
     ])
 
 

@@ -284,15 +284,17 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
 
     checks: list[Condition] = []
 
+    slack = _slack(tol, g.rho_max, g.h, g.b)  # C1's and C3's allowance
+
     # C1: d_0 = min of {d_0} U {d_i}, and ||OS_n|| = h - d_0.
     problems = []
     if d0 <= 0:
         problems.append(f"d0={d0:.6g} is not positive")
     elif d0 <= tol:
         problems.append(f"d0={d0:.6g} is within tolerance {tol:.6g} of zero")
-    if d_gaps and min(d_gaps) < d0 - tol:
+    if d_gaps and min(d_gaps) < d0 - slack:
         problems.append(f"d0={d0:.6g} exceeds smallest mark gap {min(d_gaps):.6g}")
-    if abs(top_sensor - (g.h - d0)) > tol:
+    if abs(top_sensor - (g.h - d0)) > slack:
         problems.append(
             f"top sensor at {top_sensor:.6g}, expected h-d0={g.h - d0:.6g}"
         )
@@ -304,12 +306,9 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
 
     # C3: h - ||OS_1|| - d_n + b = 0.
     residual = g.h - design.sensors.heights[0] - dn + g.b
+    level = abs(residual) <= slack
     checks.append(
-        Condition(
-            "C3",
-            abs(residual) <= tol,
-            f"h-OS1-dn+b = {residual:.6g}" + ("" if abs(residual) <= tol else " (should be 0)"),
-        )
+        Condition("C3", level, f"h-OS1-dn+b = {residual:.6g}" + ("" if level else " (should be 0)"))
     )
 
     checks.append(_no_coincidence("C4", "sensor", z_gaps, tol))
@@ -334,6 +333,13 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     checks.append(_gap_variation("C7", "sensor", z_gaps, tol))
 
     return ConditionReport(tuple(checks))
+
+
+def _slack(tol: float, *lengths: float) -> float:
+    """How far C1 and C3 let a length computed from ``lengths`` miss its
+    target: ``tol``, or where larger (as on a layout scaled to huge lengths)
+    the rounding of the sums and differences that computed it, an ulp each."""
+    return max(tol, sum(map(math.ulp, lengths)))
 
 
 def _listed(indices: list[int]) -> str:

@@ -830,6 +830,22 @@ class TestStrokeProfile:
         assert table.count == 145
         self.assert_matches_brute_oracle(table, 0.05)
 
+    def test_sorted_starts_match_brute_oracle_on_every_short_class_string(self):
+        # Every string of 1-8 gaps over three classes a quarter metre apart:
+        # constant and periodic ones among them, and starts whose two sorted
+        # neighbours share prefixes of equal length.
+        strings = [s for n in range(1, 9) for s in itertools.product((1, 2, 3), repeat=n)]
+        assert len(strings) == 9840
+        for classes in strings:
+            gaps = [0.25 * c for c in classes]
+            table = table_winding(gaps)
+            expected = []
+            for p0 in range(len(gaps)):
+                if (found := brute_unique_k(gaps, p0, 0.05)) is not None:
+                    expected.append((p0 + 1, *found))
+            symbols = events._gap_symbols(table.gaps, 0.05)
+            assert events._sorted_starts(symbols, table.rho_values) == tuple(expected), classes
+
     def test_each_start_folds_until_it_is_identified(self, monkeypatch):
         # An exact work pin for the walk: every start folds its gaps, one
         # advance call each, and stops at the step that identifies it.
@@ -1560,6 +1576,32 @@ class TestSharedRawTable:
         for design, table in zip(designs, expected):
             assert enumerate_events(design) is enumerate_events(design) == table
 
+    def test_threads_that_race_read_equal_groups(self):
+        # Four threads count and rectify the same fresh raw tables at once;
+        # a racing first call may list a table's groups twice, but every
+        # thread reads the reference count and rectified table.
+        tables = [enumerate_events(replace(design)) for design in columnar_designs().values()]
+        expected = [group_list_rectify(table) for table in tables]
+        seen: list[list[tuple[int, EventTable]]] = []
+
+        def group_all():
+            seen.append([(events.detection_count(table), rectify(table)) for table in tables])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=group_all) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4
+        for results in seen:
+            assert results == [(table.count, table) for table in expected]
+
     def test_a_search_builds_each_raw_table_once(self, monkeypatch):
         # validate_design (C5) and score both call enumerate_events on every
         # build; the raw rows are made once per build all the same.
@@ -1580,6 +1622,27 @@ class TestSharedRawTable:
         optimize.search(DesignRecipe(RobotGeometry(h=18.0, rho_max=32.0), d_pool, z_pool), 50, seed=0)
         assert counts["builds"] > 10
         assert counts["raw tables"] == counts["builds"]
+
+    def test_a_search_groups_each_raw_table_once(self, monkeypatch):
+        # C5's detection_count and score's rectify read one group list, so
+        # each build groups its raw lengths once.
+        counts = Counter()
+        build, new_lengths = optimize.build_design, events._new_lengths
+
+        def counting_build(recipe):
+            counts["builds"] += 1
+            return build(recipe)
+
+        def counting_new_lengths(rhos):
+            counts["groupings"] += 1
+            return new_lengths(rhos)
+
+        monkeypatch.setattr(optimize, "build_design", counting_build)
+        monkeypatch.setattr(events, "_new_lengths", counting_new_lengths)
+        d_pool, z_pool = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5)
+        optimize.search(DesignRecipe(RobotGeometry(h=18.0, rho_max=32.0), d_pool, z_pool), 50, seed=0)
+        assert counts["builds"] > 10
+        assert counts["groupings"] == counts["builds"]
 
 
 @pytest.fixture(scope="module")

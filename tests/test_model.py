@@ -19,7 +19,8 @@ from cablecal import (
     validate_design,
 )
 from cablecal import model
-from cablecal.model import Condition, ConditionReport
+from cablecal.cli import main
+from cablecal.model import GEOM_TOL, Condition, ConditionReport
 from cablecal.optimize import _distinct_orderings
 from conftest import random_conforming_design
 
@@ -350,6 +351,40 @@ class TestValidateDesign:
         report = validate_design(design)
         assert report["C1"] == ("C1", False, "d0=2 exceeds smallest mark gap 0.5")
         assert report["C3"].passed
+
+    def test_scaled_workshop_passes_every_condition(self, workshop, tmp_path, capsys):
+        # Scaled by 1e200, h - d0 misses the top sensor by 1.02e185, about
+        # 0.375 ulp of rho_max: rounding alone, far above GEOM_TOL.
+        scale = 1e200
+        g = workshop.geometry
+        design = CalibrationDesign(
+            RobotGeometry(h=g.h * scale, rho_max=g.rho_max * scale, v=g.v, b=g.b * scale),
+            SensorLayout(tuple(height * scale for height in workshop.sensors.heights)),
+            MarkLayout(tuple(position * scale for position in workshop.marks.positions)),
+        )
+        d0 = design.proximal_reserve
+        assert design.sensors.heights[-1] != design.geometry.h - d0
+        report = validate_design(design)
+        assert report.all_pass
+        assert report["C1"] == ("C1", True, "d0=2.5e+199")
+        path = tmp_path / "huge.ini"
+        path.write_text(
+            "[geometry]\nh = 3e200\nrho_max = 13e200\nv = 1.0\nb = 1e200\n\n[layout]\n"
+            "sensor_heights = 1e200 1.5e200 2.75e200\nmark_positions = 12.75e200 12.25e200 "
+            "11.5e200 10.5e200 9.25e200 7.75e200 6e200 5.75e200 5.25e200 4.5e200 3e200\n"
+        )
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "C1  PASS  d0=2.5e+199\n" in out and out.endswith("result: PASS\n")
+
+    def test_c1_top_sensor_off_by_ten_tolerances(self, workshop):
+        # At desk scale an ulp is about 1e-15, so the tolerance decides.
+        heights = (*workshop.sensors.heights[:-1], workshop.sensors.heights[-1] + 10 * GEOM_TOL)
+        design = CalibrationDesign(workshop.geometry, SensorLayout(heights), workshop.marks)
+        report = validate_design(design)
+        assert not report["C1"].passed
+        assert report["C1"].detail.startswith("top sensor at 2.75, expected h-d0=2.75")
+        assert report.passed("C2", "C3", "C4", "C5", "C6", "C7")
 
     def test_pure(self, workshop):
         assert validate_design(workshop) == validate_design(workshop)
