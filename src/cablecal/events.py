@@ -14,6 +14,7 @@ import functools
 import math
 import operator
 import sys
+import weakref
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
@@ -247,17 +248,27 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     so times never fall.  Simultaneous events are kept; ties are ordered by
     ascending mark index then descending sensor index for stable output.
 
-    The table is a pure function of the design, so it is built on a
-    design's first call and kept in the design's instance dict, out of its
-    fields (``==``, ``hash`` and ``repr`` do not see it): every later call
-    on that design object returns the same table object.
+    The table is a pure function of the design, so it is built once and
+    kept in the design's instance dict, out of its fields (``==``, ``hash``
+    and ``repr`` do not see it): every later call on that design object
+    returns the same table object.  Equal designs share it too: a design's
+    first call looks its values up in ``_table_builders`` and takes the
+    table of the equal design that built one.  That registry refers to its
+    designs weakly, so an entry lasts only while the design that built the
+    table is alive, and an equal design built after it is gone builds a
+    new, equal table.
     """
     if (table := vars(design).get("_raw_table")) is not None:
         return table
     g = design.geometry
     rho_max, h = g.rho_max, g.h
-    positions = design.marks.positions
-    top_down = tuple(enumerate(design.sensors.heights, start=1))[::-1]
+    positions, heights = design.marks.positions, design.sensors.heights
+    key = (rho_max, h, g.v, heights, positions)  # every value the table is built from
+    ref = _table_builders.get(key)
+    if ref is not None and (builder := ref()) is not None:
+        table = vars(design)["_raw_table"] = vars(builder)["_raw_table"]
+        return table
+    top_down = tuple(enumerate(heights, start=1))[::-1]
     # Marks in index order and each mark's sensors top-down, so a stable
     # sort on length alone leaves ties by ascending i, then descending j.
     rows = [
@@ -274,7 +285,16 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     # Sorted lengths leave the times in order, each finite as RobotGeometry bounds
     # them; every length is finite and above GEOM_TOL, so their spread is finite.
     table = vars(design)["_raw_table"] = EventTable._from_columns(columns, (rho_max, g.v))
+    # Registered once its table is set, for an equal design to read; the
+    # entry drops out as the design dies.
+    _table_builders[key] = weakref.ref(design, functools.partial(_table_builders.pop, key))
     return table
+
+
+# A weak reference to the design that built each raw table, by the values
+# the table is built from: each design holds its own table.  A plain dict
+# and a C callback cost a build about half what a WeakValueDictionary does.
+_table_builders: dict[tuple, weakref.ref[CalibrationDesign]] = {}
 
 
 def _group_starts(table: EventTable) -> list[int]:

@@ -264,8 +264,9 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
 
     C5 counts the detections of the design's raw table
     (:func:`~cablecal.events.detection_count`), the table
-    :func:`~cablecal.events.enumerate_events` builds once per design and
-    :func:`~cablecal.optimize.score` reads again: those are its exploitable
+    :func:`~cablecal.events.enumerate_events` builds once per design (or
+    takes from the equal design that built it, while that one is alive)
+    and :func:`~cablecal.optimize.score` reads again: those are its exploitable
     events, and the rest were detected with one of them.  The gap between
     the events :func:`~cablecal.events.rectify` keeps of successive groups
     exceeds ``GEOM_TOL``, so no tie is left at a ``tol`` up to that, the
@@ -329,16 +330,17 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
         )
     )
 
-    checks.append(_gap_variation("C6", "mark", d_gaps, tol))
-    checks.append(_gap_variation("C7", "sensor", z_gaps, tol))
+    checks.append(_gap_variation("C6", "mark", d_gaps, tol, design.marks.positions))
+    checks.append(_gap_variation("C7", "sensor", z_gaps, tol, design.sensors.heights))
 
     return ConditionReport(tuple(checks))
 
 
 def _slack(tol: float, *lengths: float) -> float:
-    """How far C1 and C3 let a length computed from ``lengths`` miss its
-    target: ``tol``, or where larger (as on a layout scaled to huge lengths)
-    the rounding of the sums and differences that computed it, an ulp each."""
+    """How far C1, C3, C6 and C7 let a length computed from ``lengths``
+    miss its target: ``tol``, or where larger (as on a layout scaled to
+    huge lengths) the rounding of the sums and differences that computed
+    it, an ulp each."""
     return max(tol, sum(map(math.ulp, lengths)))
 
 
@@ -358,10 +360,20 @@ def _no_coincidence(name: str, element: str, gaps: tuple[float, ...], tol: float
     return Condition(name, not bad, detail)
 
 
-def _gap_variation(name: str, element: str, gaps: tuple[float, ...], tol: float) -> Condition:
+def _gap_variation(
+    name: str, element: str, gaps: tuple[float, ...], tol: float, lengths: tuple[float, ...] = ()
+) -> Condition:
     """C6/C7: the distance between successive elements varies, i.e. no two
-    successive gaps are equal within tol."""
-    bad = [idx + 1 for idx, (a, b) in enumerate(zip(gaps, gaps[1:])) if abs(b - a) <= tol]
+    successive gaps are equal within the :func:`_slack` of the three
+    ``lengths`` (positions or heights) that compute them; without lengths,
+    within tol.  No three allow more than three ulps of the longest, so
+    only a pair within that is looked at again."""
+    widest = max(tol, 3 * math.ulp(max(lengths, default=0.0)))
+    bad = [
+        idx + 1
+        for idx, change in enumerate(map(abs, map(operator.sub, gaps[1:], gaps)))
+        if change <= widest and change <= _slack(tol, *lengths[idx : idx + 3])
+    ]
     detail = f"equal successive {element} gaps at {_listed(bad)}" if bad else f"{element} gaps vary"
     return Condition(name, not bad, detail)
 

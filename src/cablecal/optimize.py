@@ -65,9 +65,11 @@ def score(
     design scored before without rectifying it.  :func:`search` keeps one in
     its enumeration, which builds every rotation of a mark-pool ordering,
     and each rotation builds an equal design.  The raw table is read first
-    all the same: it is the one :func:`enumerate_events` built for the
-    design, as :func:`~cablecal.model.validate_design` did for C5 when the
-    design was built, so the read costs no second enumeration.
+    all the same: it is the one :func:`enumerate_events` gave the design
+    for C5 when :func:`~cablecal.model.validate_design` checked its build,
+    so the read costs no second enumeration.  The record keeps each
+    design it answers for alive, so a rotation's build shares that
+    design's raw table, already enumerated and grouped.
     """
     raw = enumerate_events(design)
     if record is not None and (scored := record.get(design)) is not None:
@@ -158,7 +160,8 @@ def search(
     from that score without a build.  ``revisits`` counts evaluations of an
     ordering visited before.  The enumeration visits each ordering once and
     builds every one; a rotation there is answered from its design's record
-    entry (see :func:`score`), without rectifying or profiling it again.
+    entry (see :func:`score`), without rectifying or profiling it again,
+    and its build neither enumerates nor groups its events again.
     """
     check_tolerance("gap", tolerance)
     if budget < 0:

@@ -8,6 +8,7 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -38,6 +39,7 @@ from cablecal import (
     validate_design,
 )
 from cablecal import events, identify, optimize
+from cablecal.cli import main
 from cablecal.designer import InfeasibleRecipe
 from cablecal.events import StartStroke, StrokeProfile, format_event_csv, left_sum, parse_event_csv
 from cablecal.model import GEOM_TOL, check_tolerance
@@ -1489,16 +1491,36 @@ class TestColumnarTables:
 
 class TestSharedRawTable:
     """``enumerate_events`` builds a design's raw table on its first call
-    and returns that same table object on every later call for the design.
-    The table is kept out of the design's fields."""
+    and returns that same table object on every later call for the design,
+    and for every equal design alive at the same time.  The table is kept
+    out of the design's fields."""
 
     def test_every_call_returns_the_same_table(self):
-        for name, design in columnar_designs().items():
+        designs = columnar_designs()
+        for name in list(designs):
+            design = designs.pop(name)
             table = enumerate_events(design)
             assert enumerate_events(design) is table, name
             twin = replace(design)
-            assert enumerate_events(twin) is not table, name
+            assert enumerate_events(twin) is table, name
             assert enumerate_events(twin) == table == tuple_sort_enumerate(design), name
+            # Once every holder is gone, an equal design builds a new table,
+            # equal to the old one.
+            parts, rows, held = (design.geometry, design.sensors, design.marks), table.events, weakref.ref(table)
+            del design, twin, table
+            assert held() is None, name
+            fresh = enumerate_events(CalibrationDesign(*parts))
+            assert fresh.events == rows and fresh == tuple_sort_enumerate(CalibrationDesign(*parts)), name
+
+    def test_equal_designs_share_one_grouping(self):
+        # A rotation's build in an exhaustive search: C5 reads the group
+        # list the first equal design's C5 made.
+        for name, design in columnar_designs().items():
+            validate_design(design)
+            starts = vars(enumerate_events(design))["_group_starts"]
+            twin = replace(design)
+            validate_design(twin)
+            assert vars(enumerate_events(twin))["_group_starts"] is starts, name
 
     def test_equality_hash_and_repr_ignore_the_table(self):
         for name, design in columnar_designs().items():
@@ -1622,6 +1644,73 @@ class TestSharedRawTable:
         optimize.search(DesignRecipe(RobotGeometry(h=18.0, rho_max=32.0), d_pool, z_pool), 50, seed=0)
         assert counts["builds"] > 10
         assert counts["raw tables"] == counts["builds"]
+
+    def test_an_exhaustive_search_builds_each_layout_once(self, monkeypatch):
+        # Every rotation of a mark-pool ordering builds an equal design, so
+        # the long recipe's 12 orderings are 4 layouts: 4 raw tables, each
+        # grouped once, for 12 builds.
+        counts = Counter()
+        build, from_columns, new_lengths = optimize.build_design, EventTable._from_columns, events._new_lengths
+
+        def counting_build(recipe):
+            counts["builds"] += 1
+            return build(recipe)
+
+        def counting_from_columns(cls, columns, clock, rectified=False):
+            counts["raw tables"] += not rectified
+            return from_columns(columns, clock, rectified)
+
+        def counting_new_lengths(rhos):
+            counts["groupings"] += 1
+            return new_lengths(rhos)
+
+        # A registry of its own, so no design another test keeps alive is found.
+        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(optimize, "build_design", counting_build)
+        monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
+        monkeypatch.setattr(events, "_new_lengths", counting_new_lengths)
+        d_pool, z_pool = (0.5, 0.75, 1.25), (2.0, 3.0)
+        optimize.search(DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), d_pool, z_pool), 500)
+        assert counts == {"builds": 12, "raw tables": 4, "groupings": 4}
+
+    @pytest.mark.parametrize(
+        "rho_max,d_pool,z_pool,budget",
+        [
+            (60.0, (0.5, 0.75, 1.25), (2.0, 3.0), 500),
+            (32.0, (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5), 50),
+        ],
+        ids=["exhaustive", "climb"],
+    )
+    def test_no_table_outlives_its_designs(self, monkeypatch, rho_max, d_pool, z_pool, budget):
+        # Once the search returns, only the design it returns is left to
+        # share a table, and none once the result is dropped: no later
+        # command finds one.
+        registry: dict = {}
+        monkeypatch.setattr(events, "_table_builders", registry)
+        result = optimize.search(DesignRecipe(RobotGeometry(h=18.0, rho_max=rho_max), d_pool, z_pool), budget)
+        assert [builder() for builder in registry.values()] == [result.design]
+        del result
+        assert len(registry) == 0
+
+    def test_optimize_commands_build_the_same_tables(self, tmp_path, capsys, monkeypatch):
+        # Two commands in one process: the second finds no table the first built.
+        built = []
+        from_columns = EventTable._from_columns
+
+        def counting_from_columns(cls, columns, clock, rectified=False):
+            built[-1] += not rectified
+            return from_columns(columns, clock, rectified)
+
+        monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
+        config = tmp_path / "long.ini"
+        config.write_text(
+            "[geometry]\nh = 18.0\nrho_max = 60.0\n\n[recipe]\nd_pool = 0.5 0.75 1.25\nz_pool = 2.0 3.0\n"
+        )
+        for _ in range(2):
+            built.append(0)
+            assert main(["optimize", str(config), "--budget", "500"]) == 0
+        assert built[0] == built[1] >= 4
+        assert capsys.readouterr().err.count("best: mean_gap=0.354 std_gap=0.168 worst_stroke=38.000") == 2
 
     def test_a_search_groups_each_raw_table_once(self, monkeypatch):
         # C5's detection_count and score's rectify read one group list, so

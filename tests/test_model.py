@@ -18,7 +18,7 @@ from cablecal import (
     rectify,
     validate_design,
 )
-from cablecal import model
+from cablecal import model, presets
 from cablecal.cli import main
 from cablecal.model import GEOM_TOL, Condition, ConditionReport
 from cablecal.optimize import _distinct_orderings
@@ -376,6 +376,24 @@ class TestValidateDesign:
         assert main(["validate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "C1  PASS  d0=2.5e+199\n" in out and out.endswith("result: PASS\n")
+
+    @pytest.mark.parametrize("scale", [1e200, 2.0**560], ids=["1e200", "2**560"])
+    def test_scaled_presets_read_their_gap_variation_unchanged(self, scale):
+        # Scaled by 1e200, medium-cube's equal mark gaps come out as
+        # 9.999999999999996e+199 and 1.0000000000000003e+200: rounding
+        # alone, which C6 and C7 allow as C1 and C3 do.
+        for name, build in presets.ALL.items():
+            design = build()
+            g = design.geometry
+            huge = CalibrationDesign(
+                RobotGeometry(h=g.h * scale, rho_max=g.rho_max * scale, v=g.v, b=g.b * scale),
+                SensorLayout(tuple(height * scale for height in design.sensors.heights)),
+                MarkLayout(tuple(position * scale for position in design.marks.positions)),
+            )
+            shipped, scaled = validate_design(design), validate_design(huge)
+            assert (scaled["C6"], scaled["C7"]) == (shipped["C6"], shipped["C7"]), name
+        medium = validate_design(presets.medium_cube())
+        assert medium["C6"] == ("C6", False, "equal successive mark gaps at [1, 2, 3, 4]")
 
     def test_c1_top_sensor_off_by_ten_tolerances(self, workshop):
         # At desk scale an ulp is about 1e-15, so the tolerance decides.
