@@ -47,10 +47,21 @@ _new_row = tuple.__new__
 _stroke = operator.itemgetter(2)  # an identified start's stroke
 
 
+# Coincident lengths of the presets scaled by 1e200 come out of
+# ``rho_at``'s subtractions at most an ulp of the longest apart, distinct
+# ones more than 1e13 ulps.
+_ROUNDING_ULPS = 4
+
+
 def _new_lengths(rhos: tuple[float, ...]) -> Iterator[bool]:
-    """For each length after the first, whether it lies more than ``GEOM_TOL``
-    below the one before it, i.e. is not detected with that event."""
-    return map(operator.gt, map(operator.sub, rhos, rhos[1:]), repeat(GEOM_TOL))
+    """For each length after the first, whether it lies more than the
+    grouping allowance below the one before it, i.e. is not detected with
+    that event.  The allowance is ``GEOM_TOL``, or where larger (at huge
+    lengths) :data:`_ROUNDING_ULPS` ulps of the longest length, which is
+    the first or the last: rounding, as ``model._slack`` allows C1 and C3."""
+    longest = max(abs(rhos[0]), abs(rhos[-1])) if rhos else 0.0
+    allowance = max(GEOM_TOL, _ROUNDING_ULPS * math.ulp(longest))
+    return map(operator.gt, map(operator.sub, rhos, rhos[1:]), repeat(allowance))
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,8 @@ class EventTable:
     so every gap of it or of a table of some of its rows is finite and not
     negative, and its mark and sensor indices start at 1.  A raw table may
     hold simultaneous events.  ``rectified`` is read from the lengths: no
-    two events are detected together, i.e. every gap exceeds ``GEOM_TOL``.
+    two events are detected together, i.e. every gap exceeds the grouping
+    allowance (:func:`_new_lengths`), ``GEOM_TOL`` at all but huge lengths.
 
     Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
     ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
@@ -299,7 +311,8 @@ _table_builders: dict[tuple, weakref.ref[CalibrationDesign]] = {}
 
 def _group_starts(table: EventTable) -> list[int]:
     """The index of each group's first event: the first event's, and each
-    one's whose length lies more than ``GEOM_TOL`` below the one before it.
+    one's whose length lies more than the grouping allowance below the one
+    before it (:func:`_new_lengths`).
     A pure function of the table, built on first use and kept in its
     instance dict, as :func:`enumerate_events` keeps a design's table."""
     if (starts := vars(table).get("_group_starts")) is None:
@@ -342,27 +355,45 @@ def _gather(columns: tuple[tuple, ...], keep: list[int]) -> tuple[tuple, ...]:
 def rectify(table: EventTable) -> EventTable:
     """Resolve simultaneous detections so each length maps to one event.
 
-    An event whose length lies no more than ``GEOM_TOL`` metres below the
-    one before it is detected with that event, so a chain of such events
-    forms one group.  Within a group the survivor is the pair minimising
-    the index ratio i/j; on a ratio tie the smaller mark index wins.  This
-    keeps the detection closest to the support, i.e. the shortest stroke.
+    An event whose length lies no more than the grouping allowance below
+    the one before it is detected with that event, so a chain of such
+    events forms one group.  The allowance is ``GEOM_TOL`` metres, or a few
+    ulps of the table's longest length where that is larger
+    (:func:`_new_lengths`).  Within a group the survivor is the pair
+    minimising the index ratio i/j; on a ratio tie the smaller mark index
+    wins.  This keeps the detection closest to the support, i.e. the
+    shortest stroke.
 
     One pass rectifies every table :class:`EventTable` accepts: its lengths
     never rise, so every survivor lies within its group and the gap between
-    the survivors of successive groups exceeds ``GEOM_TOL``.  Rectifying a
+    the survivors of successive groups exceeds the allowance.  Rectifying a
     rectified table is a no-op.  The result is the kind of table ``table``
     is: from a table with a clock, one built from the survivors' ``(i, j,
     rho)`` columns, a subset of the table's in order, with that clock and
     known to be rectified; from a table built from rows, the table of the
     survivors' rows, given times included.
+
+    The result is kept in the table's instance dict, as
+    :func:`_group_starts` keeps the group list, and every later call
+    returns it: a design keeps its raw table, so all callers on one design,
+    or on an equal design alive at the same time, read one rectified table
+    with its gaps and gap index.  Threads racing a first call get one table.
     """
+    if (rectified := vars(table).get("_rectified")) is not None:
+        return rectified
     if not table.rho_values:
         return table
     keep = _survivors(table)
     if table._clock is None:
-        return EventTable(tuple(map(table.events.__getitem__, keep)))
-    return EventTable._from_columns(_gather(table._columns, keep), table._clock, rectified=True)
+        rectified = EventTable(tuple(map(table.events.__getitem__, keep)))
+    else:
+        rectified = EventTable._from_columns(_gather(table._columns, keep), table._clock, rectified=True)
+    return vars(table).setdefault("_rectified", rectified)
+
+
+def _event_columns(table: EventTable) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+    """A table's ``(i, j, rho)`` columns, read without building its rows."""
+    return table._columns
 
 
 def detection_count(table: EventTable) -> int:

@@ -10,12 +10,15 @@ so traces are reproducible bit-for-bit across platforms.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
-from .events import _csv_lines, _read_csv_rows, enumerate_events, rectify
+from .events import _csv_lines, _event_columns, _read_csv_rows, enumerate_events, rectify
 from .model import GEOM_TOL, CalibrationDesign
 
 TRACE_CSV_HEADER = "t,encoder_reading,truth_rho,truth_i,truth_j"
@@ -89,7 +92,15 @@ _TRUTHS_DECREASE = "truth lengths must strictly decrease while winding"
 def _check_records(records: tuple[TraceRecord, ...]) -> None:
     """Finite values, increasing times and, where two successive truth
     lengths are known, decreasing truth lengths: raises a
-    :class:`TraceRecordError` naming the first record that breaks one."""
+    :class:`TraceRecordError` naming the first record that breaks one.
+
+    Every record's values are checked before any record is compared with
+    the one before it, and the comparisons run pair by pair, times before
+    truths.  Records are read one at a time only where whole columns do
+    not pass (:func:`_columns_pass`).
+    """
+    if _columns_pass(records):
+        return
     for n, r in enumerate(records):
         if not (math.isfinite(r.t) and math.isfinite(r.reading) and _finite(r.truth_rho)):
             got = f"got t={r.t} reading={r.reading} truth_rho={r.truth_rho}"
@@ -101,6 +112,28 @@ def _check_records(records: tuple[TraceRecord, ...]) -> None:
             raise TraceRecordError(_TIMES_INCREASE, n, _TIMES_INCREASE)
         if a.truth_rho is not None and b.truth_rho is not None and b.truth_rho >= a.truth_rho:
             raise TraceRecordError(_TRUTHS_DECREASE, n, _TRUTHS_DECREASE)
+
+
+def _columns_pass(records: tuple[TraceRecord, ...]) -> bool:
+    """Whether whole columns show that ``records`` break no rule: readings
+    finite, times rising, truth lengths all unknown or all falling.  A
+    rising or falling column holds no nan, which fails every comparison,
+    so it is finite when its ends are.  False also for mixed truths."""
+    if not records:
+        return True
+    columns = zip(*records)
+    times, readings, truths = next(columns), next(columns), next(columns)
+    if not (all(map(operator.lt, times, times[1:])) and _finite_ends(times)):
+        return False
+    if not all(map(math.isfinite, readings)):
+        return False
+    if None in truths:
+        return truths.count(None) == len(truths)
+    return all(map(operator.gt, truths, truths[1:])) and _finite_ends(truths)
+
+
+def _finite_ends(column: tuple[float, ...]) -> bool:
+    return math.isfinite(column[0]) and math.isfinite(column[-1])
 
 
 @dataclass(frozen=True)
@@ -142,6 +175,9 @@ def simulate(
     rectified survivor, since one physical instant yields one record.  The
     encoder register reads ``offset + scale * wound + jitter``.  Equal start
     and stop produce an empty trace.  Deterministic for a given seed.
+
+    Records are built from the ``(i, j, rho)`` columns of the design's one
+    rectified table (:func:`~cablecal.events.rectify`), without event rows.
     """
     g = design.geometry
     if not (g.b - GEOM_TOL <= stop_rho <= start_rho <= g.rho_max + GEOM_TOL):
@@ -153,23 +189,23 @@ def simulate(
         return ObservationTrace((), start_rho, stop_rho)
 
     table = rectify(enumerate_events(design))
-    rng = random.Random(encoder.seed)
-    records: list[TraceRecord] = []
-    for event in table.events:
-        if not (stop_rho - GEOM_TOL <= event.rho <= start_rho + GEOM_TOL):
-            continue
-        wound = start_rho - event.rho
-        jitter = rng.gauss(0.0, encoder.noise_sd) if encoder.noise_sd > 0 else 0.0
-        records.append(
-            TraceRecord(
-                t=wound / g.v,
-                reading=encoder.offset + encoder.scale * wound + jitter,
-                truth_rho=event.rho,
-                truth_i=event.i,
-                truth_j=event.j,
-            )
-        )
-    return ObservationTrace(tuple(records), start_rho, stop_rho)
+    marks, sensors, rhos = _event_columns(table)
+    # Lengths fall down the table, so the window is one run of it.
+    first = bisect.bisect_left(rhos, -(start_rho + GEOM_TOL), key=operator.neg)
+    last = bisect.bisect_right(rhos, -(stop_rho - GEOM_TOL), key=operator.neg)
+    truths = rhos[first:last]
+    wounds = [start_rho - rho for rho in truths]
+    if encoder.noise_sd > 0:
+        gauss, sd = random.Random(encoder.seed).gauss, encoder.noise_sd
+        jitters = [gauss(0.0, sd) for _ in wounds]
+    else:
+        jitters = repeat(0.0)
+    v, offset, scale = g.v, encoder.offset, encoder.scale
+    records = tuple([
+        tuple.__new__(TraceRecord, (wound / v, offset + scale * wound + jitter, rho, i, j))
+        for wound, jitter, rho, i, j in zip(wounds, jitters, truths, marks[first:last], sensors[first:last])
+    ])
+    return ObservationTrace(records, start_rho, stop_rho)
 
 
 def format_trace_csv(trace: ObservationTrace) -> str:

@@ -1211,9 +1211,12 @@ class TestEventTableValidation:
         assert repr(read) == repr(fresh)
         assert "gaps" not in repr(read)
 
-    def test_gap_index_leaves_equality_hash_and_repr_alone(self, workshop):
-        read = rectify(enumerate_events(workshop))
-        fresh = rectify(enumerate_events(workshop))
+    def test_gap_index_leaves_equality_hash_and_repr_alone(self, workshop, monkeypatch):
+        # A registry of its own, and designs that die once their table is
+        # built: each table is built here, and no other test holds it.
+        monkeypatch.setattr(events, "_table_builders", {})
+        read = rectify(enumerate_events(replace(workshop)))
+        fresh = rectify(enumerate_events(replace(workshop)))
         stroke_profile(read, 0.05)  # fills the gap index
         assert read.gap_positions is read.gap_positions
         assert "gap_positions" in vars(read)
@@ -1378,8 +1381,7 @@ class TestLeftToRightSums:
             assert plain_sum(squares) != math.fsum(squares)
 
 
-@pytest.fixture(scope="module")
-def columnar_tables() -> list[tuple[str, EventTable]]:
+def build_columnar_tables() -> list[tuple[str, EventTable]]:
     """Every raw and rectified table of :func:`columnar_designs`, as
     ``enumerate_events`` and ``rectify`` return them."""
     tables = []
@@ -1389,13 +1391,22 @@ def columnar_tables() -> list[tuple[str, EventTable]]:
     return tables
 
 
+@pytest.fixture(scope="module")
+def columnar_tables() -> list[tuple[str, EventTable]]:
+    return build_columnar_tables()
+
+
 class TestColumnarTables:
     """Tables that ``enumerate_events`` and ``rectify`` build from their
     columns and the winding's clock, with their times and rows built on
     first read of ``events``.  ``rectify`` of a table built from rows
     returns a table built from rows."""
 
-    def test_match_their_twin_built_from_rows(self, columnar_tables):
+    def test_match_their_twin_built_from_rows(self, monkeypatch):
+        # A registry of its own: these tables are built here, and no other
+        # test holds them or reads their rows.
+        monkeypatch.setattr(events, "_table_builders", {})
+        columnar_tables = build_columnar_tables()
         assert len(columnar_tables) > 60
         for name, table in columnar_tables:
             columns = (table.times, table.rho_values, table.count, table.gaps,
@@ -1435,7 +1446,9 @@ class TestColumnarTables:
             assert rows(rectified) == expected
             assert rectified.times == (expected[0][0], 3.0) and rectified.rectified
 
-    def test_other_missing_attributes_raise_attribute_error(self, workshop):
+    def test_other_missing_attributes_raise_attribute_error(self, workshop, monkeypatch):
+        # A registry of its own: the table is built here, and no other test holds it.
+        monkeypatch.setattr(events, "_table_builders", {})
         table = enumerate_events(workshop)
         with pytest.raises(AttributeError, match="no attribute 'rows'"):
             table.rows
@@ -1732,6 +1745,101 @@ class TestSharedRawTable:
         optimize.search(DesignRecipe(RobotGeometry(h=18.0, rho_max=32.0), d_pool, z_pool), 50, seed=0)
         assert counts["builds"] > 10
         assert counts["groupings"] == counts["builds"]
+
+
+class TestSharedRectifiedTable:
+    """``rectify`` builds a table's rectified table on its first call and
+    returns that same table object on every later call: every caller on
+    one design, or on an equal design alive at the same time, reads one
+    rectified table, which lives as long as the raw table."""
+
+    def test_every_call_returns_the_same_table(self):
+        for name, design in columnar_designs().items():
+            raw = enumerate_events(design)
+            table = rectify(raw)
+            assert rectify(raw) is table, name
+            assert rectify(enumerate_events(design)) is table, name
+            assert table == group_list_rectify(raw), name
+            # A table built from rows keeps its own.
+            rows = EventTable(raw.events)
+            assert rectify(rows) is rectify(rows) == table, name
+
+    def test_an_equal_design_alive_at_the_same_time_gets_it(self, monkeypatch):
+        # A registry of its own, so no design another test keeps alive is found.
+        monkeypatch.setattr(events, "_table_builders", {})
+        designs = columnar_designs()
+        for name in list(designs):
+            design = designs.pop(name)
+            table = rectify(enumerate_events(design))
+            twin = replace(design)
+            assert rectify(enumerate_events(twin)) is table, name
+            # Once every holder is gone, the table is freed, and an equal
+            # design builds a new, equal one.
+            parts, held = (design.geometry, design.sensors, design.marks), weakref.ref(table)
+            del design, twin, table
+            assert held() is None, name
+            fresh = CalibrationDesign(*parts)
+            assert rectify(enumerate_events(fresh)) == group_list_rectify(enumerate_events(fresh)), name
+
+    def test_the_gaps_and_gap_index_are_read_once(self):
+        design = presets.workshop()
+        trace = simulate(design, EncoderModel(scale=1.01, offset=3.0, seed=2), 9.1, 7.4)
+        table = rectify(enumerate_events(design))
+        run_trace(design, trace)
+        gaps, index = vars(table)["gaps"], vars(table)["gap_positions"]
+        run_trace(design, trace)
+        assert rectify(enumerate_events(design)) is table
+        assert vars(table)["gaps"] is gaps and vars(table)["gap_positions"] is index
+
+    def test_threads_that_race_get_one_table(self):
+        # Four threads, more than the cores, rectify the same fresh raw
+        # tables at once; every thread reads a table equal to the reference,
+        # and the one the raw table keeps.
+        tables = [enumerate_events(replace(design)) for design in columnar_designs().values()]
+        expected = [group_list_rectify(table) for table in tables]
+        seen: list[list[EventTable]] = []
+
+        def rectify_all():
+            seen.append([rectify(table) for table in tables])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rectify_all) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4
+        for rectified in seen:
+            assert rectified == expected
+            assert all(map(operator.is_, rectified, map(rectify, tables)))
+
+    def test_simulating_every_start_rectifies_once(self, monkeypatch):
+        # As the benchmark's calibrate workload does: one drive from above
+        # each rectified event of the long recipe's design, each written
+        # from the one rectified table.
+        calls = Counter()
+        survivors = events._survivors
+
+        def counting_survivors(table):
+            calls["survivors"] += 1
+            return survivors(table)
+
+        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(events, "_survivors", counting_survivors)
+        recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), (0.5, 0.75, 1.25), (2.0, 3.0))
+        design = build_design(recipe).design
+        g = design.geometry
+        rhos = rectify(enumerate_events(design)).rho_values
+        starts = [(above + rho) / 2 for above, rho in zip((g.rho_max, *rhos), rhos)]
+        traces = [simulate(design, EncoderModel(noise_sd=0.005, seed=p), start, g.b) for p, start in enumerate(starts)]
+        assert len(traces) == len(rhos) > 100
+        assert [trace.records[0].truth_rho for trace in traces] == list(rhos)
+        assert calls["survivors"] == 1
 
 
 @pytest.fixture(scope="module")

@@ -30,9 +30,15 @@ computed with a walk that called ``advance`` on every step and added each
 stroke's gaps left to right; it is the hash of the unbounded profiles of
 the digest that also pinned profiles under an incumbent limit.
 
+The trace digest is one SHA-256 over ``format_trace_csv`` of the 522
+traces the calibration digest replays, as the benchmark's calibrate
+workload writes them to files.  Its pinned value was computed with a
+``simulate`` that read the rectified table's rows, rectified on every
+drive, and a formatter that wrote each field with its own expression.
+
 A change that moves any of these values in its last bit changes a digest.
 The first three read the same on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
-Run as a script to print the four digests of the current code; it exits
+Run as a script to print the five digests of the current code; it exits
 non-zero when any differs from its pinned value, and it needs no pytest::
 
     PYTHONPATH=src python tests/test_exactness.py
@@ -62,11 +68,13 @@ from cablecal import (
 )
 from cablecal.config import dump_design
 from cablecal.optimize import format_trail_csv
+from cablecal.simulate import format_trace_csv
 
 EXPECTED_DIGEST = "5e8e465194c39d435bb42ddb176da99fdf52e0db95f21974629b4971d11b15b6"
 EXPECTED_CALIBRATION_DIGEST = "4b5594c6b6f4f2d9cd8368d4c0f5a63e07dd0dc923ed649eaf6f4c99fc27d67e"
 EXPECTED_SEARCH_DIGEST = "8aaf516193c423a2c3e0ee6a733cac543153bf77d8e94efe1cb5c50290a60fc8"
 EXPECTED_PROFILE_DIGEST = "fca812f6fc0cc8ee8b738c8b1b70fb12f09382e3684f1194d7bdbd7ad29972bb"
+EXPECTED_TRACE_DIGEST = "0b009a551ceae76fb58f22f48e40abe5db68f0a3b68222123c74c1bfe0cc71fd"
 
 # (h, rho_max, d_pool, z_pool) of the long recipe, as the benchmark builds it
 LONG_RECIPE = (18.0, 60.0, (0.5, 0.75, 1.25), (2.0, 3.0))
@@ -173,6 +181,16 @@ def calibration_digest() -> tuple[int, str]:
     return count, sha.hexdigest()
 
 
+def trace_digest() -> tuple[int, str]:
+    """(number of traces, hex digest of their CSV text)."""
+    sha = hashlib.sha256()
+    count = 0
+    for count, (_, _, trace) in enumerate(drives(), start=1):
+        sha.update(format_trace_csv(trace).encode())
+        sha.update(b"\n")
+    return count, sha.hexdigest()
+
+
 def searches():
     """(recipe, budget, seed, tolerance) of every pinned search."""
     climb, long_recipe = (DesignRecipe(RobotGeometry(h, rho_max), d, z) for h, rho_max, d, z, _ in RECIPES)
@@ -227,6 +245,10 @@ def test_calibration_output_is_bit_exact():
     assert calibration_digest() == (3132, EXPECTED_CALIBRATION_DIGEST)
 
 
+def test_trace_files_are_bit_exact():
+    assert trace_digest() == (522, EXPECTED_TRACE_DIGEST)
+
+
 def test_search_output_is_bit_exact():
     assert search_digest() == (87, EXPECTED_SEARCH_DIGEST)
 
@@ -236,7 +258,7 @@ def test_profile_output_is_bit_exact():
 
 
 if __name__ == "__main__":
-    digests = digest(), calibration_digest(), search_digest(), profile_digest()
+    digests = digest(), calibration_digest(), search_digest(), profile_digest(), trace_digest()
     for pair in digests:
         print(*pair)
     pinned = digests == (
@@ -244,5 +266,6 @@ if __name__ == "__main__":
         (3132, EXPECTED_CALIBRATION_DIGEST),
         (87, EXPECTED_SEARCH_DIGEST),
         (12, EXPECTED_PROFILE_DIGEST),
+        (522, EXPECTED_TRACE_DIGEST),
     )
     raise SystemExit(0 if pinned else "a digest differs from its pinned value")

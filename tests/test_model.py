@@ -395,6 +395,31 @@ class TestValidateDesign:
         medium = validate_design(presets.medium_cube())
         assert medium["C6"] == ("C6", False, "equal successive mark gaps at [1, 2, 3, 4]")
 
+    @pytest.mark.parametrize("scale", [1e200, 2.0**560], ids=["1e200", "2**560"])
+    def test_scaled_presets_resolve_their_simultaneous_detections_unchanged(self, scale):
+        # Scaled by 1e200, coincident lengths come out up to an ulp of the
+        # longest apart, far above GEOM_TOL: rounding alone, which grouping
+        # allows as C1 and C3 do.  Scaled by 2**560 every length is exact.
+        shipped = {
+            "medium-cube": (3, 9),
+            "large-cube": (6, 33),
+            "xl-cube": (17, 53),
+            "workshop": (7, 26),
+        }
+        for name, build in presets.ALL.items():
+            design = build()
+            g = design.geometry
+            huge = CalibrationDesign(
+                RobotGeometry(h=g.h * scale, rho_max=g.rho_max * scale, v=g.v, b=g.b * scale),
+                SensorLayout(tuple(height * scale for height in design.sensors.heights)),
+                MarkLayout(tuple(position * scale for position in design.marks.positions)),
+            )
+            merged, exploitable = shipped[name]
+            detail = f"{merged} simultaneous detections resolved, {exploitable} exploitable events"
+            for each in (design, huge):
+                assert validate_design(each)["C5"] == ("C5", True, detail), name
+                assert rectify(enumerate_events(each)).count == exploitable, name
+
     def test_c1_top_sensor_off_by_ten_tolerances(self, workshop):
         # At desk scale an ulp is about 1e-15, so the tolerance decides.
         heights = (*workshop.sensors.heights[:-1], workshop.sensors.heights[-1] + 10 * GEOM_TOL)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import pytest
@@ -13,7 +14,7 @@ from cablecal import (
     rectify,
     simulate,
 )
-from cablecal.simulate import TraceRecordError, format_trace_csv, parse_trace_csv
+from cablecal.simulate import TRACE_CSV_HEADER, TraceRecordError, format_trace_csv, parse_trace_csv
 
 IDEAL = EncoderModel()
 
@@ -238,3 +239,166 @@ class TestTraceValidation:
         # Only two successive known truth lengths must decrease.
         records = (TraceRecord(0.0, 0.0, 5.0), TraceRecord(1.0, 1.0), TraceRecord(2.0, 2.0, 6.0))
         assert ObservationTrace(records, None, None).records == records
+
+
+def reference_check(records: tuple[TraceRecord, ...]) -> tuple[int, str] | None:
+    """The record checks one record at a time: every value is checked for
+    finiteness before any order; returns the first fault's (index, reason)."""
+    for n, r in enumerate(records):
+        if not all(x is None or math.isfinite(x) for x in (r.t, r.reading, r.truth_rho)):
+            return n, f"values must be finite, got t={r.t} reading={r.reading} truth_rho={r.truth_rho}"
+    for n in range(1, len(records)):
+        a, b = records[n - 1], records[n]
+        if b.t <= a.t:
+            return n, "trace times must strictly increase"
+        if a.truth_rho is not None and b.truth_rho is not None and b.truth_rho >= a.truth_rho:
+            return n, "truth lengths must strictly decrease while winding"
+    return None
+
+
+def log_text(records: tuple[TraceRecord, ...], short: bool = False) -> str:
+    """A trace file of ``records`` without metadata; ``short`` writes a
+    hardware log's two columns."""
+    header, width = ("t,encoder_reading", 2) if short else (TRACE_CSV_HEADER, 5)
+    rows = (",".join("" if x is None else repr(x) for x in r[:width]) for r in records)
+    return "".join(f"{line}\n" for line in (header, *rows))
+
+
+class TestTraceCheckOrder:
+    """Every record is checked for finite values before any record is
+    checked against the one before it, and the order checks run pair by
+    pair, times before truths: the first fault in that order is named."""
+
+    @pytest.mark.parametrize(
+        "records,short,index,reason",
+        [
+            # Time fails to rise at record 2 and the reading is nan at record 5.
+            (
+                (TraceRecord(0.0, 0.0, 9.0, 1, 1), TraceRecord(0.0, 0.5, 8.5, 2, 1),
+                 TraceRecord(1.0, 1.0, 8.0, 3, 1), TraceRecord(2.0, 1.5, 7.5, 4, 1),
+                 TraceRecord(3.0, math.nan, 7.0, 5, 1)),
+                False,
+                4,
+                "values must be finite, got t=3.0 reading=nan truth_rho=7.0",
+            ),
+            # Equal times at record 2, a rising truth at record 3.
+            (
+                (TraceRecord(0.0, 0.0, 9.0, 1, 1), TraceRecord(0.0, 0.5, 8.5, 2, 1),
+                 TraceRecord(1.0, 1.0, 8.75, 3, 1)),
+                False,
+                1,
+                "trace times must strictly increase",
+            ),
+            # Equal times and a rising truth on the same record: the time is named.
+            (
+                (TraceRecord(0.0, 0.0, 9.0, 1, 1), TraceRecord(0.0, 0.5, 9.5, 2, 1)),
+                False,
+                1,
+                "trace times must strictly increase",
+            ),
+            # A rising truth at record 2, equal times at record 3.
+            (
+                (TraceRecord(0.0, 0.0, 9.0, 1, 1), TraceRecord(1.0, 0.5, 9.0, 2, 1),
+                 TraceRecord(1.0, 1.0, 8.0, 3, 1)),
+                False,
+                1,
+                "truth lengths must strictly decrease while winding",
+            ),
+            # A hardware log with equal times at record 2 and an infinite
+            # reading at record 4.
+            (
+                (TraceRecord(0.0, 0.0), TraceRecord(0.0, 0.5), TraceRecord(1.0, 1.0),
+                 TraceRecord(2.0, math.inf)),
+                True,
+                3,
+                "values must be finite, got t=2.0 reading=inf truth_rho=None",
+            ),
+            # A hardware log with equal times at record 3 and falling ones at record 4.
+            (
+                (TraceRecord(0.0, 0.0), TraceRecord(1.0, 0.5), TraceRecord(1.0, 1.0),
+                 TraceRecord(0.5, 1.5)),
+                True,
+                2,
+                "trace times must strictly increase",
+            ),
+        ],
+        ids=["nan-after-order-break", "rising-truth-after-equal-times", "both-on-one-record",
+             "equal-times-after-rising-truth", "log-inf-after-equal-times", "log-equal-then-falling-times"],
+    )
+    def test_the_first_fault_in_check_order_is_named(self, records, short, index, reason):
+        assert reference_check(records) == (index, reason)
+        with pytest.raises(TraceRecordError) as err:
+            ObservationTrace(records, None, None)
+        assert (err.value.index, err.value.reason) == (index, reason)
+        # A file with no metadata: record k is on line k + 2, below the header.
+        with pytest.raises(ValueError) as err:
+            parse_trace_csv(log_text(records, short))
+        assert str(err.value) == f"line {index + 2}: {reason}"
+
+    def test_seeded_faults_name_the_record_the_reference_names(self):
+        # Records of known, unknown and partly known truths, with a few
+        # faults of each kind sown in; the trace names what the one-record-
+        # at-a-time reference names.
+        rng = random.Random(40)
+        faults = 0
+        for _ in range(2000):
+            records = []
+            t, reading, rho = 0.0, rng.uniform(-5.0, 5.0), 20.0
+            truths = rng.choice(["known", "unknown", "mixed"])
+            for i in range(rng.randint(0, 12)):
+                t += rng.choice([0.5, 1.0, 0.0, -0.25]) if rng.random() < 0.15 else rng.uniform(0.1, 1.0)
+                reading += rng.uniform(0.1, 1.0)
+                rho -= rng.choice([0.0, -0.5]) if rng.random() < 0.1 else rng.uniform(0.1, 1.0)
+                value = rng.choice([math.nan, math.inf, -math.inf])
+                row = [t, reading, rho, i + 1, 1]
+                if rng.random() < 0.05:
+                    row[rng.randrange(3)] = value
+                if truths == "unknown" or truths == "mixed" and rng.random() < 0.4:
+                    row[2:] = [None, None, None]
+                records.append(TraceRecord(*row))
+            records = tuple(records)
+            expected = reference_check(records)
+            if expected is None:
+                assert ObservationTrace(records, None, None).records == records
+                continue
+            faults += 1
+            with pytest.raises(TraceRecordError) as err:
+                ObservationTrace(records, None, None)
+            assert (err.value.index, err.value.reason) == expected
+        assert faults > 500
+
+
+class TestTraceCsvRoundTrip:
+    """Formatting a parsed trace file gives the file back, byte for byte."""
+
+    def test_a_hardware_log(self):
+        # Every truth is None, so every truth column is left empty.
+        log = parse_trace_csv("t,encoder_reading\n0.5,0.25\n1.0,0.75\n1.5,-0.125\n2.25,1e-17\n")
+        assert all(r[2:] == (None, None, None) for r in log.records)
+        text = format_trace_csv(log)
+        assert text == (
+            "# \nt,encoder_reading,truth_rho,truth_i,truth_j\n"
+            "0.5,0.25,,,\n1.0,0.75,,,\n1.5,-0.125,,,\n2.25,1e-17,,,\n"
+        )
+        assert format_trace_csv(parse_trace_csv(text)) == text
+
+    def test_known_and_unknown_truths(self):
+        text = (
+            "# start_rho=12.3 stop_rho=1.0\nt,encoder_reading,truth_rho,truth_i,truth_j\n"
+            "0.1,3.1000000000000005,12.2,4,2\n"
+            "0.30000000000000004,3.3,,,\n"
+            "0.7,3.7,11.5,,\n"
+            "1.1,4.1,11.0,7,\n"
+            "1.9,4.9,10.25,8,3\n"
+            "2.5,5.5,,,1\n"
+        )
+        trace = parse_trace_csv(text)
+        assert trace.records[2] == TraceRecord(0.7, 3.7, 11.5, None, None)
+        assert format_trace_csv(trace) == text
+
+    def test_simulated_drives(self, all_designs):
+        for name, design in all_designs.items():
+            g = design.geometry
+            encoder = EncoderModel(scale=0.99, offset=-7.5, noise_sd=0.003, seed=len(name))
+            text = format_trace_csv(simulate(design, encoder, g.rho_max, g.b))
+            assert format_trace_csv(parse_trace_csv(text)) == text, name
