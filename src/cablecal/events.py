@@ -6,6 +6,18 @@ past every sensor.  Each meeting is an event pinning the free length to
 v``.  Two different pairs can meet at the same length; the rectification
 rule keeps exactly one of them so that every detected length maps to a
 unique event.
+
+Each cache holds a pure function of the object it is kept on, in its
+instance dict, out of ``==``, ``hash`` and ``repr``; threads racing to
+fill one compute equal values.  A design's ``_raw_table``: C5, ``score``,
+``run_trace`` and ``simulate`` all read the one table
+:func:`enumerate_events` builds, and ``_table_builders`` hands it to an
+equal design alive at the same time (each rotation of an exhaustive
+search's ordering).  A raw table's ``_group_starts`` and ``_rectified``:
+:func:`detection_count` (C5) and :func:`rectify` group its lengths once,
+and every caller on a design reads one rectified table.  A table's
+``times``, ``events``, ``rectified``, ``gaps`` and ``gap_positions``, on
+first read: a search reads only columns, gaps and their index.
 """
 
 from __future__ import annotations
@@ -28,11 +40,9 @@ _Row = TypeVar("_Row")
 
 
 class Event(NamedTuple):
-    """Detection of mark i by sensor j at time t, free length rho.
-
-    A row record: an immutable tuple of its fields, cheap to build by the
-    thousand, that compares equal to the plain tuple ``(t, i, j, rho)``.
-    """
+    """Detection of mark i by sensor j at time t, free length rho: an
+    immutable tuple of its fields, cheap to build by the thousand, that
+    compares equal to the plain tuple ``(t, i, j, rho)``."""
 
     t: float
     i: int
@@ -46,55 +56,52 @@ _length = operator.itemgetter(2)  # an (i, j, rho) row's rho
 _new_row = tuple.__new__
 _stroke = operator.itemgetter(2)  # an identified start's stroke
 
-
 # Coincident lengths of the presets scaled by 1e200 come out of
 # ``rho_at``'s subtractions at most an ulp of the longest apart, distinct
 # ones more than 1e13 ulps.
 _ROUNDING_ULPS = 4
 
 
-def _new_lengths(rhos: tuple[float, ...]) -> Iterator[bool]:
+def _allowance(longest: float) -> float:
+    """The grouping allowance of lengths computed from lengths up to
+    ``longest``: ``GEOM_TOL``, or where larger (at huge lengths)
+    :data:`_ROUNDING_ULPS` ulps of it, their rounding, as ``model._slack``
+    allows C1 and C3."""
+    return max(GEOM_TOL, _ROUNDING_ULPS * math.ulp(longest))
+
+
+def _new_lengths(table: EventTable) -> Iterator[bool]:
     """For each length after the first, whether it lies more than the
-    grouping allowance below the one before it, i.e. is not detected with
-    that event.  The allowance is ``GEOM_TOL``, or where larger (at huge
-    lengths) :data:`_ROUNDING_ULPS` ulps of the longest length, which is
-    the first or the last: rounding, as ``model._slack`` allows C1 and C3."""
-    longest = max(abs(rhos[0]), abs(rhos[-1])) if rhos else 0.0
-    allowance = max(GEOM_TOL, _ROUNDING_ULPS * math.ulp(longest))
-    return map(operator.gt, map(operator.sub, rhos, rhos[1:]), repeat(allowance))
+    table's grouping allowance below the one before it, i.e. is not
+    detected with that event."""
+    rhos = table.rho_values
+    return map(operator.gt, map(operator.sub, rhos, rhos[1:]), repeat(table._allowance))
 
 
-@dataclass(frozen=True)
 class EventTable:
     """Detection events in winding order with derived length gaps.
 
     A table holds what a winding detects: its times never fall and are
     finite, its lengths never rise and are finite within a finite spread,
     so every gap of it or of a table of some of its rows is finite and not
-    negative, and its mark and sensor indices start at 1.  A raw table may
-    hold simultaneous events.  ``rectified`` is read from the lengths: no
-    two events are detected together, i.e. every gap exceeds the grouping
-    allowance (:func:`_new_lengths`), ``GEOM_TOL`` at all but huge lengths.
+    negative, and its mark and sensor indices start at 1.  It is rectified
+    when no two events are detected together: every gap exceeds its
+    grouping allowance (:func:`_new_lengths`).  ``gap_positions`` indexes
+    the gaps by value as bitmasks, bit q for ``gaps[q]``, from which
+    :meth:`match_mask` collects the gaps that match a given one.
 
-    Gap matching works on bitmasks, where bit q stands for ``gaps[q]``:
-    ``gap_positions`` indexes the gaps by value and :meth:`match_mask`
-    collects the gaps that match a given one.  A table holds its events as
-    columns: the mark and sensor indices and ``rho_values`` are set at
-    construction, and ``gaps`` and the index on first use.  A table is of
-    one of two kinds.  One built from rows holds the ``times`` it was
-    given, and its ``_clock`` is None.  One that :func:`enumerate_events`
-    builds, or :func:`rectify` from such a table, holds the winding's
-    ``(rho_max, v)`` as its ``_clock`` and derives ``times`` from it on
-    first read, as :func:`detection_time` does; its ``events`` rows are
-    built on first read (by ``==``, ``hash`` and ``repr`` too).  None of
-    the columns is a field, so they stay out of equality, hashing and
-    repr.  The checks on a table compare whole columns.
+    A table is its ``marks``, ``sensors`` and ``rho_values`` columns plus a
+    ``times`` column or the winding's clock ``(rho_max, v)``, from which
+    ``times`` derives on first read, as :func:`detection_time` does.
+    ``EventTable(events)`` checks the rows, comparing whole columns, and
+    keeps their columns, times included; :func:`enumerate_events` builds a
+    clocked table.  The ``events`` rows are built from the columns on first
+    read, and ``==``, ``hash`` and ``repr`` read them alone, so a table
+    built from rows equals its clocked twin.
     """
 
-    events: tuple[Event, ...]
-
-    def __post_init__(self) -> None:
-        times, marks, sensors, rhos = tuple(zip(*self.events)) or ((),) * 4
+    def __init__(self, events: Iterable[tuple[float, int, int, float]]) -> None:
+        times, marks, sensors, rhos = tuple(zip(*events)) or ((),) * 4
         if not all(map(operator.le, times, times[1:])):  # a nan fails too
             raise ValueError("events must be time-ordered")
         # Ordered times without a nan are finite when the first and last are.
@@ -106,34 +113,48 @@ class EventTable:
             raise ValueError("event lengths must never rise")
         if marks and min(min(marks), min(sensors)) < 1:
             raise ValueError("mark and sensor indices start at 1")
-        vars(self).update(times=times, rho_values=rhos, _columns=(marks, sensors, rhos), _clock=None)
+        # The table of the rows' columns; the longest length is the first or the last.
+        allowance = _allowance(max(abs(rhos[0]), abs(rhos[-1])) if rhos else 0.0)
+        vars(self).update(vars(self._from_columns((marks, sensors, rhos, times), None, allowance)))
 
     @classmethod
     def _from_columns(
-        cls, columns: tuple[tuple, ...], clock: tuple[float, float], rectified: bool = False
+        cls, columns: tuple[tuple, ...], clock: tuple | None, allowance: float, rectified: bool = False
     ) -> EventTable:
-        """A table of checked ``(i, j, rho)`` columns whose times derive from
-        the winding's ``clock``, ``(rho_max, v)``, and whose rows are built
-        on first read; ``rectified`` says the table is known to be."""
+        """A table of checked ``(i, j, rho)`` columns, and times where there is
+        no ``clock``, with its grouping ``allowance``; maybe known ``rectified``."""
         table = object.__new__(cls)
-        vars(table).update(rho_values=columns[2], _columns=columns, _clock=clock)
+        vars(table).update(
+            marks=columns[0], sensors=columns[1], rho_values=columns[2],
+            _columns=columns, _clock=clock, _allowance=allowance,
+        )
+        if clock is None:
+            vars(table)["times"] = columns[3]
         if rectified:
             vars(table)["rectified"] = True
         return table
 
-    def __getattr__(self, name: str) -> tuple[Event, ...]:
-        # Reached only for names the instance lacks: the rows of a table
-        # built from columns, until they are first read.
-        if name != "events":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        events = tuple(map(_new_row, repeat(Event), zip(self.times, *vars(self)["_columns"])))
-        vars(self)["events"] = events
-        return events
+    def __eq__(self, other: object) -> bool:
+        return self.events == other.events if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.events)
+
+    def __repr__(self) -> str:
+        return f"EventTable(events={self.events!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to EventTable.{name}: tables are immutable")
+
+    @functools.cached_property
+    def events(self) -> tuple[Event, ...]:
+        """The rows ``(t, i, j, rho)``, built from the columns."""
+        return tuple(map(_new_row, repeat(Event), zip(self.times, self.marks, self.sensors, self.rho_values)))
 
     @functools.cached_property
     def times(self) -> tuple[float, ...]:
-        """When each event is detected.  Only a table with a clock reaches
-        this: each time is :func:`detection_time`'s expression of its length."""
+        """When each event is detected, read from the clock, as
+        :func:`detection_time` derives it, where no times were given."""
         rho_max, v = self._clock
         return tuple([(rho_max - rho) / v for rho in self.rho_values])
 
@@ -143,7 +164,7 @@ class EventTable:
 
     @functools.cached_property
     def rectified(self) -> bool:
-        return all(_new_lengths(self.rho_values))
+        return all(_new_lengths(self))
 
     @functools.cached_property
     def gaps(self) -> tuple[float, ...]:
@@ -178,13 +199,11 @@ class DeltaStats:
 
 
 class StartStroke(NamedTuple):
-    """Identification cost when winding starts at one rectified event.
-
-    k is the number of detections after the first needed before the observed
-    gap sequence matches a single position in the table; stroke is the length
-    between the start's event and the one k detections on.  Both are None
-    when no suffix of the table ever becomes unique from this start.
-    """
+    """Identification cost when winding starts at one rectified event: the
+    k detections after the first that make the observed gap sequence match
+    a single position in the table, and the stroke between the start's
+    event and the one k detections on.  Both are None when no suffix of the
+    table ever becomes unique from this start."""
 
     start: int
     k: int | None
@@ -256,19 +275,12 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     A pair is reachable when ``rho_max - rho >= -GEOM_TOL`` and ``rho >
     GEOM_TOL``: the cable starts at full extension and the platform cannot
     pass the support.  The table holds the ``(i, j, rho)`` columns and the
-    winding's ``(rho_max, v)``, from which each time derives on first read,
-    so times never fall.  Simultaneous events are kept; ties are ordered by
+    winding's clock, so its times never fall, and a grouping allowance sized
+    from the longer of ``h`` and the longest length, from both of which each
+    length is computed.  Simultaneous events are kept; ties are ordered by
     ascending mark index then descending sensor index for stable output.
-
-    The table is a pure function of the design, so it is built once and
-    kept in the design's instance dict, out of its fields (``==``, ``hash``
-    and ``repr`` do not see it): every later call on that design object
-    returns the same table object.  Equal designs share it too: a design's
-    first call looks its values up in ``_table_builders`` and takes the
-    table of the equal design that built one.  That registry refers to its
-    designs weakly, so an entry lasts only while the design that built the
-    table is alive, and an equal design built after it is gone builds a
-    new, equal table.
+    The table is kept on the design and shared with equal designs alive at
+    the same time (see the module docstring).
     """
     if (table := vars(design).get("_raw_table")) is not None:
         return table
@@ -296,7 +308,8 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     columns = tuple(zip(*rows)) or ((),) * 3
     # Sorted lengths leave the times in order, each finite as RobotGeometry bounds
     # them; every length is finite and above GEOM_TOL, so their spread is finite.
-    table = vars(design)["_raw_table"] = EventTable._from_columns(columns, (rho_max, g.v))
+    allowance = _allowance(max(h, rows[0][2]) if rows else h)  # rows[0] is the longest
+    table = vars(design)["_raw_table"] = EventTable._from_columns(columns, (rho_max, g.v), allowance)
     # Registered once its table is set, for an equal design to read; the
     # entry drops out as the design dies.
     _table_builders[key] = weakref.ref(design, functools.partial(_table_builders.pop, key))
@@ -304,36 +317,45 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
 
 
 # A weak reference to the design that built each raw table, by the values
-# the table is built from: each design holds its own table.  A plain dict
-# and a C callback cost a build about half what a WeakValueDictionary does.
+# the table is built from.  A plain dict and a C callback cost a build
+# about half what a WeakValueDictionary does.
 _table_builders: dict[tuple, weakref.ref[CalibrationDesign]] = {}
 
 
 def _group_starts(table: EventTable) -> list[int]:
     """The index of each group's first event: the first event's, and each
     one's whose length lies more than the grouping allowance below the one
-    before it (:func:`_new_lengths`).
-    A pure function of the table, built on first use and kept in its
-    instance dict, as :func:`enumerate_events` keeps a design's table."""
+    before it (:func:`_new_lengths`)."""
     if (starts := vars(table).get("_group_starts")) is None:
         rhos = table.rho_values
-        starts = [0, *compress(range(1, len(rhos)), _new_lengths(rhos))] if rhos else []
+        starts = [0, *compress(range(1, len(rhos)), _new_lengths(table))] if rhos else []
         vars(table)["_group_starts"] = starts
     return starts
 
 
-def _survivors(table: EventTable) -> list[int]:
-    """The index of each group's survivor for :func:`rectify`, one per
-    :func:`_group_starts` entry.
+def rectify(table: EventTable) -> EventTable:
+    """Resolve simultaneous detections so each length maps to one event.
 
-    The first event of a group minimising ``(i / j, i)`` survives.  The
-    comparison runs field by field, and a one-event group is not ranked.
+    An event whose length lies within the grouping allowance
+    (:func:`_new_lengths`) below the one before it is detected with that
+    event, so a chain of such events forms one group.  Within a group the
+    first event minimising the index ratio i/j survives, on a tie the
+    smaller mark index: the detection closest to the support, i.e. the
+    shortest stroke.  Lengths never rise, so each survivor lies within its
+    group and the survivors of successive groups lie more than the
+    allowance apart: one pass rectifies any table, and a rectified table
+    rectifies to an equal one.  The result holds the survivors' columns,
+    given times included, with the table's clock and allowance; it is kept
+    on the table, and threads racing a first call get one table.
     """
-    marks, sensors, _ = table._columns
-    starts = _group_starts(table)
-    survivors = []
+    if (rectified := vars(table).get("_rectified")) is not None:
+        return rectified
+    if not table.rho_values:
+        return table
+    marks, sensors, starts = table.marks, table.sensors, _group_starts(table)
+    keep = []
     for first, last in zip(starts, chain(starts[1:], (table.count,))):
-        survivor = first
+        survivor = first  # the rank (i / j, i) compares field by field
         if last - first > 1:
             mark = marks[first]
             ratio = mark / sensors[first]
@@ -341,80 +363,26 @@ def _survivors(table: EventTable) -> list[int]:
                 i = marks[k]
                 if (rank := i / sensors[k]) < ratio or rank == ratio and i < mark:
                     survivor, ratio, mark = k, rank, i
-        survivors.append(survivor)
-    return survivors
-
-
-def _gather(columns: tuple[tuple, ...], keep: list[int]) -> tuple[tuple, ...]:
-    """Each column's entries at the indices ``keep`` lists, in that order."""
-    if len(keep) == 1:  # itemgetter would return the entry itself
-        return tuple((column[keep[0]],) for column in columns)
-    return tuple(map(operator.itemgetter(*keep), columns))
-
-
-def rectify(table: EventTable) -> EventTable:
-    """Resolve simultaneous detections so each length maps to one event.
-
-    An event whose length lies no more than the grouping allowance below
-    the one before it is detected with that event, so a chain of such
-    events forms one group.  The allowance is ``GEOM_TOL`` metres, or a few
-    ulps of the table's longest length where that is larger
-    (:func:`_new_lengths`).  Within a group the survivor is the pair
-    minimising the index ratio i/j; on a ratio tie the smaller mark index
-    wins.  This keeps the detection closest to the support, i.e. the
-    shortest stroke.
-
-    One pass rectifies every table :class:`EventTable` accepts: its lengths
-    never rise, so every survivor lies within its group and the gap between
-    the survivors of successive groups exceeds the allowance.  Rectifying a
-    rectified table is a no-op.  The result is the kind of table ``table``
-    is: from a table with a clock, one built from the survivors' ``(i, j,
-    rho)`` columns, a subset of the table's in order, with that clock and
-    known to be rectified; from a table built from rows, the table of the
-    survivors' rows, given times included.
-
-    The result is kept in the table's instance dict, as
-    :func:`_group_starts` keeps the group list, and every later call
-    returns it: a design keeps its raw table, so all callers on one design,
-    or on an equal design alive at the same time, read one rectified table
-    with its gaps and gap index.  Threads racing a first call get one table.
-    """
-    if (rectified := vars(table).get("_rectified")) is not None:
-        return rectified
-    if not table.rho_values:
-        return table
-    keep = _survivors(table)
-    if table._clock is None:
-        rectified = EventTable(tuple(map(table.events.__getitem__, keep)))
-    else:
-        rectified = EventTable._from_columns(_gather(table._columns, keep), table._clock, rectified=True)
+        keep.append(survivor)
+    # itemgetter returns the entry itself, not a tuple, for one index.
+    gather = operator.itemgetter(*keep) if len(keep) > 1 else lambda column: (column[keep[0]],)
+    columns = tuple(map(gather, table._columns))
+    rectified = EventTable._from_columns(columns, table._clock, table._allowance, rectified=True)
     return vars(table).setdefault("_rectified", rectified)
 
 
-def _event_columns(table: EventTable) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
-    """A table's ``(i, j, rho)`` columns, read without building its rows."""
-    return table._columns
-
-
 def detection_count(table: EventTable) -> int:
-    """How many detections a table's events make: each group of events
-    detected together, as :func:`rectify` groups them, counts once.
-
-    :func:`rectify` keeps one event per group, so this is the count of the
-    table it returns: the length of the group list both read
-    (:func:`_group_starts`), without building that table.
-    """
+    """How many detections a table's events make, each group of events
+    detected together once: the count of the table :func:`rectify` returns,
+    read from the group list both use, without building that table."""
     return len(_group_starts(table))
 
 
 def left_sum(values: Iterable[float]) -> float:
-    """Sum in iteration order with plain float additions.
-
-    This is what ``sum`` computes up to Python 3.11; from 3.12 ``sum``
-    compensates float rounding, which moves results in the last digits.
-    Reported numbers go through this helper so they do not depend on the
-    interpreter.
-    """
+    """Sum in iteration order with plain float additions, as ``sum`` does up
+    to Python 3.11; from 3.12 ``sum`` compensates float rounding, which
+    moves results in the last digits.  Reported numbers go through this
+    helper so they do not depend on the interpreter."""
     return functools.reduce(operator.add, values, 0)
 
 
@@ -446,14 +414,13 @@ def delta_stats(table: EventTable) -> DeltaStats:
 def advance(current: int, match: int) -> int:
     """The events the drive may be at after one more gap, given ``match``.
 
-    ``match`` is an :meth:`EventTable.match_mask`: bit q is set when
-    ``gaps[q]`` matches the observed gap.  Event sets are bitmasks too: bit
-    q stands for the 1-based event q + 1 as the drive's current position.
+    ``match`` is an :meth:`EventTable.match_mask`; event sets are bitmasks
+    too, bit q for the 1-based event q + 1 as the drive's current position.
     A current event survives when its next table gap matches, and the drive
     moves on to the event after it; the last event has no gap.  This is the
     one elimination rule: ``identify.run_trace`` folds measured gaps through
-    it, as an online caller does one detection at a time, and
-    :func:`stroke_profile`'s walk folds the table's own gaps.
+    it, one detection at a time, and :func:`stroke_profile`'s walk folds the
+    table's own gaps.
     """
     return (current & match) << 1
 
@@ -467,22 +434,15 @@ def stroke_profile(table: EventTable, tolerance: float = DEFAULT_GAP_TOLERANCE) 
     event survives, as on a clean ``calibrate`` drive.  Starts whose gaps
     run out first, the final event among them, are unidentifiable.  The
     stroke is ``rho_p - rho_{p+k}``, as ``identify.run_trace`` measures it.
-
-    When matching is an equivalence on the table's gap values, a suffix
-    sort reads every k (:func:`_sorted_starts`); otherwise, as where gaps
-    of different values match at a coarse tolerance, folding each start's
-    gaps finds them (:func:`_walk_starts`).  Both return the profile's
-    ``(start, k, stroke)`` rows, with the same k for every start, in start
-    order.
+    When matching is an equivalence on the gap values, a suffix sort reads
+    every k (:func:`_sorted_starts`); otherwise, as at a coarse tolerance,
+    folding each start's gaps does (:func:`_walk_starts`), to the same rows.
     """
     if not table.rectified:
         raise ValueError("stroke_profile needs a rectified table")
     check_tolerance("gap", tolerance)
     symbols = _gap_symbols(table.gaps, tolerance)
-    if symbols is None:
-        rows = _walk_starts(table, tolerance)
-    else:
-        rows = _sorted_starts(symbols, table.rho_values)
+    rows = _walk_starts(table, tolerance) if symbols is None else _sorted_starts(symbols, table.rho_values)
     return StrokeProfile(table.count, rows)
 
 
@@ -557,14 +517,12 @@ _SLICED = 1 << 22
 
 
 def _suffix_order(text: str) -> list[int]:
-    """The start of each suffix of ``text``, in sorted order.
-
-    Prefix doubling (Manber and Myers, SIAM J. Comput. 1993): a round sorts
-    the suffixes by their first h characters and ranks them, and the next
-    sorts by pairs of ranks, the first 2h.  The first round sorts slices of
+    """The start of each suffix of ``text``, in sorted order, by prefix
+    doubling (Manber and Myers, SIAM J. Comput. 1993): a round sorts the
+    suffixes by their first h characters and ranks them, and the next sorts
+    by pairs of ranks, the first 2h.  The first round sorts slices of
     ``_SLICED // len(text)`` characters; a round whose ranks all differ is
-    the last.
-    """
+    the last."""
     n = len(text)
     h = max(1, _SLICED // n)
     keys = [text[i : i + h] for i in range(n)]
@@ -584,12 +542,10 @@ def _suffix_order(text: str) -> list[int]:
 
 
 def _walk_starts(table: EventTable, tolerance: float) -> tuple[tuple[int, int, float], ...]:
-    """:func:`_sorted_starts`'s rows, found by folding: start p folds its
-    gaps through :func:`advance` from the full candidate set, as
-    ``identify.run_trace`` folds a drive's, and k is the step that leaves
-    one current event.  Every gap value is folded at k = 1, so its match
-    mask is taken once, up front.
-    """
+    """:func:`_sorted_starts`'s rows, found by folding each start's gaps
+    through :func:`advance` from the full candidate set, as ``run_trace``
+    folds a drive's, until one current event is left.  Each gap value's
+    match mask is taken once, up front."""
     matches = {gap: table.match_mask(gap, tolerance) for gap in table.gap_positions}
     masks = tuple(map(matches.__getitem__, table.gaps))  # each gap's matches, in table order
     rhos = table.rho_values
@@ -607,17 +563,11 @@ def _walk_starts(table: EventTable, tolerance: float) -> tuple[tuple[int, int, f
 
 def format_event_csv(table: EventTable, precision: str = "table") -> str:
     """Render a table as CSV: ``t,i,j,rho,delta_rho`` with the gap column
-    empty on the first row.
-
-    ``table`` precision fixes two decimals to match the printed layout
-    tables; ``full`` emits shortest round-trip floats.
-    """
+    empty on the first row.  ``table`` precision fixes two decimals to match
+    the printed layout tables; ``full`` emits shortest round-trip floats."""
     if precision not in ("table", "full"):
         raise ValueError(f"precision must be 'table' or 'full', got {precision!r}")
-
-    def num(x: float) -> str:
-        return f"{x:.2f}" if precision == "table" else repr(x)
-
+    num = "{:.2f}".format if precision == "table" else repr
     lines = [EVENT_CSV_HEADER]
     for e, delta in zip(table.events, chain(("",), map(num, table.gaps))):
         lines.append(f"{num(e.t)},{e.i},{e.j},{num(e.rho)},{delta}")
@@ -629,16 +579,11 @@ def _csv_lines(text: str) -> list[tuple[int, str]]:
     return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def _read_csv_rows(
-    lines: list[tuple[int, str]], readers: dict[str, Callable[[list[str]], _Row]]
-) -> list[_Row]:
+def _read_csv_rows(lines: list[tuple[int, str]], readers: dict[str, Callable[[list[str]], _Row]]) -> list[_Row]:
     """Read the rows under a header from numbered lines (see :func:`_csv_lines`).
-
-    The first line must be one of the headers that key ``readers``.  Every
-    later line must have as many columns as that header and is read by its
-    reader; a ``ValueError`` the reader raises names the line's number in
-    the document.
-    """
+    The first line must be one of the headers that key ``readers``; every
+    later line must have as many columns and is read by its reader, and a
+    ``ValueError`` the reader raises names the line's number."""
     header = lines[0][1].strip() if lines else None
     if header not in readers:
         raise ValueError(f"expected header {' or '.join(map(repr, readers))}")
@@ -666,9 +611,7 @@ def _event_row(parts: list[str]) -> Event:
 
 
 def parse_event_csv(text: str) -> EventTable:
-    """Parse CSV produced by :func:`format_event_csv`.
-
-    The gap column is derived data and is ignored on input.  Times and
-    lengths must be finite and mark and sensor indices at least 1.
-    """
-    return EventTable(tuple(_read_csv_rows(_csv_lines(text), {EVENT_CSV_HEADER: _event_row})))
+    """Parse CSV produced by :func:`format_event_csv` into a table of its
+    columns.  The gap column is derived data and is ignored on input.  Times
+    and lengths must be finite and mark and sensor indices at least 1."""
+    return EventTable(_read_csv_rows(_csv_lines(text), {EVENT_CSV_HEADER: _event_row}))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
-from .events import _csv_lines, _event_columns, _read_csv_rows, enumerate_events, rectify
+from .events import _csv_lines, _read_csv_rows, enumerate_events, rectify
 from .model import GEOM_TOL, CalibrationDesign
 
 TRACE_CSV_HEADER = "t,encoder_reading,truth_rho,truth_i,truth_j"
@@ -189,7 +189,7 @@ def simulate(
         return ObservationTrace((), start_rho, stop_rho)
 
     table = rectify(enumerate_events(design))
-    marks, sensors, rhos = _event_columns(table)
+    marks, sensors, rhos = table.marks, table.sensors, table.rho_values
     # Lengths fall down the table, so the window is one run of it.
     first = bisect.bisect_left(rhos, -(start_rho + GEOM_TOL), key=operator.neg)
     last = bisect.bisect_right(rhos, -(stop_rho - GEOM_TOL), key=operator.neg)

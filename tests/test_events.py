@@ -1253,8 +1253,9 @@ class TestTablesMeetTheContract:
             assert all(gap > GEOM_TOL for gap in events_gaps(rectify(raw).events))
             for table in (raw, rectify(raw)):
                 assert_meets_the_table_contract(table)
-                assert EventTable(table.events) == table
-                assert parse_event_csv(format_event_csv(table, "full")) == table
+                for twin in (EventTable(table.events), parse_event_csv(format_event_csv(table, "full"))):
+                    assert twin == table and table == twin
+                    assert hash(twin) == hash(table) and repr(twin) == repr(table)
                 rounded = parse_event_csv(format_event_csv(table, "table"))
                 assert_meets_the_table_contract(rounded)
                 assert rounded.count == table.count
@@ -1397,10 +1398,10 @@ def columnar_tables() -> list[tuple[str, EventTable]]:
 
 
 class TestColumnarTables:
-    """Tables that ``enumerate_events`` and ``rectify`` build from their
-    columns and the winding's clock, with their times and rows built on
-    first read of ``events``.  ``rectify`` of a table built from rows
-    returns a table built from rows."""
+    """Every table holds its ``(i, j, rho)`` columns and either the winding's
+    clock, for those ``enumerate_events`` and ``rectify`` of them build, or
+    the times it was given, which ``rectify`` keeps.  Times and rows not
+    given are built on first read of ``events``."""
 
     def test_match_their_twin_built_from_rows(self, monkeypatch):
         # A registry of its own: these tables are built here, and no other
@@ -1426,7 +1427,7 @@ class TestColumnarTables:
         for name, table in columnar_tables:
             if not name.endswith("-raw"):
                 assert vars(table)["rectified"] is True, name
-                assert all(events._new_lengths(table.rho_values)), name
+                assert all(events._new_lengths(table)), name
 
     def test_rectify_of_rows_gives_the_table_of_its_survivors_rows(self):
         # The rows' times are given, so the result keeps them; it equals the
@@ -1466,6 +1467,18 @@ class TestColumnarTables:
                 assert clone.times == table.times and clone.rectified == table.rectified
                 assert clone == table and hash(clone) == hash(table)
                 assert repr(clone) == repr(table)
+
+    def test_copy_and_pickle_of_a_table_built_from_rows(self):
+        table = EventTable(MEDIUM_RAW_ROWS)
+        for clone in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert clone == table and hash(clone) == hash(table) and repr(clone) == repr(table)
+            assert clone.times == table.times and rectify(clone) == rectify(table)
+
+    def test_tables_are_immutable(self, workshop):
+        for table in (enumerate_events(workshop), EventTable(MEDIUM_RAW_ROWS)):
+            for name in ("events", "times", "rho_values", "extra"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(table, name, ())
 
     def test_validate_score_and_run_trace_leave_the_rows_unbuilt(self, monkeypatch):
         # The rows and times of every table these build stay unbuilt: each
@@ -1647,9 +1660,9 @@ class TestSharedRawTable:
             counts["builds"] += 1
             return build(recipe)
 
-        def counting_from_columns(cls, columns, clock, rectified=False):
+        def counting_from_columns(cls, columns, clock, allowance, rectified=False):
             counts["raw tables"] += not rectified
-            return from_columns(columns, clock, rectified)
+            return from_columns(columns, clock, allowance, rectified)
 
         monkeypatch.setattr(optimize, "build_design", counting_build)
         monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
@@ -1669,9 +1682,9 @@ class TestSharedRawTable:
             counts["builds"] += 1
             return build(recipe)
 
-        def counting_from_columns(cls, columns, clock, rectified=False):
+        def counting_from_columns(cls, columns, clock, allowance, rectified=False):
             counts["raw tables"] += not rectified
-            return from_columns(columns, clock, rectified)
+            return from_columns(columns, clock, allowance, rectified)
 
         def counting_new_lengths(rhos):
             counts["groupings"] += 1
@@ -1710,9 +1723,9 @@ class TestSharedRawTable:
         built = []
         from_columns = EventTable._from_columns
 
-        def counting_from_columns(cls, columns, clock, rectified=False):
+        def counting_from_columns(cls, columns, clock, allowance, rectified=False):
             built[-1] += not rectified
-            return from_columns(columns, clock, rectified)
+            return from_columns(columns, clock, allowance, rectified)
 
         monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
         config = tmp_path / "long.ini"
@@ -1823,14 +1836,14 @@ class TestSharedRectifiedTable:
         # each rectified event of the long recipe's design, each written
         # from the one rectified table.
         calls = Counter()
-        survivors = events._survivors
+        from_columns = EventTable._from_columns
 
-        def counting_survivors(table):
-            calls["survivors"] += 1
-            return survivors(table)
+        def counting_from_columns(cls, columns, clock, allowance, rectified=False):
+            calls["rectified tables"] += rectified
+            return from_columns(columns, clock, allowance, rectified)
 
         monkeypatch.setattr(events, "_table_builders", {})
-        monkeypatch.setattr(events, "_survivors", counting_survivors)
+        monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
         recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), (0.5, 0.75, 1.25), (2.0, 3.0))
         design = build_design(recipe).design
         g = design.geometry
@@ -1839,7 +1852,7 @@ class TestSharedRectifiedTable:
         traces = [simulate(design, EncoderModel(noise_sd=0.005, seed=p), start, g.b) for p, start in enumerate(starts)]
         assert len(traces) == len(rhos) > 100
         assert [trace.records[0].truth_rho for trace in traces] == list(rhos)
-        assert calls["survivors"] == 1
+        assert calls["rectified tables"] == 1
 
 
 @pytest.fixture(scope="module")

@@ -420,6 +420,23 @@ class TestValidateDesign:
                 assert validate_design(each)["C5"] == ("C5", True, detail), name
                 assert rectify(enumerate_events(each)).count == exploitable, name
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 2.0**560], ids=["1", "1e200", "2**560"])
+    def test_a_raised_support_resolves_its_simultaneous_detections_unchanged(self, scale):
+        # The workshop layout with h and every sensor 1000 m higher has the
+        # same lengths.  Scaled by 1e200, h - height rounds at the ulps of
+        # about 1e203, some 70 ulps of the longest length, so grouping
+        # allows the rounding of h as well as of the lengths.
+        design = presets.workshop()
+        g = design.geometry
+        raised = CalibrationDesign(
+            RobotGeometry(h=(g.h + 1000) * scale, rho_max=g.rho_max * scale, v=g.v, b=g.b * scale),
+            SensorLayout(tuple((height + 1000) * scale for height in design.sensors.heights)),
+            MarkLayout(tuple(position * scale for position in design.marks.positions)),
+        )
+        detail = "7 simultaneous detections resolved, 26 exploitable events"
+        assert validate_design(raised)["C5"] == ("C5", True, detail)
+        assert rectify(enumerate_events(raised)).count == 26
+
     def test_c1_top_sensor_off_by_ten_tolerances(self, workshop):
         # At desk scale an ulp is about 1e-15, so the tolerance decides.
         heights = (*workshop.sensors.heights[:-1], workshop.sensors.heights[-1] + 10 * GEOM_TOL)
