@@ -13,9 +13,9 @@ fill one compute equal values.  A design's ``_raw_table``: C5, ``score``,
 ``run_trace`` and ``simulate`` all read the one table
 :func:`enumerate_events` builds, and ``_table_builders`` hands it to an
 equal design alive at the same time (each rotation of an exhaustive
-search's ordering).  A raw table's ``_group_starts`` and ``_rectified``:
-:func:`detection_count` (C5) and :func:`rectify` group its lengths once,
-and every caller on a design reads one rectified table.  A table's
+search's ordering).  A raw table's ``_rectified``: :func:`rectify` groups
+its lengths once, and every caller on a design, C5 included, reads that
+one rectified table.  A table's
 ``times``, ``events``, ``rectified``, ``gaps`` and ``gap_positions``, on
 first read: a search reads only columns, gaps and their index.
 """
@@ -322,17 +322,6 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
 _table_builders: dict[tuple, weakref.ref[CalibrationDesign]] = {}
 
 
-def _group_starts(table: EventTable) -> list[int]:
-    """The index of each group's first event: the first event's, and each
-    one's whose length lies more than the grouping allowance below the one
-    before it (:func:`_new_lengths`)."""
-    if (starts := vars(table).get("_group_starts")) is None:
-        rhos = table.rho_values
-        starts = [0, *compress(range(1, len(rhos)), _new_lengths(table))] if rhos else []
-        vars(table)["_group_starts"] = starts
-    return starts
-
-
 def rectify(table: EventTable) -> EventTable:
     """Resolve simultaneous detections so each length maps to one event.
 
@@ -352,7 +341,8 @@ def rectify(table: EventTable) -> EventTable:
         return rectified
     if not table.rho_values:
         return table
-    marks, sensors, starts = table.marks, table.sensors, _group_starts(table)
+    marks, sensors = table.marks, table.sensors
+    starts = [0, *compress(range(1, table.count), _new_lengths(table))]  # each group's first event
     keep = []
     for first, last in zip(starts, chain(starts[1:], (table.count,))):
         survivor = first  # the rank (i / j, i) compares field by field
@@ -369,13 +359,6 @@ def rectify(table: EventTable) -> EventTable:
     columns = tuple(map(gather, table._columns))
     rectified = EventTable._from_columns(columns, table._clock, table._allowance, rectified=True)
     return vars(table).setdefault("_rectified", rectified)
-
-
-def detection_count(table: EventTable) -> int:
-    """How many detections a table's events make, each group of events
-    detected together once: the count of the table :func:`rectify` returns,
-    read from the group list both use, without building that table."""
-    return len(_group_starts(table))
 
 
 def left_sum(values: Iterable[float]) -> float:

@@ -262,15 +262,14 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     C6  successive mark gaps differ (gap variability on the cable).
     C7  successive sensor gaps differ (gap variability on the support).
 
-    C5 counts the detections of the design's raw table
-    (:func:`~cablecal.events.detection_count`), the table
+    C5 reads the rectified table that :func:`~cablecal.events.rectify`
+    keeps on the design's raw table, the one
     :func:`~cablecal.events.enumerate_events` builds once per design (or
-    takes from the equal design that built it, while that one is alive)
-    and :func:`~cablecal.optimize.score` reads again: those are its exploitable
-    events, and the rest were detected with one of them.  The gap between
-    the events :func:`~cablecal.events.rectify` keeps of successive groups
-    exceeds ``GEOM_TOL``, so no tie is left at a ``tol`` up to that, the
-    default; only above it is the table rectified and its gaps counted.
+    takes from the equal design that built it, while that one is alive),
+    and :func:`~cablecal.optimize.score` reads again: its events are the
+    exploitable ones, and the rest were detected with one of them.  Its
+    gaps exceed ``GEOM_TOL``, so no tie is left at a ``tol`` up to that,
+    the default; only above it are its gaps counted.
 
     Pure: identical input yields an identical report.  A ``tol`` that is
     not finite and positive is a ValueError, as for the gap tolerance.
@@ -316,11 +315,12 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
 
     # C5: one event per instant once simultaneities are resolved.
     raw = _events.enumerate_events(design)
-    exploitable = _events.detection_count(raw)
+    table = _events.rectify(raw)
+    exploitable = table.count
     merged = raw.count - exploitable
     residual_ties = 0
     if tol > GEOM_TOL:
-        residual_ties = sum(1 for gap in _events.rectify(raw).gaps if gap <= tol)
+        residual_ties = sum(1 for gap in table.gaps if gap <= tol)
     checks.append(
         Condition(
             "C5",

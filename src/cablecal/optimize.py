@@ -62,19 +62,17 @@ def score(
     strokes are the ones the identifier actually needs.
 
     A ``record`` maps designs to their score at one tolerance and answers a
-    design scored before without rectifying it.  :func:`search` keeps one in
+    design scored before without profiling it.  :func:`search` keeps one in
     its enumeration, which builds every rotation of a mark-pool ordering,
-    and each rotation builds an equal design.  The raw table is read first
-    all the same: it is the one :func:`enumerate_events` gave the design
-    for C5 when :func:`~cablecal.model.validate_design` checked its build,
-    so the read costs no second enumeration.  The record keeps each
-    design it answers for alive, so a rotation's build shares that
-    design's raw table, already enumerated and grouped.
+    and each rotation builds an equal design.  The rectified table is the
+    one C5 read when :func:`~cablecal.model.validate_design` checked the
+    build, so reading it enumerates and rectifies nothing again.  The
+    record keeps each design it answers for alive, so a rotation's build
+    shares that design's raw table and its rectified table.
     """
-    raw = enumerate_events(design)
+    table = rectify(enumerate_events(design))
     if record is not None and (scored := record.get(design)) is not None:
         return scored
-    table = rectify(raw)
     stats = delta_stats(table)
     profile = stroke_profile(table, tolerance)
     worst = profile.worst_stroke
@@ -160,8 +158,8 @@ def search(
     from that score without a build.  ``revisits`` counts evaluations of an
     ordering visited before.  The enumeration visits each ordering once and
     builds every one; a rotation there is answered from its design's record
-    entry (see :func:`score`), without rectifying or profiling it again,
-    and its build neither enumerates nor groups its events again.
+    entry (see :func:`score`), without profiling it again, and its build
+    neither enumerates nor groups its events again.
     """
     check_tolerance("gap", tolerance)
     if budget < 0:

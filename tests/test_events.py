@@ -617,14 +617,16 @@ class TestRectify:
             assert table == group_list_rectify(raw)
             assert all(type(event) is Event for event in table.events)
 
-    def test_detection_count_is_the_rectified_count(self):
-        # validate_design reads C5's exploitable events from the raw table.
-        raws = [enumerate_events(design) for design in columnar_designs().values()]
-        raws += [enumerate_events(design) for design in DECIMAL_LAYOUTS.values()]
-        raws += [EventTable(NEAR_TIE_CHAIN), EventTable(LISTED_LATER), EventTable(())]
-        for raw in raws:
-            assert events.detection_count(raw) == rectify(raw).count
-        assert [events.detection_count(raw) for raw in raws[-3:]] == [2, 2, 0]
+    def test_c5_counts_the_rectified_table(self):
+        # validate_design reads C5's exploitable events from the rectified table.
+        designs = [*columnar_designs().values(), *DECIMAL_LAYOUTS.values()]
+        for design in designs:
+            raw = enumerate_events(design)
+            exploitable = rectify(raw).count
+            expected = f"{raw.count - exploitable} simultaneous detections resolved, {exploitable} exploitable events"
+            assert validate_design(design)["C5"].detail == expected
+        rows = [EventTable(NEAR_TIE_CHAIN), EventTable(LISTED_LATER), EventTable(())]
+        assert [rectify(raw).count for raw in rows] == [2, 2, 0]
 
     def test_tables_built_from_rows_keep_their_given_times(self):
         # No winding's (rho_max - rho) / v gives these times: the two events
@@ -1503,11 +1505,10 @@ class TestColumnarTables:
         assert score(design, 0.05) is not None
         result = run_trace(design, trace)
         assert result.status is Status.IDENTIFIED and result.corrector_scale is not None
-        # validate_design enumerates but does not rectify at the default
-        # tolerance; score and run_trace each get the raw table it built
-        # and rectify it.
-        assert len(built) == 5
-        assert built[0] is built[1] is built[3]
+        # validate_design enumerates and rectifies; score and run_trace each
+        # get the raw table it built and the rectified table it kept.
+        assert len(built) == 6
+        assert built[0] is built[2] is built[4] and built[1] is built[3] is built[5]
         assert not any("events" in vars(table) or "times" in vars(table) for table in built)
         for table in built:
             table.events
@@ -1539,14 +1540,14 @@ class TestSharedRawTable:
             assert fresh.events == rows and fresh == tuple_sort_enumerate(CalibrationDesign(*parts)), name
 
     def test_equal_designs_share_one_grouping(self):
-        # A rotation's build in an exhaustive search: C5 reads the group
-        # list the first equal design's C5 made.
+        # A rotation's build in an exhaustive search: C5 reads the rectified
+        # table the first equal design's C5 made.
         for name, design in columnar_designs().items():
             validate_design(design)
-            starts = vars(enumerate_events(design))["_group_starts"]
+            table = vars(enumerate_events(design))["_rectified"]
             twin = replace(design)
             validate_design(twin)
-            assert vars(enumerate_events(twin))["_group_starts"] is starts, name
+            assert vars(enumerate_events(twin))["_rectified"] is table, name
 
     def test_equality_hash_and_repr_ignore_the_table(self):
         for name, design in columnar_designs().items():
@@ -1625,15 +1626,15 @@ class TestSharedRawTable:
             assert enumerate_events(design) is enumerate_events(design) == table
 
     def test_threads_that_race_read_equal_groups(self):
-        # Four threads count and rectify the same fresh raw tables at once;
-        # a racing first call may list a table's groups twice, but every
-        # thread reads the reference count and rectified table.
+        # Four threads rectify the same fresh raw tables at once; a racing
+        # first call may group a table twice, but every thread reads the
+        # reference rectified table.
         tables = [enumerate_events(replace(design)) for design in columnar_designs().values()]
         expected = [group_list_rectify(table) for table in tables]
-        seen: list[list[tuple[int, EventTable]]] = []
+        seen: list[list[EventTable]] = []
 
         def group_all():
-            seen.append([(events.detection_count(table), rectify(table)) for table in tables])
+            seen.append([rectify(table) for table in tables])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1648,7 +1649,7 @@ class TestSharedRawTable:
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 4
         for results in seen:
-            assert results == [(table.count, table) for table in expected]
+            assert results == expected
 
     def test_a_search_builds_each_raw_table_once(self, monkeypatch):
         # validate_design (C5) and score both call enumerate_events on every
@@ -1739,7 +1740,7 @@ class TestSharedRawTable:
         assert capsys.readouterr().err.count("best: mean_gap=0.354 std_gap=0.168 worst_stroke=38.000") == 2
 
     def test_a_search_groups_each_raw_table_once(self, monkeypatch):
-        # C5's detection_count and score's rectify read one group list, so
+        # C5's rectify keeps the rectified table that score's reads, so
         # each build groups its raw lengths once.
         counts = Counter()
         build, new_lengths = optimize.build_design, events._new_lengths

@@ -9,6 +9,7 @@ import pytest
 
 from cablecal import (
     DesignRecipe,
+    EventTable,
     InfeasibleRecipe,
     ObjectiveScore,
     RobotGeometry,
@@ -336,24 +337,29 @@ class TestSearch:
         assert calls == {"delta_stats": 4, "stroke_profile": 4}
 
     @pytest.mark.parametrize(
-        "recipe,builds,enumerated,rectified",
+        "recipe,builds,calls,rectified_tables",
         [(LONG_RECIPE, 12, 24, 4), (CLIMB_RECIPE, 188, 376, 188)],
         ids=["long", "climb"],
     )
-    def test_each_build_rectifies_at_most_once(self, monkeypatch, recipe, builds, enumerated, rectified):
-        # Every build enumerates its table twice, for C5 and for the score.
-        # C5 counts detections on the raw table, so only the score
-        # rectifies, and in the enumeration only for a raw table it has not
-        # scored: the long recipe's 12 orderings build 4 layouts.
+    def test_each_build_rectifies_at_most_once(self, monkeypatch, recipe, builds, calls, rectified_tables):
+        # Every build enumerates and rectifies its table twice, for C5 and
+        # for the score, and the score's calls return the tables C5's kept.
+        # Only a raw table not seen before is rectified: the long recipe's
+        # 12 orderings build 4 layouts.
         expected = search(recipe, budget=500, seed=0)
-        calls = Counter()
+        counts = Counter()
+        from_columns = EventTable._from_columns
 
         def counting(name, real):
             def count(*args):
-                calls[name] += 1
+                counts[name] += 1
                 return real(*args)
 
             return count
+
+        def counting_from_columns(cls, columns, clock, allowance, rectified=False):
+            counts["rectified tables"] += rectified
+            return from_columns(columns, clock, allowance, rectified)
 
         # validate_design reads the events module's functions; search and
         # score call the names the optimize module imported.
@@ -361,8 +367,13 @@ class TestSearch:
                              (optimize, "enumerate_events"), (optimize, "rectify"),
                              (optimize, "build_design")]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        # A registry of its own, so the expected result's design shares no table.
+        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
         assert search(recipe, budget=500, seed=0) == expected
-        assert calls == {"build_design": builds, "enumerate_events": enumerated, "rectify": rectified}
+        assert counts == {
+            "build_design": builds, "enumerate_events": calls, "rectify": calls, "rectified tables": rectified_tables,
+        }
 
     @pytest.mark.parametrize("recipe,exhaustive", [(LONG_RECIPE, True), (CLIMB_RECIPE, False)])
     def test_only_the_enumeration_keeps_a_gap_record(self, monkeypatch, recipe, exhaustive):
