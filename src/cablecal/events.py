@@ -96,8 +96,11 @@ class EventTable:
     ``EventTable(events)`` checks the rows, comparing whole columns, and
     keeps their columns, times included; :func:`enumerate_events` builds a
     clocked table.  The ``events`` rows are built from the columns on first
-    read, and ``==``, ``hash`` and ``repr`` read them alone, so a table
-    built from rows equals its clocked twin.
+    read; ``==`` and ``hash`` read them and the grouping allowance, ``repr``
+    the rows alone.  Rows cannot carry a design's ``h``, so a table built
+    from them groups by its own longest length: it equals its clocked twin
+    where the two allowances agree, as below 2**21 m, where both are
+    ``GEOM_TOL``.
     """
 
     def __init__(self, events: Iterable[tuple[float, int, int, float]]) -> None:
@@ -135,10 +138,12 @@ class EventTable:
         return table
 
     def __eq__(self, other: object) -> bool:
-        return self.events == other.events if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._allowance == other._allowance and self.events == other.events
 
     def __hash__(self) -> int:
-        return hash(self.events)
+        return hash((self._allowance, self.events))
 
     def __repr__(self) -> str:
         return f"EventTable(events={self.events!r})"
@@ -596,5 +601,7 @@ def _event_row(parts: list[str]) -> Event:
 def parse_event_csv(text: str) -> EventTable:
     """Parse CSV produced by :func:`format_event_csv` into a table of its
     columns.  The gap column is derived data and is ignored on input.  Times
-    and lengths must be finite and mark and sensor indices at least 1."""
+    and lengths must be finite and mark and sensor indices at least 1.  The
+    CSV carries no ``h``, so the table groups by its own longest length
+    (see :class:`EventTable`)."""
     return EventTable(_read_csv_rows(_csv_lines(text), {EVENT_CSV_HEADER: _event_row}))

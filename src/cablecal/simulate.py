@@ -96,11 +96,8 @@ def _check_records(records: tuple[TraceRecord, ...]) -> None:
 
     Every record's values are checked before any record is compared with
     the one before it, and the comparisons run pair by pair, times before
-    truths.  Records are read one at a time only where whole columns do
-    not pass (:func:`_columns_pass`).
+    truths.
     """
-    if _columns_pass(records):
-        return
     for n, r in enumerate(records):
         if not (math.isfinite(r.t) and math.isfinite(r.reading) and _finite(r.truth_rho)):
             got = f"got t={r.t} reading={r.reading} truth_rho={r.truth_rho}"
@@ -112,28 +109,6 @@ def _check_records(records: tuple[TraceRecord, ...]) -> None:
             raise TraceRecordError(_TIMES_INCREASE, n, _TIMES_INCREASE)
         if a.truth_rho is not None and b.truth_rho is not None and b.truth_rho >= a.truth_rho:
             raise TraceRecordError(_TRUTHS_DECREASE, n, _TRUTHS_DECREASE)
-
-
-def _columns_pass(records: tuple[TraceRecord, ...]) -> bool:
-    """Whether whole columns show that ``records`` break no rule: readings
-    finite, times rising, truth lengths all unknown or all falling.  A
-    rising or falling column holds no nan, which fails every comparison,
-    so it is finite when its ends are.  False also for mixed truths."""
-    if not records:
-        return True
-    columns = zip(*records)
-    times, readings, truths = next(columns), next(columns), next(columns)
-    if not (all(map(operator.lt, times, times[1:])) and _finite_ends(times)):
-        return False
-    if not all(map(math.isfinite, readings)):
-        return False
-    if None in truths:
-        return truths.count(None) == len(truths)
-    return all(map(operator.gt, truths, truths[1:])) and _finite_ends(truths)
-
-
-def _finite_ends(column: tuple[float, ...]) -> bool:
-    return math.isfinite(column[0]) and math.isfinite(column[-1])
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,20 @@ ONE_SENSOR = CalibrationDesign(
 )
 
 
+def raised_workshop(scale: float) -> CalibrationDesign:
+    """The workshop layout with h and every sensor 1000 m higher, so the
+    same lengths, every length then scaled by ``scale``.  Scaled by 1e200,
+    h - height rounds at the ulps of about 1e203, some 70 ulps of the
+    longest length."""
+    design = presets.workshop()
+    g = design.geometry
+    return CalibrationDesign(
+        RobotGeometry(h=(g.h + 1000) * scale, rho_max=g.rho_max * scale, v=g.v, b=g.b * scale),
+        SensorLayout(tuple((height + 1000) * scale for height in design.sensors.heights)),
+        MarkLayout(tuple(position * scale for position in design.marks.positions)),
+    )
+
+
 def random_conforming_design(rng: random.Random) -> CalibrationDesign:
     """Conforming by construction: the reserves pin down C1 and C3 exactly."""
     step = 0.05

@@ -702,6 +702,28 @@ class TestCliCalibrate:
             " or 't,encoder_reading'\n"
         )
 
+    def test_a_crlf_log_calibrates_as_its_lf_log(self, config_dir, tmp_path, capsys, monkeypatch):
+        # A hardware log headed t,encoder_reading, with CRLF line endings,
+        # read from a file and from stdin: the lines and exit code of the LF log.
+        workshop = str(config_dir / "workshop.ini")
+        trace = self._trace(config_dir, tmp_path, 9.1, 7.4, ("--noise", "0.005", "--seed", "3"))
+        rows = trace.read_text().splitlines()[2:]
+        lf = "t,encoder_reading\n" + "".join(",".join(row.split(",")[:2]) + "\n" for row in rows)
+        crlf = lf.replace("\n", "\r\n")
+        lf_log, crlf_log = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf_log.write_bytes(lf.encode())
+        crlf_log.write_bytes(crlf.encode())
+        capsys.readouterr()
+        code = main(["calibrate", workshop, "--trace", str(lf_log)])
+        from_lf = capsys.readouterr()
+        assert code == 0 and "rho: 7.50" in from_lf.out
+        assert main(["calibrate", workshop, "--trace", str(crlf_log)]) == code
+        assert capsys.readouterr() == from_lf
+        monkeypatch.setattr(sys, "stdin", io.StringIO(crlf))
+        assert "\r\n" in sys.stdin.getvalue()
+        assert main(["calibrate", workshop, "--trace", "-"]) == code
+        assert capsys.readouterr() == from_lf
+
     def test_truncated_trace_is_ambiguous(self, config_dir, tmp_path, capsys):
         trace = self._trace(config_dir, tmp_path, 9.1, 8.4)
         code = main(["calibrate", str(config_dir / "workshop.ini"), "--trace", str(trace)])

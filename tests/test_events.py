@@ -44,7 +44,7 @@ from cablecal.designer import InfeasibleRecipe
 from cablecal.events import StartStroke, StrokeProfile, format_event_csv, left_sum, parse_event_csv
 from cablecal.model import GEOM_TOL, check_tolerance
 from cablecal.simulate import parse_trace_csv
-from conftest import FIVE_CENTIMETRE_POOLS, random_conforming_design
+from conftest import FIVE_CENTIMETRE_POOLS, raised_workshop, random_conforming_design
 from test_exactness import designs as pinned_designs
 
 # Reference tables for the medium fixture, transcribed row by row.
@@ -1263,6 +1263,23 @@ class TestTablesMeetTheContract:
                 assert rounded.count == table.count
                 tables += 1
         assert tables == 880
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["1", "1e200"])
+    def test_a_row_twin_equals_its_table_where_they_group_alike(self, scale):
+        # The raised layout's raw table sizes its grouping allowance from h,
+        # but rows and CSV carry no h, so scaled by 1e200 their twins group
+        # by the longest length, split coincidences and compare unequal.
+        raw = enumerate_events(raised_workshop(scale))
+        twin = EventTable(raw.events)
+        from_csv = parse_event_csv(format_event_csv(raw, "full"))
+        assert twin.events == raw.events and twin == from_csv
+        counts = (rectify(raw).count, rectify(twin).count, rectify(from_csv).count)
+        if scale == 1.0:
+            assert twin == raw and hash(twin) == hash(raw)
+            assert counts == (26, 26, 26)
+        else:
+            assert twin != raw and raw != twin
+            assert counts == (26, 33, 33)
 
     def test_decimal_layouts_keep_lengths_in_order(self):
         # Meetings an ulp apart are listed longest first, whatever their

@@ -22,7 +22,7 @@ from cablecal import model, presets
 from cablecal.cli import main
 from cablecal.model import GEOM_TOL, Condition, ConditionReport
 from cablecal.optimize import _distinct_orderings
-from conftest import random_conforming_design
+from conftest import raised_workshop, random_conforming_design
 
 CLIMB_RECIPE = (RobotGeometry(18.0, 32.0), (0.5, 0.75, 1.0, 1.25, 1.5, 1.75), (2.0, 3.0, 2.5))
 
@@ -422,17 +422,8 @@ class TestValidateDesign:
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 2.0**560], ids=["1", "1e200", "2**560"])
     def test_a_raised_support_resolves_its_simultaneous_detections_unchanged(self, scale):
-        # The workshop layout with h and every sensor 1000 m higher has the
-        # same lengths.  Scaled by 1e200, h - height rounds at the ulps of
-        # about 1e203, some 70 ulps of the longest length, so grouping
-        # allows the rounding of h as well as of the lengths.
-        design = presets.workshop()
-        g = design.geometry
-        raised = CalibrationDesign(
-            RobotGeometry(h=(g.h + 1000) * scale, rho_max=g.rho_max * scale, v=g.v, b=g.b * scale),
-            SensorLayout(tuple((height + 1000) * scale for height in design.sensors.heights)),
-            MarkLayout(tuple(position * scale for position in design.marks.positions)),
-        )
+        # Grouping allows the rounding of h as well as of the lengths.
+        raised = raised_workshop(scale)
         detail = "7 simultaneous detections resolved, 26 exploitable events"
         assert validate_design(raised)["C5"] == ("C5", True, detail)
         assert rectify(enumerate_events(raised)).count == 26

@@ -368,6 +368,22 @@ class TestTraceCheckOrder:
         assert faults > 500
 
 
+class TestCrlfLines:
+    """A trace file written with CRLF line endings, as some hardware
+    loggers write them, parses as its LF text does."""
+
+    @pytest.mark.parametrize("short", [False, True], ids=["full-header", "short-header"])
+    def test_crlf_parses_as_lf(self, short):
+        records = (TraceRecord(0.5, 3.25, 9.0, 1, 2), TraceRecord(1.5, 4.125, 8.0, 2, 2),
+                   TraceRecord(2.75, 5.5, 6.75, 3, 1))
+        if short:
+            records = tuple(TraceRecord(r.t, r.reading) for r in records)
+        text = "# start_rho=9.5 stop_rho=6.0\n" + log_text(records, short)
+        crlf = text.replace("\n", "\r\n")
+        assert "\r\n" in crlf and parse_trace_csv(crlf) == parse_trace_csv(text)
+        assert parse_trace_csv(crlf).records == records
+
+
 class TestTraceCsvRoundTrip:
     """Formatting a parsed trace file gives the file back, byte for byte."""
 
