@@ -379,9 +379,8 @@ class TestCrlfLines:
         if short:
             records = tuple(TraceRecord(r.t, r.reading) for r in records)
         text = "# start_rho=9.5 stop_rho=6.0\n" + log_text(records, short)
-        crlf = text.replace("\n", "\r\n")
-        assert "\r\n" in crlf and parse_trace_csv(crlf) == parse_trace_csv(text)
-        assert parse_trace_csv(crlf).records == records
+        crlf = parse_trace_csv(text.replace("\n", "\r\n"))
+        assert crlf == parse_trace_csv(text) and crlf.records == records
 
 
 class TestTraceCsvRoundTrip:
