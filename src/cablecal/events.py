@@ -51,9 +51,6 @@ class Event(NamedTuple):
 
 
 _length = operator.itemgetter(2)  # an (i, j, rho) row's rho
-# A row record from its finished tuple, as the record's own __new__ makes
-# it, without the call through that.
-_new_row = tuple.__new__
 _stroke = operator.itemgetter(2)  # an identified start's stroke
 
 # Coincident lengths of the presets scaled by 1e200 come out of
@@ -107,8 +104,7 @@ class EventTable:
         times, marks, sensors, rhos = tuple(zip(*events)) or ((),) * 4
         if not all(map(operator.le, times, times[1:])):  # a nan fails too
             raise ValueError("events must be time-ordered")
-        # Ordered times without a nan are finite when the first and last are.
-        if times and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+        if not all(map(math.isfinite, times)):
             raise ValueError("event times must be finite")
         if rhos and not (all(map(math.isfinite, rhos)) and math.isfinite(max(rhos) - min(rhos))):
             raise ValueError("event lengths must be finite, with a finite spread")
@@ -116,8 +112,7 @@ class EventTable:
             raise ValueError("event lengths must never rise")
         if marks and min(min(marks), min(sensors)) < 1:
             raise ValueError("mark and sensor indices start at 1")
-        # The table of the rows' columns; the longest length is the first or the last.
-        allowance = _allowance(max(abs(rhos[0]), abs(rhos[-1])) if rhos else 0.0)
+        allowance = _allowance(max(map(abs, rhos), default=0.0))
         vars(self).update(vars(self._from_columns((marks, sensors, rhos, times), None, allowance)))
 
     @classmethod
@@ -154,7 +149,7 @@ class EventTable:
     @functools.cached_property
     def events(self) -> tuple[Event, ...]:
         """The rows ``(t, i, j, rho)``, built from the columns."""
-        return tuple(map(_new_row, repeat(Event), zip(self.times, self.marks, self.sensors, self.rho_values)))
+        return tuple(map(Event._make, zip(self.times, self.marks, self.sensors, self.rho_values)))
 
     @functools.cached_property
     def times(self) -> tuple[float, ...]:
@@ -240,9 +235,7 @@ class StrokeProfile:
     def entries(self) -> tuple[StartStroke, ...]:
         """One :class:`StartStroke` per start, unidentifiable ones included."""
         found = {row[0]: row for row in self.identified}
-        return tuple([
-            _new_row(StartStroke, found.get(p) or (p, None, None)) for p in range(1, self.count + 1)
-        ])
+        return tuple([StartStroke._make(found.get(p) or (p, None, None)) for p in range(1, self.count + 1)])
 
     @property
     def worst_stroke(self) -> float | None:

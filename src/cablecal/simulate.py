@@ -15,7 +15,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 from .events import _csv_lines, _read_csv_rows, enumerate_events, rectify
@@ -148,8 +147,9 @@ def simulate(
     Events are the design's rectified detections whose free length lies in
     [stop_rho, start_rho]; simultaneous truth events collapse to the single
     rectified survivor, since one physical instant yields one record.  The
-    encoder register reads ``offset + scale * wound + jitter``.  Equal start
-    and stop produce an empty trace.  Deterministic for a given seed.
+    encoder register reads ``offset + scale * wound + jitter``, each jitter
+    ``+0.0`` at ``noise_sd = 0``.  Equal start and stop produce an empty
+    trace.  Deterministic for a given seed.
 
     Records are built from the ``(i, j, rho)`` columns of the design's one
     rectified table (:func:`~cablecal.events.rectify`), without event rows.
@@ -170,11 +170,8 @@ def simulate(
     last = bisect.bisect_right(rhos, -(stop_rho - GEOM_TOL), key=operator.neg)
     truths = rhos[first:last]
     wounds = [start_rho - rho for rho in truths]
-    if encoder.noise_sd > 0:
-        gauss, sd = random.Random(encoder.seed).gauss, encoder.noise_sd
-        jitters = [gauss(0.0, sd) for _ in wounds]
-    else:
-        jitters = repeat(0.0)
+    gauss, sd = random.Random(encoder.seed).gauss, encoder.noise_sd
+    jitters = [gauss(0.0, sd) for _ in wounds]
     v, offset, scale = g.v, encoder.offset, encoder.scale
     records = tuple([
         tuple.__new__(TraceRecord, (wound / v, offset + scale * wound + jitter, rho, i, j))

@@ -1435,6 +1435,8 @@ class TestColumnarTables:
             twin = EventTable(table.events)
             assert "events" in vars(table)
             assert all(type(event) is Event for event in table.events), name
+            plain = tuple(zip(table.times, table.marks, table.sensors, table.rho_values))
+            assert table.events == plain, name
             assert table.events == twin.events, name
             assert columns == (twin.times, twin.rho_values, twin.count, twin.gaps,
                                twin.gap_positions, twin.rectified), name
@@ -1916,6 +1918,9 @@ class TestLazyProfileEntries:
             # So does one whose fields are read back from the entries.
             entries = profile.entries
             assert all(type(entry) is StartStroke for entry in entries), name
+            found = {row[0]: row for row in profile.identified}
+            plain = tuple(found.get(p, (p, None, None)) for p in range(1, table.count + 1))
+            assert entries == plain, name
             assert [entry.start for entry in entries] == list(range(1, table.count + 1))
             twin = StrokeProfile(len(entries), tuple(e for e in entries if e.identifiable))
             assert profile == twin and twin == profile, name

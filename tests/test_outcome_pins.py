@@ -14,11 +14,16 @@ recipe's design and the climb recipe's given ordering.  From every
 rectified start one noise-free drive winds to the last event, reading
 ``start - rho``, with no start or stop metadata; each of its records but
 the first is dropped once.  That is 14,985 drives.
+
+The exhaustive double-miss replay drops each pair of those records but
+the first instead, on large-cube, xl-cube, workshop and the climb
+recipe: 81,598 drives.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -50,6 +55,13 @@ REPLAY = {
     "long recipe": (3656, 5734, 1050),
     "climb recipe": (1961, 195, 122),
 }
+# design -> (ok, unsure, wrong): 64,188 / 10,768 / 6,642 of the 81,598 drives
+DOUBLE_MISS = {
+    "workshop": (1649, 717, 234),
+    "large-cube": (4042, 900, 514),
+    "xl-cube": (18417, 2948, 2061),
+    "climb recipe": (40080, 6203, 3833),
+}
 
 
 def outcome(design, trace) -> str:
@@ -73,13 +85,26 @@ def replay_design(name: str):
     return build_design(DesignRecipe(RobotGeometry(h, rho_max), d_pool, z_pool)).design
 
 
-def single_miss_drives(design):
-    """Every noise-free drive of ``design`` with one record but the first dropped."""
+def full_drives(design):
+    """The records of each rectified start's noise-free drive to the last event."""
     events = rectify(enumerate_events(design)).events
     for p, start in enumerate(events):
-        records = tuple(TraceRecord(e.t, start.rho - e.rho, e.rho) for e in events[p:])
+        yield tuple(TraceRecord(e.t, start.rho - e.rho, e.rho) for e in events[p:])
+
+
+def single_miss_drives(design):
+    """Every noise-free drive of ``design`` with one record but the first dropped."""
+    for records in full_drives(design):
         for drop in range(1, len(records)):
             yield ObservationTrace(records[:drop] + records[drop + 1 :], None, None)
+
+
+def double_miss_drives(design):
+    """Every noise-free drive of ``design`` with two records but the first dropped."""
+    for records in full_drives(design):
+        for first, second in combinations(range(1, len(records)), 2):
+            kept = records[:first] + records[first + 1 : second] + records[second + 1 :]
+            yield ObservationTrace(kept, None, None)
 
 
 class TestPinnedOutcomes:
@@ -88,8 +113,9 @@ class TestPinnedOutcomes:
     missed detection can leave one wrong event as that survivor.
 
     ROADMAP.md's item 1 (closed-loop verification) is to bring the sweep's
-    faulty wrong count to 0 and the replay's wrong total to 3.  Every change
-    that moves a pin names the move in CHANGES.md.
+    faulty wrong count to 0 and the replay's wrong total to 3, and moves the
+    double-miss pins too: its rule gives 3,647 / 77,945 / 6 there (item
+    24).  Every change that moves a pin names the move in CHANGES.md.
     """
 
     def test_sweep(self):
@@ -102,3 +128,8 @@ class TestPinnedOutcomes:
     def test_exhaustive_single_miss_replay(self, name):
         design = replay_design(name)
         assert counts(outcome(design, trace) for trace in single_miss_drives(design)) == REPLAY[name]
+
+    @pytest.mark.parametrize("name", DOUBLE_MISS)
+    def test_exhaustive_double_miss_replay(self, name):
+        design = replay_design(name)
+        assert counts(outcome(design, trace) for trace in double_miss_drives(design)) == DOUBLE_MISS[name]

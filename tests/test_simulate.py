@@ -90,6 +90,21 @@ class TestSimulate:
         first = trace.records[0]
         assert first.reading == pytest.approx(3.0 + 1.02 * (9.1 - 9.0))
 
+    @pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1.02, 3.0), (0.98, -2.5)])
+    def test_noise_free_readings_are_exact(self, all_designs, scale, offset):
+        # Without jitter each reading is offset + scale * wound to the last
+        # bit, whatever the seed, on the drive from every rectified start
+        # to the last event (the last start's own drive is empty).
+        for name, design in all_designs.items():
+            rhos = rectify(enumerate_events(design)).rho_values
+            for p, start in enumerate(rhos[:-1]):
+                for seed in (0, 7):
+                    trace = simulate(design, EncoderModel(scale, offset, 0.0, seed), start, rhos[-1])
+                    truths = [r.truth_rho for r in trace.records]
+                    assert truths == list(rhos[p:]), (name, start)
+                    expected = [offset + scale * (start - rho) for rho in truths]
+                    assert [r.reading for r in trace.records] == expected, (name, start, seed)
+
     def test_deterministic_per_seed(self, workshop):
         enc = EncoderModel(noise_sd=0.01, seed=7)
         a = simulate(workshop, enc, 12.0, 1.0)
