@@ -11,11 +11,12 @@ Each cache holds a pure function of the object it is kept on, in its
 instance dict, out of ``==``, ``hash`` and ``repr``; threads racing to
 fill one compute equal values.  A design's ``_raw_table``: C5, ``score``,
 ``run_trace`` and ``simulate`` all read the one table
-:func:`enumerate_events` builds, and ``_table_builders`` hands it to an
-equal design alive at the same time (each rotation of an exhaustive
-search's ordering).  A raw table's ``_rectified``: :func:`rectify` groups
-its lengths once, and every caller on a design, C5 included, reads that
-one rectified table.  A table's
+:func:`enumerate_events` builds, and ``_table_builders``, a
+``WeakValueDictionary`` from the values a table is built from to the
+design that built it, hands it to an equal design alive at the same time
+(each rotation of an exhaustive search's ordering).  A raw table's
+``_rectified``: :func:`rectify` groups its lengths once, and every caller
+on a design, C5 included, reads that one rectified table.  A table's
 ``times``, ``events``, ``rectified``, ``gaps`` and ``gap_positions``, on
 first read: a search reads only columns, gaps and their index.
 """
@@ -277,8 +278,8 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     from the longer of ``h`` and the longest length, from both of which each
     length is computed.  Simultaneous events are kept; ties are ordered by
     ascending mark index then descending sensor index for stable output.
-    The table is kept on the design and shared with equal designs alive at
-    the same time (see the module docstring).
+    The table is kept on the design and shared through ``_table_builders``
+    with equal designs alive at the same time (see the module docstring).
     """
     if (table := vars(design).get("_raw_table")) is not None:
         return table
@@ -286,8 +287,7 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     rho_max, h = g.rho_max, g.h
     positions, heights = design.marks.positions, design.sensors.heights
     key = (rho_max, h, g.v, heights, positions)  # every value the table is built from
-    ref = _table_builders.get(key)
-    if ref is not None and (builder := ref()) is not None:
+    if (builder := _table_builders.get(key)) is not None:
         table = vars(design)["_raw_table"] = vars(builder)["_raw_table"]
         return table
     top_down = tuple(enumerate(heights, start=1))[::-1]
@@ -308,16 +308,13 @@ def enumerate_events(design: CalibrationDesign) -> EventTable:
     # them; every length is finite and above GEOM_TOL, so their spread is finite.
     allowance = _allowance(max(h, rows[0][2]) if rows else h)  # rows[0] is the longest
     table = vars(design)["_raw_table"] = EventTable._from_columns(columns, (rho_max, g.v), allowance)
-    # Registered once its table is set, for an equal design to read; the
-    # entry drops out as the design dies.
-    _table_builders[key] = weakref.ref(design, functools.partial(_table_builders.pop, key))
+    # Registered once its table is set, for an equal design to read.
+    _table_builders[key] = design
     return table
 
 
-# A weak reference to the design that built each raw table, by the values
-# the table is built from.  A plain dict and a C callback cost a build
-# about half what a WeakValueDictionary does.
-_table_builders: dict[tuple, weakref.ref[CalibrationDesign]] = {}
+# The design that built each raw table, held weakly, by the values it is built from.
+_table_builders: weakref.WeakValueDictionary[tuple, CalibrationDesign] = weakref.WeakValueDictionary()
 
 
 def rectify(table: EventTable) -> EventTable:

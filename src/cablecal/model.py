@@ -265,7 +265,7 @@ def validate_design(design: CalibrationDesign, tol: float = GEOM_TOL) -> Conditi
     C5 reads the rectified table that :func:`~cablecal.events.rectify`
     keeps on the design's raw table, the one
     :func:`~cablecal.events.enumerate_events` builds once per design (or
-    takes from the equal design that built it, while that one is alive),
+    takes from an equal, live design in its weak registry of builders),
     and :func:`~cablecal.optimize.score` reads again: its events are the
     exploitable ones, and the rest were detected with one of them.  Its
     gaps exceed ``GEOM_TOL``, so no tie is left at a ``tol`` up to that,

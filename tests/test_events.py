@@ -1216,7 +1216,7 @@ class TestEventTableValidation:
     def test_gap_index_leaves_equality_hash_and_repr_alone(self, workshop, monkeypatch):
         # A registry of its own, and designs that die once their table is
         # built: each table is built here, and no other test holds it.
-        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(events, "_table_builders", weakref.WeakValueDictionary())
         read = rectify(enumerate_events(replace(workshop)))
         fresh = rectify(enumerate_events(replace(workshop)))
         stroke_profile(read, 0.05)  # fills the gap index
@@ -1273,6 +1273,9 @@ class TestTablesMeetTheContract:
         twin = EventTable(raw.events)
         from_csv = parse_event_csv(format_event_csv(raw, "full"))
         assert twin.events == raw.events and twin == from_csv
+        # Only a table equals a table, not even the tuple of its own rows.
+        assert EventTable.__eq__(raw, object()) is NotImplemented
+        assert (raw == 3) is False and raw != raw.events
         counts = (rectify(raw).count, rectify(twin).count, rectify(from_csv).count)
         if scale == 1.0:
             assert twin == raw and hash(twin) == hash(raw)
@@ -1425,7 +1428,7 @@ class TestColumnarTables:
     def test_match_their_twin_built_from_rows(self, monkeypatch):
         # A registry of its own: these tables are built here, and no other
         # test holds them or reads their rows.
-        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(events, "_table_builders", weakref.WeakValueDictionary())
         columnar_tables = build_columnar_tables()
         assert len(columnar_tables) > 60
         for name, table in columnar_tables:
@@ -1470,7 +1473,7 @@ class TestColumnarTables:
 
     def test_other_missing_attributes_raise_attribute_error(self, workshop, monkeypatch):
         # A registry of its own: the table is built here, and no other test holds it.
-        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(events, "_table_builders", weakref.WeakValueDictionary())
         table = enumerate_events(workshop)
         with pytest.raises(AttributeError, match="no attribute 'rows'"):
             table.rows
@@ -1711,7 +1714,7 @@ class TestSharedRawTable:
             return new_lengths(rhos)
 
         # A registry of its own, so no design another test keeps alive is found.
-        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(events, "_table_builders", weakref.WeakValueDictionary())
         monkeypatch.setattr(optimize, "build_design", counting_build)
         monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
         monkeypatch.setattr(events, "_new_lengths", counting_new_lengths)
@@ -1731,10 +1734,10 @@ class TestSharedRawTable:
         # Once the search returns, only the design it returns is left to
         # share a table, and none once the result is dropped: no later
         # command finds one.
-        registry: dict = {}
+        registry = weakref.WeakValueDictionary()
         monkeypatch.setattr(events, "_table_builders", registry)
         result = optimize.search(DesignRecipe(RobotGeometry(h=18.0, rho_max=rho_max), d_pool, z_pool), budget)
-        assert [builder() for builder in registry.values()] == [result.design]
+        assert list(registry.values()) == [result.design]
         del result
         assert len(registry) == 0
 
@@ -1799,7 +1802,7 @@ class TestSharedRectifiedTable:
 
     def test_an_equal_design_alive_at_the_same_time_gets_it(self, monkeypatch):
         # A registry of its own, so no design another test keeps alive is found.
-        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(events, "_table_builders", weakref.WeakValueDictionary())
         designs = columnar_designs()
         for name in list(designs):
             design = designs.pop(name)
@@ -1862,7 +1865,7 @@ class TestSharedRectifiedTable:
             calls["rectified tables"] += rectified
             return from_columns(columns, clock, allowance, rectified)
 
-        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(events, "_table_builders", weakref.WeakValueDictionary())
         monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
         recipe = DesignRecipe(RobotGeometry(h=18.0, rho_max=60.0), (0.5, 0.75, 1.25), (2.0, 3.0))
         design = build_design(recipe).design

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -368,7 +369,7 @@ class TestSearch:
                              (optimize, "build_design")]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         # A registry of its own, so the expected result's design shares no table.
-        monkeypatch.setattr(events, "_table_builders", {})
+        monkeypatch.setattr(events, "_table_builders", weakref.WeakValueDictionary())
         monkeypatch.setattr(EventTable, "_from_columns", classmethod(counting_from_columns))
         assert search(recipe, budget=500, seed=0) == expected
         assert counts == {

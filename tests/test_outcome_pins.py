@@ -3,11 +3,15 @@
 Each drive is ok (identified within 0.01 m of the truth of the record
 ``detections_used`` names), unsure (``ambiguous`` or ``no_match``) or wrong
 (identified further from that truth), as the benchmark classifies
-``calibrate`` results.  Both pins match at the default gap tolerance, 0.05.
+``calibrate`` results.  Every pin matches at the default gap tolerance, 0.05.
 
 The sweep is the calibration digest's 522 seed-0 drives
 (:func:`test_exactness.drives`): 266 clean, and 256 with one of their
 first three detections dropped (faulty).
+
+The drifted sweep re-reads the 266 clean drives with an encoder scale
+that drifts linearly along each drive, as a drum's can with the cable's
+tension or wrap.
 
 The exhaustive single-miss replay covers the four presets, the long
 recipe's design and the climb recipe's given ordering.  From every
@@ -55,6 +59,8 @@ REPLAY = {
     "long recipe": (3656, 5734, 1050),
     "climb recipe": (1961, 195, 122),
 }
+# drift -> (ok, unsure, wrong) of the 266 clean sweep drives
+DRIFT = {0.02: (247, 19, 0), 0.05: (242, 24, 0)}
 # design -> (ok, unsure, wrong): 64,188 / 10,768 / 6,642 of the 81,598 drives
 DOUBLE_MISS = {
     "workshop": (1649, 717, 234),
@@ -85,6 +91,21 @@ def replay_design(name: str):
     return build_design(DesignRecipe(RobotGeometry(h, rho_max), d_pool, z_pool)).design
 
 
+def drifted_drives(delta: float):
+    """(design, trace) for each clean sweep drive re-read with an encoder
+    scale that grows linearly by ``delta`` over the drive: a record wound
+    ``w`` from the start reads ``delta * w**2 / (2 * (start_rho - stop_rho))``
+    more."""
+    for design, kind, trace in drives(0):
+        if kind == "clean":
+            start, stroke = trace.start_rho, trace.start_rho - trace.stop_rho
+            records = tuple(
+                record._replace(reading=record.reading + delta * (start - record.truth_rho) ** 2 / (2 * stroke))
+                for record in trace.records
+            )
+            yield design, ObservationTrace(records, trace.start_rho, trace.stop_rho)
+
+
 def full_drives(design):
     """The records of each rectified start's noise-free drive to the last event."""
     events = rectify(enumerate_events(design)).events
@@ -113,9 +134,11 @@ class TestPinnedOutcomes:
     missed detection can leave one wrong event as that survivor.
 
     ROADMAP.md's item 1 (closed-loop verification) is to bring the sweep's
-    faulty wrong count to 0 and the replay's wrong total to 3, and moves the
+    faulty wrong count to 0 and the replay's wrong total to 4, and moves the
     double-miss pins too: its rule gives 3,647 / 77,945 / 6 there (item
-    24).  Every change that moves a pin names the move in CHANGES.md.
+    24).  Under scale drift its bar is that no clean drive identified right
+    today is refuted.  Every change that moves a pin names the move in
+    CHANGES.md.
     """
 
     def test_sweep(self):
@@ -123,6 +146,10 @@ class TestPinnedOutcomes:
         for design, kind, trace in drives(0):
             outcomes[kind].append(outcome(design, trace))
         assert {kind: counts(found) for kind, found in outcomes.items()} == SWEEP
+
+    @pytest.mark.parametrize("delta", DRIFT)
+    def test_sweep_under_scale_drift(self, delta):
+        assert counts(outcome(design, trace) for design, trace in drifted_drives(delta)) == DRIFT[delta]
 
     @pytest.mark.parametrize("name", REPLAY)
     def test_exhaustive_single_miss_replay(self, name):
